@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .nets import DenseNet
-from .qsim import N_QUBITS, SpsaState, VqcSpec, vqc_forward
+from .qsim import N_QUBITS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 CHECKPOINT_VERSION = 1
 
@@ -162,45 +162,36 @@ class QuantumCritic:
         angles = self.spec.scaled_angles(features)
         z = self._run_circuit(angles, self.spec.theta)
         v, post_cache = self.post.forward_cached(z)
-        return v[..., 0], (pre_cache, features, angles, post_cache)
+        v = v[..., 0]
+        return v, (pre_cache, features, angles, post_cache, v)
 
     def backward(self, cache, d_value: np.ndarray, loss_fn: Callable[[np.ndarray], float] = None) -> list[np.ndarray]:
         """Hybrid gradients in adam_params() order; updates theta via SPSA.
 
         ``loss_fn(values)`` must return the scalar minibatch loss that the
-        caller is descending; it is re-evaluated on the two perturbed circuit
-        passes (the center pass was already done by value_cached, for three
-        evaluations total per estimate).
+        caller is descending.  SPSA perturbs the joint vector (theta, a
+        common shift of the circuit's input angles); its center loss comes
+        from the values value_cached already computed, so each estimate
+        costs two more circuit evaluations, three in total.
         """
         if loss_fn is None:
             raise ContractViolation("quantum critic backward needs the minibatch loss_fn")
-        pre_cache, features, angles, post_cache = cache
+        pre_cache, features, angles, post_cache, v = cache
         d_value = np.asarray(d_value)
         batch = angles.shape[0] if angles.ndim == 2 else 1
+        n_theta = self.spec.theta.size
 
         post_grads, _ = self.post.backward(post_cache, d_value[..., None])
 
-        ck = self.spsa.perturbation_size()
-        rng = self.spsa.rng
-        delta_theta = rng.integers(0, 2, size=self.spec.theta.shape).astype(float) * 2.0 - 1.0
-        delta_x = rng.integers(0, 2, size=self.spec.n_features).astype(float) * 2.0 - 1.0
-
-        def perturbed_loss(sign: float) -> float:
-            theta_p = self.spec.theta + sign * ck * delta_theta
-            angles_p = angles + sign * ck * delta_x
-            z_p = self._run_circuit(angles_p, theta_p)
-            v_p = self.post.forward(z_p)[..., 0]
-            return float(loss_fn(v_p))
-
-        loss_plus = perturbed_loss(+1.0)
-        loss_minus = perturbed_loss(-1.0)
-        diff = loss_plus - loss_minus
-        grad_theta = diff / (2.0 * ck * delta_theta)
-        grad_angles = diff / (2.0 * ck * delta_x)
+        def joint_loss(params: np.ndarray) -> float:
+            z_p = self._run_circuit(angles + params[n_theta:], params[:n_theta])
+            return float(loss_fn(self.post.forward(z_p)[..., 0]))
 
         ak = self.spsa.step_size()
+        center = np.concatenate([self.spec.theta, np.zeros(self.spec.n_features)])
+        grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_fn(v))
+        grad_theta, grad_angles = grad[:n_theta], grad[n_theta:]
         self.spec.theta = self.spec.theta - ak * grad_theta
-        self.spsa.k += 1
 
         # chain the common-shift angle gradient into xi and the pre block;
         # x = f(u * xi) with u the pre output

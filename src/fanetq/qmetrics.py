@@ -51,10 +51,7 @@ def circuit_state_sampler(spec: VqcSpec) -> StateSampler:
     def sample(n: int, rng: np.random.Generator) -> np.ndarray:
         feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, eval_spec.n_features))
         thetas = rng.uniform(THETA_LOW, THETA_HIGH, size=(n, eval_spec.theta.size))
-        states = np.empty((n, 2**N_QUBITS), dtype=complex)
-        for i in range(n):
-            states[i] = vqc_state(eval_spec, feats[i], theta=thetas[i])
-        return states
+        return vqc_state(eval_spec, feats, theta=thetas)
 
     return sample
 
@@ -134,14 +131,14 @@ def fidelity_histogram(states: np.ndarray, n_bins: int) -> np.ndarray:
     counts = np.zeros(n_bins, dtype=np.int64)
     chunk = 512
     n = states.shape[0]
+    conj_t = states.conj().T
+    cols = np.arange(n)
     for start in range(0, n, chunk):
         block = states[start : start + chunk]
-        gram = np.abs(block @ states.conj().T) ** 2
-        for row_off in range(block.shape[0]):
-            i = start + row_off
-            row = gram[row_off, i + 1 :]
-            idx = np.minimum((row * n_bins).astype(int), n_bins - 1)
-            counts += np.bincount(idx, minlength=n_bins)
+        gram = np.abs(block @ conj_t) ** 2
+        upper = cols[None, :] > np.arange(start, start + block.shape[0])[:, None]
+        idx = np.minimum((gram[upper] * n_bins).astype(int), n_bins - 1)
+        counts += np.bincount(idx, minlength=n_bins)
     return counts
 
 

@@ -1,10 +1,10 @@
 """Exact statevector simulation of the 4-qubit data-reuploading critic core.
 
-The simulator keeps a batch axis in front of the amplitude axes so that a
-whole minibatch of inputs can be pushed through the circuit at once.  All
-data-dependent gates (the encoding rotations) are diagonal, so per-sample
-angles broadcast cheaply; the trainable ansatz angles are shared across the
-batch.  Qubit 0 is the most significant bit of the amplitude index.
+The layered circuit is evaluated in closed form: per layer, one phase vector
+for the (diagonal) encoding and one 16x16 matrix for the ansatz, with a batch
+axis in front so a whole minibatch goes through at once.  The gate functions
+(``apply_gate`` and friends) build small circuits one gate at a time.  Qubit 0
+is the most significant bit of the amplitude index.
 """
 
 from __future__ import annotations
@@ -143,18 +143,6 @@ def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: fl
     raise ContractViolation(f"unknown gate {gate!r}")
 
 
-def z_expectations(state: np.ndarray) -> np.ndarray:
-    """<Z_q> for every qubit; (4,) for a single state, (batch, 4) otherwise."""
-    batched, squeeze = _as_batch(state)
-    n = _n_qubits_of(batched)
-    probs = (batched.real**2 + batched.imag**2).reshape((-1,) + (2,) * n)
-    out = np.empty((batched.shape[0], n))
-    for q in range(n):
-        marg = probs.sum(axis=tuple(1 + a for a in range(n) if a != q))
-        out[:, q] = marg[:, 0] - marg[:, 1]
-    return out[0] if squeeze else out
-
-
 # ---------------------------------------------------------------------------
 # Data-reuploading circuit
 # ---------------------------------------------------------------------------
@@ -243,68 +231,106 @@ class VqcSpec:
         return cls.from_dict(json.loads(text))
 
 
-def _rz_phases(angles: np.ndarray) -> np.ndarray:
-    """diag entries of RZ for per-sample angles of shape (batch,) or scalar."""
-    angles = np.asarray(angles)
-    return np.stack([np.exp(-0.5j * angles), np.exp(0.5j * angles)], axis=-1)
+def _basis_signs() -> np.ndarray:
+    """s_q(b) = +1/-1, the Z eigenvalue of qubit q in basis state b; shape (4, 16)."""
+    bits = (np.arange(2**N_QUBITS)[None, :] >> (N_QUBITS - 1 - np.arange(N_QUBITS))[:, None]) & 1
+    return 1.0 - 2.0 * bits
 
 
-def encode_layer(state: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second-order Pauli-Z evolution encoding for one layer.
+def _ring_source() -> np.ndarray:
+    """Index map of the CNOT ring: after CNOT(0,1), CNOT(1,2), CNOT(2,3), CNOT(3,0),
+    the amplitude at basis state c is the one that stood at ``_ring_source()[c]``."""
+    dest = np.empty(2**N_QUBITS, dtype=int)
+    for b in range(2**N_QUBITS):
+        bits = [(b >> (N_QUBITS - 1 - q)) & 1 for q in range(N_QUBITS)]
+        for q in range(N_QUBITS):
+            bits[(q + 1) % N_QUBITS] ^= bits[q]
+        dest[b] = sum(bit << (N_QUBITS - 1 - q) for q, bit in enumerate(bits))
+    return np.argsort(dest)
 
-    H on every qubit, RZ(2 x_q) per qubit, then for each pair q_i < q_j a
-    CNOT-conjugated RZ on q_j with angle 2(pi - x_i)(pi - x_j).  ``x`` holds
-    the already-scaled angles, shape (4,) or (batch, 4).
+
+# Closed-form layer constants.  After the Hadamards every encoding gate is
+# diagonal: RZ_q(2x_q) is exp(-i x_q Z_q), and CNOT.RZ_j(2y).CNOT is
+# exp(-i y Z_i Z_j), the ZZ feature map.  So one layer's encoding is a phase
+# per basis state, and its ansatz is a permutation then one 16x16 matrix.
+SIGNS_1 = _basis_signs()  # (4, 16)
+SIGNS_2 = np.stack([SIGNS_1[i] * SIGNS_1[j] for i, j in QUBIT_PAIRS])  # (6, 16)
+_PAIR_I, _PAIR_J = np.array(QUBIT_PAIRS).T
+H4_MATRIX = np.kron(np.kron(H_MATRIX, H_MATRIX), np.kron(H_MATRIX, H_MATRIX))
+RING_SOURCE = _ring_source()
+
+
+def z_expectations(state: np.ndarray) -> np.ndarray:
+    """<Z_q> = sum_b |psi_b|^2 s_q(b) for every qubit; (4,) for a single state, (batch, 4) otherwise."""
+    if state.shape[-1] != 2**N_QUBITS:
+        raise ContractViolation(f"expected {2**N_QUBITS} amplitudes, got {state.shape[-1]}")
+    return (state.real**2 + state.imag**2) @ SIGNS_1.T
+
+
+def _encoding_phases(x: np.ndarray) -> np.ndarray:
+    """exp(-i (sum_q x_q s_q + sum_{i<j} (pi - x_i)(pi - x_j) s_i s_j)) per basis state.
+
+    ``x`` holds one layer's scaled angles, shape (..., 4); returns (..., 16).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != N_QUBITS:
-        raise ContractViolation("encode_layer expects 4 features per sample")
-    for q in range(N_QUBITS):
-        state = apply_1q(state, H_MATRIX, q)
-    for q in range(N_QUBITS):
-        state = apply_diag_1q(state, _rz_phases(2.0 * x[..., q]), q)
-    for qi, qj in QUBIT_PAIRS:
-        xx = 2.0 * (np.pi - x[..., qi]) * (np.pi - x[..., qj])
-        state = apply_cnot(state, qi, qj)
-        state = apply_diag_1q(state, _rz_phases(xx), qj)
-        state = apply_cnot(state, qi, qj)
-    return state
+    px = np.pi - x
+    y = px[..., _PAIR_I] * px[..., _PAIR_J]
+    return np.exp(-1j * (x @ SIGNS_1 + y @ SIGNS_2))
 
 
-def ansatz_layer(state: np.ndarray, theta_layer: np.ndarray) -> np.ndarray:
-    """Trainable block: a CNOT ring, then RZ-RY-RZ Euler rotations per qubit.
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
-    The ring comes first so the rotations sit between this layer's entangler
-    and the next layer's encoding; the entangler-then-rotation order is what
-    reproduces the reference entanglement-capability values for L = 1..3.
+
+def _rotation_matrix(theta_layer: np.ndarray) -> np.ndarray:
+    """K(theta): the Kronecker product of the four per-qubit Euler rotations.
+
+    Qubit q gets RZ(theta[3q+2]) RY(theta[3q+1]) RZ(theta[3q]).  ``theta_layer``
+    has shape (..., 12); returns (..., 16, 16).
     """
-    theta_layer = np.asarray(theta_layer, dtype=float)
-    if theta_layer.shape != (PARAMS_PER_ROTATION_LAYER,):
-        raise ContractViolation("ansatz_layer expects 12 angles")
-    for q in range(N_QUBITS):
-        state = apply_cnot(state, q, (q + 1) % N_QUBITS)
-    for q in range(N_QUBITS):
-        state = apply_1q(state, rz_matrix(theta_layer[3 * q]), q)
-        state = apply_1q(state, ry_matrix(theta_layer[3 * q + 1]), q)
-        state = apply_1q(state, rz_matrix(theta_layer[3 * q + 2]), q)
-    return state
+    t = theta_layer.reshape(theta_layer.shape[:-1] + (N_QUBITS, 3))
+    first, middle, last = t[..., 0], t[..., 1], t[..., 2]
+    c, s = np.cos(middle / 2), np.sin(middle / 2)
+    ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    rz_first = np.exp(0.5j * np.stack([-first, first], axis=-1))
+    rz_last = np.exp(0.5j * np.stack([-last, last], axis=-1))
+    blocks = rz_last[..., :, None] * ry * rz_first[..., None, :]  # (..., 4, 2, 2)
+    return _kron2(
+        _kron2(blocks[..., 0, :, :], blocks[..., 1, :, :]),
+        _kron2(blocks[..., 2, :, :], blocks[..., 3, :, :]),
+    )
 
 
 def vqc_state(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-    """Output statevector for raw pre-features of shape (4L,) or (batch, 4L)."""
+    """Output statevector for raw pre-features of shape (4L,) or (batch, 4L).
+
+    ``theta`` defaults to ``spec.theta``.  It may be (12L,), shared across
+    the batch, or (batch, 12L), one vector per sample.  Layer l maps
+    state <- ((state @ H4) * phases(x_l)) @ (K(theta_l) . RING)^T.
+    The CNOT ring comes before the rotations, so the rotations sit between
+    a layer's entangler and the next layer's encoding; that order is what
+    reproduces the reference entanglement-capability values for L = 1..3.
+    """
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != spec.n_features:
         raise ContractViolation(
             f"expected {spec.n_features} pre-features for L={spec.n_layers}, got {features.shape[-1]}"
         )
     theta = spec.theta if theta is None else np.asarray(theta, dtype=float)
+    if theta.shape not in ((spec.theta.size,), features.shape[:-1] + (spec.theta.size,)):
+        raise ContractViolation(f"theta of shape {theta.shape} does not fit features of shape {features.shape}")
     x = spec.scaled_angles(features)
-    batch = None if features.ndim == 1 else features.shape[0]
-    state = zero_state(spec.n_qubits, batch)
+    state = None
     for layer in range(spec.n_layers):
-        lo = N_QUBITS * layer
-        state = encode_layer(state, x[..., lo : lo + N_QUBITS])
-        state = ansatz_layer(state, theta[PARAMS_PER_ROTATION_LAYER * layer : PARAMS_PER_ROTATION_LAYER * (layer + 1)])
+        phases = _encoding_phases(x[..., N_QUBITS * layer : N_QUBITS * (layer + 1)])
+        if state is None:  # H4|0> is the uniform superposition, amplitude 1/4
+            state = 0.25 * phases
+        else:
+            state = (state @ H4_MATRIX) * phases
+        k = _rotation_matrix(theta[..., PARAMS_PER_ROTATION_LAYER * layer : PARAMS_PER_ROTATION_LAYER * (layer + 1)])
+        state = state[..., RING_SOURCE]
+        state = state @ k.T if k.ndim == 2 else np.matmul(k, state[..., None])[..., 0]
     return state
 
 
@@ -352,18 +378,21 @@ def spsa_gradient(
     loss_fn: Callable[[np.ndarray], float],
     theta: np.ndarray,
     state: SpsaState,
+    loss_center: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Three-evaluation gradient estimate at ``theta``.
 
     Draws one Rademacher perturbation, evaluates the loss at the center and
     at theta +/- c_k * delta, and returns (gradient estimate, center loss).
-    Advances the iteration counter; the caller applies the update as
+    A caller that has already evaluated the loss at ``theta`` passes it as
+    ``loss_center`` and the center is not evaluated again.  Advances the
+    iteration counter; the caller applies the update as
     theta <- theta - step_size * grad.
     """
     theta = np.asarray(theta, dtype=float)
     ck = state.perturbation_size()
     delta = state.rng.integers(0, 2, size=theta.shape).astype(float) * 2.0 - 1.0
-    loss_center = float(loss_fn(theta))
+    loss_center = float(loss_fn(theta) if loss_center is None else loss_center)
     loss_plus = float(loss_fn(theta + ck * delta))
     loss_minus = float(loss_fn(theta - ck * delta))
     if not (np.isfinite(loss_center) and np.isfinite(loss_plus) and np.isfinite(loss_minus)):

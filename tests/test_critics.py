@@ -1,5 +1,7 @@
 """Critic architectures, solution registry, weight parity."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fanetq.critics import (
     weight_table,
 )
 from fanetq.errors import ConfigError
+from fanetq.qsim import VqcSpec, vqc_forward
 
 OBS_DIMS = {"4a1s": 52, "5a2s": 95}
 
@@ -126,6 +129,41 @@ class TestQuantumCritic:
 
         critic.backward(cache, 2 * (v - targets) / 9, loss_fn)
         assert critic.circuit_evaluations == 3
+
+    def test_joint_perturbation_draws_match_separate_theta_and_angle_draws(self):
+        # one 16-sign draw for the joint (theta, angle shift) vector reads the
+        # generator exactly as 12 theta signs followed by 4 angle signs do
+        joint = np.random.default_rng(3).integers(0, 2, size=16)
+        rng = np.random.default_rng(3)
+        split = np.concatenate([rng.integers(0, 2, size=12), rng.integers(0, 2, size=4)])
+        assert np.array_equal(joint, split)
+
+    def test_theta_step_is_the_joint_spsa_estimate(self):
+        rng = np.random.default_rng(8)
+        critic = QuantumCritic.create(20, 1, "arctan", rng)
+        O = rng.standard_normal((9, 20))
+        targets = rng.standard_normal(9)
+
+        def loss_fn(values):
+            return float(np.mean((values - targets) ** 2))
+
+        draws = copy.deepcopy(critic.spsa.rng)
+        ck, ak = critic.spsa.perturbation_size(), critic.spsa.step_size()
+        theta0 = critic.spec.theta.copy()
+        v, cache = critic.value_cached(O)
+        critic.backward(cache, 2 * (v - targets) / 9, loss_fn)
+
+        delta_theta = draws.integers(0, 2, size=12) * 2.0 - 1.0
+        delta_x = draws.integers(0, 2, size=4) * 2.0 - 1.0
+        angles = cache[2]
+
+        def loss_at(sign):
+            spec = VqcSpec(n_layers=1, theta=theta0 + sign * ck * delta_theta)
+            return loss_fn(critic.post.forward(vqc_forward(spec, angles + sign * ck * delta_x))[..., 0])
+
+        expected = theta0 - ak * (loss_at(+1.0) - loss_at(-1.0)) / (2.0 * ck * delta_theta)
+        assert np.array_equal(critic.spec.theta, expected)
+        assert critic.spsa.k == 1
 
     def test_spsa_moves_theta_downhill_on_average(self):
         rng = np.random.default_rng(5)

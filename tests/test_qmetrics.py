@@ -40,6 +40,22 @@ def brute_force_meyer_wallach(state):
     return 2.0 * (1.0 - np.mean(purities))
 
 
+def per_row_fidelity_histogram(states, n_bins):
+    """Reference binning: one upper-triangle row of the Gram matrix at a time."""
+    counts = np.zeros(n_bins, dtype=np.int64)
+    chunk = 512
+    n = states.shape[0]
+    for start in range(0, n, chunk):
+        block = states[start : start + chunk]
+        gram = np.abs(block @ states.conj().T) ** 2
+        for row_off in range(block.shape[0]):
+            i = start + row_off
+            row = gram[row_off, i + 1 :]
+            idx = np.minimum((row * n_bins).astype(int), n_bins - 1)
+            counts += np.bincount(idx, minlength=n_bins)
+    return counts
+
+
 class TestMeyerWallach:
     def test_product_state_zero(self):
         state = np.zeros(16, dtype=complex)
@@ -192,6 +208,13 @@ class TestExpressibility:
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         counts = fidelity_histogram(states, 10)
         assert counts.sum() == 40 * 39 // 2
+
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1300])
+    def test_fidelity_histogram_matches_per_row_binning(self, n):
+        rng = np.random.default_rng(n)
+        states = circuit_state_sampler(VqcSpec(n_layers=1, scaling_fn="arctan"))(n, rng)
+        for n_bins in (10, DEFAULT_BINS):
+            assert np.array_equal(fidelity_histogram(states, n_bins), per_row_fidelity_histogram(states, n_bins))
 
     def test_requires_minimums(self):
         with pytest.raises(ContractViolation):

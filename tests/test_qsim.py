@@ -1,4 +1,11 @@
-"""Statevector simulator: gates vs dense-unitary oracle, circuit, SPSA."""
+"""Statevector simulator: gates vs dense-unitary oracle, circuit, SPSA.
+
+The closed-form circuit in ``fanetq.qsim`` is checked against two independent
+constructions kept here: full 16x16 unitaries built from Kronecker products
+(``dense_vqc_state``) and the circuit applied gate by gate (``gate_vqc_state``).
+"""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,11 +17,11 @@ from fanetq.qsim import (
     QUBIT_PAIRS,
     SpsaState,
     VqcSpec,
-    ansatz_layer,
+    apply_1q,
     apply_cnot,
     apply_cphase,
+    apply_diag_1q,
     apply_gate,
-    encode_layer,
     ry_matrix,
     rx_matrix,
     rz_matrix,
@@ -97,6 +104,92 @@ def dense_vqc_state(spec, features):
         state = dense_encode_layer(x[4 * layer : 4 * layer + 4]) @ state
         state = dense_ansatz_layer(spec.theta[12 * layer : 12 * layer + 12]) @ state
     return state
+
+
+# ---------------------------------------------------------------------------
+# gate-level oracle: the circuit applied one gate at a time
+# ---------------------------------------------------------------------------
+
+
+def _rz_phases(angles):
+    """diag entries of RZ for per-sample angles of shape (batch,) or scalar."""
+    angles = np.asarray(angles)
+    return np.stack([np.exp(-0.5j * angles), np.exp(0.5j * angles)], axis=-1)
+
+
+def encode_layer(state, x):
+    """Second-order Pauli-Z evolution encoding for one layer.
+
+    H on every qubit, RZ(2 x_q) per qubit, then for each pair q_i < q_j a
+    CNOT-conjugated RZ on q_j with angle 2(pi - x_i)(pi - x_j).  ``x`` holds
+    the already-scaled angles, shape (4,) or (batch, 4).
+    """
+    x = np.asarray(x, dtype=float)
+    for q in range(N_QUBITS):
+        state = apply_1q(state, H_MATRIX, q)
+    for q in range(N_QUBITS):
+        state = apply_diag_1q(state, _rz_phases(2.0 * x[..., q]), q)
+    for qi, qj in QUBIT_PAIRS:
+        xx = 2.0 * (np.pi - x[..., qi]) * (np.pi - x[..., qj])
+        state = apply_cnot(state, qi, qj)
+        state = apply_diag_1q(state, _rz_phases(xx), qj)
+        state = apply_cnot(state, qi, qj)
+    return state
+
+
+def ansatz_layer(state, theta_layer):
+    """Trainable block: a CNOT ring, then RZ-RY-RZ Euler rotations per qubit.
+
+    The ring comes first so the rotations sit between this layer's entangler
+    and the next layer's encoding.
+    """
+    for q in range(N_QUBITS):
+        state = apply_cnot(state, q, (q + 1) % N_QUBITS)
+    for q in range(N_QUBITS):
+        state = apply_1q(state, rz_matrix(theta_layer[3 * q]), q)
+        state = apply_1q(state, ry_matrix(theta_layer[3 * q + 1]), q)
+        state = apply_1q(state, rz_matrix(theta_layer[3 * q + 2]), q)
+    return state
+
+
+def gate_vqc_state(spec, features):
+    """The layered circuit gate by gate; ``features`` of shape (4L,) or (batch, 4L)."""
+    features = np.asarray(features, dtype=float)
+    x = spec.scaled_angles(features)
+    state = zero_state(N_QUBITS, None if features.ndim == 1 else features.shape[0])
+    for layer in range(spec.n_layers):
+        state = encode_layer(state, x[..., 4 * layer : 4 * layer + 4])
+        state = ansatz_layer(state, spec.theta[12 * layer : 12 * layer + 12])
+    return state
+
+
+# ---------------------------------------------------------------------------
+# parameter-shift oracle for theta gradients
+# ---------------------------------------------------------------------------
+
+
+def parameter_shift_gradient(loss, theta):
+    """Exact gradient of a loss linear in <Z> outputs.
+
+    Every theta enters through one RZ or RY gate, exp(-i theta P / 2) with
+    P a Pauli, so d<Z>/dtheta_k = (<Z>(theta_k + pi/2) - <Z>(theta_k - pi/2)) / 2.
+    """
+    grad = np.empty_like(theta)
+    for k in range(theta.size):
+        shift = np.zeros_like(theta)
+        shift[k] = np.pi / 2
+        grad[k] = (loss(theta + shift) - loss(theta - shift)) / 2
+    return grad
+
+
+class SignEnumerator:
+    """Stands in for an SPSA generator and hands out every 0/1 pattern once."""
+
+    def __init__(self, n):
+        self._patterns = itertools.product((0, 1), repeat=n)
+
+    def integers(self, low, high, size):
+        return np.array(next(self._patterns))
 
 
 class TestGates:
@@ -252,6 +345,41 @@ class TestVqcForward:
             assert np.abs(got_state - expected_state).max() < 1e-10
             assert np.abs(vqc_forward(spec, feats) - z_expectations(expected_state)).max() < 1e-10
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_batch_matches_gate_level_and_dense_oracles(self, n_layers):
+        rng = np.random.default_rng(20 + n_layers)
+        for scaling in ("identity", "arctan"):
+            spec = VqcSpec(
+                n_layers=n_layers,
+                scaling_fn=scaling,
+                theta=rng.uniform(-np.pi, np.pi, 12 * n_layers),
+                xi=rng.uniform(-2, 2, 4 * n_layers),
+            )
+            feats = rng.uniform(-np.pi, np.pi, size=(64, 4 * n_layers))
+            got = vqc_state(spec, feats)
+            assert np.abs(got - gate_vqc_state(spec, feats)).max() < 1e-10
+            for i in range(0, 64, 8):
+                assert np.abs(got[i] - dense_vqc_state(spec, feats[i])).max() < 1e-10
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_per_sample_theta_matches_loop(self, n_layers):
+        rng = np.random.default_rng(30 + n_layers)
+        spec = VqcSpec(n_layers=n_layers, scaling_fn="arctan", xi=rng.uniform(-2, 2, 4 * n_layers))
+        feats = rng.uniform(-np.pi, np.pi, size=(9, 4 * n_layers))
+        thetas = rng.uniform(-np.pi, np.pi, size=(9, 12 * n_layers))
+        batched = vqc_state(spec, feats, theta=thetas)
+        for i in range(9):
+            assert np.abs(batched[i] - vqc_state(spec, feats[i], theta=thetas[i])).max() < 1e-13
+
+    def test_theta_shape_must_fit_features(self):
+        spec = VqcSpec(n_layers=1)
+        with pytest.raises(ContractViolation):
+            vqc_state(spec, np.zeros((3, 4)), theta=np.zeros((2, 12)))
+        with pytest.raises(ContractViolation):
+            vqc_state(spec, np.zeros(4), theta=np.zeros((1, 12)))
+        with pytest.raises(ContractViolation):
+            vqc_state(spec, np.zeros((3, 4)), theta=np.zeros(13))
+
     def test_feature_length_mismatch(self):
         spec = VqcSpec(n_layers=2)
         with pytest.raises(ContractViolation):
@@ -299,6 +427,46 @@ class TestSpsa:
         state = SpsaState.matched_to_lr(1e-4, seed=0)
         spsa_gradient(loss, np.ones(5), state)
         assert len(calls) == 3
+
+    def test_given_center_loss_is_not_evaluated_again(self):
+        calls = []
+
+        def loss(theta):
+            calls.append(theta.copy())
+            return float(np.sum(theta**2))
+
+        state = SpsaState.matched_to_lr(1e-4, seed=0)
+        _, center = spsa_gradient(loss, np.ones(5), state, loss_center=5.0)
+        assert len(calls) == 2 and center == 5.0
+
+    def test_mean_estimate_matches_parameter_shift_to_second_order(self):
+        # averaging over all 2^12 sign patterns cancels the cross terms
+        # exactly, leaving the O(c^2) bias of the central difference
+        rng = np.random.default_rng(30)
+        spec = VqcSpec(n_layers=1, scaling_fn="arctan", xi=rng.uniform(0.5, 2.0, 4))
+        feats = rng.uniform(-np.pi, np.pi, size=(8, 4))
+        w = rng.uniform(-1, 1, size=4)
+
+        def loss(theta):
+            return float(np.mean(vqc_forward(spec, feats, theta) @ w))
+
+        theta0 = rng.uniform(0, np.pi, 12)
+        exact = parameter_shift_gradient(loss, theta0)
+        h = 1e-6
+        central = np.array([(loss(theta0 + h * e) - loss(theta0 - h * e)) / (2 * h) for e in np.eye(12)])
+        assert np.abs(exact - central).max() < 1e-8
+        center = loss(theta0)
+        errors = {}
+        for c in (0.2, 0.1):
+            state = SpsaState(a=1.0, c=c, rng=SignEnumerator(12))
+            total = np.zeros(12)
+            for _ in range(2**12):
+                state.k = 0
+                grad, _ = spsa_gradient(loss, theta0, state, loss_center=center)
+                total += grad
+            errors[c] = np.abs(total / 2**12 - exact).max()
+        assert errors[0.1] < 0.1**2
+        assert 3.0 < errors[0.2] / errors[0.1] < 5.0
 
     def test_linear_loss_unbiased(self):
         # estimator expectation equals the true gradient of g . theta
