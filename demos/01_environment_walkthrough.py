@@ -6,9 +6,8 @@ computation, and the global reward, then dumps a JSON-lines trajectory.
 
 import numpy as np
 
-from fanetq.env import dump_trajectory, path_to_ground
+from fanetq.env import FanetEnv, dump_trajectory, path_to_ground
 from fanetq.experiments import load_scenario
-from fanetq.env import FanetEnv
 
 cfg = load_scenario("4a1s")
 print(f"scenario 4a1s: {cfg.n_aircraft} aircraft + {cfg.n_ground} ground station, "
@@ -19,8 +18,9 @@ print(f"observation dim {cfg.obs_dim}, action dim {cfg.action_dim}, "
 env = FanetEnv(cfg)
 obs = env.reset(seed=42)
 print("\ninitial positions:")
-for e in env.world.entities:
-    print(f"  {e.kind:8s} {e.id}: pos=({e.pos[0]:.3f}, {e.pos[1]:.3f}) vel=({e.vel[0]:+.3f}, {e.vel[1]:+.3f})")
+for i, (pos, vel) in enumerate(zip(env.world.pos, env.world.vel)):
+    kind = "aircraft" if i < cfg.n_aircraft else "ground"
+    print(f"  {kind:8s} {i}: pos=({pos[0]:.3f}, {pos[1]:.3f}) vel=({vel[0]:+.3f}, {vel[1]:+.3f})")
 
 rng = np.random.default_rng(0)
 total = 0.0
@@ -29,8 +29,9 @@ for t in range(cfg.horizon):
     obs, r, done = env.step(actions)
     total += r * cfg.n_aircraft
     if t < 3 or done:
-        ptg = path_to_ground(env.world.links, env.world)
-        print(f"\nstep {env.world.t}: links={sorted(env.world.links.edges)}")
+        links = env.world.links  # symmetric (N, N) boolean adjacency matrix
+        ptg = path_to_ground(links, env.world)
+        print(f"\nstep {env.world.t}: links={np.argwhere(np.triu(links)).tolist()}")
         print(f"  path-to-ground={ptg.tolist()}  reward={r:.3f}")
 print(f"\nepisode cumulative reward (CR): {total:.1f} of max {cfg.horizon * cfg.n_aircraft}")
 

@@ -5,7 +5,7 @@ quantum-core centralized critics, and estimators for the circuit
 characterization metrics (entanglement capability, expressibility).
 """
 
-from .env import ScenarioConfig, FanetEnv, init_world, env_step, observe, reward
+from .env import ScenarioConfig, FanetEnv, init_world, env_step, observe_all, reward
 from .qsim import VqcSpec, SpsaState, vqc_forward, spsa_gradient
 
 __all__ = [
@@ -13,7 +13,7 @@ __all__ = [
     "FanetEnv",
     "init_world",
     "env_step",
-    "observe",
+    "observe_all",
     "reward",
     "VqcSpec",
     "SpsaState",

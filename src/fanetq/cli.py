@@ -12,7 +12,7 @@ import numpy as np
 
 from .critics import ALL_SOLUTIONS, parity_report
 from .env import ScenarioConfig
-from .errors import CalibrationError
+from .errors import CalibrationError, ConfigError
 from .experiments import (
     SCENARIO_BASELINES,
     calibrate,
@@ -102,7 +102,7 @@ def cmd_metrics(args) -> int:
     for sol in solutions:
         try:
             records = load_records(args.run_dir, args.scenario, sol)
-        except Exception:
+        except ConfigError:  # no curves under this solution
             continue
         m = derive_metrics(records, cr_rand)
         cs = "not reached" if m["cs"] is None else f"{m['cs']:.0f}k"
@@ -136,7 +136,7 @@ def cmd_export(args) -> int:
     for sol in solutions:
         try:
             records.extend(load_records(args.run_dir, args.scenario, sol))
-        except Exception:
+        except ConfigError:  # no curves under this solution
             continue
     if not records:
         print("no curves found", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Seeded FANET simulation: entities, mutual link resolution, observations.
+"""Seeded FANET simulation: one array core for link resolution, connectivity and observations.
 
 Aircraft and ground stations live in a square world; positions advance by
 constant per-episode velocities.  Each step every aircraft proposes a
@@ -7,21 +7,21 @@ into links (mutual consent between aircraft, capacity-limited acceptance at
 ground stations), and the global reward is the fraction of aircraft with a
 multi-hop path to ground.
 
-Entity ids: aircraft occupy 0 .. n_aircraft-1, ground stations follow.
+Entity ids: aircraft occupy 0 .. n_aircraft-1, ground stations follow.  The
+link graph is a symmetric (N, N) boolean adjacency matrix over those ids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-
-AIRCRAFT = "aircraft"
-GROUND = "ground"
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
@@ -44,10 +44,16 @@ class ScenarioConfig:
     max_links: int = 2
 
     def __post_init__(self):
+        for name in ("n_aircraft", "n_ground", "horizon", "max_links"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("comm_range", "world_side", "v_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_aircraft < 1 or self.n_ground < 1:
             raise ConfigError("need at least one aircraft and one ground station")
-        if self.n_entities < 2:
-            raise ConfigError("need at least two entities")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.comm_range <= 0:
@@ -78,17 +84,23 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return {
-            "n_aircraft": self.n_aircraft,
-            "n_ground": self.n_ground,
-            "horizon": self.horizon,
-            "comm_range": self.comm_range,
-            "world_side": self.world_side,
-            "v_max": self.v_max,
-            "max_links": self.max_links,
+            "n_aircraft": int(self.n_aircraft),
+            "n_ground": int(self.n_ground),
+            "horizon": int(self.horizon),
+            "comm_range": float(self.comm_range),
+            "world_side": float(self.world_side),
+            "v_max": float(self.v_max),
+            "max_links": int(self.max_links),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        known = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        if set(d) - known:
+            raise ConfigError(f"unknown scenario keys: {sorted(set(d) - known)}")
+        if required - set(d):
+            raise ConfigError(f"missing scenario keys: {sorted(required - set(d))}")
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
@@ -99,67 +111,27 @@ class ScenarioConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
-class Entity:
-    id: int
-    kind: str
-    pos: np.ndarray
-    vel: np.ndarray
-
-
-class LinkGraph:
-    """Undirected link set over entity ids, degree-capped at resolution time."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self, edges=()):
-        self.edges = frozenset(tuple(sorted(e)) for e in edges)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(sorted(pair)) in self.edges
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinkGraph) and self.edges == other.edges
-
-    def __repr__(self) -> str:
-        return f"LinkGraph({sorted(self.edges)})"
-
-    def degree(self, entity_id: int) -> int:
-        return sum(1 for e in self.edges if entity_id in e)
-
-    def neighbors(self, entity_id: int) -> list[int]:
-        return sorted(a if b == entity_id else b for a, b in self.edges if entity_id in (a, b))
-
-
 @dataclass
 class WorldState:
-    """Positions/velocities of all entities plus the active link graph."""
+    """Positions/velocities of all entities plus the active link graph.
+
+    ``links`` is a symmetric (N, N) boolean adjacency matrix; it is all
+    False until the first step resolves links.
+    """
 
     t: int
     pos: np.ndarray  # (N, 2)
     vel: np.ndarray  # (N, 2)
     n_aircraft: int
-    links: LinkGraph = field(default_factory=LinkGraph)
+    links: np.ndarray | None = None  # (N, N) bool
+
+    def __post_init__(self):
+        if self.links is None:
+            self.links = np.zeros((self.n_entities, self.n_entities), dtype=bool)
 
     @property
     def n_entities(self) -> int:
         return self.pos.shape[0]
-
-    def kind(self, entity_id: int) -> str:
-        return AIRCRAFT if entity_id < self.n_aircraft else GROUND
-
-    @property
-    def entities(self) -> list[Entity]:
-        return [
-            Entity(i, self.kind(i), self.pos[i].copy(), self.vel[i].copy())
-            for i in range(self.n_entities)
-        ]
-
-    def copy(self) -> "WorldState":
-        return WorldState(self.t, self.pos.copy(), self.vel.copy(), self.n_aircraft, self.links)
 
 
 def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
@@ -175,118 +147,67 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
     return WorldState(t=0, pos=pos, vel=vel, n_aircraft=cfg.n_aircraft)
 
 
-def in_range(a: Entity, b: Entity, cfg: ScenarioConfig) -> bool:
-    """True iff the Euclidean distance is at most comm_range (inclusive)."""
-    return float(np.hypot(*(a.pos - b.pos))) <= cfg.comm_range
-
-
-def link_range_fraction(i: int, j: int, world: WorldState, cfg: ScenarioConfig) -> float:
-    """The lk feature: fraction of remaining steps the pair stays in range.
-
-    Counts steps s in {t, ..., horizon-1} at which the constant-velocity
-    extrapolations of i and j are within comm_range, normalized by the full
-    horizon.  Returns -1.0 when the pair is not currently in range.
-    """
-    if i == j:
-        raise ContractViolation("link_range_fraction needs two distinct entities")
-    dp = world.pos[i] - world.pos[j]
-    if float(np.hypot(*dp)) > cfg.comm_range:
-        return -1.0
-    dv = world.vel[i] - world.vel[j]
-    steps = np.arange(0, cfg.horizon - world.t)
-    rel = dp[None, :] + steps[:, None] * dv[None, :]
-    count = int(np.count_nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= cfg.comm_range))
-    return count / cfg.horizon
-
-
 def clamp_actions(desirability: np.ndarray) -> np.ndarray:
     """Map arbitrary reals into the open interval (0, 1) used by the env."""
     return np.clip(desirability, ACTION_CLAMP_LOW, ACTION_CLAMP_HIGH)
 
 
-def _candidate_ids(aircraft_id: int, n_entities: int) -> list[int]:
-    """Entity ids addressed by an action vector, ascending, self excluded."""
-    return [e for e in range(n_entities) if e != aircraft_id]
+def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
+    """(n_aircraft, N, 2) differences a[i] - a[j] from every aircraft i to every entity j."""
+    return a[:n_aircraft, None, :] - a[None, :, :]
 
 
-def nominations(aircraft_id: int, desirability: np.ndarray, cfg: ScenarioConfig) -> list[int]:
-    """Top-2 entity ids by desirability; ties go to the lower entity id."""
-    cands = _candidate_ids(aircraft_id, cfg.n_entities)
-    if desirability.shape != (cfg.n_entities - 1,):
-        raise ContractViolation(
-            f"desirability vector must have {cfg.n_entities - 1} entries, got {desirability.shape}"
-        )
-    order = sorted(range(len(cands)), key=lambda k: (-desirability[k], cands[k]))
-    return [cands[k] for k in order[: cfg.max_links]]
+def _norm(d: np.ndarray) -> np.ndarray:
+    return np.hypot(d[..., 0], d[..., 1])
 
 
-def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig) -> LinkGraph:
-    """Resolve per-aircraft desirability vectors into the mutual link graph.
+def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Resolve per-aircraft desirability vectors into the (N, N) link matrix.
 
-    Aircraft-aircraft edges need both sides to nominate each other and the
-    pair to be in range.  Ground stations are not agents: each accepts its
-    in-range nominators in decreasing desirability order (ties to the lower
-    aircraft id) up to max_links.
+    Row a of ``proposals`` scores every other entity in ascending id order.
+    Each aircraft nominates its top ``max_links`` entities, ties to the
+    lower id.  Aircraft-aircraft edges need both sides to nominate each
+    other and the pair to be in range (distance <= comm_range).  Ground
+    stations are not agents: each accepts its in-range nominators in
+    decreasing desirability order (ties to the lower aircraft id) up to
+    ``max_links``.  NaN has no rank and is rejected; +-inf is clamped.
     """
     proposals = np.asarray(proposals, dtype=float)
-    if proposals.shape != (cfg.n_aircraft, cfg.n_entities - 1):
-        raise ContractViolation(
-            f"proposals must have shape {(cfg.n_aircraft, cfg.n_entities - 1)}, got {proposals.shape}"
-        )
-    proposals = clamp_actions(proposals)
+    n_a, n = cfg.n_aircraft, cfg.n_entities
+    if proposals.shape != (n_a, n - 1):
+        raise ContractViolation(f"proposals must have shape {(n_a, n - 1)}, got {proposals.shape}")
+    if np.isnan(proposals).any():
+        raise ContractViolation("proposals contain NaN, which has no desirability rank")
+    not_self = ~np.eye(n_a, n, dtype=bool)
+    desir = np.full((n_a, n), -np.inf)
+    desir[not_self] = clamp_actions(proposals).ravel()
 
-    dist = np.hypot(
-        world.pos[:, None, 0] - world.pos[None, :, 0],
-        world.pos[:, None, 1] - world.pos[None, :, 1],
-    )
-    reachable = dist <= cfg.comm_range
+    # with fewer than max_links candidates the -inf self slot is picked; not_self drops it
+    asks = np.zeros((n_a, n), dtype=bool)
+    asks[np.arange(n_a)[:, None], (-desir).argsort(axis=1, kind="stable")[:, : cfg.max_links]] = True
+    asks &= not_self & (_norm(_aircraft_offsets(world.pos, n_a)) <= cfg.comm_range)
 
-    noms: list[list[int]] = []
-    desir_for: list[dict[int, float]] = []
-    for a in range(cfg.n_aircraft):
-        cands = _candidate_ids(a, cfg.n_entities)
-        desir_for.append({e: proposals[a][k] for k, e in enumerate(cands)})
-        noms.append(nominations(a, proposals[a], cfg))
+    bids = np.where(asks[:, n_a:], desir[:, n_a:], -np.inf)
+    accepted = np.zeros(bids.shape, dtype=bool)
+    accepted[(-bids).argsort(axis=0, kind="stable")[: cfg.max_links], np.arange(cfg.n_ground)] = True
 
-    edges = set()
-    for a in range(cfg.n_aircraft):
-        for e in noms[a]:
-            if e < cfg.n_aircraft:
-                if a < e and a in noms[e] and reachable[a, e]:
-                    edges.add((a, e))
-
-    for g in range(cfg.n_aircraft, cfg.n_entities):
-        applicants = [a for a in range(cfg.n_aircraft) if g in noms[a] and reachable[a, g]]
-        applicants.sort(key=lambda a: (-desir_for[a][g], a))
-        for a in applicants[: cfg.max_links]:
-            edges.add((a, g))
-
-    return LinkGraph(edges)
+    links = np.zeros((n, n), dtype=bool)
+    links[:n_a, :n_a] = asks[:, :n_a] & asks[:, :n_a].T
+    links[:n_a, n_a:] = accepted & asks[:, n_a:]
+    return links | links.T
 
 
-def path_to_ground(links: LinkGraph, world: WorldState) -> np.ndarray:
+def path_to_ground(links: np.ndarray, world: WorldState) -> np.ndarray:
     """Per-entity indicator: 1 if the entity is a ground station or reaches one.
 
-    Breadth-first traversal seeded with every ground station.
+    Boolean propagation seeded with every ground station.  A shortest path
+    to ground visits each aircraft at most once, so n_aircraft rounds reach
+    every connected entity.
     """
-    n = world.n_entities
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in links.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ptg = np.zeros(n, dtype=int)
-    frontier = list(range(world.n_aircraft, n))
-    for g in frontier:
-        ptg[g] = 1
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for nb in adj[e]:
-                if not ptg[nb]:
-                    ptg[nb] = 1
-                    nxt.append(nb)
-        frontier = nxt
-    return ptg
+    reach = np.arange(world.n_entities) >= world.n_aircraft
+    for _ in range(world.n_aircraft):
+        reach = reach | (links @ reach)
+    return reach.astype(int)
 
 
 def reward(ptg_aircraft: np.ndarray) -> float:
@@ -295,57 +216,36 @@ def reward(ptg_aircraft: np.ndarray) -> float:
     return float(ptg_aircraft.mean())
 
 
-def _lk_matrix(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(N, N) matrix of lk features; -1 where a pair is not currently in range."""
-    dp = world.pos[:, None, :] - world.pos[None, :, :]
-    dv = world.vel[:, None, :] - world.vel[None, :, :]
+def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
+    """(n_aircraft, N) lk features: fraction of the horizon a pair stays in range.
+
+    Counts steps s in {t, ..., horizon-1} at which the constant-velocity
+    extrapolations of aircraft i and entity j are within comm_range,
+    normalized by the full horizon; -1 where the pair is not in range now.
+    """
+    dp = _aircraft_offsets(world.pos, cfg.n_aircraft)
+    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
     steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float)
     rel = dp[None, ...] + steps[:, None, None, None] * dv[None, ...]
-    within = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.comm_range
-    counts = within.sum(axis=0) if steps.size else np.zeros(dp.shape[:2])
-    now_in = np.hypot(dp[..., 0], dp[..., 1]) <= cfg.comm_range
-    return np.where(now_in, counts / cfg.horizon, -1.0)
-
-
-def observe(world: WorldState, aircraft_id: int, cfg: ScenarioConfig, ptg: np.ndarray | None = None) -> np.ndarray:
-    """Local observation: [own ptg, then (ptg, lk, oc) per other entity].
-
-    ``oc`` maps an entity's active connection count linearly so that
-    0 -> -1, 1 -> 0, 2 -> +1.  Uses the most recent link graph; at episode
-    start the graph is empty.
-    """
-    if not 0 <= aircraft_id < world.n_aircraft:
-        raise ContractViolation(f"aircraft id {aircraft_id} out of range")
-    if ptg is None:
-        ptg = path_to_ground(world.links, world)
-    obs = np.empty(cfg.obs_dim)
-    obs[0] = ptg[aircraft_id]
-    k = 1
-    for e in _candidate_ids(aircraft_id, world.n_entities):
-        obs[k] = ptg[e]
-        obs[k + 1] = link_range_fraction(aircraft_id, e, world, cfg)
-        obs[k + 2] = world.links.degree(e) - 1.0
-        k += 3
-    return obs
+    counts = (_norm(rel) <= cfg.comm_range).sum(axis=0)
+    return np.where(_norm(dp) <= cfg.comm_range, counts / cfg.horizon, -1.0)
 
 
 def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(n_aircraft, obs_dim) stack of local observations (vectorized path)."""
-    n = world.n_entities
-    ptg = path_to_ground(world.links, world)
-    lk = _lk_matrix(world, cfg)
-    deg = np.zeros(n)
-    for a, b in world.links.edges:
-        deg[a] += 1
-        deg[b] += 1
-    obs = np.empty((cfg.n_aircraft, cfg.obs_dim))
-    for a in range(cfg.n_aircraft):
-        others = [e for e in range(n) if e != a]
-        obs[a, 0] = ptg[a]
-        obs[a, 1::3] = ptg[others]
-        obs[a, 2::3] = lk[a, others]
-        obs[a, 3::3] = deg[others] - 1.0
-    return obs
+    """(n_aircraft, obs_dim) local observations: [own ptg, then (ptg, lk, oc) per other entity].
+
+    Other entities appear in ascending id order.  ``oc`` maps an entity's
+    active connection count linearly so that 0 -> -1, 1 -> 0, 2 -> +1.
+    Uses the most recent link graph; at episode start the graph is empty.
+    """
+    n_a, n = cfg.n_aircraft, cfg.n_entities
+    ptg = path_to_ground(world.links, world).astype(float)
+    block = np.empty((n_a, n, 3))
+    block[..., 0] = ptg
+    block[..., 1] = _lk_rows(world, cfg)
+    block[..., 2] = world.links.sum(axis=0) - 1.0
+    others = block[~np.eye(n_a, n, dtype=bool)].reshape(n_a, 3 * (n - 1))
+    return np.concatenate([ptg[:n_a, None], others], axis=1)
 
 
 def env_step(
@@ -354,8 +254,9 @@ def env_step(
     """One environment step.
 
     Order of effects: advance positions by one velocity step, resolve links
-    from the joint action, compute path-to-ground and the reward on the new
-    graph, then build the next observations.  Done when t reaches horizon.
+    from the joint action, then build the next observations on the new
+    graph; the reward is the mean of the aircraft's own path-to-ground
+    entries.  Done when t reaches horizon.
     """
     if world.t >= cfg.horizon:
         raise ContractViolation("cannot step a finished episode")
@@ -366,11 +267,9 @@ def env_step(
         n_aircraft=world.n_aircraft,
     )
     new.links = resolve_links(new, joint_action, cfg)
-    ptg = path_to_ground(new.links, new)
-    r = reward(ptg[: cfg.n_aircraft])
     obs = observe_all(new, cfg)
     done = new.t >= cfg.horizon
-    return new, obs, r, done
+    return new, obs, reward(obs[:, 0]), done
 
 
 class FanetEnv:
@@ -400,17 +299,17 @@ class FanetEnv:
         return 0 if self.world is None else self.world.t
 
 
-def run_episode_random(cfg: ScenarioConfig, seed: int, rng: np.random.Generator) -> float:
-    """Episode cumulative reward under uniform-random desirability vectors."""
+def run_episode(cfg: ScenarioConfig, seed: int, policy) -> float:
+    """Episode CR: connected-aircraft counts summed over the steps of one episode.
+
+    ``policy(obs)`` maps the (n_aircraft, obs_dim) observations to the joint action.
+    """
     env = FanetEnv(cfg)
-    env.reset(seed)
-    total = 0.0
-    for _ in range(cfg.horizon):
-        actions = rng.uniform(0.0, 1.0, size=(cfg.n_aircraft, cfg.action_dim))
-        _, r, done = env.step(actions)
+    obs = env.reset(seed)
+    total, done = 0.0, False
+    while not done:
+        obs, r, done = env.step(policy(obs))
         total += r * cfg.n_aircraft
-        if done:
-            break
     return total
 
 
@@ -426,12 +325,11 @@ def dump_trajectory(path: str | Path, cfg: ScenarioConfig, seed: int, action_fn)
         for t in range(cfg.horizon):
             actions = action_fn(obs, t)
             obs, r, done = env.step(actions)
-            ptg = path_to_ground(env.world.links, env.world)
             rec = {
                 "t": env.world.t,
                 "positions": env.world.pos.tolist(),
-                "links": sorted(list(e) for e in env.world.links.edges),
-                "ptg": ptg.tolist(),
+                "links": np.argwhere(np.triu(env.world.links)).tolist(),
+                "ptg": path_to_ground(env.world.links, env.world).tolist(),
                 "reward": r,
             }
             fh.write(json.dumps(rec) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .critics import ALL_SOLUTIONS, SolutionId, build_critic, save_critic
-from .env import ScenarioConfig, run_episode_random
+from .env import ScenarioConfig, run_episode
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import entanglement_capability, expressibility
@@ -66,7 +66,11 @@ def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tup
     if episodes < 1:
         raise ContractViolation("episodes must be positive")
     rng = np.random.default_rng(seed + 10_000_019)
-    crs = np.array([run_episode_random(cfg, seed + i, rng) for i in range(episodes)])
+
+    def policy(obs: np.ndarray) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, size=(cfg.n_aircraft, cfg.action_dim))
+
+    crs = np.array([run_episode(cfg, seed + i, policy) for i in range(episodes)])
     return float(crs.mean()), float(crs.std())
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import FanetEnv, ScenarioConfig
+from .env import FanetEnv, ScenarioConfig, observe_all, run_episode
 from .errors import ContractViolation, TrainingError
 from .nets import Adam, GaussianPolicyHead
 
@@ -122,7 +122,7 @@ def collect_rollout(
         obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
         episode_counter += 1
     else:
-        obs = _observe_current(env)
+        obs = observe_all(env.world, env.cfg)
 
     seg_start = 0
     val_parts, adv_parts, ret_parts = [], [], []
@@ -177,12 +177,6 @@ def collect_rollout(
         returns=np.concatenate(ret_parts),
     )
     return batch, episode_counter
-
-
-def _observe_current(env: FanetEnv) -> np.ndarray:
-    from .env import observe_all
-
-    return observe_all(env.world, env.cfg)
 
 
 def actor_loss(
@@ -288,18 +282,7 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     and no critic (hence no global observation) exists here.  CR per
     episode is the sum over steps of connected-aircraft counts.
     """
-    env = FanetEnv(cfg)
-    crs = np.empty(n_episodes)
-    for ep in range(n_episodes):
-        obs = env.reset(seed + EVAL_SEED_STRIDE * ep)
-        total = 0.0
-        for _ in range(cfg.horizon):
-            action = actor.mean(obs)
-            obs, r, done = env.step(action)
-            total += r * cfg.n_aircraft
-            if done:
-                break
-        crs[ep] = total
+    crs = np.array([run_episode(cfg, seed + EVAL_SEED_STRIDE * ep, actor.mean) for ep in range(n_episodes)])
     return float(crs.mean()), float(crs.std())
 
 

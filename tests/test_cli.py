@@ -6,6 +6,7 @@ import json
 import pytest
 
 from fanetq.cli import main
+from fanetq.errors import ContractViolation
 
 
 def test_parity_command(capsys):
@@ -72,6 +73,16 @@ def test_train_metrics_export_pipeline(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["env_steps", "cr_mean", "cr_se", "cr_ema"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
+def test_bad_curve_header_surfaces_instead_of_being_skipped(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    seed_csv = tmp_path / "runs" / "4a1s" / "NN-4" / "seed0.csv"
+    seed_csv.parent.mkdir(parents=True)
+    seed_csv.write_text("steps,cr\n2000,60.0\n")
+    with pytest.raises(ContractViolation, match="bad curve header"):
+        main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4,NN-7"])
 
 
 def test_eval_with_checkpoint(tmp_path, capsys):
