@@ -19,10 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .nets import DenseNet
+from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version
 from .qsim import N_QUBITS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
-
-CHECKPOINT_VERSION = 1
 
 
 def _post_sizes(in_dim: int, hidden: int) -> tuple[list[int], list[str]]:
@@ -92,6 +90,7 @@ class ClassicalCritic:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalCritic":
+        check_checkpoint_version(d)
         return cls(DenseNet.from_dict(d["pre"]), DenseNet.from_dict(d["core"]), DenseNet.from_dict(d["post"]))
 
 
@@ -222,6 +221,7 @@ class QuantumCritic:
 
     @classmethod
     def from_dict(cls, d: dict, lr: float = 1e-4, spsa_seed: int = 0) -> "QuantumCritic":
+        check_checkpoint_version(d)
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
         spsa.k = d.get("spsa_k", 0)
         return cls(
@@ -238,9 +238,12 @@ def save_critic(critic, path: str | Path) -> None:
 
 def load_critic(path: str | Path, lr: float = 1e-4, spsa_seed: int = 0):
     d = json.loads(Path(path).read_text())
-    if d["kind"] == "classical":
+    kind = d.get("kind")
+    if kind == ClassicalCritic.kind:
         return ClassicalCritic.from_dict(d)
-    return QuantumCritic.from_dict(d, lr=lr, spsa_seed=spsa_seed)
+    if kind == QuantumCritic.kind:
+        return QuantumCritic.from_dict(d, lr=lr, spsa_seed=spsa_seed)
+    raise ConfigError(f"unknown critic kind {kind!r} in {path}")
 
 
 # ---------------------------------------------------------------------------

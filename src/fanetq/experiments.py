@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -44,6 +45,25 @@ SCENARIO_BASELINES = {
 
 CCR_WINDOW_START = 1_000_000
 CS_FACTOR = 1.25
+
+
+@contextmanager
+def csv_rows(path: str | Path, header: list[str]):
+    """Write a UTF-8, LF-terminated CSV: the header now, then one row per ``write(row)``.
+
+    ``write`` takes a dict with every header key and flushes the row to disk,
+    so a run that dies leaves every row written so far readable.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
+        writer.writeheader()
+        fh.flush()
+
+        def write(row: dict) -> None:
+            writer.writerow({k: row[k] for k in header})
+            fh.flush()
+
+        yield write
 
 
 def scenario_names() -> list[str]:
@@ -176,17 +196,10 @@ class RunRecord:
     seed: int
     curve: list[dict] = field(default_factory=list)
 
-    def curve_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        steps = np.array([p["env_steps"] for p in self.curve], dtype=float)
-        crs = np.array([p["cr_mean"] for p in self.curve], dtype=float)
-        return steps, crs
-
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CURVE_HEADER, lineterminator="\n")
-            writer.writeheader()
+        with csv_rows(path, CURVE_HEADER) as write:
             for p in self.curve:
-                writer.writerow({k: p[k] for k in CURVE_HEADER})
+                write(p)
 
     @classmethod
     def load_csv(cls, path: str | Path, solution: str, scenario: str, seed: int) -> "RunRecord":
@@ -231,11 +244,7 @@ def run_training(
         csv_path = run_path(out_dir, scenario, solution, seed)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         record = RunRecord(solution=solution, scenario=scenario, seed=seed)
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CURVE_HEADER, lineterminator="\n")
-            writer.writeheader()
-            fh.flush()
-
+        with csv_rows(csv_path, CURVE_HEADER) as write:
             critic = build_critic(
                 solution,
                 scenario,
@@ -248,8 +257,7 @@ def run_training(
 
             def on_eval(point: dict) -> None:
                 record.curve.append(point)
-                writer.writerow({k: point[k] for k in CURVE_HEADER})
-                fh.flush()
+                write(point)
 
             try:
                 trainer.train(total_steps, on_eval=on_eval)
@@ -362,12 +370,9 @@ def export_records(
         ]
         path = out_dir / f"{scenario}_{solution}.{fmt}"
         if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(
-                    fh, fieldnames=["env_steps", "cr_mean", "cr_se", "cr_ema"], lineterminator="\n"
-                )
-                writer.writeheader()
-                writer.writerows(rows)
+            with csv_rows(path, ["env_steps", "cr_mean", "cr_se", "cr_ema"]) as write:
+                for row in rows:
+                    write(row)
         else:
             payload = {
                 "scenario": scenario,
@@ -426,7 +431,6 @@ def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) 
 
 
 def write_qmetrics_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=QMETRICS_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    with csv_rows(path, QMETRICS_HEADER) as write:
+        for row in rows:
+            write(row)

@@ -11,7 +11,7 @@ classical, the SPSA rule inside the quantum critic for circuit weights).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class RolloutBatch:
     rewards: np.ndarray      # (S,) global scalar reward
     values: np.ndarray       # (S,)
     dones: np.ndarray        # (S,)
-    advantages: np.ndarray = field(default=None)  # type: ignore[assignment]
-    returns: np.ndarray = field(default=None)  # type: ignore[assignment]
+    advantages: np.ndarray   # (S,)
+    returns: np.ndarray      # (S,)
 
     @property
     def n_steps(self) -> int:
@@ -139,10 +139,7 @@ def collect_rollout(
 
     for _ in range(steps):
         gobs = obs.reshape(-1)
-        mu = actor.mean_net.forward(obs)
-        std = np.exp(actor.log_std)
-        action = mu + std * rng.standard_normal(mu.shape)
-        log_prob = actor._log_prob(mu, action)
+        action, log_prob, mu = actor.sample(obs, rng)
 
         next_obs, r, done = env.step(action)
 
@@ -179,31 +176,14 @@ def collect_rollout(
     return batch, episode_counter
 
 
-def actor_loss(
-    actor: GaussianPolicyHead,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    log_prob_old: np.ndarray,
-    advantages: np.ndarray,
-    mu_old: np.ndarray,
-    log_std_old: np.ndarray,
-    cfg: TrainerConfig,
-) -> float:
-    """Clipped-surrogate actor objective, arranged for descent.
+def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
+    """Clipped-surrogate actor objective, arranged for descent, and its gradients.
 
     loss = -mean(min(r A, clip(r) A)) - entropy_coeff * S
            + kl_coeff * mean(KL(old || new)).
+    Returns (loss, grads in params() order, stats), or None when a ratio is
+    non-finite.
     """
-    lp_new = actor.log_prob(obs, actions)
-    ratio = np.exp(lp_new - log_prob_old)
-    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-    surr = np.minimum(ratio * advantages, clipped * advantages)
-    mu_new = actor.mean_net.forward(obs)
-    kl = actor.kl_divergence(mu_old, log_std_old, mu_new).mean()
-    return float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl)
-
-
-def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
     m = obs.shape[0]
     lp_new, mu_new, cache = actor.log_prob_cached(obs, actions)
     ratio = np.exp(lp_new - log_prob_old)
@@ -221,34 +201,18 @@ def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old,
     var_old = np.exp(2.0 * log_std_old)
     kl = actor.kl_divergence(mu_old, log_std_old, mu_new)
     d_mu_kl = cfg.kl_coeff / m * (mu_new - mu_old) / var
-
-    diff = actions - mu_new
-    d_mu = d_lp[:, None] * diff / var + d_mu_kl
-    net_grads, _ = actor.mean_net.backward(cache, d_mu)
-
-    z2 = diff * diff / var
-    d_log_std = (d_lp[:, None] * (z2 - 1.0)).sum(axis=0)
+    grads = actor.backward_log_prob(cache, mu_new, actions, d_lp, d_mu_kl)
+    d_log_std = grads[-1]
     d_log_std -= cfg.entropy_coeff
     d_log_std += cfg.kl_coeff / m * (1.0 - (var_old + (mu_old - mu_new) ** 2) / var).sum(axis=0)
 
     loss = float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl.mean())
     stats = {"kl": float(kl.mean()), "entropy": actor.entropy(), "clip_frac": float((~active).mean())}
-    return loss, net_grads + [d_log_std], stats
-
-
-def critic_loss(
-    critic,
-    global_obs: np.ndarray,
-    returns: np.ndarray,
-    values_old: np.ndarray,
-    cfg: TrainerConfig,
-) -> float:
-    """Clipped value objective: mean of max(unclipped, clipped) squared errors."""
-    v = critic.value(global_obs)
-    return float(_value_objective(v, returns, values_old, cfg.clip_eps))
+    return loss, grads, stats
 
 
 def _value_objective(v: np.ndarray, returns: np.ndarray, values_old: np.ndarray, eps: float) -> float:
+    """Clipped value objective: mean of max(unclipped, clipped) squared errors."""
     clipped = np.clip(v, values_old - eps, values_old + eps)
     return float(np.mean(np.maximum((v - returns) ** 2, (clipped - returns) ** 2)))
 
@@ -256,21 +220,19 @@ def _value_objective(v: np.ndarray, returns: np.ndarray, values_old: np.ndarray,
 def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg):
     m = global_obs.shape[0]
     v, cache = critic.value_cached(global_obs)
+
+    def loss_fn(values: np.ndarray) -> float:
+        return _value_objective(values, returns, values_old, cfg.clip_eps)
+
+    loss = loss_fn(v)
     clipped = np.clip(v, values_old - cfg.clip_eps, values_old + cfg.clip_eps)
-    err_unclipped = (v - returns) ** 2
-    err_clipped = (clipped - returns) ** 2
-    loss = float(np.mean(np.maximum(err_unclipped, err_clipped)))
-    take_unclipped = err_unclipped >= err_clipped
+    take_unclipped = (v - returns) ** 2 >= (clipped - returns) ** 2
     inside = (v > values_old - cfg.clip_eps) & (v < values_old + cfg.clip_eps)
     d_v = np.where(
         take_unclipped,
         2.0 * (v - returns),
         np.where(inside, 2.0 * (clipped - returns), 0.0),
     ) / m
-
-    def loss_fn(values: np.ndarray) -> float:
-        return _value_objective(values, returns, values_old, cfg.clip_eps)
-
     grads = critic.backward(cache, d_v, loss_fn)
     return loss, grads
 
@@ -282,6 +244,8 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     and no critic (hence no global observation) exists here.  CR per
     episode is the sum over steps of connected-aircraft counts.
     """
+    if n_episodes < 1:
+        raise ContractViolation("n_episodes must be positive")
     crs = np.array([run_episode(cfg, seed + EVAL_SEED_STRIDE * ep, actor.mean) for ep in range(n_episodes)])
     return float(crs.mean()), float(crs.std())
 
@@ -291,6 +255,7 @@ class UpdateStats:
     actor_loss: float
     critic_loss: float
     kl: float
+    clip_frac: float
     entropy: float
     actor_grad_norm: float
     critic_grad_norm: float
@@ -353,7 +318,7 @@ class Trainer:
             self.critic.spec.theta.copy() if self.critic.kind == "quantum" else None
         )
 
-        stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         n_actor_mb = 0
         n_critic_mb = 0
         try:
@@ -381,6 +346,7 @@ class Trainer:
                     self.actor_opt.step(self.actor.params(), grads)
                     stats.actor_loss += loss
                     stats.kl += mb_stats["kl"]
+                    stats.clip_frac += mb_stats["clip_frac"]
                     stats.entropy = mb_stats["entropy"]
                     stats.actor_grad_norm += _grad_norm(grads)
                     n_actor_mb += 1
@@ -415,75 +381,50 @@ class Trainer:
         if n_actor_mb:
             stats.actor_loss /= n_actor_mb
             stats.kl /= n_actor_mb
+            stats.clip_frac /= n_actor_mb
             stats.actor_grad_norm /= n_actor_mb
         if n_critic_mb:
             stats.critic_loss /= n_critic_mb
             stats.critic_grad_norm /= n_critic_mb
         return stats
 
-    def train(
-        self,
-        total_steps: int,
-        on_eval=None,
-        log_path=None,
-    ) -> list[dict]:
+    def train(self, total_steps: int, on_eval=None) -> list[dict]:
         """Run rollout/update cycles for ``total_steps`` env steps.
 
         Evaluates the deterministic policy every ``eval_interval`` env steps
         (one evaluation per crossed boundary) and returns the curve as a
         list of {env_steps, cr_mean, cr_std, actor_loss, critic_loss} dicts.
-        ``on_eval(point)`` is called after each evaluation.  ``log_path``
-        additionally appends one CSV row per evaluation with wall_step (the
-        update ordinal) in front.
+        ``on_eval(point)`` is called after each evaluation.
         """
         cfg = self.cfg
         curve: list[dict] = []
         next_eval = cfg.eval_interval
-        log_fh = None
-        if log_path is not None:
-            log_fh = open(log_path, "w", newline="", encoding="utf-8")
-            log_fh.write("wall_step,env_steps,eval_cr_mean,eval_cr_std,actor_loss,critic_loss\n")
-            log_fh.flush()
-        n_updates = 0
-        try:
-            while self.env_steps < total_steps:
-                steps = min(cfg.rollout_steps, total_steps - self.env_steps)
-                batch, self.episode_counter = collect_rollout(
-                    self.env,
-                    self.actor,
-                    self.critic,
-                    steps,
-                    self.rollout_rng,
-                    self.seed,
-                    self.episode_counter,
-                    cfg,
-                )
-                self.env_steps += steps
-                self.last_stats = self.update(batch)
-                n_updates += 1
-                while next_eval <= self.env_steps:
-                    eval_seed = int(
-                        np.random.default_rng([self.seed, 3, next_eval]).integers(0, 2**31 - 1)
-                    )
-                    cr_mean, cr_std = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seed)
-                    point = {
-                        "env_steps": next_eval,
-                        "cr_mean": cr_mean,
-                        "cr_std": cr_std,
-                        "actor_loss": self.last_stats.actor_loss,
-                        "critic_loss": self.last_stats.critic_loss,
-                    }
-                    curve.append(point)
-                    if log_fh is not None:
-                        log_fh.write(
-                            f"{n_updates},{next_eval},{cr_mean},{cr_std},"
-                            f"{self.last_stats.actor_loss},{self.last_stats.critic_loss}\n"
-                        )
-                        log_fh.flush()
-                    if on_eval is not None:
-                        on_eval(point)
-                    next_eval += cfg.eval_interval
-        finally:
-            if log_fh is not None:
-                log_fh.close()
+        while self.env_steps < total_steps:
+            steps = min(cfg.rollout_steps, total_steps - self.env_steps)
+            batch, self.episode_counter = collect_rollout(
+                self.env,
+                self.actor,
+                self.critic,
+                steps,
+                self.rollout_rng,
+                self.seed,
+                self.episode_counter,
+                cfg,
+            )
+            self.env_steps += steps
+            self.last_stats = self.update(batch)
+            while next_eval <= self.env_steps:
+                eval_seed = int(np.random.default_rng([self.seed, 3, next_eval]).integers(0, 2**31 - 1))
+                cr_mean, cr_std = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seed)
+                point = {
+                    "env_steps": next_eval,
+                    "cr_mean": cr_mean,
+                    "cr_std": cr_std,
+                    "actor_loss": self.last_stats.actor_loss,
+                    "critic_loss": self.last_stats.critic_loss,
+                }
+                curve.append(point)
+                if on_eval is not None:
+                    on_eval(point)
+                next_eval += cfg.eval_interval
         return curve

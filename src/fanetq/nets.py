@@ -15,11 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, TrainingError
+from .errors import ConfigError, ContractViolation, TrainingError
 
 CHECKPOINT_VERSION = 1
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def check_checkpoint_version(d: dict) -> None:
+    """Raise ConfigError unless a checkpoint dict carries CHECKPOINT_VERSION."""
+    if "version" not in d:
+        raise ConfigError("checkpoint has no version")
+    if d["version"] != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {d['version']!r}, this build reads {CHECKPOINT_VERSION}")
 
 
 def _act(x: np.ndarray, kind: str) -> np.ndarray:
@@ -163,13 +171,14 @@ class GaussianPolicyHead:
     def mean(self, obs: np.ndarray) -> np.ndarray:
         return self.mean_net.forward(obs)
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw action ~ Normal(mean(obs), exp(log_std)^2) and its log density."""
+    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(action, log density, mean) for action ~ Normal(mean(obs), exp(log_std)^2).
+
+        One ``rng.standard_normal`` draw of the action's shape per call.
+        """
         mu = self.mean_net.forward(obs)
-        std = np.exp(self.log_std)
-        noise = rng.standard_normal(mu.shape)
-        action = mu + std * noise
-        return action, self._log_prob(mu, action)
+        action = mu + np.exp(self.log_std) * rng.standard_normal(mu.shape)
+        return action, self._log_prob(mu, action), mu
 
     def _log_prob(self, mu: np.ndarray, action: np.ndarray) -> np.ndarray:
         z = (action - mu) / np.exp(self.log_std)
@@ -184,12 +193,21 @@ class GaussianPolicyHead:
         return self._log_prob(mu, action), mu, cache
 
     def backward_log_prob(
-        self, cache: list[np.ndarray], mu: np.ndarray, action: np.ndarray, upstream: np.ndarray
+        self,
+        cache: list[np.ndarray],
+        mu: np.ndarray,
+        action: np.ndarray,
+        upstream: np.ndarray,
+        d_mu_other: np.ndarray | float = 0.0,
     ) -> list[np.ndarray]:
-        """Gradients of sum_i upstream_i * log_prob_i in params() order."""
+        """Gradients of sum_i upstream_i * log_prob_i in params() order.
+
+        ``d_mu_other`` is the gradient reaching the mean from other loss
+        terms; it joins the log-prob term before the one mean-net backward.
+        """
         var = np.exp(2.0 * self.log_std)
         diff = action - mu
-        d_mu = upstream[..., None] * diff / var
+        d_mu = upstream[..., None] * diff / var + d_mu_other
         net_grads, _ = self.mean_net.backward(cache, d_mu)
         z2 = diff * diff / var
         d_log_std = (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0)
@@ -217,6 +235,7 @@ class GaussianPolicyHead:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPolicyHead":
+        check_checkpoint_version(d)
         return cls(DenseNet.from_dict(d["mean_net"]), np.asarray(d["log_std"]))
 
     def save(self, path: str | Path) -> None:

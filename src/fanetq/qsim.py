@@ -196,10 +196,6 @@ class VqcSpec:
     def n_features(self) -> int:
         return N_QUBITS * self.n_layers
 
-    @property
-    def n_quantum_weights(self) -> int:
-        return self.theta.size
-
     def scaled_angles(self, features: np.ndarray) -> np.ndarray:
         """x = f(o * xi) for raw pre-features o of shape (..., 4L)."""
         return SCALING_FNS[self.scaling_fn](features * self.xi)

@@ -111,7 +111,8 @@ def test_criterion_4_statevector_vs_dense_oracle():
 
 def test_criterion_5_gradient_suite():
     from fanetq.critics import ClassicalCritic
-    from fanetq.mappo import _actor_loss_and_grads, _critic_loss_and_grads, actor_loss, critic_loss
+    from fanetq.mappo import _actor_loss_and_grads, _critic_loss_and_grads
+    from tests.test_mappo import actor_loss, critic_loss
 
     rng = np.random.default_rng(505)
     cfg = TrainerConfig()

@@ -3,10 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fanetq.cli import main
 from fanetq.errors import ContractViolation
+from fanetq.nets import GaussianPolicyHead
 
 
 def test_parity_command(capsys):
@@ -107,6 +109,13 @@ def test_eval_with_checkpoint(tmp_path, capsys):
     assert ckpt.exists()
     assert main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt), "--episodes", "10"]) == 0
     assert "deterministic policy CR" in capsys.readouterr().out
+
+
+def test_eval_with_checkpoint_rejects_zero_episodes(tmp_path):
+    ckpt = tmp_path / "actor.json"
+    GaussianPolicyHead.create(13, 4, (4,), np.random.default_rng(0)).save(ckpt)
+    with pytest.raises(ContractViolation, match="n_episodes"):
+        main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt), "--episodes", "0"])
 
 
 def test_qmetrics_command(tmp_path, capsys):

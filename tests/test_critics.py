@@ -1,6 +1,8 @@
 """Critic architectures, solution registry, weight parity."""
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from fanetq.critics import (
     weight_table,
 )
 from fanetq.errors import ConfigError
+from fanetq.nets import GaussianPolicyHead
 from fanetq.qsim import VqcSpec, vqc_forward
 
 OBS_DIMS = {"4a1s": 52, "5a2s": 95}
@@ -203,3 +206,43 @@ class TestQuantumCritic:
         for L in (1, 2, 3):
             critic = QuantumCritic.create(10, L, "identity", rng)
             assert critic.pre.out_dim == 4 * L
+
+
+class TestCheckpointChecks:
+    def critic_dicts(self):
+        rng = np.random.default_rng(30)
+        return [ClassicalCritic.create(16, 4, rng).to_dict(), QuantumCritic.create(16, 1, "arctan", rng).to_dict()]
+
+    @pytest.mark.parametrize("version", [None, 0, 99])
+    def test_version_checked_on_load(self, tmp_path, version):
+        for d in self.critic_dicts():
+            if version is None:
+                del d["version"]
+            else:
+                d["version"] = version
+            path = tmp_path / f"{d['kind']}.json"
+            path.write_text(json.dumps(d))
+            with pytest.raises(ConfigError, match="version"):
+                load_critic(path)
+
+    @pytest.mark.parametrize("kind", [None, "Quantum", "hybrid"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        d = self.critic_dicts()[1]
+        if kind is None:
+            del d["kind"]
+        else:
+            d["kind"] = kind
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="kind"):
+            load_critic(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
+    def test_committed_checkpoints_load(self, solution):
+        run_dir = Path(__file__).resolve().parent.parent / "runs" / "4a1s" / solution
+        for seed in range(3):
+            actor = GaussianPolicyHead.load(run_dir / f"seed{seed}_actor.json")
+            critic = load_critic(run_dir / f"seed{seed}_critic.json")
+            assert critic.kind == SolutionId.parse(solution).kind
+            obs = np.zeros((2, OBS_DIMS["4a1s"]))
+            assert np.all(np.isfinite(critic.value(obs)))
+            assert np.all(np.isfinite(actor.mean(obs.reshape(-1, 13))))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,42 @@ class TestRunRecords:
         assert [p["env_steps"] for p in on_disk.curve] == [500, 1000, 1500, 2000]
         assert run_path(tmp_path / "a", "4a1s", "NN-4", 5).with_name("seed5_actor.json").exists()
         assert run_path(tmp_path / "a", "4a1s", "NN-4", 5).with_name("seed5_critic.json").exists()
+
+    def test_rows_are_on_disk_before_the_run_ends(self, tmp_path, monkeypatch):
+        import fanetq.mappo as mappo
+
+        evaluate = mappo.evaluate
+        calls = []
+
+        def failing_second_eval(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("killed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(mappo, "evaluate", failing_second_eval)
+        tcfg = TrainerConfig(rollout_steps=200, eval_interval=200, eval_episodes=1)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_training("NN-4", "4a1s", [0], 1000, tmp_path, trainer_cfg=tcfg)
+        lines = run_path(tmp_path, "4a1s", "NN-4", 0).read_text().splitlines()
+        assert lines[0] == ",".join(CURVE_HEADER)
+        assert [line.split(",")[0] for line in lines[1:]] == ["200"]
+
+    @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
+    def test_training_reproduces_committed_curve_prefix(self, tmp_path, solution):
+        # 2000 env steps = one rollout/update and two evaluations of seed 0
+        run_training(solution, "4a1s", [0], 2000, tmp_path, save_checkpoints=False)
+        with open(run_path(tmp_path, "4a1s", solution, 0), newline="", encoding="utf-8") as fh:
+            got = list(csv.DictReader(fh))
+        committed = Path(__file__).resolve().parent.parent / "runs"
+        with open(run_path(committed, "4a1s", solution, 0), newline="", encoding="utf-8") as fh:
+            want = list(csv.DictReader(fh))[: len(got)]
+        assert [row["env_steps"] for row in got] == ["1000", "2000"]
+        for g, w in zip(got, want):
+            for col in ("env_steps", "cr_mean", "cr_std"):
+                assert float(g[col]) == float(w[col]), (col, g, w)
+            for col in ("actor_loss", "critic_loss"):
+                assert math.isclose(float(g[col]), float(w[col]), rel_tol=1e-9, abs_tol=1e-12), (col, g, w)
 
 
 class TestAggregation:

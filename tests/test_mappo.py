@@ -10,9 +10,7 @@ from fanetq.mappo import (
     RolloutBatch,
     Trainer,
     TrainerConfig,
-    actor_loss,
     collect_rollout,
-    critic_loss,
     evaluate,
     gae,
     _actor_loss_and_grads,
@@ -75,6 +73,28 @@ class TestGae:
     def test_misaligned_rejected(self):
         with pytest.raises(ContractViolation):
             gae(np.zeros(5), np.zeros(4), 0.0, 0.99, 0.99)
+
+
+def actor_loss(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg) -> float:
+    """Value-only clipped-surrogate actor objective: the finite-difference oracle.
+
+    loss = -mean(min(r A, clip(r) A)) - entropy_coeff * S
+           + kl_coeff * mean(KL(old || new)).
+    """
+    lp_new = actor.log_prob(obs, actions)
+    ratio = np.exp(lp_new - log_prob_old)
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    surr = np.minimum(ratio * advantages, clipped * advantages)
+    mu_new = actor.mean_net.forward(obs)
+    kl = actor.kl_divergence(mu_old, log_std_old, mu_new).mean()
+    return float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl)
+
+
+def critic_loss(critic, global_obs, returns, values_old, cfg) -> float:
+    """Value-only clipped value objective: the finite-difference oracle."""
+    v = critic.value(global_obs)
+    clipped = np.clip(v, values_old - cfg.clip_eps, values_old + cfg.clip_eps)
+    return float(np.mean(np.maximum((v - returns) ** 2, (clipped - returns) ** 2)))
 
 
 def naive_actor_loss(actor, obs, acts, lp_old, adv, mu_old, ls_old, cfg):
@@ -255,6 +275,26 @@ class TestRollout:
             recomputed = actor.log_prob(batch.obs[t], batch.actions[t])
             assert np.abs(recomputed - batch.log_prob_old[t]).max() < 1e-12
 
+    def test_actions_come_from_the_policy_sampler(self):
+        # one rollout step draws exactly what GaussianPolicyHead.sample draws
+        cfg = cfg_4a1s()
+        env = FanetEnv(cfg)
+        rng = np.random.default_rng(17)
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
+        batch, _ = collect_rollout(env, actor, critic, 3, np.random.default_rng(18), 0, 0, TrainerConfig())
+        sample_rng = np.random.default_rng(18)
+        for t in range(3):
+            action, log_prob, mu = actor.sample(batch.obs[t], sample_rng)
+            assert np.array_equal(action, batch.actions[t])
+            assert np.array_equal(log_prob, batch.log_prob_old[t])
+            assert np.array_equal(mu, batch.mu_old[t])
+
+    def test_batch_requires_advantages_and_returns(self):
+        z = np.zeros(1)
+        with pytest.raises(TypeError):
+            RolloutBatch(z, z, z, z, z, z, z, z, z)  # advantages and returns missing
+
     def test_global_observation_dimensions(self):
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.637)
         env = FanetEnv(cfg)
@@ -362,6 +402,41 @@ class TestUpdateMechanics:
         for p, b in zip(critic.adam_params(), before_critic):
             assert np.array_equal(p, b)
 
+    def test_clip_frac_is_the_mean_over_actor_minibatches(self, monkeypatch):
+        import fanetq.mappo as mappo
+
+        seen = []
+        inner = mappo._actor_loss_and_grads
+
+        def spy(*args):
+            res = inner(*args)
+            seen.append(res[2]["clip_frac"])
+            return res
+
+        monkeypatch.setattr(mappo, "_actor_loss_and_grads", spy)
+        cfg = cfg_4a1s()
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(16))
+        tcfg = TrainerConfig(rollout_steps=100, epochs=3, minibatch_size=64, lr=3e-3)
+        trainer = Trainer(cfg, critic, tcfg, seed=6)
+        batch, _ = collect_rollout(
+            trainer.env, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 6, 0, trainer.cfg
+        )
+        stats = trainer.update(batch)
+        assert len(seen) == 3 * 7  # 400 rows in minibatches of 64, three epochs
+        assert seen[0] == 0.0  # ratio is 1 before the first step
+        assert all(0.0 <= f <= 1.0 for f in seen)
+        assert stats.clip_frac == pytest.approx(np.mean(seen), abs=1e-15)
+        assert 0.0 < stats.clip_frac <= 1.0  # this learning rate pushes ratios past the clip
+
+    def test_single_minibatch_update_clips_nothing(self):
+        cfg = cfg_4a1s()
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(19))
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=1, minibatch_size=200), seed=7)
+        batch, _ = collect_rollout(
+            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 7, 0, trainer.cfg
+        )
+        assert trainer.update(batch).clip_frac == 0.0
+
 
 class TestEvaluate:
     def test_perfect_policy_reaches_bound(self):
@@ -384,6 +459,13 @@ class TestEvaluate:
         # CTDE boundary: the evaluation interface has no critic parameter
         assert "critic" not in inspect.signature(evaluate).parameters
 
+    @pytest.mark.parametrize("n_episodes", [0, -1])
+    def test_rejects_fewer_than_one_episode(self, n_episodes):
+        cfg = cfg_4a1s()
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (4,), np.random.default_rng(20))
+        with pytest.raises(ContractViolation, match="n_episodes"):
+            evaluate(actor, cfg, n_episodes=n_episodes, seed=0)
+
     def test_reproducible_training_curve(self):
         cfg = cfg_4a1s()
 
@@ -396,17 +478,3 @@ class TestEvaluate:
 
         c1, c2 = run(), run()
         assert c1 == c2
-
-    def test_training_log_schema(self, tmp_path):
-        cfg = cfg_4a1s()
-        rng = np.random.default_rng([8, 2])
-        critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, rng)
-        tcfg = TrainerConfig(rollout_steps=500, eval_interval=500, eval_episodes=2)
-        trainer = Trainer(cfg, critic, tcfg, seed=8)
-        log = tmp_path / "train_log.csv"
-        trainer.train(1000, log_path=log)
-        lines = log.read_text().splitlines()
-        assert lines[0] == "wall_step,env_steps,eval_cr_mean,eval_cr_std,actor_loss,critic_loss"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "500"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fanetq.errors import ContractViolation, TrainingError
-from fanetq.nets import Adam, DenseNet, GaussianPolicyHead
+from fanetq.errors import ConfigError, ContractViolation, TrainingError
+from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead
 
 
 def finite_difference_check(loss_fn, params, grads, rng, n_coords=6, h=1e-5, tol=1e-4):
@@ -122,8 +122,19 @@ class TestGaussianHead:
         head = GaussianPolicyHead.create(4, 2, (8,), rng)
         head.log_std[:] = -40.0  # numerically deterministic
         obs = rng.standard_normal(4)
-        action, _ = head.sample(obs, np.random.default_rng(0))
+        action, _, _ = head.sample(obs, np.random.default_rng(0))
         assert np.abs(action - head.mean(obs)).max() < 1e-12
+
+    def test_sample_returns_its_log_density_and_the_mean(self):
+        rng = np.random.default_rng(15)
+        head = GaussianPolicyHead.create(4, 3, (8,), rng)
+        obs = rng.standard_normal((5, 4))
+        action, log_prob, mu = head.sample(obs, np.random.default_rng(1))
+        assert np.array_equal(mu, head.mean(obs))
+        assert np.array_equal(log_prob, head.log_prob(obs, action))
+        # exactly one standard-normal draw of the action's shape
+        noise = np.random.default_rng(1).standard_normal((5, 3))
+        assert np.array_equal(action, mu + np.exp(head.log_std) * noise)
 
     def test_log_prob_at_mean(self):
         rng = np.random.default_rng(7)
@@ -166,6 +177,23 @@ class TestGaussianHead:
             grads = head.backward_log_prob(cache, mu, acts, w)
             finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
 
+    def test_log_prob_gradients_with_extra_mean_gradient(self):
+        # d_mu_other carries dLoss/dmu from terms outside the log-prob
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            head = GaussianPolicyHead.create(4, 3, (6,), rng)
+            obs = rng.standard_normal((5, 4))
+            acts = rng.standard_normal((5, 3))
+            w = rng.standard_normal(5)
+            g = rng.standard_normal((5, 3))
+
+            def loss():
+                return float(np.sum(w * head.log_prob(obs, acts)) + np.sum(g * head.mean(obs)))
+
+            _, mu, cache = head.log_prob_cached(obs, acts)
+            grads = head.backward_log_prob(cache, mu, acts, w, g)
+            finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
+
     def test_kl_zero_for_identical(self):
         rng = np.random.default_rng(12)
         head = GaussianPolicyHead.create(3, 2, (4,), rng)
@@ -182,6 +210,17 @@ class TestGaussianHead:
         obs = rng.standard_normal((4, 3))
         assert np.array_equal(head.mean(obs), clone.mean(obs))
         assert np.array_equal(head.log_std, clone.log_std)
+
+    @pytest.mark.parametrize("version", [None, 0, 99, "1"])
+    def test_checkpoint_version_checked_on_load(self, version):
+        d = GaussianPolicyHead.create(3, 2, (4,), np.random.default_rng(17)).to_dict()
+        assert d["version"] == CHECKPOINT_VERSION
+        if version is None:
+            del d["version"]
+        else:
+            d["version"] = version
+        with pytest.raises(ConfigError, match="version"):
+            GaussianPolicyHead.from_dict(d)
 
 
 class TestAdam:
