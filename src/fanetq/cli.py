@@ -12,7 +12,7 @@ import numpy as np
 
 from .critics import ALL_SOLUTIONS, parity_report
 from .env import ScenarioConfig
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, ContractViolation
 from .experiments import (
     SCENARIO_BASELINES,
     calibrate,
@@ -216,8 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input ends it with a one-line error and exit code 2, as argparse does."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, ContractViolation) as exc:
+        print(f"fanetq: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

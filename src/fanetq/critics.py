@@ -71,7 +71,7 @@ class ClassicalCritic:
         v, c3 = self.post.forward_cached(h2)
         return v[..., 0], (c1, c2, c3)
 
-    def backward(self, cache, d_value: np.ndarray, _loss_fn=None) -> list[np.ndarray]:
+    def backward(self, cache, d_value: np.ndarray, _loss_fn=None, _loss_center=None) -> list[np.ndarray]:
         """Gradients in adam_params() order for upstream dLoss/dV."""
         c1, c2, c3 = cache
         g3, d_h2 = self.post.backward(c3, np.asarray(d_value)[..., None])
@@ -164,14 +164,21 @@ class QuantumCritic:
         v = v[..., 0]
         return v, (pre_cache, features, angles, post_cache, v)
 
-    def backward(self, cache, d_value: np.ndarray, loss_fn: Callable[[np.ndarray], float] = None) -> list[np.ndarray]:
+    def backward(
+        self,
+        cache,
+        d_value: np.ndarray,
+        loss_fn: Callable[[np.ndarray], float] = None,
+        loss_center: float | None = None,
+    ) -> list[np.ndarray]:
         """Hybrid gradients in adam_params() order; updates theta via SPSA.
 
         ``loss_fn(values)`` must return the scalar minibatch loss that the
         caller is descending.  SPSA perturbs the joint vector (theta, a
-        common shift of the circuit's input angles); its center loss comes
-        from the values value_cached already computed, so each estimate
-        costs two more circuit evaluations, three in total.
+        common shift of the circuit's input angles); its center loss is
+        ``loss_center`` when the caller already has ``loss_fn`` of the cached
+        values, else it is computed from them, so each estimate costs two
+        more circuit evaluations, three in total.
         """
         if loss_fn is None:
             raise ContractViolation("quantum critic backward needs the minibatch loss_fn")
@@ -188,7 +195,9 @@ class QuantumCritic:
 
         ak = self.spsa.step_size()
         center = np.concatenate([self.spec.theta, np.zeros(self.spec.n_features)])
-        grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_fn(v))
+        if loss_center is None:
+            loss_center = loss_fn(v)
+        grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_center)
         grad_theta, grad_angles = grad[:n_theta], grad[n_theta:]
         self.spec.theta = self.spec.theta - ak * grad_theta
 

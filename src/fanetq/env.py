@@ -9,14 +9,20 @@ multi-hop path to ground.
 
 Entity ids: aircraft occupy 0 .. n_aircraft-1, ground stations follow.  The
 link graph is a symmetric (N, N) boolean adjacency matrix over those ids.
+
+The step functions (resolve_links, path_to_ground, observe_all, env_step,
+reward) also take leading batch axes: a batch of episodes that step together
+has (..., N, 2) positions, (..., n_aircraft, N-1) proposals and (..., N, N)
+links.  Each episode's numbers equal those of its own unbatched run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,23 +121,31 @@ class ScenarioConfig:
 class WorldState:
     """Positions/velocities of all entities plus the active link graph.
 
-    ``links`` is a symmetric (N, N) boolean adjacency matrix; it is all
-    False until the first step resolves links.
+    ``pos`` and ``vel`` are (..., N, 2); leading axes, if any, index episodes
+    that step together and share ``t``.  ``links`` is a symmetric (..., N, N)
+    boolean adjacency matrix; it is all False until the first step resolves
+    links.  ``offsets`` (..., n_aircraft, N, 2) holds pos[i] - pos[j] from
+    every aircraft i to every entity j and ``dist`` their lengths, computed
+    once per world for both link resolution and the ``lk`` feature.
     """
 
     t: int
-    pos: np.ndarray  # (N, 2)
-    vel: np.ndarray  # (N, 2)
+    pos: np.ndarray  # (..., N, 2)
+    vel: np.ndarray  # (..., N, 2)
     n_aircraft: int
-    links: np.ndarray | None = None  # (N, N) bool
+    links: np.ndarray | None = None  # (..., N, N) bool
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    dist: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
-            self.links = np.zeros((self.n_entities, self.n_entities), dtype=bool)
+            self.links = np.zeros(self.pos.shape[:-1] + (self.n_entities,), dtype=bool)
+        self.offsets = _aircraft_offsets(self.pos, self.n_aircraft)
+        self.dist = np.hypot(self.offsets[..., 0], self.offsets[..., 1])
 
     @property
     def n_entities(self) -> int:
-        return self.pos.shape[0]
+        return self.pos.shape[-2]
 
 
 def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
@@ -149,114 +163,134 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
 
 def clamp_actions(desirability: np.ndarray) -> np.ndarray:
     """Map arbitrary reals into the open interval (0, 1) used by the env."""
-    return np.clip(desirability, ACTION_CLAMP_LOW, ACTION_CLAMP_HIGH)
+    # equal to np.clip, which costs twice as much on arrays this small
+    return np.minimum(np.maximum(desirability, ACTION_CLAMP_LOW), ACTION_CLAMP_HIGH)
 
 
 def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
-    """(n_aircraft, N, 2) differences a[i] - a[j] from every aircraft i to every entity j."""
-    return a[:n_aircraft, None, :] - a[None, :, :]
+    """(..., n_aircraft, N, 2) differences a[i] - a[j] from every aircraft i to every entity j."""
+    return a[..., :n_aircraft, None, :] - a[..., None, :, :]
 
 
-def _norm(d: np.ndarray) -> np.ndarray:
-    return np.hypot(d[..., 0], d[..., 1])
+@functools.lru_cache(maxsize=None)
+def _not_self(n_aircraft: int, n_entities: int) -> np.ndarray:
+    """Read-only (n_aircraft, N) mask, False where an aircraft row meets its own entity column."""
+    mask = ~np.eye(n_aircraft, n_entities, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _top_k(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Mask of the k highest scores along ``axis``; ties go to the lower index.
+
+    An entry's rank is its position in the stable descending sort, read off
+    by inverting that permutation.
+    """
+    return (-scores).argsort(axis=axis, kind="stable").argsort(axis=axis) < k
 
 
 def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """Resolve per-aircraft desirability vectors into the (N, N) link matrix.
+    """Resolve per-aircraft desirability vectors into the (..., N, N) link matrix.
 
-    Row a of ``proposals`` scores every other entity in ascending id order.
-    Each aircraft nominates its top ``max_links`` entities, ties to the
-    lower id.  Aircraft-aircraft edges need both sides to nominate each
-    other and the pair to be in range (distance <= comm_range).  Ground
-    stations are not agents: each accepts its in-range nominators in
-    decreasing desirability order (ties to the lower aircraft id) up to
-    ``max_links``.  NaN has no rank and is rejected; +-inf is clamped.
+    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in
+    ascending id order; its leading axes match the world's.  Each aircraft
+    nominates its top ``max_links`` entities, ties to the lower id.
+    Aircraft-aircraft edges need both sides to nominate each other and the
+    pair to be in range (distance <= comm_range).  Ground stations are not
+    agents: each accepts its in-range nominators in decreasing desirability
+    order (ties to the lower aircraft id) up to ``max_links``.  NaN has no
+    rank and is rejected; +-inf is clamped.
     """
     proposals = np.asarray(proposals, dtype=float)
     n_a, n = cfg.n_aircraft, cfg.n_entities
-    if proposals.shape != (n_a, n - 1):
-        raise ContractViolation(f"proposals must have shape {(n_a, n - 1)}, got {proposals.shape}")
+    batch = world.pos.shape[:-2]
+    if proposals.shape != batch + (n_a, n - 1):
+        raise ContractViolation(f"proposals must have shape {batch + (n_a, n - 1)}, got {proposals.shape}")
     if np.isnan(proposals).any():
         raise ContractViolation("proposals contain NaN, which has no desirability rank")
-    not_self = ~np.eye(n_a, n, dtype=bool)
-    desir = np.full((n_a, n), -np.inf)
-    desir[not_self] = clamp_actions(proposals).ravel()
+    not_self = _not_self(n_a, n)
+    desir = np.full(batch + (n_a, n), -np.inf)
+    desir[..., not_self] = clamp_actions(proposals).reshape(batch + (-1,))
 
     # with fewer than max_links candidates the -inf self slot is picked; not_self drops it
-    asks = np.zeros((n_a, n), dtype=bool)
-    asks[np.arange(n_a)[:, None], (-desir).argsort(axis=1, kind="stable")[:, : cfg.max_links]] = True
-    asks &= not_self & (_norm(_aircraft_offsets(world.pos, n_a)) <= cfg.comm_range)
+    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & (world.dist <= cfg.comm_range)
 
-    bids = np.where(asks[:, n_a:], desir[:, n_a:], -np.inf)
-    accepted = np.zeros(bids.shape, dtype=bool)
-    accepted[(-bids).argsort(axis=0, kind="stable")[: cfg.max_links], np.arange(cfg.n_ground)] = True
+    bids = np.where(asks[..., n_a:], desir[..., n_a:], -np.inf)
+    accepted = _top_k(bids, cfg.max_links, axis=-2) & asks[..., n_a:]
 
-    links = np.zeros((n, n), dtype=bool)
-    links[:n_a, :n_a] = asks[:, :n_a] & asks[:, :n_a].T
-    links[:n_a, n_a:] = accepted & asks[:, n_a:]
-    return links | links.T
+    links = np.zeros(batch + (n, n), dtype=bool)
+    links[..., :n_a, :n_a] = asks[..., :n_a] & np.swapaxes(asks[..., :n_a], -1, -2)
+    links[..., :n_a, n_a:] = accepted
+    return links | np.swapaxes(links, -1, -2)
 
 
 def path_to_ground(links: np.ndarray, world: WorldState) -> np.ndarray:
-    """Per-entity indicator: 1 if the entity is a ground station or reaches one.
+    """Per-entity indicator (..., N): 1 if the entity is a ground station or reaches one.
 
     Boolean propagation seeded with every ground station.  A shortest path
     to ground visits each aircraft at most once, so n_aircraft rounds reach
     every connected entity.
     """
-    reach = np.arange(world.n_entities) >= world.n_aircraft
+    # a (..., 1, N) row: reach @ links propagates one hop, as links are symmetric
+    reach = np.zeros(links.shape[:-2] + (1, world.n_entities), dtype=bool)
+    reach[..., world.n_aircraft :] = True
     for _ in range(world.n_aircraft):
-        reach = reach | (links @ reach)
-    return reach.astype(int)
+        reach |= reach @ links
+    return reach[..., 0, :].astype(int)
 
 
-def reward(ptg_aircraft: np.ndarray) -> float:
-    """Global reward: mean path-to-ground over all aircraft, in [0, 1]."""
-    ptg_aircraft = np.asarray(ptg_aircraft)
-    return float(ptg_aircraft.mean())
+def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
+    """Global reward: mean path-to-ground over the aircraft (last axis), in [0, 1]."""
+    return np.asarray(ptg_aircraft).mean(axis=-1)
 
 
 def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(n_aircraft, N) lk features: fraction of the horizon a pair stays in range.
+    """(..., n_aircraft, N) lk features: fraction of the horizon a pair stays in range.
 
     Counts steps s in {t, ..., horizon-1} at which the constant-velocity
     extrapolations of aircraft i and entity j are within comm_range,
     normalized by the full horizon; -1 where the pair is not in range now.
+    x and y are extrapolated separately and in place, which keeps the
+    (steps, ..., n_aircraft, N) temporaries to two.
     """
-    dp = _aircraft_offsets(world.pos, cfg.n_aircraft)
+    dp = world.offsets
     dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
-    steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float)
-    rel = dp[None, ...] + steps[:, None, None, None] * dv[None, ...]
-    counts = (_norm(rel) <= cfg.comm_range).sum(axis=0)
-    return np.where(_norm(dp) <= cfg.comm_range, counts / cfg.horizon, -1.0)
+    steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
+    x = steps * dv[..., 0]
+    x += dp[..., 0]
+    y = steps * dv[..., 1]
+    y += dp[..., 1]
+    counts = (np.hypot(x, y, out=x) <= cfg.comm_range).sum(axis=0)
+    return np.where(world.dist <= cfg.comm_range, counts / cfg.horizon, -1.0)
 
 
 def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(n_aircraft, obs_dim) local observations: [own ptg, then (ptg, lk, oc) per other entity].
+    """(..., n_aircraft, obs_dim) local observations: [own ptg, then (ptg, lk, oc) per other entity].
 
     Other entities appear in ascending id order.  ``oc`` maps an entity's
     active connection count linearly so that 0 -> -1, 1 -> 0, 2 -> +1.
     Uses the most recent link graph; at episode start the graph is empty.
     """
     n_a, n = cfg.n_aircraft, cfg.n_entities
+    batch = world.pos.shape[:-2]
     ptg = path_to_ground(world.links, world).astype(float)
-    block = np.empty((n_a, n, 3))
-    block[..., 0] = ptg
+    block = np.empty(batch + (n_a, n, 3))
+    block[..., 0] = ptg[..., None, :]
     block[..., 1] = _lk_rows(world, cfg)
-    block[..., 2] = world.links.sum(axis=0) - 1.0
-    others = block[~np.eye(n_a, n, dtype=bool)].reshape(n_a, 3 * (n - 1))
-    return np.concatenate([ptg[:n_a, None], others], axis=1)
+    block[..., 2] = world.links.sum(axis=-2)[..., None, :] - 1.0
+    others = block[..., _not_self(n_a, n), :].reshape(batch + (n_a, 3 * (n - 1)))
+    return np.concatenate([ptg[..., :n_a, None], others], axis=-1)
 
 
 def env_step(
     world: WorldState, joint_action: np.ndarray, cfg: ScenarioConfig
-) -> tuple[WorldState, np.ndarray, float, bool]:
-    """One environment step.
+) -> tuple[WorldState, np.ndarray, np.ndarray | float, bool]:
+    """One environment step of one episode, or of a batch of episodes at the same t.
 
     Order of effects: advance positions by one velocity step, resolve links
     from the joint action, then build the next observations on the new
     graph; the reward is the mean of the aircraft's own path-to-ground
-    entries.  Done when t reaches horizon.
+    entries, one per episode.  Done when t reaches horizon.
     """
     if world.t >= cfg.horizon:
         raise ContractViolation("cannot step a finished episode")
@@ -269,11 +303,11 @@ def env_step(
     new.links = resolve_links(new, joint_action, cfg)
     obs = observe_all(new, cfg)
     done = new.t >= cfg.horizon
-    return new, obs, reward(obs[:, 0]), done
+    return new, obs, reward(obs[..., 0]), done
 
 
 class FanetEnv:
-    """Stateful reset/step wrapper over the functional core.
+    """Stateful reset/step wrapper over the functional core, one episode at a time.
 
     `reset(seed)` starts a fresh episode; `step(actions)` returns
     (observations, reward, done).  Observations are an
@@ -299,18 +333,34 @@ class FanetEnv:
         return 0 if self.world is None else self.world.t
 
 
-def run_episode(cfg: ScenarioConfig, seed: int, policy) -> float:
-    """Episode CR: connected-aircraft counts summed over the steps of one episode.
+EPISODE_BLOCK = 64  # episodes stepped together; bounds the (steps, block, n_aircraft, N) lk temporaries
 
-    ``policy(obs)`` maps the (n_aircraft, obs_dim) observations to the joint action.
+
+def run_episodes(cfg: ScenarioConfig, seeds, policy) -> np.ndarray:
+    """Per-episode CR: connected-aircraft counts summed over the steps of each episode.
+
+    Episodes run in seed order, in blocks of up to EPISODE_BLOCK that step
+    together.  ``policy(obs, t)`` maps a block's (b, n_aircraft, obs_dim)
+    observations before step t to its (b, n_aircraft, action_dim) joint
+    actions.
     """
-    env = FanetEnv(cfg)
-    obs = env.reset(seed)
-    total, done = 0.0, False
-    while not done:
-        obs, r, done = env.step(policy(obs))
-        total += r * cfg.n_aircraft
-    return total
+    seeds = list(seeds)
+    crs = np.empty(len(seeds))
+    for start in range(0, len(seeds), EPISODE_BLOCK):
+        worlds = [init_world(cfg, seed) for seed in seeds[start : start + EPISODE_BLOCK]]
+        world = WorldState(
+            t=0,
+            pos=np.stack([w.pos for w in worlds]),
+            vel=np.stack([w.vel for w in worlds]),
+            n_aircraft=cfg.n_aircraft,
+        )
+        obs = observe_all(world, cfg)
+        total, done = np.zeros(len(worlds)), False
+        while not done:
+            world, obs, r, done = env_step(world, policy(obs, world.t), cfg)
+            total += r * cfg.n_aircraft
+        crs[start : start + len(worlds)] = total
+    return crs
 
 
 def dump_trajectory(path: str | Path, cfg: ScenarioConfig, seed: int, action_fn) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .critics import ALL_SOLUTIONS, SolutionId, build_critic, save_critic
-from .env import ScenarioConfig, run_episode
+from .env import ScenarioConfig, run_episodes
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import entanglement_capability, expressibility
@@ -86,11 +86,16 @@ def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tup
     if episodes < 1:
         raise ContractViolation("episodes must be positive")
     rng = np.random.default_rng(seed + 10_000_019)
+    actions = np.empty(0)
 
-    def policy(obs: np.ndarray) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=(cfg.n_aircraft, cfg.action_dim))
+    def policy(obs: np.ndarray, t: int) -> np.ndarray:
+        # one draw per block, episode-major: the stream reads as one (n_aircraft, action_dim) draw per step
+        nonlocal actions
+        if t == 0:
+            actions = rng.uniform(0.0, 1.0, size=(len(obs), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
+        return actions[:, t]
 
-    crs = np.array([run_episode(cfg, seed + i, policy) for i in range(episodes)])
+    crs = run_episodes(cfg, range(seed, seed + episodes), policy)
     return float(crs.mean()), float(crs.std())
 
 

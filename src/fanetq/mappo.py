@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import FanetEnv, ScenarioConfig, observe_all, run_episode
+from .env import FanetEnv, ScenarioConfig, observe_all, run_episodes
 from .errors import ContractViolation, TrainingError
 from .nets import Adam, GaussianPolicyHead
 
@@ -233,7 +233,7 @@ def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg):
         2.0 * (v - returns),
         np.where(inside, 2.0 * (clipped - returns), 0.0),
     ) / m
-    grads = critic.backward(cache, d_v, loss_fn)
+    grads = critic.backward(cache, d_v, loss_fn, loss)
     return loss, grads
 
 
@@ -246,7 +246,9 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     """
     if n_episodes < 1:
         raise ContractViolation("n_episodes must be positive")
-    crs = np.array([run_episode(cfg, seed + EVAL_SEED_STRIDE * ep, actor.mean) for ep in range(n_episodes)])
+    seeds = range(seed, seed + EVAL_SEED_STRIDE * n_episodes, EVAL_SEED_STRIDE)
+    # one forward pass per episode: a folded (b * n_aircraft) batch accumulates in another order
+    crs = run_episodes(cfg, seeds, lambda obs, t: np.stack([actor.mean(o) for o in obs]))
     return float(crs.mean()), float(crs.std())
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fanetq.cli import main
-from fanetq.errors import ContractViolation
 from fanetq.nets import GaussianPolicyHead
 
 
@@ -22,6 +21,15 @@ def test_eval_random_baseline(capsys):
     assert main(["eval", "--scenario", "4a1s", "--episodes", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "uniform-random CR" in out
+
+
+def test_bad_input_is_a_one_line_error_with_exit_code_2(capsys):
+    assert main(["eval", "--scenario", "4a1s", "--episodes", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: episodes must be positive\n"
+    assert main(["eval", "--scenario", "no-such-scenario"]) == 2
+    assert capsys.readouterr().err.startswith("fanetq: error: unknown scenario 'no-such-scenario'")
 
 
 def test_train_metrics_export_pipeline(tmp_path, capsys):
@@ -78,13 +86,15 @@ def test_train_metrics_export_pipeline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
-def test_bad_curve_header_surfaces_instead_of_being_skipped(tmp_path, monkeypatch, command):
+def test_bad_curve_header_surfaces_instead_of_being_skipped(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     seed_csv = tmp_path / "runs" / "4a1s" / "NN-4" / "seed0.csv"
     seed_csv.parent.mkdir(parents=True)
     seed_csv.write_text("steps,cr\n2000,60.0\n")
-    with pytest.raises(ContractViolation, match="bad curve header"):
-        main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4,NN-7"])
+    rc = main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4,NN-7"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fanetq: error: ") and "bad curve header" in err and err.count("\n") == 1
 
 
 def test_eval_with_checkpoint(tmp_path, capsys):
@@ -111,11 +121,11 @@ def test_eval_with_checkpoint(tmp_path, capsys):
     assert "deterministic policy CR" in capsys.readouterr().out
 
 
-def test_eval_with_checkpoint_rejects_zero_episodes(tmp_path):
+def test_eval_with_checkpoint_rejects_zero_episodes(tmp_path, capsys):
     ckpt = tmp_path / "actor.json"
     GaussianPolicyHead.create(13, 4, (4,), np.random.default_rng(0)).save(ckpt)
-    with pytest.raises(ContractViolation, match="n_episodes"):
-        main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt), "--episodes", "0"])
+    assert main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt), "--episodes", "0"]) == 2
+    assert capsys.readouterr().err == "fanetq: error: n_episodes must be positive\n"
 
 
 def test_qmetrics_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanetq.env import (
+    EPISODE_BLOCK,
     FanetEnv,
     ScenarioConfig,
     WorldState,
@@ -18,6 +19,7 @@ from fanetq.env import (
     path_to_ground,
     resolve_links,
     reward,
+    run_episodes,
 )
 from fanetq.errors import ConfigError, ContractViolation
 
@@ -550,6 +552,103 @@ def test_core_matches_scalar_oracle_over_episodes(n_aircraft, n_ground, horizon,
         assert edge_set(world.links) == oracle_edges
         assert np.array_equal(obs, o_obs)
         assert r == o_r and done == o_done
+
+
+def stacked_world(cfg, seeds):
+    """The batched t = 0 world of ``seeds``: each episode's init_world along a leading axis."""
+    worlds = [init_world(cfg, seed) for seed in seeds]
+    return WorldState(
+        t=0,
+        pos=np.stack([w.pos for w in worlds]),
+        vel=np.stack([w.vel for w in worlds]),
+        n_aircraft=cfg.n_aircraft,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.integers(1, 8),
+    n_aircraft=st.integers(1, 6),
+    n_ground=st.integers(1, 3),
+    horizon=st.integers(1, 12),
+    comm_range=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_batched_core_matches_each_episode_alone(batch, n_aircraft, n_ground, horizon, comm_range, seed):
+    # the unbatched core is pinned to the scalar oracle above; here every
+    # episode of a batch must equal its own unbatched run, bit for bit
+    cfg = ScenarioConfig(n_aircraft=n_aircraft, n_ground=n_ground, comm_range=comm_range, horizon=horizon)
+    rng = np.random.default_rng(seed)
+    seeds = [seed + k for k in range(batch)]
+    world = stacked_world(cfg, seeds)
+    alone = [init_world(cfg, s) for s in seeds]
+    obs = observe_all(world, cfg)
+    assert obs.shape == (batch, n_aircraft, cfg.obs_dim)
+    for b, w in enumerate(alone):
+        assert np.array_equal(obs[b], observe_all(w, cfg))
+    done = False
+    while not done:
+        # one decimal place, with values outside (0, 1) clamped, so desirability ties are common
+        actions = np.round(rng.uniform(-0.2, 1.2, size=(batch, n_aircraft, cfg.action_dim)), 1)
+        world, obs, r, done = env_step(world, actions, cfg)
+        assert world.links.shape == (batch, cfg.n_entities, cfg.n_entities) and r.shape == (batch,)
+        for b in range(batch):
+            alone[b], o_obs, o_r, o_done = env_step(alone[b], actions[b], cfg)
+            assert np.array_equal(world.links[b], alone[b].links)
+            assert np.array_equal(obs[b], o_obs)
+            assert r[b] == o_r and done == o_done
+
+
+def test_batched_proposals_must_match_the_batch():
+    cfg = cfg_4a1s()
+    world = stacked_world(cfg, [0, 1, 2])
+    with pytest.raises(ContractViolation, match="shape"):
+        resolve_links(world, np.full((4, 4), 0.5), cfg)
+    with pytest.raises(ContractViolation, match="shape"):
+        env_step(world, np.full((2, 4, 4), 0.5), cfg)
+    proposals = np.full((3, 4, 4), 0.5)
+    proposals[1, 2, 3] = np.nan
+    with pytest.raises(ContractViolation, match="NaN"):
+        resolve_links(world, proposals, cfg)
+
+
+def episode_cr_alone(cfg, seed, action_fn):
+    """Oracle episode loop: one FanetEnv episode, ``action_fn(obs, t)`` per step, CR summed step by step."""
+    env = FanetEnv(cfg)
+    obs = env.reset(seed)
+    total, done = 0.0, False
+    while not done:
+        obs, r, done = env.step(action_fn(obs, env.t))
+        total += r * cfg.n_aircraft
+    return total
+
+
+class TestRunEpisodes:
+    @staticmethod
+    def policy(obs, t):
+        # a deterministic function of the observations with frequent ties: the lk features, rounded
+        return np.round(obs[..., 2::3] + 0.1 * (t % 3), 1)
+
+    @pytest.mark.parametrize("episodes", [1, EPISODE_BLOCK - 1, EPISODE_BLOCK + 1])
+    def test_each_episode_equals_its_own_run(self, episodes):
+        cfg = ScenarioConfig(n_aircraft=3, n_ground=2, comm_range=0.45, horizon=9)
+        seeds = [5 + 3 * k for k in range(episodes)]
+        crs = run_episodes(cfg, seeds, self.policy)
+        assert crs.shape == (episodes,)
+        alone = [episode_cr_alone(cfg, s, lambda obs, t: self.policy(obs[None], t)[0]) for s in seeds]
+        assert crs.tolist() == alone
+
+    def test_policy_sees_each_block_with_its_step(self):
+        cfg = ScenarioConfig(n_aircraft=2, n_ground=1, comm_range=0.5, horizon=3)
+        calls = []
+
+        def policy(obs, t):
+            calls.append((obs.shape, t))
+            return np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5)
+
+        run_episodes(cfg, range(EPISODE_BLOCK + 2), policy)
+        block, rest = (EPISODE_BLOCK, 2, cfg.obs_dim), (2, 2, cfg.obs_dim)
+        assert calls == [(block, t) for t in range(3)] + [(rest, t) for t in range(3)]
 
 
 class TestObserve:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fanetq.env import ScenarioConfig
+from fanetq.env import EPISODE_BLOCK, ScenarioConfig
 from fanetq.errors import CalibrationError, ConfigError, ContractViolation
 from fanetq.experiments import (
     CURVE_HEADER,
@@ -28,6 +28,8 @@ from fanetq.experiments import (
     write_qmetrics_csv,
 )
 from fanetq.mappo import TrainerConfig
+
+from tests.test_env import episode_cr_alone
 
 
 def synthetic_record(solution, seed, crs, start=1000, step=1000):
@@ -122,6 +124,28 @@ class TestCalibration:
         cfg5 = load_scenario("5a2s")
         mean5, _ = random_baseline_cr(cfg5, 400, seed=11)
         assert abs(mean5 - 84.88) < 3.0
+
+
+def oracle_random_baseline_cr(cfg, episodes, seed):
+    """One episode at a time, one (n_aircraft, action_dim) uniform draw per step."""
+    rng = np.random.default_rng(seed + 10_000_019)
+
+    def draw(obs, t):
+        return rng.uniform(0.0, 1.0, size=(cfg.n_aircraft, cfg.action_dim))
+
+    crs = np.array([episode_cr_alone(cfg, seed + i, draw) for i in range(episodes)])
+    return float(crs.mean()), float(crs.std())
+
+
+class TestRandomBaseline:
+    @pytest.mark.parametrize("episodes", [EPISODE_BLOCK + 1, 2 * EPISODE_BLOCK + 2])
+    def test_block_boundaries_do_not_change_the_result(self, episodes):
+        cfg = ScenarioConfig(n_aircraft=3, n_ground=2, comm_range=0.4, horizon=12)
+        assert random_baseline_cr(cfg, episodes, seed=4) == oracle_random_baseline_cr(cfg, episodes, 4)
+
+    def test_5a2s_two_thousand_episodes_pinned(self):
+        # the value every version of the env core has produced for this seed
+        assert random_baseline_cr(load_scenario("5a2s"), 2000, seed=0) == (83.367, 24.228584585154785)
 
 
 class TestRunRecords:

@@ -1,12 +1,15 @@
 """MAPPO: GAE, losses vs per-sample oracles, rollouts, update mechanics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fanetq.critics import ClassicalCritic, QuantumCritic, build_critic
-from fanetq.env import FanetEnv, ScenarioConfig
+from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig
 from fanetq.errors import ContractViolation
 from fanetq.mappo import (
+    EVAL_SEED_STRIDE,
     RolloutBatch,
     Trainer,
     TrainerConfig,
@@ -17,6 +20,11 @@ from fanetq.mappo import (
     _critic_loss_and_grads,
 )
 from fanetq.nets import GaussianPolicyHead
+
+from tests.test_env import episode_cr_alone
+
+
+COMMITTED_ACTOR = Path(__file__).resolve().parent.parent / "runs" / "4a1s" / "NN-4" / "seed0_actor.json"
 
 
 def cfg_4a1s(**kw):
@@ -383,6 +391,25 @@ class TestUpdateMechanics:
         # one critic minibatch -> one estimate -> exactly 3 batched passes
         assert critic.circuit_evaluations == 3
 
+    def test_quantum_critic_reuses_the_minibatch_loss_as_spsa_center(self, monkeypatch):
+        import fanetq.mappo as mappo
+
+        calls = []
+        inner = mappo._value_objective
+
+        def spy(*args):
+            calls.append(inner(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mappo, "_value_objective", spy)
+        rng = np.random.default_rng(22)
+        critic = QuantumCritic.create(52, 1, "arctan", rng)
+        global_obs = rng.standard_normal((16, 52))
+        returns, values_old = rng.standard_normal(16), rng.standard_normal(16)
+        loss, _ = _critic_loss_and_grads(critic, global_obs, returns, values_old, TrainerConfig())
+        # the returned loss, then the two perturbed SPSA losses; the center is not computed again
+        assert len(calls) == 3 and calls[0] == loss
+
     def test_aborted_update_restores_parameters(self):
         cfg = cfg_4a1s()
         rng = np.random.default_rng(13)
@@ -458,6 +485,32 @@ class TestEvaluate:
         assert a == b
         # CTDE boundary: the evaluation interface has no critic parameter
         assert "critic" not in inspect.signature(evaluate).parameters
+
+    def test_equals_one_episode_at_a_time_across_a_block_boundary(self):
+        cfg = cfg_4a1s(horizon=6)
+        actor = GaussianPolicyHead.load(COMMITTED_ACTOR)
+        n_episodes = EPISODE_BLOCK + 1
+        seeds = [9 + EVAL_SEED_STRIDE * ep for ep in range(n_episodes)]
+        crs = [episode_cr_alone(cfg, seed, lambda obs, t: actor.mean(obs)) for seed in seeds]
+        assert evaluate(actor, cfg, n_episodes, seed=9) == (float(np.mean(crs)), float(np.std(crs)))
+
+    def test_actions_come_from_one_forward_pass_per_episode(self, monkeypatch):
+        # on trained weights a single forward pass over the folded (b * n_aircraft)
+        # rows rounds differently from b per-episode passes; curves use the latter
+        import fanetq.mappo as mappo
+
+        cfg = cfg_4a1s()
+        actor = GaussianPolicyHead.load(COMMITTED_ACTOR)
+        obs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(EPISODE_BLOCK, cfg.n_aircraft, cfg.obs_dim))
+        actions = []
+
+        def spy(cfg, seeds, policy):
+            actions.append(policy(obs, 0))
+            return np.zeros(len(seeds))
+
+        monkeypatch.setattr(mappo, "run_episodes", spy)
+        evaluate(actor, cfg, n_episodes=3, seed=0)
+        assert np.array_equal(actions[0], np.stack([actor.mean(o) for o in obs]))
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_rejects_fewer_than_one_episode(self, n_episodes):
