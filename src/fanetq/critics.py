@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, read_json
 from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version
 from .qsim import N_QUBITS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
@@ -246,7 +246,7 @@ def save_critic(critic, path: str | Path) -> None:
 
 
 def load_critic(path: str | Path, lr: float = 1e-4, spsa_seed: int = 0):
-    d = json.loads(Path(path).read_text())
+    d = read_json(path)
     kind = d.get("kind")
     if kind == ClassicalCritic.kind:
         return ClassicalCritic.from_dict(d)

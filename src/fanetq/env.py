@@ -27,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, read_json
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass
@@ -252,6 +253,12 @@ def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     normalized by the full horizon; -1 where the pair is not in range now.
     x and y are extrapolated separately and in place, which keeps the
     (steps, ..., n_aircraft, N) temporaries to two.
+
+    In range means hypot(x, y) <= comm_range.  x*x + y*y is within a few
+    ulps of the squared distance, so it decides every pair farther than a
+    relative 1e-12 from the range; only those near it go through the costly
+    hypot, on offsets rebuilt in the same operation order.  When r*r with
+    that margin is not a normal float, every pair goes through hypot.
     """
     dp = world.offsets
     dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
@@ -260,8 +267,23 @@ def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     x += dp[..., 0]
     y = steps * dv[..., 1]
     y += dp[..., 1]
-    counts = (np.hypot(x, y, out=x) <= cfg.comm_range).sum(axis=0)
-    return np.where(world.dist <= cfg.comm_range, counts / cfg.horizon, -1.0)
+    r = float(cfg.comm_range)  # a numpy scalar would warn where r * r overflows
+    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
+    if lo < _FLOAT.tiny or hi > _FLOAT.max:
+        within = np.hypot(x, y, out=x) <= r
+    else:
+        with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
+            x *= x
+            y *= y
+            x += y
+        within = x <= lo
+        near = x > lo
+        near &= x < hi
+        if near.any():
+            s, *pair = np.nonzero(near)
+            xn, yn = (s * dv[..., c][tuple(pair)] + dp[..., c][tuple(pair)] for c in (0, 1))
+            within[near] = np.hypot(xn, yn) <= r
+    return np.where(world.dist <= r, within.sum(axis=0) / cfg.horizon, -1.0)
 
 
 def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
@@ -311,7 +333,8 @@ class FanetEnv:
 
     `reset(seed)` starts a fresh episode; `step(actions)` returns
     (observations, reward, done).  Observations are an
-    (n_aircraft, obs_dim) array.
+    (n_aircraft, obs_dim) array.  Training keeps the episode a rollout
+    leaves unfinished in ``world``.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -336,30 +359,46 @@ class FanetEnv:
 EPISODE_BLOCK = 64  # episodes stepped together; bounds the (steps, block, n_aircraft, N) lk temporaries
 
 
+def stack_worlds(worlds: list[WorldState]) -> WorldState:
+    """One world whose leading axis holds ``worlds`` in order; they must share t."""
+    return WorldState(
+        t=worlds[0].t,
+        pos=np.stack([w.pos for w in worlds]),
+        vel=np.stack([w.vel for w in worlds]),
+        n_aircraft=worlds[0].n_aircraft,
+        links=np.stack([w.links for w in worlds]),
+    )
+
+
+def step_episodes(
+    world: WorldState, steps: int, cfg: ScenarioConfig, policy
+) -> tuple[WorldState, np.ndarray, np.ndarray]:
+    """Step a world, one episode or a block of them, ``steps`` times.
+
+    ``policy(obs, t)`` maps the (..., n_aircraft, obs_dim) observations
+    before step t to the (..., n_aircraft, action_dim) joint actions.
+    Returns the final world, its observations and the (..., steps) rewards.
+    """
+    obs = observe_all(world, cfg)
+    rewards = np.empty(world.pos.shape[:-2] + (steps,))
+    for s in range(steps):
+        world, obs, rewards[..., s], _ = env_step(world, policy(obs, world.t), cfg)
+    return world, obs, rewards
+
+
 def run_episodes(cfg: ScenarioConfig, seeds, policy) -> np.ndarray:
     """Per-episode CR: connected-aircraft counts summed over the steps of each episode.
 
     Episodes run in seed order, in blocks of up to EPISODE_BLOCK that step
-    together.  ``policy(obs, t)`` maps a block's (b, n_aircraft, obs_dim)
-    observations before step t to its (b, n_aircraft, action_dim) joint
-    actions.
+    together under ``policy``, as in ``step_episodes``.
     """
     seeds = list(seeds)
     crs = np.empty(len(seeds))
     for start in range(0, len(seeds), EPISODE_BLOCK):
-        worlds = [init_world(cfg, seed) for seed in seeds[start : start + EPISODE_BLOCK]]
-        world = WorldState(
-            t=0,
-            pos=np.stack([w.pos for w in worlds]),
-            vel=np.stack([w.vel for w in worlds]),
-            n_aircraft=cfg.n_aircraft,
-        )
-        obs = observe_all(world, cfg)
-        total, done = np.zeros(len(worlds)), False
-        while not done:
-            world, obs, r, done = env_step(world, policy(obs, world.t), cfg)
-            total += r * cfg.n_aircraft
-        crs[start : start + len(worlds)] = total
+        world = stack_worlds([init_world(cfg, seed) for seed in seeds[start : start + EPISODE_BLOCK]])
+        _, _, rewards = step_episodes(world, cfg.horizon, cfg, policy)
+        # a running sum adds the steps in order, as a step-by-step total does
+        crs[start : start + len(rewards)] = np.cumsum(rewards * cfg.n_aircraft, axis=-1)[:, -1]
     return crs
 
 

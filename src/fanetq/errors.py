@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON file reader that maps unreadable input to them."""
+
+import json
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -19,3 +22,13 @@ class CalibrationError(RuntimeError):
     def __init__(self, message: str, sweep: list | None = None):
         super().__init__(message)
         self.sweep = sweep or []
+
+
+def read_json(path) -> object:
+    """The parsed JSON of a file; a missing, unreadable or malformed file raises ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

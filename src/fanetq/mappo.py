@@ -10,12 +10,14 @@ classical, the SPSA rule inside the quantum critic for circuit weights).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import FanetEnv, ScenarioConfig, observe_all, run_episodes
+from .env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, WorldState, init_world
+from .env import run_episodes, stack_worlds, step_episodes
 from .errors import ContractViolation, TrainingError
 from .nets import Adam, GaussianPolicyHead
 
@@ -74,28 +76,27 @@ class RolloutBatch:
 def gae(
     rewards: np.ndarray,
     values: np.ndarray,
-    bootstrap: float,
+    bootstrap: float | np.ndarray,
     gamma: float,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over one episode segment.
+    """Generalized advantage estimation over episode segments along the last axis.
 
-    delta_t = r_t + gamma V_{t+1} - V_t with V_T = bootstrap;
-    A_t = sum_l (gamma lam)^l delta_{t+l}; returns are A + V.
+    delta_t = r_t + gamma V_{t+1} - V_t with V_T = bootstrap (a scalar or
+    one per segment); A_t = sum_l (gamma lam)^l delta_{t+l}; returns are A + V.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     if rewards.shape != values.shape:
         raise ContractViolation("rewards and values must align")
-    T = rewards.size
-    adv = np.empty(T)
+    adv = np.empty_like(rewards)
     next_value = bootstrap
     running = 0.0
-    for t in range(T - 1, -1, -1):
-        delta = rewards[t] + gamma * next_value - values[t]
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        delta = rewards[..., t] + gamma * next_value - values[..., t]
         running = delta + gamma * lam * running
-        adv[t] = running
-        next_value = values[t]
+        adv[..., t] = running
+        next_value = values[..., t]
     return adv, adv + values
 
 
@@ -109,71 +110,65 @@ def collect_rollout(
     episode_counter: int,
     cfg: TrainerConfig,
 ) -> tuple[RolloutBatch, int]:
-    """Gather ``steps`` env steps, computing GAE per completed segment.
+    """Gather ``steps`` env steps in episode order, computing GAE per episode segment.
 
-    Episodes reset with seeds derived from (base_seed, episode index); a
-    segment cut at the rollout boundary bootstraps with the critic value of
-    the next observation.  Returns the batch and the new episode counter.
+    Episodes reset with seeds derived from (base_seed, episode index).  The
+    episode ``env`` carries over and a tail cut at the rollout boundary step
+    alone, whole episodes in blocks of up to EPISODE_BLOCK; every field
+    equals that of stepping one episode at a time.  A cut tail bootstraps
+    with the critic value of its next observation and stays in ``env``.
     """
-    n = env.cfg.n_aircraft
-    obs_l, gobs_l, act_l, lp_l, mu_l, rew_l, done_l = [], [], [], [], [], [], []
-
-    if env.world is None or env.t >= env.cfg.horizon:
-        obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
+    if steps < 1:
+        raise ContractViolation("steps must be positive")
+    horizon = env.cfg.horizon
+    if env.world is None or env.t >= horizon:
+        env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
         episode_counter += 1
-    else:
-        obs = observe_all(env.world, env.cfg)
-
-    seg_start = 0
-    val_parts, adv_parts, ret_parts = [], [], []
-
-    def close_segment(bootstrap: float) -> None:
-        nonlocal seg_start
-        seg_val = critic.value(np.stack(gobs_l[seg_start:]))
-        seg_rew = np.array(rew_l[seg_start:])
-        a, ret = gae(seg_rew, seg_val, bootstrap, cfg.gamma, cfg.gae_lambda)
-        val_parts.append(seg_val)
-        adv_parts.append(a)
-        ret_parts.append(ret)
-        seg_start = len(rew_l)
-
-    for _ in range(steps):
-        gobs = obs.reshape(-1)
-        action, log_prob, mu = actor.sample(obs, rng)
-
-        next_obs, r, done = env.step(action)
-
-        obs_l.append(obs)
-        gobs_l.append(gobs)
-        act_l.append(action)
-        lp_l.append(log_prob)
-        mu_l.append(mu)
-        rew_l.append(r)
-        done_l.append(done)
-
-        obs = next_obs
-        if done:
-            close_segment(0.0)
-            obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
+    plan, world = [], env.world  # (start world, steps) per episode
+    while steps > 0:
+        k = min(steps, horizon - world.t)
+        plan.append((world, k))
+        steps -= k
+        if world.t + k == horizon:  # the counter runs one episode ahead, as env resets at once
+            world = init_world(env.cfg, base_seed + EPISODE_SEED_STRIDE * episode_counter)
             episode_counter += 1
+    parts = []
+    for (_, k), group in itertools.groupby(plan, key=lambda p: (p[0].t, p[1])):
+        worlds = [w for w, _ in group]
+        for lo in range(0, len(worlds), EPISODE_BLOCK):
+            block = stack_worlds(worlds[lo : lo + EPISODE_BLOCK])
+            end, part = _rollout_block(block, k, env.cfg, actor, critic, rng, cfg)
+            parts.append(part)
+    env.world = world if end.t == horizon else WorldState(end.t, end.pos[0], end.vel[0], end.n_aircraft, end.links[0])
+    fields = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    global_obs = fields["obs"].reshape(len(fields["obs"]), -1)
+    return RolloutBatch(global_obs=global_obs, log_std_old=actor.log_std.copy(), **fields), episode_counter
 
-    if seg_start < len(rew_l):
-        close_segment(float(critic.value(obs.reshape(-1)[None, :])[0]))
 
-    batch = RolloutBatch(
-        obs=np.stack(obs_l),
-        global_obs=np.stack(gobs_l),
-        actions=np.stack(act_l),
-        log_prob_old=np.stack(lp_l),
-        mu_old=np.stack(mu_l),
-        log_std_old=actor.log_std.copy(),
-        rewards=np.array(rew_l),
-        values=np.concatenate(val_parts),
-        dones=np.array(done_l, dtype=bool),
-        advantages=np.concatenate(adv_parts),
-        returns=np.concatenate(ret_parts),
-    )
-    return batch, episode_counter
+def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldState, dict]:
+    """Step b episodes at the same t k steps; returns the end world and the (b * k, ...) batch fields.
+
+    The action noise comes in one episode-major draw, the same stream as one draw per step.
+    """
+    b, t0 = world.pos.shape[0], world.t
+    noise = rng.standard_normal((b, k, scenario.n_aircraft, scenario.action_dim))
+    obs = np.empty((b, k, scenario.n_aircraft, scenario.obs_dim))
+    mu, actions, std = np.empty_like(noise), np.empty_like(noise), np.exp(actor.log_std)
+
+    def policy(o, t):
+        obs[:, t - t0], mu[:, t - t0] = o, actor.mean(o)  # one stacked actor pass per step
+        actions[:, t - t0] = mu[:, t - t0] + std * noise[:, t - t0]
+        return actions[:, t - t0]
+
+    world, last_obs, rewards = step_episodes(world, k, scenario, policy)
+    values = np.stack([critic.value(g) for g in obs.reshape(b, k, -1)])  # one critic pass per episode
+    done = world.t == scenario.horizon
+    bootstrap = 0.0 if done else critic.value(last_obs.reshape(b, -1))
+    advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
+    dones = np.broadcast_to((np.arange(k) == k - 1) & done, (b, k))
+    fields = dict(obs=obs, actions=actions, log_prob_old=actor._log_prob(mu, actions), mu_old=mu, rewards=rewards,
+                  values=values, dones=dones, advantages=advantages, returns=returns)
+    return world, {name: a.reshape((b * k,) + a.shape[2:]) for name, a in fields.items()}
 
 
 def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
@@ -247,8 +242,8 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     if n_episodes < 1:
         raise ContractViolation("n_episodes must be positive")
     seeds = range(seed, seed + EVAL_SEED_STRIDE * n_episodes, EVAL_SEED_STRIDE)
-    # one forward pass per episode: a folded (b * n_aircraft) batch accumulates in another order
-    crs = run_episodes(cfg, seeds, lambda obs, t: np.stack([actor.mean(o) for o in obs]))
+    # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order
+    crs = run_episodes(cfg, seeds, lambda obs, t: actor.mean(obs))
     return float(crs.mean()), float(crs.std())
 
 

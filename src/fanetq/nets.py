@@ -3,8 +3,10 @@
 Sized for the hundreds-of-weights networks this project trains: plain numpy
 forward/backward over affine+tanh chains, a diagonal-Gaussian policy head
 with state-independent log-std, and bias-corrected Adam.  Batched inputs use
-the leading axis; backward computes gradients of the *sum* of per-sample
-contributions, so callers pass upstream values already scaled for means.
+the leading axis; a forward pass also takes further leading axes, as in the
+(episodes, n_aircraft, obs_dim) observations of a block of episodes.  Backward
+computes gradients of the *sum* of per-sample contributions, so callers pass
+upstream values already scaled for means.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError
+from .errors import ConfigError, ContractViolation, TrainingError, read_json
 
 CHECKPOINT_VERSION = 1
 
@@ -94,8 +96,8 @@ class DenseNet:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
-        if h.shape[1] != self.in_dim:
-            raise ContractViolation(f"expected input dim {self.in_dim}, got {h.shape[1]}")
+        if h.shape[-1] != self.in_dim:
+            raise ContractViolation(f"expected input dim {self.in_dim}, got {h.shape[-1]}")
         cache = [h]
         for w, b, act in zip(self.weights, self.biases, self.activations):
             h = _act(h @ w.T + b, act)
@@ -243,7 +245,7 @@ class GaussianPolicyHead:
 
     @classmethod
     def load(cls, path: str | Path) -> "GaussianPolicyHead":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 class Adam:

@@ -32,6 +32,28 @@ def test_bad_input_is_a_one_line_error_with_exit_code_2(capsys):
     assert capsys.readouterr().err.startswith("fanetq: error: unknown scenario 'no-such-scenario'")
 
 
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"], ids=["missing", "malformed", "not-utf8"])
+def test_unreadable_checkpoint_is_a_one_line_error_with_exit_code_2(tmp_path, capsys, content):
+    ckpt = tmp_path / "actor.json"
+    if isinstance(content, bytes):
+        ckpt.write_bytes(content)
+    elif content is not None:
+        ckpt.write_text(content)
+    assert main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fanetq: error: ") and str(ckpt) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_malformed_scenario_file_is_a_one_line_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_aircraft": 4,')
+    assert main(["eval", "--scenario", str(scenario), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fanetq: error: {scenario} is not valid JSON") and err.count("\n") == 1
+
+
 def test_train_metrics_export_pipeline(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     rc = main(

@@ -236,6 +236,13 @@ class TestCheckpointChecks:
         with pytest.raises(ConfigError, match="kind"):
             load_critic(tmp_path / "c.json")
 
+    def test_unreadable_file_names_its_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read .*missing.json"):
+            load_critic(tmp_path / "missing.json")
+        (tmp_path / "c.json").write_text('{"kind": ')
+        with pytest.raises(ConfigError, match="c.json is not valid JSON"):
+            load_critic(tmp_path / "c.json")
+
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
     def test_committed_checkpoints_load(self, solution):
         run_dir = Path(__file__).resolve().parent.parent / "runs" / "4a1s" / solution

@@ -1,10 +1,11 @@
 """FANET environment: geometry, link resolution, observations, reward."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanetq.env import (
@@ -12,6 +13,7 @@ from fanetq.env import (
     FanetEnv,
     ScenarioConfig,
     WorldState,
+    _lk_rows,
     clamp_actions,
     env_step,
     init_world,
@@ -304,6 +306,57 @@ class TestLinkRangeFraction:
         w = make_world([[0, 0], [1, 1]], n_aircraft=1)
         with pytest.raises(ContractViolation):
             oracle_link_range_fraction(0, 0, w, cfg_4a1s())
+
+
+def assert_lk_equals_plain_hypot(world, cfg):
+    """Every (aircraft, other entity) lk of the core equals the hypot-per-step oracle, bit for bit."""
+    got = _lk_rows(world, cfg)
+    for i in range(cfg.n_aircraft):
+        for j in range(cfg.n_entities):
+            if j != i:
+                assert got[i, j] == oracle_link_range_fraction(i, j, world, cfg), (i, j)
+
+
+class TestLkSquaredDistancePrefilter:
+    # the core decides "in range" from x*x + y*y and calls hypot only near
+    # comm_range; the booleans must equal hypot(x, y) <= comm_range everywhere
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-154, 1e-153, 1.0, 1e153, 1e154, 1e200])
+    def test_pairs_placed_exactly_at_comm_range(self, scale):
+        r = 0.25 * scale
+        cfg = ScenarioConfig(n_aircraft=2, n_ground=3, comm_range=r, horizon=6, world_side=scale, v_max=0.1 * scale)
+        # 3-4-5 triangles and axis offsets land on r exactly; the velocities move pairs across it
+        pos = [[0.0, 0.0], [0.6 * r, 0.8 * r], [r, 0.0], [0.0, -r], [-0.8 * r, 0.6 * r]]
+        vel = [[0.0, 0.0], [0.0, -0.2 * r], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        for t in (0, 3):
+            assert_lk_equals_plain_hypot(make_world(pos, n_aircraft=2, velocities=vel, t=t), cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_aircraft=st.integers(1, 5),
+        n_ground=st.integers(1, 3),
+        horizon=st.integers(1, 12),
+        scale=st.sampled_from([1e-200, 1e-154, 1e-153, 1e-100, 1.0, 1e100, 1e153, 1e154, 1e200]),
+        ulps=st.sampled_from([None, -1, 0, 1]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_worlds_at_extreme_scales(self, n_aircraft, n_ground, horizon, scale, ulps, seed):
+        cfg = ScenarioConfig(
+            n_aircraft=n_aircraft, n_ground=n_ground, comm_range=0.5 * scale, horizon=horizon,
+            world_side=scale, v_max=0.05 * scale,
+        )
+        rng = np.random.default_rng(seed)
+        fresh = init_world(cfg, seed)
+        world = make_world(fresh.pos, n_aircraft, fresh.vel, t=int(rng.integers(0, horizon)))
+        if ulps is not None:
+            # comm_range on the extrapolated distance of one pair at one step, or one ulp off it
+            i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, cfg.n_entities))
+            s = float(rng.integers(0, horizon - world.t))
+            d = float(np.hypot(*(s * (world.vel[i] - world.vel[j]) + (world.pos[i] - world.pos[j]))))
+            d = d if ulps == 0 else float(np.nextafter(d, ulps * np.inf))
+            assume(0.0 < d < np.inf)
+            cfg = dataclasses.replace(cfg, comm_range=d)
+        assert_lk_equals_plain_hypot(world, cfg)
 
 
 class TestResolveLinks:

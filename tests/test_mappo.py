@@ -4,11 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetq.critics import ClassicalCritic, QuantumCritic, build_critic
-from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig
+from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, observe_all
 from fanetq.errors import ContractViolation
 from fanetq.mappo import (
+    EPISODE_SEED_STRIDE,
     EVAL_SEED_STRIDE,
     RolloutBatch,
     Trainer,
@@ -255,6 +258,128 @@ class TestCriticLoss:
         finite_difference_check(loss, self.critic.adam_params(), grads, self.rng, n_coords=5)
 
 
+def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_counter, cfg):
+    """Oracle rollout: one FanetEnv episode, one step and one GaussianPolicyHead.sample at a time.
+
+    GAE runs per segment: each finished episode bootstraps with 0, a segment
+    cut at the rollout boundary with the critic value of its next
+    observation.  The env resets right after an episode ends, so the counter
+    runs one episode ahead.  collect_rollout must match it bit for bit.
+    """
+    obs_l, gobs_l, act_l, lp_l, mu_l, rew_l, done_l = [], [], [], [], [], [], []
+
+    if env.world is None or env.t >= env.cfg.horizon:
+        obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
+        episode_counter += 1
+    else:
+        obs = observe_all(env.world, env.cfg)
+
+    seg_start = 0
+    val_parts, adv_parts, ret_parts = [], [], []
+
+    def close_segment(bootstrap: float) -> None:
+        nonlocal seg_start
+        seg_val = critic.value(np.stack(gobs_l[seg_start:]))
+        seg_rew = np.array(rew_l[seg_start:])
+        a, ret = gae(seg_rew, seg_val, bootstrap, cfg.gamma, cfg.gae_lambda)
+        val_parts.append(seg_val)
+        adv_parts.append(a)
+        ret_parts.append(ret)
+        seg_start = len(rew_l)
+
+    for _ in range(steps):
+        gobs = obs.reshape(-1)
+        action, log_prob, mu = actor.sample(obs, rng)
+
+        next_obs, r, done = env.step(action)
+
+        obs_l.append(obs)
+        gobs_l.append(gobs)
+        act_l.append(action)
+        lp_l.append(log_prob)
+        mu_l.append(mu)
+        rew_l.append(r)
+        done_l.append(done)
+
+        obs = next_obs
+        if done:
+            close_segment(0.0)
+            obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
+            episode_counter += 1
+
+    if seg_start < len(rew_l):
+        close_segment(float(critic.value(obs.reshape(-1)[None, :])[0]))
+
+    batch = RolloutBatch(
+        obs=np.stack(obs_l),
+        global_obs=np.stack(gobs_l),
+        actions=np.stack(act_l),
+        log_prob_old=np.stack(lp_l),
+        mu_old=np.stack(mu_l),
+        log_std_old=actor.log_std.copy(),
+        rewards=np.array(rew_l),
+        values=np.concatenate(val_parts),
+        dones=np.array(done_l, dtype=bool),
+        advantages=np.concatenate(adv_parts),
+        returns=np.concatenate(ret_parts),
+    )
+    return batch, episode_counter
+
+
+def assert_same_batch(got: RolloutBatch, want: RolloutBatch):
+    for name, w in vars(want).items():
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_aircraft=st.integers(1, 6),
+    n_ground=st.integers(1, 3),
+    horizon=st.integers(1, 12),
+    quantum=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_block_rollout_equals_the_serial_oracle(n_aircraft, n_ground, horizon, quantum, seed, data):
+    # chains of consecutive rollouts: single steps, lengths that cut episodes,
+    # and more than one block of whole episodes; the actor moves in between
+    cfg = ScenarioConfig(n_aircraft=n_aircraft, n_ground=n_ground, comm_range=0.5, horizon=horizon)
+    lengths = data.draw(
+        st.lists(
+            st.one_of(
+                st.just(1),
+                st.integers(1, 3 * horizon),
+                st.integers(EPISODE_BLOCK * horizon + 1, (EPISODE_BLOCK + 2) * horizon),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+    if quantum:
+        critic = QuantumCritic.create(cfg.global_obs_dim, 1, "arctan", rng)
+    else:
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
+    tcfg = TrainerConfig()
+    env, oracle_env = FanetEnv(cfg), FanetEnv(cfg)
+    rollout_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    counter = oracle_counter = 3
+    for steps in lengths:
+        batch, counter = collect_rollout(env, actor, critic, steps, rollout_rng, seed, counter, tcfg)
+        want, oracle_counter = collect_rollout_serial(
+            oracle_env, actor, critic, steps, oracle_rng, seed, oracle_counter, tcfg
+        )
+        assert_same_batch(batch, want)
+        assert counter == oracle_counter and env.t == oracle_env.t
+        assert np.array_equal(env.world.pos, oracle_env.world.pos)
+        assert np.array_equal(env.world.links, oracle_env.world.links)
+        for p in actor.params():
+            p += 0.05 * rng.standard_normal(p.shape)
+
+
 class TestRollout:
     def test_record_counts_and_shapes(self):
         cfg = cfg_4a1s()
@@ -297,6 +422,14 @@ class TestRollout:
             assert np.array_equal(action, batch.actions[t])
             assert np.array_equal(log_prob, batch.log_prob_old[t])
             assert np.array_equal(mu, batch.mu_old[t])
+
+    def test_rejects_an_empty_rollout(self):
+        cfg = cfg_4a1s()
+        rng = np.random.default_rng(21)
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
+        with pytest.raises(ContractViolation, match="steps"):
+            collect_rollout(FanetEnv(cfg), actor, critic, 0, rng, 0, 0, TrainerConfig())
 
     def test_batch_requires_advantages_and_returns(self):
         z = np.zeros(1)

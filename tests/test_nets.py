@@ -1,10 +1,14 @@
 """Dense nets, policy head, Adam: exact gradients against finite differences."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fanetq.errors import ConfigError, ContractViolation, TrainingError
 from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead
+
+COMMITTED_ACTORS = sorted((Path(__file__).resolve().parent.parent / "runs").glob("*/*/seed*_actor.json"))
 
 
 def finite_difference_check(loss_fn, params, grads, rng, n_coords=6, h=1e-5, tol=1e-4):
@@ -62,6 +66,31 @@ class TestDenseNetForward:
         net = DenseNet.create([4, 3], ["tanh"], rng)
         with pytest.raises(ContractViolation):
             net.forward(np.zeros(5))
+
+    def test_wrong_last_dimension_raises_for_stacked_input(self):
+        net = DenseNet.create([4, 3], ["tanh"], np.random.default_rng(0))
+        for shape in [(2, 5), (3, 2, 5), (3, 2, 3), (4, 1)]:
+            with pytest.raises(ContractViolation, match="input dim"):
+                net.forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("path", COMMITTED_ACTORS, ids=lambda p: f"{p.parent.name}-{p.stem}")
+    def test_stacked_forward_equals_the_per_slice_passes_bit_for_bit(self, path):
+        # a block rollout runs one (b, n_aircraft, obs_dim) pass per step; its
+        # actions must equal b separate (n_aircraft, obs_dim) passes
+        net = GaussianPolicyHead.load(path).mean_net
+        rng = np.random.default_rng(24)
+        for b in (1, 2, 7, 40, 64):
+            x = rng.uniform(-1.0, 1.0, size=(b, 4, net.in_dim))
+            y = net.forward(x)
+            assert y.shape == (b, 4, net.out_dim)
+            assert np.array_equal(y, np.stack([net.forward(xi) for xi in x]))
+
+    def test_stacked_forward_on_fresh_nets_of_other_sizes(self):
+        rng = np.random.default_rng(25)
+        for n, d in [(1, 4), (3, 10), (6, 25)]:
+            net = DenseNet.create([d, 64, 64, 5], ["tanh", "tanh", "identity"], rng)
+            x = rng.standard_normal((9, n, d))
+            assert np.array_equal(net.forward(x), np.stack([net.forward(xi) for xi in x]))
 
     def test_bad_chain_rejected(self):
         with pytest.raises(ContractViolation):
