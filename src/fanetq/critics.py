@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, read_json
-from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version
+from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, checkpoint_fields
 from .qsim import N_QUBITS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 
@@ -76,7 +76,7 @@ class ClassicalCritic:
         c1, c2, c3 = cache
         g3, d_h2 = self.post.backward(c3, np.asarray(d_value)[..., None])
         g2, d_h1 = self.core.backward(c2, d_h2)
-        g1, _ = self.pre.backward(c1, d_h1)
+        g1, _ = self.pre.backward(c1, d_h1, input_grad=False)
         return g1 + g2 + g3
 
     def to_dict(self) -> dict:
@@ -91,7 +91,7 @@ class ClassicalCritic:
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalCritic":
         check_checkpoint_version(d)
-        return cls(DenseNet.from_dict(d["pre"]), DenseNet.from_dict(d["core"]), DenseNet.from_dict(d["post"]))
+        return cls(*(DenseNet.from_dict(net) for net in checkpoint_fields(d, "pre", "core", "post")))
 
 
 class QuantumCritic:
@@ -187,7 +187,7 @@ class QuantumCritic:
         batch = angles.shape[0] if angles.ndim == 2 else 1
         n_theta = self.spec.theta.size
 
-        post_grads, _ = self.post.backward(post_cache, d_value[..., None])
+        post_grads, _ = self.post.backward(post_cache, d_value[..., None], input_grad=False)
 
         def joint_loss(params: np.ndarray) -> float:
             z_p = self._run_circuit(angles + params[n_theta:], params[:n_theta])
@@ -214,7 +214,7 @@ class QuantumCritic:
         d_features = upstream_x * dx_ds * self.spec.xi
         if features.ndim == 1:
             d_features = d_features[0]
-        pre_grads, _ = self.pre.backward(pre_cache, d_features)
+        pre_grads, _ = self.pre.backward(pre_cache, d_features, input_grad=False)
 
         return pre_grads + [grad_xi] + post_grads
 
@@ -231,14 +231,11 @@ class QuantumCritic:
     @classmethod
     def from_dict(cls, d: dict, lr: float = 1e-4, spsa_seed: int = 0) -> "QuantumCritic":
         check_checkpoint_version(d)
+        pre, circuit, post = checkpoint_fields(d, "pre", "circuit", "post")
+        checkpoint_fields(circuit, "L", "scaling_fn", "theta", "xi", what="circuit")
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
         spsa.k = d.get("spsa_k", 0)
-        return cls(
-            DenseNet.from_dict(d["pre"]),
-            VqcSpec.from_dict(d["circuit"]),
-            DenseNet.from_dict(d["post"]),
-            spsa,
-        )
+        return cls(DenseNet.from_dict(pre), VqcSpec.from_dict(circuit), DenseNet.from_dict(post), spsa)
 
 
 def save_critic(critic, path: str | Path) -> None:
@@ -247,7 +244,7 @@ def save_critic(critic, path: str | Path) -> None:
 
 def load_critic(path: str | Path, lr: float = 1e-4, spsa_seed: int = 0):
     d = read_json(path)
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind == ClassicalCritic.kind:
         return ClassicalCritic.from_dict(d)
     if kind == QuantumCritic.kind:

@@ -242,6 +242,8 @@ def run_training(
 ) -> list[RunRecord]:
     """One RunRecord per seed; curves appended to disk as they grow."""
     SolutionId.parse(solution)
+    if total_steps < 1:
+        raise ContractViolation(f"total_steps must be positive, got {total_steps}")
     cfg = scenario_cfg or load_scenario(scenario)
     tcfg = trainer_cfg or TrainerConfig()
     records = []

@@ -11,6 +11,8 @@ classical, the SPSA rule inside the quantum critic for circuit weights).
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,9 +43,20 @@ class TrainerConfig:
     eval_episodes: int = 5
 
     def __post_init__(self):
+        for name in ("rollout_steps", "epochs", "minibatch_size", "eval_interval", "eval_episodes"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
+        for name in ("gamma", "gae_lambda", "clip_eps", "entropy_coeff", "kl_coeff", "lr"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+                raise ContractViolation(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ContractViolation("clip_eps must be in (0, 1)")
-        for name in ("gamma", "gae_lambda", "entropy_coeff", "kl_coeff", "lr"):
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ContractViolation(f"{name} must be in [0, 1]")
+        for name in ("entropy_coeff", "kl_coeff", "lr"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be non-negative")
 
@@ -192,17 +205,15 @@ def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old,
     active = (unclipped_term <= clipped_term) | inside
     d_lp = -(active * ratio * advantages) / m
 
-    var = np.exp(2.0 * actor.log_std)
-    var_old = np.exp(2.0 * log_std_old)
-    kl = actor.kl_divergence(mu_old, log_std_old, mu_new)
-    d_mu_kl = cfg.kl_coeff / m * (mu_new - mu_old) / var
+    kl, d_mu_kl, d_log_std_kl = actor.kl_divergence(mu_old, log_std_old, mu_new, scale=cfg.kl_coeff / m)
     grads = actor.backward_log_prob(cache, mu_new, actions, d_lp, d_mu_kl)
     d_log_std = grads[-1]
     d_log_std -= cfg.entropy_coeff
-    d_log_std += cfg.kl_coeff / m * (1.0 - (var_old + (mu_old - mu_new) ** 2) / var).sum(axis=0)
+    d_log_std += d_log_std_kl
 
-    loss = float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl.mean())
-    stats = {"kl": float(kl.mean()), "entropy": actor.entropy(), "clip_frac": float((~active).mean())}
+    kl_mean, entropy = float(kl.mean()), actor.entropy()
+    loss = float(-surr.mean() - cfg.entropy_coeff * entropy + cfg.kl_coeff * kl_mean)
+    stats = {"kl": kl_mean, "entropy": entropy, "clip_frac": float((~active).mean())}
     return loss, grads, stats
 
 
@@ -258,10 +269,6 @@ class UpdateStats:
     critic_grad_norm: float
     skipped_minibatches: int = 0
     aborted: bool = False
-
-
-def _grad_norm(grads: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
 
 
 class Trainer:
@@ -340,12 +347,11 @@ class Trainer:
                     loss, grads, mb_stats = res
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite actor loss")
-                    self.actor_opt.step(self.actor.params(), grads)
+                    stats.actor_grad_norm += self.actor_opt.step(self.actor.params(), grads)
                     stats.actor_loss += loss
                     stats.kl += mb_stats["kl"]
                     stats.clip_frac += mb_stats["clip_frac"]
                     stats.entropy = mb_stats["entropy"]
-                    stats.actor_grad_norm += _grad_norm(grads)
                     n_actor_mb += 1
 
                 step_order = self.shuffle_rng.permutation(S)
@@ -360,9 +366,8 @@ class Trainer:
                     )
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
-                    self.critic_opt.step(self.critic.adam_params(), grads)
+                    stats.critic_grad_norm += self.critic_opt.step(self.critic.adam_params(), grads)
                     stats.critic_loss += loss
-                    stats.critic_grad_norm += _grad_norm(grads)
                     n_critic_mb += 1
         except TrainingError as exc:
             for p, snap in zip(self.actor.params(), actor_snapshot):

@@ -24,20 +24,29 @@ CHECKPOINT_VERSION = 1
 LOG_2PI = np.log(2.0 * np.pi)
 
 
+def checkpoint_fields(d: dict, *keys: str, what: str = "checkpoint") -> list:
+    """The values of ``keys`` in a checkpoint dict; ConfigError names the first missing key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"{what} has no {key!r}")
+    return [d[key] for key in keys]
+
+
 def check_checkpoint_version(d: dict) -> None:
     """Raise ConfigError unless a checkpoint dict carries CHECKPOINT_VERSION."""
-    if "version" not in d:
-        raise ConfigError("checkpoint has no version")
-    if d["version"] != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint version {d['version']!r}, this build reads {CHECKPOINT_VERSION}")
+    (version,) = checkpoint_fields(d, "version")
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {version!r}, this build reads {CHECKPOINT_VERSION}")
 
 
-def _act(x: np.ndarray, kind: str) -> np.ndarray:
+def _act(x: np.ndarray, kind: str) -> None:
+    """Apply the activation to ``x`` in place."""
     if kind == "tanh":
-        return np.tanh(x)
-    if kind == "identity":
-        return x
-    raise ContractViolation(f"unknown activation {kind!r}")
+        np.tanh(x, out=x)
+    elif kind != "identity":
+        raise ContractViolation(f"unknown activation {kind!r}")
 
 
 class DenseNet:
@@ -100,30 +109,39 @@ class DenseNet:
             raise ContractViolation(f"expected input dim {self.in_dim}, got {h.shape[-1]}")
         cache = [h]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = _act(h @ w.T + b, act)
+            h = h @ w.T  # a fresh array, so the bias add and activation run in place on it
+            h += b
+            _act(h, act)
             cache.append(h)
         return (h[0] if squeeze else h), cache
 
-    def backward(self, cache: list[np.ndarray], upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    def backward(
+        self, cache: list[np.ndarray], upstream: np.ndarray, *, input_grad: bool = True
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Exact gradients for the cached forward pass.
 
         ``upstream`` is dLoss/d(output) per sample, shape (batch, out_dim) or
-        (out_dim,).  Returns (param grads in params() order, dLoss/d(input)).
+        (out_dim,).  Returns (param grads in params() order, dLoss/d(input)),
+        with None for the input gradient when ``input_grad`` is false.
         """
         upstream = np.asarray(upstream, dtype=float)
         squeeze = upstream.ndim == 1
         d = upstream[None, :] if squeeze else upstream
         grads: list[np.ndarray] = []
         for k in range(len(self.weights) - 1, -1, -1):
-            out_k = cache[k + 1]
             if self.activations[k] == "tanh":
-                d = d * (1.0 - out_k * out_k)
-            dw = d.T @ cache[k]
-            db = d.sum(axis=0)
-            grads.append(db)
-            grads.append(dw)
-            d = d @ self.weights[k]
+                out_k = cache[k + 1]
+                dt = out_k * out_k  # d * (1 - out^2), built on one temporary
+                np.subtract(1.0, dt, out=dt)
+                dt *= d
+                d = dt
+            grads.append(d.sum(axis=0))
+            grads.append(d.T @ cache[k])
+            if k > 0 or input_grad:
+                d = d @ self.weights[k]
         grads.reverse()
+        if not input_grad:
+            return grads, None
         return grads, (d[0] if squeeze else d)
 
     def to_dict(self) -> dict:
@@ -136,9 +154,18 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
-        weights = [np.asarray(w).reshape(shape) for w, shape in zip(d["weights"], d["shapes"])]
-        biases = [np.asarray(b) for b in d["biases"]]
-        return cls(weights, biases, list(d["activations"]))
+        shapes, activations, weights, biases = checkpoint_fields(
+            d, "shapes", "activations", "weights", "biases", what="dense net"
+        )
+        try:
+            weights = [np.asarray(w, dtype=float).reshape(shape) for w, shape in zip(weights, shapes, strict=True)]
+            biases = [np.asarray(b, dtype=float) for b in biases]
+            activations = list(activations)
+            if any(w.ndim != 2 for w in weights):
+                raise ValueError("every layer shape must be [out, in]")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dense net weights do not fit their shapes {shapes}: {exc}") from exc
+        return cls(weights, biases, activations)
 
 
 class GaussianPolicyHead:
@@ -210,7 +237,7 @@ class GaussianPolicyHead:
         var = np.exp(2.0 * self.log_std)
         diff = action - mu
         d_mu = upstream[..., None] * diff / var + d_mu_other
-        net_grads, _ = self.mean_net.backward(cache, d_mu)
+        net_grads, _ = self.mean_net.backward(cache, d_mu, input_grad=False)
         z2 = diff * diff / var
         d_log_std = (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0)
         return net_grads + [d_log_std]
@@ -219,14 +246,21 @@ class GaussianPolicyHead:
         """Closed form: sum(log_std + 0.5 log(2 pi e)); obs-independent."""
         return float(np.sum(self.log_std + 0.5 * (LOG_2PI + 1.0)))
 
-    def kl_divergence(self, mu_old: np.ndarray, log_std_old: np.ndarray, mu_new: np.ndarray) -> np.ndarray:
-        """KL(old || new) per sample for diagonal Gaussians (new std = current)."""
+    def kl_divergence(self, mu_old: np.ndarray, log_std_old: np.ndarray, mu_new: np.ndarray, scale: float | None = None):
+        """KL(old || new) per sample for diagonal Gaussians (new std = current).
+
+        With ``scale``, returns (kl, d_mu, d_log_std): also the gradients of
+        scale * sum_i KL_i with respect to ``mu_new`` and the current log-std.
+        """
         var_new = np.exp(2.0 * self.log_std)
         var_old = np.exp(2.0 * log_std_old)
-        return np.sum(
-            self.log_std - log_std_old + (var_old + (mu_old - mu_new) ** 2) / (2.0 * var_new) - 0.5,
-            axis=-1,
-        )
+        spread = var_old + (mu_old - mu_new) ** 2
+        kl = np.sum(self.log_std - log_std_old + spread / (2.0 * var_new) - 0.5, axis=-1)
+        if scale is None:
+            return kl
+        d_mu = scale * (mu_new - mu_old) / var_new
+        d_log_std = scale * (1.0 - spread / var_new).reshape(-1, self.log_std.size).sum(axis=0)
+        return kl, d_mu, d_log_std
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +272,12 @@ class GaussianPolicyHead:
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPolicyHead":
         check_checkpoint_version(d)
-        return cls(DenseNet.from_dict(d["mean_net"]), np.asarray(d["log_std"]))
+        mean_net, log_std = checkpoint_fields(d, "mean_net", "log_std")
+        try:
+            log_std = np.asarray(log_std, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint log_std is not a list of numbers: {exc}") from exc
+        return cls(DenseNet.from_dict(mean_net), log_std)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()))
@@ -249,7 +288,10 @@ class GaussianPolicyHead:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a list of parameter arrays."""
+    """Standard bias-corrected Adam over a list of parameter arrays.
+
+    Both moments are one flat vector over the parameters in list order.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -257,22 +299,44 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.n_arrays = len(params)
+        self.m = np.zeros(sum(p.size for p in params))
+        self.v = np.zeros_like(self.m)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """In-place update; raises TrainingError on non-finite gradients."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> float:
+        """In-place update; returns the gradient's L2 norm.
+
+        Raises TrainingError on a non-finite gradient, before any state changes.
+        """
+        if len(params) != self.n_arrays or len(grads) != self.n_arrays:
             raise ContractViolation("params/grads do not match optimizer state")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise TrainingError("non-finite gradient in Adam step")
+        g = np.concatenate([x.reshape(-1) for x in grads])
+        if g.size != self.m.size:
+            raise ContractViolation("params/grads do not match optimizer state")
+        sq = g @ g  # a sum of squares is finite only if every entry is
+        if not np.isfinite(sq) and not np.isfinite(g).all():
+            raise TrainingError("non-finite gradient in Adam step")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        # the per-element arithmetic, in the same order, of
+        #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        tmp = (1.0 - self.beta1) * g
+        self.m *= self.beta1
+        self.m += tmp
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        tmp *= g
+        self.v *= self.beta2
+        self.v += tmp
+        step = np.divide(self.m, bc1, out=g)
+        step *= self.lr
+        np.divide(self.v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step /= tmp
+        lo = 0
+        for p in params:
+            p -= step[lo : lo + p.size].reshape(p.shape)
+            lo += p.size
+        return float(np.sqrt(sq))

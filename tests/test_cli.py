@@ -1,7 +1,11 @@
-"""Command-line interface, exercised in-process."""
+"""Command-line interface, exercised in-process (and once through ``python -m fanetq``)."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,67 @@ def test_unreadable_checkpoint_is_a_one_line_error_with_exit_code_2(tmp_path, ca
     assert captured.out == ""
     assert captured.err.startswith("fanetq: error: ") and str(ckpt) in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def actor_checkpoint(**changes) -> dict:
+    d = GaussianPolicyHead.create(13, 4, (4,), np.random.default_rng(0)).to_dict()
+    d.update(changes)
+    return d
+
+
+def weights_off_their_shape() -> dict:
+    d = actor_checkpoint()
+    d["mean_net"]["weights"][0] = d["mean_net"]["weights"][0][:-1]
+    return d
+
+
+@pytest.mark.parametrize(
+    "checkpoint, message",
+    [
+        ({"version": 1}, "checkpoint has no 'mean_net'"),
+        ({"version": 1, "mean_net": {}}, "checkpoint has no 'log_std'"),
+        (actor_checkpoint(mean_net={"shapes": [[4, 13]]}), "dense net has no 'activations'"),
+        (weights_off_their_shape(), "dense net weights do not fit their shapes [[4, 13], [4, 4]]"),
+        (actor_checkpoint(log_std=["wide"] * 4), "checkpoint log_std is not a list of numbers"),
+        ([1, 2], "checkpoint is not a JSON object"),
+    ],
+    ids=["no-mean-net", "no-log-std", "no-activations", "bad-shape", "bad-log-std", "not-an-object"],
+)
+def test_checkpoint_missing_a_key_or_off_its_shape_is_a_one_line_error(tmp_path, capsys, checkpoint, message):
+    ckpt = tmp_path / "actor.json"
+    ckpt.write_text(json.dumps(checkpoint))
+    assert main(["eval", "--scenario", "4a1s", "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fanetq: error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_train_rejects_fewer_than_one_step_and_writes_nothing(tmp_path, capsys, steps):
+    out_dir = tmp_path / "runs"
+    argv = ["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", steps, "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: total_steps must be positive, got {steps}\n"
+    assert not out_dir.exists()
+
+
+def run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fanetq", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_fanetq_runs_the_cli():
+    done = run_module("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fanetq") and "calibrate" in done.stdout
+    done = run_module("eval", "--scenario", "4a1s", "--episodes", "0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "fanetq: error: episodes must be positive\n"
 
 
 def test_malformed_scenario_file_is_a_one_line_error(tmp_path, capsys):

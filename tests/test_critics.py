@@ -236,6 +236,40 @@ class TestCheckpointChecks:
         with pytest.raises(ConfigError, match="kind"):
             load_critic(tmp_path / "c.json")
 
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            ("pre", "checkpoint has no 'pre'"),
+            ("core", "checkpoint has no 'core'"),
+            ("circuit", "checkpoint has no 'circuit'"),
+            ("theta", "circuit has no 'theta'"),
+            ("weights", "dense net has no 'weights'"),
+        ],
+    )
+    def test_missing_key_is_named(self, tmp_path, drop, message):
+        for d in self.critic_dicts():
+            if drop == "theta":
+                if d["kind"] != "quantum":
+                    continue
+                del d["circuit"]["theta"]
+            elif drop == "weights":
+                del d["post"]["weights"]
+            elif drop in d:
+                del d[drop]
+            else:
+                continue
+            (tmp_path / "c.json").write_text(json.dumps(d))
+            with pytest.raises(ConfigError, match=message):
+                load_critic(tmp_path / "c.json")
+
+    def test_bare_classical_checkpoint_names_its_first_missing_net(self, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps({"version": 1, "kind": "classical"}))
+        with pytest.raises(ConfigError, match="checkpoint has no 'pre'"):
+            load_critic(tmp_path / "c.json")
+        (tmp_path / "c.json").write_text("[]")
+        with pytest.raises(ConfigError, match="kind"):
+            load_critic(tmp_path / "c.json")
+
     def test_unreadable_file_names_its_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read .*missing.json"):
             load_critic(tmp_path / "missing.json")

@@ -2,29 +2,35 @@
 
 from pathlib import Path
 
+import dataclasses
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanetq.critics import ClassicalCritic, QuantumCritic, build_critic
 from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, observe_all
-from fanetq.errors import ContractViolation
+from fanetq.errors import ContractViolation, TrainingError
 from fanetq.mappo import (
     EPISODE_SEED_STRIDE,
     EVAL_SEED_STRIDE,
     RolloutBatch,
     Trainer,
     TrainerConfig,
+    UpdateStats,
     collect_rollout,
     evaluate,
     gae,
     _actor_loss_and_grads,
     _critic_loss_and_grads,
 )
-from fanetq.nets import GaussianPolicyHead
+from fanetq.nets import DenseNet, GaussianPolicyHead
 
 from tests.test_env import episode_cr_alone
+from tests.test_nets import AdamReference, dense_backward_reference, dense_forward_reference, flat
 
 
 COMMITTED_ACTOR = Path(__file__).resolve().parent.parent / "runs" / "4a1s" / "NN-4" / "seed0_actor.json"
@@ -50,6 +56,31 @@ class TestTrainerConfig:
             TrainerConfig(clip_eps=1.5)
         with pytest.raises(ContractViolation):
             TrainerConfig(gamma=-0.1)
+
+    @pytest.mark.parametrize("name", ["rollout_steps", "epochs", "minibatch_size", "eval_interval", "eval_episodes"])
+    @pytest.mark.parametrize("value", [0, -1, 2.0, 1.5, True, "8", None])
+    def test_counts_must_be_positive_integers(self, name, value):
+        # eval_interval=0 used to make Trainer.train loop forever; only construction runs here
+        with pytest.raises(ContractViolation, match=name):
+            TrainerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["gamma", "gae_lambda", "clip_eps", "entropy_coeff", "kl_coeff", "lr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.1", None, True])
+    def test_rates_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ContractViolation, match=name):
+            TrainerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["gamma", "gae_lambda"])
+    def test_discounts_lie_in_the_unit_interval(self, name):
+        for bad in (1.5, 1.0 + 1e-12, -1e-12):
+            with pytest.raises(ContractViolation, match=name):
+                TrainerConfig(**{name: bad})
+        for good in (0.0, 0, 1.0, 1, 0.5):
+            assert getattr(TrainerConfig(**{name: good}), name) == good
+
+    def test_integer_like_values_are_accepted(self):
+        cfg = TrainerConfig(rollout_steps=np.int64(64), minibatch_size=1, lr=np.float64(1e-3), kl_coeff=0)
+        assert cfg.rollout_steps == 64 and cfg.minibatch_size == 1
 
 
 class TestGae:
@@ -596,6 +627,179 @@ class TestUpdateMechanics:
             trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 7, 0, trainer.cfg
         )
         assert trainer.update(batch).clip_frac == 0.0
+
+
+def actor_loss_and_grads_reference(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
+    """The actor loss arithmetic before the shared-variance head methods, step for step."""
+    m = obs.shape[0]
+    mu_new, cache = actor.mean_net.forward_cached(obs)
+    z = (actions - mu_new) / np.exp(actor.log_std)
+    lp_new = -0.5 * np.sum(z * z + 2.0 * actor.log_std + np.log(2.0 * np.pi), axis=-1)
+    ratio = np.exp(lp_new - log_prob_old)
+    if not np.all(np.isfinite(ratio)):
+        return None
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    unclipped_term = ratio * advantages
+    clipped_term = clipped * advantages
+    surr = np.minimum(unclipped_term, clipped_term)
+    inside = (ratio > 1.0 - cfg.clip_eps) & (ratio < 1.0 + cfg.clip_eps)
+    active = (unclipped_term <= clipped_term) | inside
+    d_lp = -(active * ratio * advantages) / m
+
+    var = np.exp(2.0 * actor.log_std)
+    var_old = np.exp(2.0 * log_std_old)
+    kl = np.sum(
+        actor.log_std - log_std_old + (var_old + (mu_old - mu_new) ** 2) / (2.0 * np.exp(2.0 * actor.log_std)) - 0.5,
+        axis=-1,
+    )
+    d_mu_kl = cfg.kl_coeff / m * (mu_new - mu_old) / var
+    diff = actions - mu_new
+    d_mu = d_lp[..., None] * diff / np.exp(2.0 * actor.log_std) + d_mu_kl
+    net_grads, _ = actor.mean_net.backward(cache, d_mu)
+    z2 = diff * diff / np.exp(2.0 * actor.log_std)
+    d_log_std = (d_lp[..., None] * (z2 - 1.0)).reshape(-1, actor.log_std.size).sum(axis=0)
+    d_log_std -= cfg.entropy_coeff
+    d_log_std += cfg.kl_coeff / m * (1.0 - (var_old + (mu_old - mu_new) ** 2) / var).sum(axis=0)
+
+    loss = float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl.mean())
+    stats = {"kl": float(kl.mean()), "entropy": actor.entropy(), "clip_frac": float((~active).mean())}
+    return loss, net_grads + [d_log_std], stats
+
+
+def critic_loss_and_grads_reference(critic, global_obs, returns, values_old, cfg):
+    m = global_obs.shape[0]
+    v, cache = critic.value_cached(global_obs)
+
+    def loss_fn(values):
+        clipped = np.clip(values, values_old - cfg.clip_eps, values_old + cfg.clip_eps)
+        return float(np.mean(np.maximum((values - returns) ** 2, (clipped - returns) ** 2)))
+
+    loss = loss_fn(v)
+    clipped = np.clip(v, values_old - cfg.clip_eps, values_old + cfg.clip_eps)
+    take_unclipped = (v - returns) ** 2 >= (clipped - returns) ** 2
+    inside = (v > values_old - cfg.clip_eps) & (v < values_old + cfg.clip_eps)
+    d_v = np.where(take_unclipped, 2.0 * (v - returns), np.where(inside, 2.0 * (clipped - returns), 0.0)) / m
+    return loss, critic.backward(cache, d_v, loss_fn, loss)
+
+
+def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, batch) -> UpdateStats:
+    """Trainer.update as it ran before the flat Adam and the in-place dense passes.
+
+    ``actor_opt``/``critic_opt`` are per-array AdamReference optimizers; the
+    dense passes are the out-of-place oracles, the grad norms one sum per array.
+    """
+    with mock.patch.object(DenseNet, "forward_cached", dense_forward_reference), mock.patch.object(
+        DenseNet, "backward", dense_backward_reference
+    ):
+        adv = batch.advantages
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        S, n = batch.n_steps, batch.n_agents
+        obs_flat = batch.obs.reshape(S * n, -1)
+        act_flat = batch.actions.reshape(S * n, -1)
+        lp_flat = batch.log_prob_old.reshape(S * n)
+        mu_flat = batch.mu_old.reshape(S * n, -1)
+        adv_flat = np.repeat(adv, n)
+        actor_snapshot = [p.copy() for p in actor.params()]
+        critic_snapshot = [p.copy() for p in critic.adam_params()]
+        theta_snapshot = critic.spec.theta.copy() if critic.kind == "quantum" else None
+        stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        n_actor_mb = n_critic_mb = 0
+        try:
+            for _ in range(cfg.epochs):
+                order = shuffle_rng.permutation(S * n)
+                for lo in range(0, S * n, cfg.minibatch_size):
+                    idx = order[lo : lo + cfg.minibatch_size]
+                    res = actor_loss_and_grads_reference(
+                        actor, obs_flat[idx], act_flat[idx], lp_flat[idx], adv_flat[idx], mu_flat[idx],
+                        batch.log_std_old, cfg,
+                    )
+                    if res is None:
+                        stats.skipped_minibatches += 1
+                        continue
+                    loss, grads, mb_stats = res
+                    if not np.isfinite(loss):
+                        raise TrainingError("non-finite actor loss")
+                    stats.actor_grad_norm += actor_opt.step(actor.params(), grads)
+                    stats.actor_loss += loss
+                    stats.kl += mb_stats["kl"]
+                    stats.clip_frac += mb_stats["clip_frac"]
+                    stats.entropy = mb_stats["entropy"]
+                    n_actor_mb += 1
+                step_order = shuffle_rng.permutation(S)
+                for lo in range(0, S, cfg.minibatch_size):
+                    idx = step_order[lo : lo + cfg.minibatch_size]
+                    loss, grads = critic_loss_and_grads_reference(
+                        critic, batch.global_obs[idx], batch.returns[idx], batch.values[idx], cfg
+                    )
+                    if not np.isfinite(loss):
+                        raise TrainingError("non-finite critic loss")
+                    stats.critic_grad_norm += critic_opt.step(critic.adam_params(), grads)
+                    stats.critic_loss += loss
+                    n_critic_mb += 1
+        except TrainingError:
+            for p, snap in zip(actor.params(), actor_snapshot):
+                p[...] = snap
+            for p, snap in zip(critic.adam_params(), critic_snapshot):
+                p[...] = snap
+            if theta_snapshot is not None:
+                critic.spec.theta = theta_snapshot
+            stats.aborted = True
+            return stats
+    if n_actor_mb:
+        stats.actor_loss /= n_actor_mb
+        stats.kl /= n_actor_mb
+        stats.clip_frac /= n_actor_mb
+        stats.actor_grad_norm /= n_actor_mb
+    if n_critic_mb:
+        stats.critic_loss /= n_critic_mb
+        stats.critic_grad_norm /= n_critic_mb
+    return stats
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    solution=st.sampled_from(["NN-4", "VQC-1A", "VQC-2N"]),
+    steps=st.integers(2, 40),
+    minibatch_size=st.integers(3, 70),
+    epochs=st.integers(1, 3),
+    n_updates=st.integers(1, 3),
+    lr=st.sampled_from([1e-4, 3e-3, 3e-2]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_update_equals_the_pre_change_reference(solution, steps, minibatch_size, epochs, n_updates, lr, seed):
+    # the last actor minibatch is shorter than the rest
+    assume((4 * steps) % minibatch_size != 0)
+    cfg = cfg_4a1s()
+    tcfg = TrainerConfig(rollout_steps=steps, epochs=epochs, minibatch_size=minibatch_size, lr=lr)
+
+    def make_trainer():
+        critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(seed), lr=lr, spsa_seed=seed)
+        return Trainer(cfg, critic, tcfg, seed=seed)
+
+    trainer, oracle = make_trainer(), make_trainer()
+    actor_opt = AdamReference(oracle.actor.params(), lr=lr)
+    critic_opt = AdamReference(oracle.critic.adam_params(), lr=lr)
+    batch, _ = collect_rollout(trainer.env, trainer.actor, trainer.critic, steps, trainer.rollout_rng, seed, 0, tcfg)
+    for _ in range(n_updates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = trainer.update(batch)
+            want = update_reference(oracle.actor, oracle.critic, actor_opt, critic_opt, oracle.shuffle_rng, tcfg, batch)
+        for field in dataclasses.fields(UpdateStats):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if field.name.endswith("grad_norm"):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0), field.name
+            else:
+                assert g == w, field.name
+        params = trainer.actor.params() + trainer.critic.adam_params()
+        oracle_params = oracle.actor.params() + oracle.critic.adam_params()
+        assert all(np.array_equal(p, q) for p, q in zip(params, oracle_params, strict=True))
+        if trainer.critic.kind == "quantum":
+            assert np.array_equal(trainer.critic.spec.theta, oracle.critic.spec.theta)
+            assert trainer.critic.spsa.k == oracle.critic.spsa.k
+        for opt, ref in ((trainer.actor_opt, actor_opt), (trainer.critic_opt, critic_opt)):
+            assert opt.t == ref.t
+            assert np.array_equal(opt.m, flat(ref.m)) and np.array_equal(opt.v, flat(ref.v))
 
 
 class TestEvaluate:

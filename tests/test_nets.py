@@ -11,6 +11,82 @@ from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead
 COMMITTED_ACTORS = sorted((Path(__file__).resolve().parent.parent / "runs").glob("*/*/seed*_actor.json"))
 
 
+class AdamReference:
+    """Per-array bias-corrected Adam: the oracle for the flat-state ``Adam``."""
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads) -> float:
+        for g in grads:
+            if not np.all(np.isfinite(g)):
+                raise TrainingError("non-finite gradient in Adam step")
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+
+
+def flat(arrays) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def dense_forward_reference(net, x):
+    """One new array per bias add and activation: the oracle for the in-place forward pass."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = x[None, :] if squeeze else x
+    cache = [h]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        h = h @ w.T + b
+        if act == "tanh":
+            h = np.tanh(h)
+        cache.append(h)
+    return (h[0] if squeeze else h), cache
+
+
+def dense_backward_reference(net, cache, upstream, *, input_grad=True):
+    """The out-of-place backward pass.
+
+    Takes ``input_grad`` so it can stand in for ``DenseNet.backward``, but always
+    returns the input gradient.
+    """
+    upstream = np.asarray(upstream, dtype=float)
+    squeeze = upstream.ndim == 1
+    d = upstream[None, :] if squeeze else upstream
+    grads = []
+    for k in range(len(net.weights) - 1, -1, -1):
+        out_k = cache[k + 1]
+        if net.activations[k] == "tanh":
+            d = d * (1.0 - out_k * out_k)
+        dw = d.T @ cache[k]
+        db = d.sum(axis=0)
+        grads.append(db)
+        grads.append(dw)
+        d = d @ net.weights[k]
+    grads.reverse()
+    return grads, (d[0] if squeeze else d)
+
+
+def random_net(rng):
+    n_layers = int(rng.integers(1, 4))
+    sizes = [int(rng.integers(1, 9)) for _ in range(n_layers + 1)]
+    acts = [str(rng.choice(["tanh", "identity"])) for _ in range(n_layers)]
+    net = DenseNet.create(sizes, acts, rng)
+    for b in net.biases:
+        b += rng.standard_normal(b.shape)
+    return net
+
+
 def finite_difference_check(loss_fn, params, grads, rng, n_coords=6, h=1e-5, tol=1e-4):
     """Relative error of analytic grads vs central differences at random coords."""
     worst = 0.0
@@ -109,6 +185,49 @@ class TestDenseNetForward:
         clone = DenseNet.from_dict(net.to_dict())
         x = rng.standard_normal((5, 3))
         assert np.array_equal(net.forward(x), clone.forward(x))
+
+
+class TestInPlacePasses:
+    def test_forward_equals_the_out_of_place_oracle(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            net = random_net(rng)
+            shape = [(net.in_dim,), (int(rng.integers(1, 7)), net.in_dim), (3, 2, net.in_dim)][int(rng.integers(3))]
+            x = 2.0 * rng.standard_normal(shape)
+            y, cache = net.forward_cached(x)
+            want_y, want_cache = dense_forward_reference(net, x)
+            assert np.array_equal(y, want_y)
+            assert all(np.array_equal(a, b) for a, b in zip(cache, want_cache, strict=True))
+
+    def test_forward_leaves_its_input_alone_and_no_cache_entry_aliases_another(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            net = random_net(rng)
+            x = rng.standard_normal((int(rng.integers(1, 6)), net.in_dim))
+            before = x.copy()
+            _, cache = net.forward_cached(x)
+            assert np.array_equal(x, before)
+            for k, entry in enumerate(cache[1:], start=1):
+                assert not np.shares_memory(entry, x)
+                assert not any(np.shares_memory(entry, other) for other in cache[k + 1 :])
+
+    def test_backward_equals_the_out_of_place_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            net = random_net(rng)
+            batched = bool(rng.integers(2))
+            x = rng.standard_normal((5, net.in_dim) if batched else net.in_dim)
+            upstream = rng.standard_normal((5, net.out_dim) if batched else net.out_dim)
+            _, cache = net.forward_cached(x)
+            upstream_before = upstream.copy()
+            want_grads, want_dx = dense_backward_reference(net, cache, upstream)
+            grads, dx = net.backward(cache, upstream)
+            assert np.array_equal(upstream, upstream_before)
+            assert np.array_equal(dx, want_dx)
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads, strict=True))
+            grads, dx = net.backward(cache, upstream, input_grad=False)
+            assert dx is None
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads, strict=True))
 
 
 class TestDenseNetBackward:
@@ -303,3 +422,53 @@ class TestAdam:
             return net.forward(x)
 
         assert np.array_equal(run(), run())
+
+    def test_flat_state_equals_the_per_array_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(12):
+            shapes = [tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 3))) for _ in range(rng.integers(1, 8))]
+            params = [rng.standard_normal(shape) for shape in shapes]
+            oracle_params = [p.copy() for p in params]
+            kw = dict(lr=float(10 ** rng.uniform(-5, -1)), beta1=float(rng.uniform(0.5, 0.99)), beta2=float(rng.uniform(0.9, 0.9999)))
+            opt, oracle = Adam(params, **kw), AdamReference(oracle_params, **kw)
+            for _ in range(50):
+                scale = 10.0 ** rng.uniform(-8, 3)
+                grads = [scale * rng.standard_normal(shape) * (rng.random(shape) > 0.2) for shape in shapes]
+                norm = opt.step(params, grads)
+                want = oracle.step(oracle_params, grads)
+                assert norm == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert all(np.array_equal(p, q) for p, q in zip(params, oracle_params))
+                assert np.array_equal(opt.m, flat(oracle.m)) and np.array_equal(opt.v, flat(oracle.v))
+                assert opt.t == oracle.t
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_any_array_changes_nothing(self, bad):
+        rng = np.random.default_rng(44)
+        shapes = [(3, 4), (4,), (2, 3), (1,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        opt = Adam(params, lr=0.01)
+        for _ in range(3):
+            opt.step(params, [rng.standard_normal(shape) for shape in shapes])
+        for k, shape in enumerate(shapes):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            grads[k].flat[int(rng.integers(grads[k].size))] = bad
+            before = [p.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t
+            with pytest.raises(TrainingError):
+                opt.step(params, grads)
+            assert all(np.array_equal(p, q) for p, q in zip(params, before[0]))
+            assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+            assert opt.t == before[3]
+
+    def test_returns_the_norm_even_when_the_squares_overflow(self):
+        params = [np.zeros(2)]
+        with np.errstate(over="ignore"):
+            assert Adam(params).step(params, [np.array([1e200, 0.0])]) == np.inf
+        assert np.all(np.isfinite(params[0]))
+
+    def test_rejects_a_gradient_list_that_does_not_match(self):
+        params = [np.zeros((2, 2)), np.zeros(2)]
+        opt = Adam(params)
+        with pytest.raises(ContractViolation):
+            opt.step(params, [np.zeros((2, 2))])
+        with pytest.raises(ContractViolation):
+            opt.step(params, [np.zeros((2, 2)), np.zeros(3)])
