@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .critics import ALL_SOLUTIONS, parity_report
+from .critics import ALL_SOLUTIONS, SolutionId, parity_report
 from .env import ScenarioConfig
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .experiments import (
@@ -33,7 +33,18 @@ DEFAULT_OUT = os.environ.get("FANETQ_OUT", "runs")
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in text.split(",") if s != ""]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"--seeds must list non-negative integers, got {text!r}")
+    return seeds
+
+
+def _parse_solutions(text: str | None) -> list[str]:
+    """Comma-separated solution names, each checked; every solution when none is given."""
+    return [SolutionId.parse(name).name for name in text.split(",")] if text else ALL_SOLUTIONS
 
 
 def cmd_calibrate(args) -> int:
@@ -97,7 +108,7 @@ def cmd_eval(args) -> int:
 
 def cmd_metrics(args) -> int:
     cr_rand = SCENARIO_BASELINES[args.scenario]["target_cr_rand"]
-    solutions = args.solution.split(",") if args.solution else ALL_SOLUTIONS
+    solutions = _parse_solutions(args.solution)
     print(f"scenario {args.scenario}: CS threshold = {1.25 * cr_rand:.2f}")
     for sol in solutions:
         try:
@@ -131,7 +142,7 @@ def cmd_qmetrics(args) -> int:
 
 
 def cmd_export(args) -> int:
-    solutions = args.solution.split(",") if args.solution else ALL_SOLUTIONS
+    solutions = _parse_solutions(args.solution)
     records = []
     for sol in solutions:
         try:

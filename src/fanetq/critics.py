@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, read_json
 from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, checkpoint_fields
-from .qsim import N_QUBITS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
+from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 
 def _post_sizes(in_dim: int, hidden: int) -> tuple[list[int], list[str]]:
@@ -204,11 +204,7 @@ class QuantumCritic:
         # chain the common-shift angle gradient into xi and the pre block;
         # x = f(u * xi) with u the pre output
         u = features if features.ndim == 2 else features[None, :]
-        s = u * self.spec.xi
-        if self.spec.scaling_fn == "arctan":
-            dx_ds = 1.0 / (1.0 + s * s)
-        else:
-            dx_ds = np.ones_like(s)
+        dx_ds = SCALING_FNS[self.spec.scaling_fn][1](u * self.spec.xi)
         upstream_x = np.broadcast_to(grad_angles / batch, u.shape)
         grad_xi = (upstream_x * dx_ds * u).sum(axis=0)
         d_features = upstream_x * dx_ds * self.spec.xi

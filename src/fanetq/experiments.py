@@ -22,7 +22,7 @@ from .critics import ALL_SOLUTIONS, SolutionId, build_critic, save_critic
 from .env import ScenarioConfig, run_episodes
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .mappo import Trainer, TrainerConfig
-from .qmetrics import entanglement_capability, expressibility
+from .qmetrics import entanglement_capability, expressibility, sample_states
 from .qsim import VqcSpec
 
 CURVE_HEADER = ["env_steps", "cr_mean", "cr_std", "actor_loss", "critic_loss"]
@@ -399,7 +399,10 @@ def export_records(
 
 
 def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) -> list[dict]:
-    """Ent/Expr rows per solution; classical names get a not-applicable row."""
+    """Ent/Expr rows per solution; classical names get a not-applicable row.
+
+    Each circuit's states are sampled once, and both metrics score that ensemble.
+    """
     rows = []
     for name in solutions:
         sol = SolutionId.parse(name)
@@ -419,8 +422,9 @@ def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) 
             )
             continue
         spec = VqcSpec(n_layers=sol.n_layers, scaling_fn=sol.scaling_fn)
-        ent = entanglement_capability(spec, n_samples=n_samples, seed=seed)
-        expr = expressibility(spec, n_samples=n_samples, seed=seed)
+        batches = sample_states(spec, n_samples, seed)
+        ent = entanglement_capability(batches)
+        expr = expressibility(batches)
         rows.append(
             {
                 "circuit_id": name,

@@ -303,7 +303,8 @@ class Trainer:
 
         Advantages are normalized once per update.  Non-finite ratios skip a
         minibatch with a warning; a non-finite loss aborts the whole update
-        and restores the pre-update parameters.
+        and restores the pre-update parameters, Adam moments and steps, and
+        SPSA step count.  The RNG streams keep their advance.
         """
         cfg = self.cfg
         adv = batch.advantages
@@ -318,8 +319,10 @@ class Trainer:
 
         actor_snapshot = [p.copy() for p in self.actor.params()]
         critic_snapshot = [p.copy() for p in self.critic.adam_params()]
-        theta_snapshot = (
-            self.critic.spec.theta.copy() if self.critic.kind == "quantum" else None
+        opts = (self.actor_opt, self.critic_opt)
+        opt_snapshot = [(opt.m.copy(), opt.v.copy(), opt.t) for opt in opts]
+        circuit_snapshot = (
+            (self.critic.spec.theta.copy(), self.critic.spsa.k) if self.critic.kind == "quantum" else None
         )
 
         stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -374,9 +377,11 @@ class Trainer:
                 p[...] = snap
             for p, snap in zip(self.critic.adam_params(), critic_snapshot):
                 p[...] = snap
-            if theta_snapshot is not None:
-                self.critic.spec.theta = theta_snapshot
-            warnings.warn(f"update aborted, parameters restored: {exc}", RuntimeWarning)
+            for opt, (m, v, t) in zip(opts, opt_snapshot):
+                opt.m, opt.v, opt.t = m, v, t
+            if circuit_snapshot is not None:
+                self.critic.spec.theta, self.critic.spsa.k = circuit_snapshot
+            warnings.warn(f"update aborted, parameters and optimizers restored: {exc}", RuntimeWarning)
             stats.aborted = True
             return stats
 

@@ -23,6 +23,7 @@ DATA_ANGLE_LOW, DATA_ANGLE_HIGH = 0.0, 2.0 * np.pi
 THETA_LOW, THETA_HIGH = 0.0, np.pi
 DEFAULT_BINS = 75
 N_BATCHES = 10
+MIN_SAMPLES = 100
 EPS_EMPTY_BIN = 1e-12
 
 
@@ -31,16 +32,12 @@ class MetricEstimate:
     mean: float
     std: float
     n_samples: int
-    seed: int
 
     def __str__(self) -> str:
-        return f"{self.mean:.4f} +/- {self.std:.4f} (n={self.n_samples}, seed={self.seed})"
+        return f"{self.mean:.4f} +/- {self.std:.4f} (n={self.n_samples})"
 
 
-StateSampler = Callable[[int, np.random.Generator], np.ndarray]
-
-
-def circuit_state_sampler(spec: VqcSpec) -> StateSampler:
+def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
     """Sampler of output states for uniformly drawn data inputs and angles.
 
     Every sample gets its own full parameter vector: raw data inputs of
@@ -54,6 +51,21 @@ def circuit_state_sampler(spec: VqcSpec) -> StateSampler:
         return vqc_state(eval_spec, feats, theta=thetas)
 
     return sample
+
+
+def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[np.ndarray]:
+    """``N_BATCHES`` equal batches of output states drawn from one stream; both metrics score them.
+
+    ``n_samples`` must be a multiple of ``N_BATCHES`` and at least
+    ``MIN_SAMPLES``, so every requested state is drawn and scored.
+    """
+    if n_samples < MIN_SAMPLES or n_samples % N_BATCHES:
+        raise ContractViolation(
+            f"n_samples must be a multiple of {N_BATCHES} and at least {MIN_SAMPLES}, got {n_samples}"
+        )
+    sampler = circuit_state_sampler(spec)
+    rng = np.random.default_rng(seed)
+    return [sampler(n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
 
 
 def meyer_wallach(state: np.ndarray) -> float:
@@ -78,35 +90,18 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - purities.mean(axis=1))
 
 
-def entanglement_capability(
-    spec: VqcSpec,
-    n_samples: int = 5000,
-    seed: int = 0,
-    sampler: StateSampler | None = None,
-) -> MetricEstimate:
-    """Mean Meyer-Wallach measure over sampled output states.
+def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
+    """Mean Meyer-Wallach measure over a sampled state ensemble.
 
-    The mean is taken over all samples; the reported spread is the standard
-    deviation of the means of ``N_BATCHES`` equally sized batches.
+    The mean is taken over all states; the reported spread is the standard
+    deviation of the per-batch means.
     """
-    if n_samples < 100:
-        raise ContractViolation("need at least 100 samples")
-    sampler = sampler or circuit_state_sampler(spec)
-    rng = np.random.default_rng(seed)
-    per_batch = n_samples // N_BATCHES
-    batch_means = []
-    values = []
-    for _ in range(N_BATCHES):
-        states = sampler(per_batch, rng)
-        q = meyer_wallach_batch(states)
-        values.append(q)
-        batch_means.append(q.mean())
+    values = [meyer_wallach_batch(states) for states in batches]
     all_values = np.concatenate(values)
     return MetricEstimate(
         mean=float(all_values.mean()),
-        std=float(np.std(batch_means)),
+        std=float(np.std([q.mean() for q in values])),
         n_samples=all_values.size,
-        seed=seed,
     )
 
 
@@ -150,35 +145,20 @@ def _kl_from_counts(counts: np.ndarray, haar: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / haar)))
 
 
-def expressibility(
-    spec: VqcSpec,
-    n_samples: int = 5000,
-    n_bins: int = DEFAULT_BINS,
-    seed: int = 0,
-    sampler: StateSampler | None = None,
-) -> MetricEstimate:
-    """KL divergence between the circuit fidelity distribution and Haar.
+def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> MetricEstimate:
+    """KL divergence between the fidelity distribution of an ensemble and Haar.
 
-    Samples ``n_samples`` states and bins all unordered pair fidelities
-    (n_samples * (n_samples - 1) / 2 of them).  The mean uses every pair;
-    the spread is the standard deviation over per-batch estimates.
+    Bins all unordered pair fidelities of the pooled states (n (n - 1) / 2
+    of them for n states).  The mean uses every pair; the spread is the
+    standard deviation over per-batch estimates.
     """
-    if n_samples < 50:
-        raise ContractViolation("need at least 50 samples")
     if n_bins < 10:
         raise ContractViolation("need at least 10 bins")
-    sampler = sampler or circuit_state_sampler(spec)
-    rng = np.random.default_rng(seed)
     haar = haar_bin_probabilities(n_bins)
-    per_batch = n_samples // N_BATCHES
-    batches = [sampler(per_batch, rng) for _ in range(N_BATCHES)]
     batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
-    all_states = np.concatenate(batches, axis=0)
-    total_counts = fidelity_histogram(all_states, n_bins)
-    n_pairs = int(total_counts.sum())
+    total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)
     return MetricEstimate(
         mean=_kl_from_counts(total_counts, haar),
         std=float(np.std(batch_kls)),
-        n_samples=n_pairs,
-        seed=seed,
+        n_samples=int(total_counts.sum()),
     )

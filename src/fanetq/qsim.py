@@ -147,9 +147,10 @@ def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: fl
 # Data-reuploading circuit
 # ---------------------------------------------------------------------------
 
-SCALING_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda x: x,
-    "arctan": np.arctan,
+# each input scaling x = f(s), paired with its derivative dx/ds
+SCALING_FNS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = {
+    "identity": (lambda s: s, np.ones_like),
+    "arctan": (np.arctan, lambda s: 1.0 / (1.0 + s * s)),
 }
 
 N_QUBITS = 4
@@ -198,7 +199,7 @@ class VqcSpec:
 
     def scaled_angles(self, features: np.ndarray) -> np.ndarray:
         """x = f(o * xi) for raw pre-features o of shape (..., 4L)."""
-        return SCALING_FNS[self.scaling_fn](features * self.xi)
+        return SCALING_FNS[self.scaling_fn][0](features * self.xi)
 
     def to_dict(self) -> dict:
         return {

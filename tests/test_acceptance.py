@@ -21,7 +21,7 @@ from fanetq.experiments import (
 )
 from fanetq.mappo import TrainerConfig, gae
 from fanetq.nets import DenseNet, GaussianPolicyHead
-from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach
+from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach, sample_states
 from fanetq.qsim import SpsaState, VqcSpec, spsa_gradient, spsa_minimize, vqc_forward, vqc_state
 
 from tests.test_nets import finite_difference_check
@@ -56,8 +56,9 @@ def test_criterion_2_quantum_metric_reproduction():
         ents, exprs = {}, {}
         for scaling in ("identity", "arctan"):
             spec = VqcSpec(n_layers=1, scaling_fn=scaling)
-            ents[scaling] = entanglement_capability(spec, n_samples=5000, seed=seed).mean
-            exprs[scaling] = expressibility(spec, n_samples=5000, seed=seed).mean
+            batches = sample_states(spec, n_samples=5000, seed=seed)
+            ents[scaling] = entanglement_capability(batches).mean
+            exprs[scaling] = expressibility(batches).mean
         for scaling, (target, tol) in bands.items():
             if abs(ents[scaling] - target) > tol:
                 ok = False

@@ -251,3 +251,34 @@ def test_calibrate_failure_reports_sweep(capsys):
 def test_train_rejects_unknown_solution(capsys):
     with pytest.raises(SystemExit):
         main(["train", "--solution", "NN-5", "--scenario", "4a1s"])
+
+
+@pytest.mark.parametrize("seeds", ["a", "0,1.5", "", ",", "0,-1"], ids=["letter", "float", "empty", "only-a-comma", "negative"])
+def test_train_rejects_a_bad_seed_list_and_writes_nothing(tmp_path, capsys, seeds):
+    out_dir = tmp_path / "runs"
+    argv = ["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", seeds, "--steps", "1000", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: --seeds must list non-negative integers, got {seeds!r}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
+def test_unknown_solution_name_is_a_one_line_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rc = main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4,NN-5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fanetq: error: unknown solution 'NN-5'") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["1234", "90"])
+def test_qmetrics_rejects_a_sample_count_it_would_not_draw_exactly(tmp_path, capsys, samples):
+    out_csv = tmp_path / "q.csv"
+    assert main(["qmetrics", "--solutions", "VQC-1N", "--samples", samples, "--out", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: n_samples must be a multiple of 10 and at least 100, got {samples}\n"
+    assert not out_csv.exists()

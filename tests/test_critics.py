@@ -26,6 +26,8 @@ from fanetq.errors import ConfigError
 from fanetq.nets import GaussianPolicyHead
 from fanetq.qsim import VqcSpec, vqc_forward
 
+from tests.test_nets import finite_difference_check
+
 OBS_DIMS = {"4a1s": 52, "5a2s": 95}
 
 
@@ -167,6 +169,30 @@ class TestQuantumCritic:
         expected = theta0 - ak * (loss_at(+1.0) - loss_at(-1.0)) / (2.0 * ck * delta_theta)
         assert np.array_equal(critic.spec.theta, expected)
         assert critic.spsa.k == 1
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("scaling", ["identity", "arctan"])
+    def test_angle_gradient_chains_into_xi_and_pre_by_finite_differences(self, monkeypatch, scaling, batched):
+        # with the SPSA estimate pinned to g, the xi and pre gradients are those
+        # of sum(g_angles / batch * x) with x = f(pre(O) * xi)
+        import fanetq.critics as critics_module
+
+        rng = np.random.default_rng(9)
+        critic = QuantumCritic.create(12, 2, scaling, rng)
+        critic.spec.xi = rng.uniform(0.5, 2.0, 8)
+        O = rng.standard_normal((5, 12) if batched else 12)
+        n_theta = critic.spec.theta.size
+        g = rng.standard_normal(n_theta + critic.spec.n_features)
+        monkeypatch.setattr(critics_module, "spsa_gradient", lambda *args, **kwargs: (g.copy(), 0.0))
+        v, cache = critic.value_cached(O)
+        grads = critic.backward(cache, np.zeros_like(v), lambda values: 0.0)
+        w = g[n_theta:] / (5 if batched else 1)
+
+        def chained():
+            return float(np.sum(w * critic.spec.scaled_angles(critic.pre.forward(O))))
+
+        params = critic.pre.params() + [critic.spec.xi]
+        finite_difference_check(chained, params, grads[: len(params)], rng)
 
     def test_spsa_moves_theta_downhill_on_average(self):
         rng = np.random.default_rng(5)

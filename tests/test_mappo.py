@@ -593,6 +593,57 @@ class TestUpdateMechanics:
         for p, b in zip(critic.adam_params(), before_critic):
             assert np.array_equal(p, b)
 
+    @staticmethod
+    def optimizer_state(trainer):
+        opts = [(opt.m.copy(), opt.v.copy(), opt.t) for opt in (trainer.actor_opt, trainer.critic_opt)]
+        return opts, trainer.critic.spsa.k, trainer.critic.spec.theta.copy()
+
+    def assert_optimizer_state(self, trainer, expected):
+        (opts, k, theta), (want_opts, want_k, want_theta) = self.optimizer_state(trainer), expected
+        for (m, v, t), (wm, wv, wt) in zip(opts, want_opts):
+            assert np.array_equal(m, wm) and np.array_equal(v, wv) and t == wt
+        assert k == want_k and np.array_equal(theta, want_theta)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_aborted_update_restores_the_optimizers(self, warm):
+        cfg = cfg_4a1s()
+        critic = QuantumCritic.create(cfg.global_obs_dim, 1, "arctan", np.random.default_rng(13))
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=5)
+        batch, _ = collect_rollout(
+            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 5, 0, trainer.cfg
+        )
+        if warm:  # a clean update first, so the optimizers hold state that is not all zeros
+            assert not trainer.update(batch).aborted
+        before = self.optimizer_state(trainer)
+        batch.returns[:] = np.nan  # the actor steps through epoch 1, then the critic loss aborts
+        with pytest.warns(RuntimeWarning):
+            assert trainer.update(batch).aborted
+        self.assert_optimizer_state(trainer, before)
+
+    def test_abort_in_a_later_epoch_restores_the_critic_optimizer_and_spsa(self, monkeypatch):
+        import fanetq.mappo as mappo
+
+        inner = mappo._critic_loss_and_grads
+        calls = []
+
+        def nan_in_epoch_2(*args):
+            calls.append(None)
+            loss, grads = inner(*args)
+            return (np.nan if len(calls) > 1 else loss), grads
+
+        monkeypatch.setattr(mappo, "_critic_loss_and_grads", nan_in_epoch_2)
+        cfg = cfg_4a1s()
+        critic = QuantumCritic.create(cfg.global_obs_dim, 1, "arctan", np.random.default_rng(14))
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=6)
+        batch, _ = collect_rollout(
+            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 6, 0, trainer.cfg
+        )
+        before = self.optimizer_state(trainer)
+        with pytest.warns(RuntimeWarning):
+            assert trainer.update(batch).aborted
+        assert len(calls) == 2  # epoch 1's critic step ran, epoch 2's aborted
+        self.assert_optimizer_state(trainer, before)
+
     def test_clip_frac_is_the_mean_over_actor_minibatches(self, monkeypatch):
         import fanetq.mappo as mappo
 

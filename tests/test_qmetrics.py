@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fanetq.errors import ContractViolation
+from fanetq.experiments import qmetrics_report
 from fanetq.qmetrics import (
     DEFAULT_BINS,
-    MetricEstimate,
+    N_BATCHES,
+    _kl_from_counts,
     circuit_state_sampler,
     entanglement_capability,
     expressibility,
@@ -15,8 +17,9 @@ from fanetq.qmetrics import (
     haar_fidelity_pdf,
     meyer_wallach,
     meyer_wallach_batch,
+    sample_states,
 )
-from fanetq.qsim import VqcSpec, apply_1q, apply_cnot, ry_matrix, rz_matrix, zero_state
+from fanetq.qsim import VqcSpec, apply_1q, ry_matrix, rz_matrix, zero_state
 
 
 def brute_force_meyer_wallach(state):
@@ -54,6 +57,27 @@ def per_row_fidelity_histogram(states, n_bins):
             idx = np.minimum((row * n_bins).astype(int), n_bins - 1)
             counts += np.bincount(idx, minlength=n_bins)
     return counts
+
+
+def two_pass_reference(spec, n_samples, seed, n_bins=DEFAULT_BINS):
+    """The estimator that drew the ensemble once per metric: (Ent mean, std), (Expr mean, std)."""
+    sampler = circuit_state_sampler(spec)
+    per_batch = n_samples // N_BATCHES
+    rng = np.random.default_rng(seed)
+    batch_means, values = [], []
+    for _ in range(N_BATCHES):
+        q = meyer_wallach_batch(sampler(per_batch, rng))
+        values.append(q)
+        batch_means.append(q.mean())
+    ent = (float(np.concatenate(values).mean()), float(np.std(batch_means)))
+
+    rng = np.random.default_rng(seed)
+    haar = haar_bin_probabilities(n_bins)
+    batches = [sampler(per_batch, rng) for _ in range(N_BATCHES)]
+    batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
+    total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)
+    expr = (_kl_from_counts(total_counts, haar), float(np.std(batch_kls)))
+    return ent, expr
 
 
 class TestMeyerWallach:
@@ -103,8 +127,9 @@ class TestMeyerWallach:
             assert batch[i] == pytest.approx(meyer_wallach(states[i]), abs=1e-12)
 
 
-def product_state_sampler(n, rng):
+def product_state_batches(n, seed=0):
     """Random single-qubit rotations only: zero entanglement by construction."""
+    rng = np.random.default_rng(seed)
     states = np.empty((n, 16), dtype=complex)
     for i in range(n):
         s = zero_state(4)
@@ -112,52 +137,62 @@ def product_state_sampler(n, rng):
             s = apply_1q(s, ry_matrix(rng.uniform(0, np.pi)), q)
             s = apply_1q(s, rz_matrix(rng.uniform(0, 2 * np.pi)), q)
         states[i] = s
-    return states
+    return np.split(states, N_BATCHES)
 
 
-def idle_sampler(n, rng):
+def idle_batches(n):
     states = np.zeros((n, 16), dtype=complex)
     states[:, 0] = 1.0
-    return states
+    return np.split(states, N_BATCHES)
+
+
+def ent_of(spec, n_samples, seed):
+    return entanglement_capability(sample_states(spec, n_samples, seed))
+
+
+def expr_of(spec, n_samples, seed):
+    return expressibility(sample_states(spec, n_samples, seed))
 
 
 class TestEntanglementCapability:
     def test_no_entangling_gates_zero(self):
-        est = entanglement_capability(VqcSpec(n_layers=1), n_samples=300, seed=0, sampler=product_state_sampler)
+        est = entanglement_capability(product_state_batches(300))
         assert est.mean == pytest.approx(0.0, abs=1e-10)
         assert est.std == pytest.approx(0.0, abs=1e-10)
 
     def test_vqc_1n_reference_value(self):
-        est = entanglement_capability(VqcSpec(n_layers=1, scaling_fn="identity"), n_samples=2000, seed=0)
+        est = ent_of(VqcSpec(n_layers=1, scaling_fn="identity"), n_samples=2000, seed=0)
         assert abs(est.mean - 0.8476) < 0.04
 
     def test_stable_across_seeds(self):
         spec = VqcSpec(n_layers=1, scaling_fn="identity")
-        a = entanglement_capability(spec, n_samples=5000, seed=1)
-        b = entanglement_capability(spec, n_samples=5000, seed=2)
+        a = ent_of(spec, n_samples=5000, seed=1)
+        b = ent_of(spec, n_samples=5000, seed=2)
         assert abs(a.mean - b.mean) < 0.01
 
     def test_bounds(self):
         for scaling in ("identity", "arctan"):
-            est = entanglement_capability(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=500, seed=3)
+            est = ent_of(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=500, seed=3)
             assert 0.0 <= est.mean <= 1.0
             assert est.std >= 0.0
 
     def test_depth_regression_guard(self):
         # deeper circuits stay within 0.05 of the single-layer value
         for scaling in ("identity", "arctan"):
-            e1 = entanglement_capability(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=2000, seed=4)
-            e3 = entanglement_capability(VqcSpec(n_layers=3, scaling_fn=scaling), n_samples=2000, seed=4)
+            e1 = ent_of(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=2000, seed=4)
+            e3 = ent_of(VqcSpec(n_layers=3, scaling_fn=scaling), n_samples=2000, seed=4)
             assert e3.mean >= e1.mean - 0.05
 
     def test_requires_min_samples(self):
-        with pytest.raises(ContractViolation):
-            entanglement_capability(VqcSpec(n_layers=1), n_samples=10, seed=0)
+        # below MIN_SAMPLES, or a count the N_BATCHES equal batches cannot hold exactly
+        for n_samples in (10, 90, 99, 101, 1234):
+            with pytest.raises(ContractViolation):
+                sample_states(VqcSpec(n_layers=1), n_samples=n_samples, seed=0)
 
     def test_deterministic_given_seed(self):
         spec = VqcSpec(n_layers=1, scaling_fn="arctan")
-        a = entanglement_capability(spec, n_samples=500, seed=9)
-        b = entanglement_capability(spec, n_samples=500, seed=9)
+        a = ent_of(spec, n_samples=500, seed=9)
+        b = ent_of(spec, n_samples=500, seed=9)
         assert a == b
 
 
@@ -177,20 +212,18 @@ class TestExpressibility:
         assert np.abs(probs[:10] - np.array(quad[:10])).max() < 1e-6
 
     def test_idle_circuit_large_kl(self):
-        est = expressibility(VqcSpec(n_layers=1), n_samples=200, seed=0, sampler=idle_sampler)
+        est = expressibility(idle_batches(200))
         assert est.mean > 5.0
 
     def test_kl_nonnegative(self):
         for scaling in ("identity", "arctan"):
-            est = expressibility(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=500, seed=1)
+            est = expr_of(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=500, seed=1)
             assert est.mean >= 0.0
 
     def test_kl_zero_iff_matching_bins(self):
         # draw "fidelities" straight from the Haar bin distribution
         probs = haar_bin_probabilities(20)
         counts = np.round(probs * 1e7).astype(np.int64)
-        from fanetq.qmetrics import _kl_from_counts
-
         assert _kl_from_counts(counts, probs) == pytest.approx(0.0, abs=1e-6)
         shifted = np.roll(counts, 1)
         assert _kl_from_counts(shifted, probs) > 0.01
@@ -198,7 +231,7 @@ class TestExpressibility:
     def test_ordering_arctan_above_identity(self):
         vals = {}
         for scaling in ("identity", "arctan"):
-            est = expressibility(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=1500, seed=2)
+            est = expr_of(VqcSpec(n_layers=1, scaling_fn=scaling), n_samples=1500, seed=2)
             vals[scaling] = est.mean
         assert vals["arctan"] > vals["identity"]
 
@@ -218,9 +251,9 @@ class TestExpressibility:
 
     def test_requires_minimums(self):
         with pytest.raises(ContractViolation):
-            expressibility(VqcSpec(n_layers=1), n_samples=10, seed=0)
+            sample_states(VqcSpec(n_layers=1), n_samples=10, seed=0)
         with pytest.raises(ContractViolation):
-            expressibility(VqcSpec(n_layers=1), n_samples=500, n_bins=5, seed=0)
+            expressibility(sample_states(VqcSpec(n_layers=1), n_samples=500, seed=0), n_bins=5)
 
 
 class TestSamplerProperties:
@@ -235,6 +268,31 @@ class TestSamplerProperties:
         rng = np.random.default_rng(4)
         a = VqcSpec(n_layers=1, scaling_fn="identity")
         b = VqcSpec(n_layers=1, scaling_fn="identity", theta=rng.uniform(-2, 2, 12), xi=rng.uniform(0.5, 2, 4))
-        ea = entanglement_capability(a, n_samples=400, seed=5)
-        eb = entanglement_capability(b, n_samples=400, seed=5)
-        assert ea == eb
+        for sa, sb in zip(sample_states(a, 400, 5), sample_states(b, 400, 5)):
+            assert np.array_equal(sa, sb)
+
+
+class TestOneEnsemble:
+    def test_sample_states_draws_equal_batches_from_one_stream(self):
+        spec = VqcSpec(n_layers=2, scaling_fn="arctan")
+        batches = sample_states(spec, 300, 7)
+        assert [b.shape for b in batches] == [(30, 16)] * N_BATCHES
+        rng = np.random.default_rng(7)
+        sampler = circuit_state_sampler(spec)
+        for b in batches:
+            assert np.array_equal(b, sampler(30, rng))
+
+    @pytest.mark.parametrize("n_samples", [100, 500, 1000])
+    def test_report_rows_equal_the_two_pass_reference(self, n_samples):
+        names = [f"VQC-{L}{s}" for L in (1, 2, 3) for s in "NA"]
+        for seed in (0, 1, 2):
+            rows = qmetrics_report(names, n_samples, seed)
+            for row in rows:
+                spec = VqcSpec(n_layers=row["L"], scaling_fn=row["scaling_fn"])
+                (ent, ent_sd), (expr, expr_sd) = two_pass_reference(spec, n_samples, seed)
+                batches = sample_states(spec, n_samples, seed)
+                e, x = entanglement_capability(batches), expressibility(batches)
+                assert (e.mean, e.std, x.mean, x.std) == (ent, ent_sd, expr, expr_sd)
+                assert (row["ent_mean"], row["ent_std"]) == (round(ent, 6), round(ent_sd, 6))
+                assert (row["expr_mean"], row["expr_std"]) == (round(expr, 8), round(expr_sd, 8))
+                assert (row["n_samples"], row["seed"]) == (n_samples, seed)
