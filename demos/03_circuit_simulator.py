@@ -4,13 +4,15 @@ Builds small states gate by gate, runs the layered circuit, and minimizes a
 quadratic with the three-evaluation simultaneous-perturbation estimator.
 """
 
+import json
+
 import numpy as np
 
 from fanetq.qsim import (
     SpsaState,
     VqcSpec,
     apply_gate,
-    spsa_minimize,
+    spsa_gradient,
     vqc_forward,
     zero_state,
 )
@@ -31,12 +33,15 @@ for L in (1, 2, 3):
     z = vqc_forward(spec, feats)
     print(f"L={L}: {12*L} circuit weights, <Z> = {np.round(z, 4)}")
 
-print("\ncircuit description export:", VqcSpec(n_layers=1).to_json()[:80], "...")
+print("\ncircuit description export:", json.dumps(VqcSpec(n_layers=1).to_dict())[:80], "...")
 
-# SPSA: three loss evaluations per gradient estimate
+# SPSA: three loss evaluations per gradient estimate, then a step of size a_k
 target = rng.uniform(-1, 1, 12)
 state = SpsaState(a=0.6, c=0.1, rng=np.random.default_rng(1))
-theta, final = spsa_minimize(lambda th: float(np.sum((th - target) ** 2)),
-                             np.zeros(12), state, iterations=2000)
+theta = np.zeros(12)
+for _ in range(2000):
+    step = state.step_size()
+    grad, _ = spsa_gradient(lambda th: float(np.sum((th - target) ** 2)), theta, state)
+    theta = theta - step * grad
 print(f"\nSPSA on a 12-dim quadratic: final loss {float(np.sum((theta-target)**2)):.2e} "
       f"after {state.k} iterations (3 evaluations each)")

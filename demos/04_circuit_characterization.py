@@ -10,16 +10,15 @@ ensemble; the time column covers the sample and both scores.
 
 import time
 
-from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach, sample_states
+from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach_batch, sample_states
 from fanetq.qsim import VqcSpec
 import numpy as np
 
 # analytic anchors first
-bell = np.zeros(4, complex); bell[0] = bell[3] = 2 ** -0.5
-ghz = np.zeros(16, complex); ghz[0] = ghz[15] = 2 ** -0.5
-product = np.zeros(16, complex); product[5] = 1.0
-print(f"Meyer-Wallach anchors: product={meyer_wallach(product):.3f} "
-      f"bell={meyer_wallach(bell):.3f} ghz4={meyer_wallach(ghz):.3f}")
+bell = np.zeros((1, 4), complex); bell[0, [0, 3]] = 2 ** -0.5
+four_qubit = np.zeros((2, 16), complex); four_qubit[0, 5] = 1.0; four_qubit[1, [0, 15]] = 2 ** -0.5  # product, GHZ
+(bell_q,), (product_q, ghz_q) = meyer_wallach_batch(bell), meyer_wallach_batch(four_qubit)
+print(f"Meyer-Wallach anchors: product={product_q:.3f} bell={bell_q:.3f} ghz4={ghz_q:.3f}")
 
 print(f"\n{'circuit':8s} {'Ent':>18s} {'Expr (KL)':>22s}   time")
 for L in (1, 2, 3):

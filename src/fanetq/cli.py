@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .critics import ALL_SOLUTIONS, SolutionId, parity_report
-from .env import ScenarioConfig
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .experiments import (
     SCENARIO_BASELINES,
@@ -53,8 +52,7 @@ def cmd_calibrate(args) -> int:
     target = args.target if args.target is not None else info.get("target_cr_rand")
     tolerance = args.tolerance if args.tolerance is not None else info.get("tolerance", 2.0)
     if target is None:
-        print("error: --target required for non-registry scenarios", file=sys.stderr)
-        return 2
+        raise ConfigError("--target required for non-registry scenarios")
     try:
         cfg, sweep = calibrate(
             base,
@@ -108,13 +106,9 @@ def cmd_eval(args) -> int:
 
 def cmd_metrics(args) -> int:
     cr_rand = SCENARIO_BASELINES[args.scenario]["target_cr_rand"]
-    solutions = _parse_solutions(args.solution)
+    found = load_records(args.run_dir, args.scenario, _parse_solutions(args.solution))
     print(f"scenario {args.scenario}: CS threshold = {1.25 * cr_rand:.2f}")
-    for sol in solutions:
-        try:
-            records = load_records(args.run_dir, args.scenario, sol)
-        except ConfigError:  # no curves under this solution
-            continue
+    for sol, records in found.items():
         m = derive_metrics(records, cr_rand)
         cs = "not reached" if m["cs"] is None else f"{m['cs']:.0f}k"
         print(
@@ -142,16 +136,8 @@ def cmd_qmetrics(args) -> int:
 
 
 def cmd_export(args) -> int:
-    solutions = _parse_solutions(args.solution)
-    records = []
-    for sol in solutions:
-        try:
-            records.extend(load_records(args.run_dir, args.scenario, sol))
-        except ConfigError:  # no curves under this solution
-            continue
-    if not records:
-        print("no curves found", file=sys.stderr)
-        return 1
+    found = load_records(args.run_dir, args.scenario, _parse_solutions(args.solution))
+    records = [r for group in found.values() for r in group]
     paths = export_records(records, args.out_dir, fmt=args.format, smoothing=args.ema)
     for p in paths:
         print(f"wrote {p}")

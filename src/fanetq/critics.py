@@ -11,6 +11,7 @@ estimated gradient into the input scalings and the pre block.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, read_json
-from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, checkpoint_fields
+from .errors import ConfigError, ContractViolation, json_fields, read_json
+from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version
 from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 
@@ -91,7 +92,7 @@ class ClassicalCritic:
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalCritic":
         check_checkpoint_version(d)
-        return cls(*(DenseNet.from_dict(net) for net in checkpoint_fields(d, "pre", "core", "post")))
+        return cls(*(DenseNet.from_dict(net) for net in json_fields(d, "pre", "core", "post")))
 
 
 class QuantumCritic:
@@ -227,8 +228,8 @@ class QuantumCritic:
     @classmethod
     def from_dict(cls, d: dict, lr: float = 1e-4, spsa_seed: int = 0) -> "QuantumCritic":
         check_checkpoint_version(d)
-        pre, circuit, post = checkpoint_fields(d, "pre", "circuit", "post")
-        checkpoint_fields(circuit, "L", "scaling_fn", "theta", "xi", what="circuit")
+        pre, circuit, post = json_fields(d, "pre", "circuit", "post")
+        json_fields(circuit, "L", "scaling_fn", "theta", "xi", what="circuit")
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
         spsa.k = d.get("spsa_k", 0)
         return cls(DenseNet.from_dict(pre), VqcSpec.from_dict(circuit), DenseNet.from_dict(post), spsa)
@@ -287,43 +288,37 @@ class SolutionId:
         return cls(name=name, kind="quantum", n_layers=n_layers, scaling_fn=scaling)
 
 
-def _classical_total(obs_dim: int, width: int, post_hidden: int) -> int:
-    pre = (obs_dim + 1) * width
-    core = width * (width + 1)
-    post = (width + 1) if post_hidden == 0 else post_hidden * (width + 2) + 1
-    return pre + core + post
-
-
-def _quantum_total(obs_dim: int, n_layers: int, post_hidden: int) -> int:
-    feats = N_QUBITS * n_layers
-    pre = (obs_dim + 1) * feats
-    xi = feats
-    theta = 12 * n_layers
-    post = (N_QUBITS + 1) if post_hidden == 0 else post_hidden * (N_QUBITS + 2) + 1
-    return pre + xi + theta + post
-
-
+@functools.cache
 def tuned_post_hidden(scenario: str, obs_dim: int) -> dict[str, tuple[int, int]]:
     """Per-pair post-block hidden widths that minimize the weight gap.
 
     Mirrors the reference bookkeeping where neuron counts were chosen so the
     compared solutions' totals are as similar as possible.  Returns
     {nn_name: (classical_post_hidden, quantum_post_hidden)} keyed by pair.
+    Counts come from critics and post blocks built as ``create`` builds them,
+    once per scenario and observation size; every caller shares the cached
+    mapping, so none may change it.
     """
     if scenario not in PAIRINGS:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    rng = np.random.default_rng(0)  # only the weight counts are kept
+
+    def totals(critic) -> list[int]:
+        """The critic's weight total for each post hidden width."""
+        rest = critic.total_weights - critic.post.parameter_count
+        posts = (DenseNet.create(*_post_sizes(critic.post.in_dim, h), rng) for h in _POST_HIDDEN_CHOICES)
+        return [rest + post.parameter_count for post in posts]
+
     out = {}
     for nn_name, n_layers in PAIRINGS[scenario]:
-        width = SolutionId.parse(nn_name).width
-        best = None
-        for hc in _POST_HIDDEN_CHOICES:
-            twc = _classical_total(obs_dim, width, hc)
-            for hq in _POST_HIDDEN_CHOICES:
-                twq = _quantum_total(obs_dim, n_layers, hq)
-                key = (abs(twc - twq), hc + hq, max(hc, hq))
-                if best is None or key < best[0]:
-                    best = (key, hc, hq)
-        out[nn_name] = (best[1], best[2])
+        twc = totals(ClassicalCritic.create(obs_dim, SolutionId.parse(nn_name).width, rng))
+        twq = totals(QuantumCritic.create(obs_dim, n_layers, "identity", rng))
+        _, hc, hq = min(
+            ((abs(c - q), hc + hq, max(hc, hq)), hc, hq)
+            for hc, c in zip(_POST_HIDDEN_CHOICES, twc)
+            for hq, q in zip(_POST_HIDDEN_CHOICES, twq)
+        )
+        out[nn_name] = (hc, hq)
     return out
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, read_json
+from .errors import ConfigError, ContractViolation, json_fields, read_json
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
@@ -102,6 +102,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        json_fields(d, what="scenario")  # ConfigError unless d is a JSON object
         known = {f.name for f in fields(cls)}
         required = {f.name for f in fields(cls) if f.default is MISSING}
         if set(d) - known:

@@ -1,4 +1,4 @@
-"""Shared exception types, and the JSON file reader that maps unreadable input to them."""
+"""Shared exception types, and the JSON readers that map unreadable or ill-shaped input to them."""
 
 import json
 from pathlib import Path
@@ -32,3 +32,13 @@ def read_json(path) -> object:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def json_fields(d: dict, *keys: str, what: str = "checkpoint") -> list:
+    """The values of ``keys`` in a parsed JSON object; ConfigError when ``d`` is no object or lacks a key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"{what} has no {key!r}")
+    return [d[key] for key in keys]

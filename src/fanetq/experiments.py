@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .critics import ALL_SOLUTIONS, SolutionId, build_critic, save_critic
+from .critics import SolutionId, build_critic, save_critic
 from .env import ScenarioConfig, run_episodes
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .mappo import Trainer, TrainerConfig
@@ -115,8 +115,10 @@ def calibrate(
     then secant-refines at higher episode counts.  Raises CalibrationError
     with the sweep table attached when no candidate lands within tolerance.
     """
-    if target_cr <= 0:
-        raise ContractViolation("target CR must be positive")
+    if not (target_cr > 0 and math.isfinite(target_cr)):
+        raise ContractViolation(f"target CR must be positive and finite, got {target_cr}")
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     sweep: list[dict] = []
 
     def measure(rc: float, episodes: int, salt: int) -> float:
@@ -201,11 +203,6 @@ class RunRecord:
     seed: int
     curve: list[dict] = field(default_factory=list)
 
-    def save_csv(self, path: str | Path) -> None:
-        with csv_rows(path, CURVE_HEADER) as write:
-            for p in self.curve:
-                write(p)
-
     @classmethod
     def load_csv(cls, path: str | Path, solution: str, scenario: str, seed: int) -> "RunRecord":
         curve = []
@@ -237,14 +234,13 @@ def run_training(
     total_steps: int,
     out_dir: str | Path,
     trainer_cfg: TrainerConfig | None = None,
-    scenario_cfg: ScenarioConfig | None = None,
     save_checkpoints: bool = True,
 ) -> list[RunRecord]:
     """One RunRecord per seed; curves appended to disk as they grow."""
     SolutionId.parse(solution)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")
-    cfg = scenario_cfg or load_scenario(scenario)
+    cfg = load_scenario(scenario)
     tcfg = trainer_cfg or TrainerConfig()
     records = []
     for seed in seeds:
@@ -278,15 +274,19 @@ def run_training(
     return records
 
 
-def load_records(out_dir: str | Path, scenario: str, solution: str) -> list[RunRecord]:
-    base = Path(out_dir) / scenario / solution
-    records = []
-    for path in sorted(base.glob("seed*.csv")):
-        seed = int(path.stem.replace("seed", ""))
-        records.append(RunRecord.load_csv(path, solution, scenario, seed))
-    if not records:
-        raise ConfigError(f"no curves under {base}")
-    return records
+def load_records(out_dir: str | Path, scenario: str, solutions: list[str]) -> dict[str, list[RunRecord]]:
+    """The persisted curves of each solution that has any; ConfigError when none of them has."""
+    base = Path(out_dir) / scenario
+    found = {}
+    for solution in solutions:
+        paths = sorted((base / solution).glob("seed*.csv"))
+        if paths:
+            found[solution] = [
+                RunRecord.load_csv(path, solution, scenario, int(path.stem.replace("seed", ""))) for path in paths
+            ]
+    if not found:
+        raise ConfigError(f"no curves for {', '.join(solutions)} under {base}")
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -17,26 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, read_json
+from .errors import ConfigError, ContractViolation, TrainingError, json_fields, read_json
 
 CHECKPOINT_VERSION = 1
 
 LOG_2PI = np.log(2.0 * np.pi)
-
-
-def checkpoint_fields(d: dict, *keys: str, what: str = "checkpoint") -> list:
-    """The values of ``keys`` in a checkpoint dict; ConfigError names the first missing key."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in d:
-            raise ConfigError(f"{what} has no {key!r}")
-    return [d[key] for key in keys]
+INIT_LOG_STD = -0.5
 
 
 def check_checkpoint_version(d: dict) -> None:
     """Raise ConfigError unless a checkpoint dict carries CHECKPOINT_VERSION."""
-    (version,) = checkpoint_fields(d, "version")
+    (version,) = json_fields(d, "version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version!r}, this build reads {CHECKPOINT_VERSION}")
 
@@ -154,9 +145,7 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
-        shapes, activations, weights, biases = checkpoint_fields(
-            d, "shapes", "activations", "weights", "biases", what="dense net"
-        )
+        shapes, activations, weights, biases = json_fields(d, "shapes", "activations", "weights", "biases", what="dense net")
         try:
             weights = [np.asarray(w, dtype=float).reshape(shape) for w, shape in zip(weights, shapes, strict=True)]
             biases = [np.asarray(b, dtype=float) for b in biases]
@@ -178,17 +167,10 @@ class GaussianPolicyHead:
         self.log_std = log_std
 
     @classmethod
-    def create(
-        cls,
-        obs_dim: int,
-        action_dim: int,
-        hidden: Sequence[int],
-        rng: np.random.Generator,
-        init_log_std: float = -0.5,
-    ) -> "GaussianPolicyHead":
+    def create(cls, obs_dim: int, action_dim: int, hidden: Sequence[int], rng: np.random.Generator) -> "GaussianPolicyHead":
         sizes = [obs_dim, *hidden, action_dim]
         acts = ["tanh"] * len(hidden) + ["identity"]
-        return cls(DenseNet.create(sizes, acts, rng), np.full(action_dim, init_log_std))
+        return cls(DenseNet.create(sizes, acts, rng), np.full(action_dim, INIT_LOG_STD))
 
     @property
     def parameter_count(self) -> int:
@@ -199,15 +181,6 @@ class GaussianPolicyHead:
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
         return self.mean_net.forward(obs)
-
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(action, log density, mean) for action ~ Normal(mean(obs), exp(log_std)^2).
-
-        One ``rng.standard_normal`` draw of the action's shape per call.
-        """
-        mu = self.mean_net.forward(obs)
-        action = mu + np.exp(self.log_std) * rng.standard_normal(mu.shape)
-        return action, self._log_prob(mu, action), mu
 
     def _log_prob(self, mu: np.ndarray, action: np.ndarray) -> np.ndarray:
         z = (action - mu) / np.exp(self.log_std)
@@ -272,7 +245,7 @@ class GaussianPolicyHead:
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPolicyHead":
         check_checkpoint_version(d)
-        mean_net, log_std = checkpoint_fields(d, "mean_net", "log_std")
+        mean_net, log_std = json_fields(d, "mean_net", "log_std")
         try:
             log_std = np.asarray(log_std, dtype=float)
         except (TypeError, ValueError) as exc:

@@ -33,9 +33,6 @@ class MetricEstimate:
     std: float
     n_samples: int
 
-    def __str__(self) -> str:
-        return f"{self.mean:.4f} +/- {self.std:.4f} (n={self.n_samples})"
-
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
     """Sampler of output states for uniformly drawn data inputs and angles.
@@ -68,15 +65,6 @@ def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[n
     return [sampler(n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
 
 
-def meyer_wallach(state: np.ndarray) -> float:
-    """Global entanglement Q = 2 (1 - mean_k Tr rho_k^2) of a pure state."""
-    state = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-8:
-        raise ContractViolation(f"state norm {norm} is not 1")
-    return float(meyer_wallach_batch(state[None, :])[0])
-
-
 def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     """Vectorized Meyer-Wallach measure over a (batch, 2^n) stack."""
     states = np.asarray(states, dtype=complex)
@@ -103,11 +91,6 @@ def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
         std=float(np.std([q.mean() for q in values])),
         n_samples=all_values.size,
     )
-
-
-def haar_fidelity_pdf(fidelity: np.ndarray | float, dim: int = 2**N_QUBITS) -> np.ndarray | float:
-    """Haar-ensemble fidelity density (dim - 1)(1 - F)^(dim - 2)."""
-    return (dim - 1) * (1.0 - np.asarray(fidelity)) ** (dim - 2)
 
 
 def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:

@@ -9,7 +9,6 @@ is the most significant bit of the amplitude index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -171,11 +170,8 @@ class VqcSpec:
     scaling_fn: str = "identity"
     theta: np.ndarray = field(default=None)  # type: ignore[assignment]
     xi: np.ndarray = field(default=None)  # type: ignore[assignment]
-    n_qubits: int = N_QUBITS
 
     def __post_init__(self):
-        if self.n_qubits != N_QUBITS:
-            raise ContractViolation("the critic core circuit is fixed at 4 qubits")
         if self.n_layers < 1:
             raise ContractViolation("n_layers must be >= 1")
         if self.scaling_fn not in SCALING_FNS:
@@ -203,7 +199,7 @@ class VqcSpec:
 
     def to_dict(self) -> dict:
         return {
-            "n_qubits": self.n_qubits,
+            "n_qubits": N_QUBITS,
             "L": self.n_layers,
             "scaling_fn": self.scaling_fn,
             "theta": self.theta.tolist(),
@@ -212,20 +208,9 @@ class VqcSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VqcSpec":
-        return cls(
-            n_layers=d["L"],
-            scaling_fn=d["scaling_fn"],
-            theta=np.asarray(d["theta"]),
-            xi=np.asarray(d["xi"]),
-            n_qubits=d.get("n_qubits", N_QUBITS),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "VqcSpec":
-        return cls.from_dict(json.loads(text))
+        if d.get("n_qubits", N_QUBITS) != N_QUBITS:
+            raise ContractViolation("the critic core circuit is fixed at 4 qubits")
+        return cls(n_layers=d["L"], scaling_fn=d["scaling_fn"], theta=np.asarray(d["theta"]), xi=np.asarray(d["xi"]))
 
 
 def _basis_signs() -> np.ndarray:
@@ -397,19 +382,3 @@ def spsa_gradient(
     grad = (loss_plus - loss_minus) / (2.0 * ck * delta)
     state.k += 1
     return grad, loss_center
-
-
-def spsa_minimize(
-    loss_fn: Callable[[np.ndarray], float],
-    theta0: np.ndarray,
-    state: SpsaState,
-    iterations: int,
-) -> tuple[np.ndarray, float]:
-    """Plain SPSA descent loop; returns (theta, last center loss)."""
-    theta = np.array(theta0, dtype=float)
-    loss = float(loss_fn(theta))
-    for _ in range(iterations):
-        ak = state.step_size()
-        grad, loss = spsa_gradient(loss_fn, theta, state)
-        theta = theta - ak * grad
-    return theta, loss

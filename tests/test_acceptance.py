@@ -21,9 +21,10 @@ from fanetq.experiments import (
 )
 from fanetq.mappo import TrainerConfig, gae
 from fanetq.nets import DenseNet, GaussianPolicyHead
-from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach, sample_states
-from fanetq.qsim import SpsaState, VqcSpec, spsa_gradient, spsa_minimize, vqc_forward, vqc_state
+from fanetq.qmetrics import entanglement_capability, expressibility, sample_states
+from fanetq.qsim import SpsaState, VqcSpec, spsa_gradient, vqc_forward, vqc_state
 
+from tests.oracles import meyer_wallach, spsa_minimize
 from tests.test_nets import finite_difference_check
 from tests.test_qsim import dense_vqc_state
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fanetq import experiments
 from fanetq.cli import main
 from fanetq.nets import GaussianPolicyHead
 
@@ -117,6 +118,38 @@ def test_malformed_scenario_file_is_a_one_line_error(tmp_path, capsys):
     assert main(["eval", "--scenario", str(scenario), "--episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fanetq: error: {scenario} is not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["5", '"abc"', "[4, 1]"], ids=["number", "string", "list"])
+def test_scenario_file_that_is_not_a_json_object_is_a_one_line_error(tmp_path, capsys, content):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(content)
+    assert main(["eval", "--scenario", str(scenario), "--episodes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: scenario is not a JSON object\n"
+
+
+def test_calibrating_a_scenario_file_needs_a_target(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    experiments.load_scenario("4a1s").save(scenario)
+    assert main(["calibrate", "--scenario", str(scenario), "--episodes", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: --target required for non-registry scenarios\n"
+
+
+@pytest.mark.parametrize("option, name", [("--tolerance", "tolerance"), ("--target", "target CR")])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_calibrate_rejects_a_target_or_tolerance_before_it_sweeps(monkeypatch, capsys, option, name, value):
+    def no_measurement(*args, **kwargs):
+        raise AssertionError("calibrate measured a comm_range before checking its input")
+
+    monkeypatch.setattr(experiments, "random_baseline_cr", no_measurement)
+    assert main(["calibrate", "--scenario", "4a1s", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: {name} must be positive and finite, got {float(value)}\n"
 
 
 def test_train_metrics_export_pipeline(tmp_path, capsys):
@@ -262,6 +295,19 @@ def test_train_rejects_a_bad_seed_list_and_writes_nothing(tmp_path, capsys, seed
     assert captured.out == ""
     assert captured.err == f"fanetq: error: --seeds must list non-negative integers, got {seeds!r}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
+def test_no_curves_is_the_same_one_line_error_for_metrics_and_export(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    runs = tmp_path / "runs"
+    (runs / "4a1s" / "NN-7").mkdir(parents=True)  # a solution directory without a seed curve
+    rc = main(command + ["--run-dir", str(runs), "--scenario", "4a1s", "--solution", "NN-4,NN-7"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: no curves for NN-4, NN-7 under {runs / '4a1s'}\n"
+    assert not (tmp_path / "export").exists()
 
 
 @pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])

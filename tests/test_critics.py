@@ -20,10 +20,11 @@ from fanetq.critics import (
     load_critic,
     parity_report,
     save_critic,
+    tuned_post_hidden,
     weight_table,
 )
 from fanetq.errors import ConfigError
-from fanetq.nets import GaussianPolicyHead
+from fanetq.nets import DenseNet, GaussianPolicyHead
 from fanetq.qsim import VqcSpec, vqc_forward
 
 from tests.test_nets import finite_difference_check
@@ -67,6 +68,27 @@ class TestWeightBookkeeping:
     def test_pairs_within_five_percent(self, scenario):
         for row in parity_report(scenario, OBS_DIMS[scenario]):
             assert row["rel_gap"] <= PARITY_TOLERANCE, row
+
+    @pytest.mark.parametrize(
+        "scenario, post_hidden, totals",
+        [
+            ("4a1s", [("NN-4", (2, 3)), ("NN-7", (6, 4)), ("NN-10", (4, 0))], [(245, 247), (482, 481), (689, 689)]),
+            ("5a2s", [("NN-4", (2, 3)), ("NN-8", (0, 8)), ("NN-11", (5, 9))], [(417, 419), (849, 849), (1254, 1255)]),
+        ],
+    )
+    def test_tuned_widths_and_totals_match_the_readme_table(self, scenario, post_hidden, totals):
+        assert tuned_post_hidden(scenario, OBS_DIMS[scenario]) == dict(post_hidden)
+        rows = parity_report(scenario, OBS_DIMS[scenario])
+        # each NN-X is compared with both VQC-LN and VQC-LA of its depth
+        assert [(r["tw_classical"], r["tw_quantum"]) for r in rows] == [pair for pair in totals for _ in "NA"]
+
+    def test_tuned_widths_are_found_once_not_per_critic(self, monkeypatch):
+        build_critic("VQC-2A", "5a2s", OBS_DIMS["5a2s"], np.random.default_rng(0))
+        created = []
+        create = DenseNet.create
+        monkeypatch.setattr(DenseNet, "create", classmethod(lambda cls, *args: created.append(args[0]) or create(*args)))
+        build_critic("VQC-2A", "5a2s", OBS_DIMS["5a2s"], np.random.default_rng(0))
+        assert created == [[95, 8], [4, 8, 1]]  # the critic's own pre and post blocks, nothing more
 
     def test_counts_match_live_parameters(self):
         rng = np.random.default_rng(1)

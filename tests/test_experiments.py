@@ -19,7 +19,6 @@ from fanetq.experiments import (
     derive_metrics,
     ema_smooth,
     export_records,
-    load_records,
     load_scenario,
     qmetrics_report,
     random_baseline_cr,
@@ -29,6 +28,7 @@ from fanetq.experiments import (
 )
 from fanetq.mappo import TrainerConfig
 
+from tests.oracles import save_curve
 from tests.test_env import episode_cr_alone
 
 
@@ -152,7 +152,7 @@ class TestRunRecords:
     def test_csv_roundtrip_and_header(self, tmp_path):
         rec = synthetic_record("NN-4", 0, [10.0, 20.0, 30.0])
         path = tmp_path / "seed0.csv"
-        rec.save_csv(path)
+        save_curve(rec, path)
         text = path.read_text()
         assert text.splitlines()[0] == ",".join(CURVE_HEADER)
         assert "\r" not in text
@@ -295,7 +295,7 @@ class TestDeriveMetrics:
         recs = [synthetic_record("NN-4", s, [10 + s, 70 + s, 90 + s]) for s in range(3)]
         before = derive_metrics(recs, 60.20)
         for r in recs:
-            r.save_csv(tmp_path / f"seed{r.seed}.csv")
+            save_curve(r, tmp_path / f"seed{r.seed}.csv")
         reloaded = [
             RunRecord.load_csv(tmp_path / f"seed{s}.csv", "NN-4", "4a1s", s) for s in range(3)
         ]

