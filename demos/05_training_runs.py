@@ -6,19 +6,20 @@ campaign runs through the CLI:  fanetq train --solution NN-4 --scenario 4a1s
 
 import numpy as np
 
-from fanetq.critics import build_critic, weight_table
+from fanetq.critics import build_critic, parity_report
 from fanetq.experiments import derive_metrics, export_records, run_training
-from fanetq.mappo import TrainerConfig
 
 print("critic weight bookkeeping on 4A1S (CW classical, QW quantum):")
-for row in weight_table("4a1s", 52):
-    print(f"  {row['solution']:7s} CW={row['cw']:4d} QW={row['qw']:3d} TW={row['tw']:4d}")
+# every compared pair, each solution once: NN-4, VQC-1N, VQC-1A, NN-7, ...
+pairs = parity_report("4a1s", 52)
+for name in dict.fromkeys(n for row in pairs for n in (row["classical"], row["quantum"])):
+    critic = build_critic(name, "4a1s", 52, np.random.default_rng(0))
+    print(f"  {name:7s} CW={critic.classical_weights:4d} QW={critic.quantum_weights:3d} TW={critic.total_weights:4d}")
 
 STEPS = 20_000
 for solution in ("NN-4", "VQC-1N"):
     print(f"\ntraining {solution} on 4a1s for {STEPS} env steps (seed 0)...")
-    records = run_training(solution, "4a1s", [0], STEPS, "demo_runs",
-                           trainer_cfg=TrainerConfig(), save_checkpoints=False)
+    records = run_training(solution, "4a1s", [0], STEPS, "demo_runs")
     curve = records[0].curve
     print(f"  eval points: {len(curve)}")
     print(f"  CR trajectory: start {curve[0]['cr_mean']:.1f} -> best "

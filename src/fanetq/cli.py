@@ -22,10 +22,9 @@ from .experiments import (
     qmetrics_report,
     random_baseline_cr,
     run_training,
-    scenario_names,
     write_qmetrics_csv,
 )
-from .mappo import TrainerConfig, evaluate
+from .mappo import evaluate
 from .nets import GaussianPolicyHead
 
 DEFAULT_OUT = os.environ.get("FANETQ_OUT", "runs")
@@ -38,7 +37,15 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = []
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"--seeds must list non-negative integers, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds lists a seed more than once: {text!r}")
     return seeds
+
+
+def _check_seed(seed: int) -> None:
+    """``--seed`` follows the rule of ``--seeds``: a non-negative integer."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _parse_solutions(text: str | None) -> list[str]:
@@ -47,6 +54,7 @@ def _parse_solutions(text: str | None) -> list[str]:
 
 
 def cmd_calibrate(args) -> int:
+    _check_seed(args.seed)
     base = load_scenario(args.scenario)
     info = SCENARIO_BASELINES.get(args.scenario, {})
     target = args.target if args.target is not None else info.get("target_cr_rand")
@@ -77,15 +85,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tcfg = TrainerConfig()
-    records = run_training(
-        args.solution,
-        args.scenario,
-        _parse_seeds(args.seeds),
-        args.steps,
-        args.out_dir,
-        trainer_cfg=tcfg,
-    )
+    records = run_training(args.solution, args.scenario, _parse_seeds(args.seeds), args.steps, args.out_dir)
     for rec in records:
         final = rec.curve[-1]["cr_mean"] if rec.curve else float("nan")
         print(f"{rec.solution} {rec.scenario} seed={rec.seed}: {len(rec.curve)} eval points, final CR {final:.2f}")
@@ -93,6 +93,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_seed(args.seed)
     cfg = load_scenario(args.scenario)
     if args.checkpoint:
         actor = GaussianPolicyHead.load(args.checkpoint)
@@ -119,6 +120,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_qmetrics(args) -> int:
+    _check_seed(args.seed)
     solutions = args.solutions.split(",")
     rows = qmetrics_report(solutions, n_samples=args.samples, seed=args.seed)
     for row in rows:
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("metrics", help="derive MCR/CCR/CS from persisted curves")
     m.add_argument("--run-dir", default=DEFAULT_OUT)
-    m.add_argument("--scenario", required=True, choices=scenario_names())
+    m.add_argument("--scenario", required=True, choices=sorted(SCENARIO_BASELINES))
     m.add_argument("--solution", default=None)
     m.set_defaults(fn=cmd_metrics)
 
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("export", help="aggregated curves with SE bands and EMA smoothing")
     x.add_argument("--run-dir", default=DEFAULT_OUT)
-    x.add_argument("--scenario", required=True, choices=scenario_names())
+    x.add_argument("--scenario", required=True, choices=sorted(SCENARIO_BASELINES))
     x.add_argument("--solution", default=None)
     x.add_argument("--ema", type=float, default=0.0)
     x.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.set_defaults(fn=cmd_export)
 
     w = sub.add_parser("parity", help="weight bookkeeping for compared solution pairs")
-    w.add_argument("--scenario", required=True, choices=scenario_names())
+    w.add_argument("--scenario", required=True, choices=sorted(SCENARIO_BASELINES))
     w.set_defaults(fn=cmd_parity)
 
     return p

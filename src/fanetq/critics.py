@@ -162,28 +162,24 @@ class QuantumCritic:
         angles = self.spec.scaled_angles(features)
         z = self._run_circuit(angles, self.spec.theta)
         v, post_cache = self.post.forward_cached(z)
-        v = v[..., 0]
-        return v, (pre_cache, features, angles, post_cache, v)
+        return v[..., 0], (pre_cache, features, angles, post_cache)
 
     def backward(
         self,
         cache,
         d_value: np.ndarray,
-        loss_fn: Callable[[np.ndarray], float] = None,
-        loss_center: float | None = None,
+        loss_fn: Callable[[np.ndarray], float],
+        loss_center: float,
     ) -> list[np.ndarray]:
         """Hybrid gradients in adam_params() order; updates theta via SPSA.
 
         ``loss_fn(values)`` must return the scalar minibatch loss that the
-        caller is descending.  SPSA perturbs the joint vector (theta, a
-        common shift of the circuit's input angles); its center loss is
-        ``loss_center`` when the caller already has ``loss_fn`` of the cached
-        values, else it is computed from them, so each estimate costs two
-        more circuit evaluations, three in total.
+        caller is descending, and ``loss_center`` its value at the cached
+        values.  SPSA perturbs the joint vector (theta, a common shift of the
+        circuit's input angles) and reuses ``loss_center`` as its center, so
+        each estimate costs two more circuit evaluations, three in total.
         """
-        if loss_fn is None:
-            raise ContractViolation("quantum critic backward needs the minibatch loss_fn")
-        pre_cache, features, angles, post_cache, v = cache
+        pre_cache, features, angles, post_cache = cache
         d_value = np.asarray(d_value)
         batch = angles.shape[0] if angles.ndim == 2 else 1
         n_theta = self.spec.theta.size
@@ -196,8 +192,6 @@ class QuantumCritic:
 
         ak = self.spsa.step_size()
         center = np.concatenate([self.spec.theta, np.zeros(self.spec.n_features)])
-        if loss_center is None:
-            loss_center = loss_fn(v)
         grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_center)
         grad_theta, grad_angles = grad[:n_theta], grad[n_theta:]
         self.spec.theta = self.spec.theta - ak * grad_theta
@@ -263,7 +257,6 @@ PAIRINGS: dict[str, list[tuple[str, int]]] = {
     "5a2s": [("NN-4", 1), ("NN-8", 2), ("NN-11", 3)],
 }
 
-PARITY_TOLERANCE = 0.05
 _POST_HIDDEN_CHOICES = (0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16)
 
 
@@ -322,12 +315,11 @@ def tuned_post_hidden(scenario: str, obs_dim: int) -> dict[str, tuple[int, int]]
     return out
 
 
-def _pair_of(scenario: str, sol: SolutionId) -> tuple[str, int]:
-    for nn_name, n_layers in PAIRINGS[scenario]:
-        if sol.kind == "classical" and sol.name == nn_name:
-            return nn_name, n_layers
-        if sol.kind == "quantum" and sol.n_layers == n_layers:
-            return nn_name, n_layers
+def _pair_of(scenario: str, sol: SolutionId) -> str:
+    """The NN name of the compared pair that ``sol`` belongs to on ``scenario``."""
+    for nn_name, n_layers in PAIRINGS.get(scenario, ()):
+        if sol.name == nn_name or sol.n_layers == n_layers:
+            return nn_name
     raise ConfigError(f"solution {sol.name} is not defined for scenario {scenario!r}")
 
 
@@ -341,7 +333,7 @@ def build_critic(
 ):
     """Construct the critic a solution name resolves to on a scenario."""
     sol = SolutionId.parse(solution)
-    nn_name, n_layers = _pair_of(scenario, sol)
+    nn_name = _pair_of(scenario, sol)  # first, so a scenario without pairs names the solution
     hc, hq = tuned_post_hidden(scenario, global_obs_dim)[nn_name]
     if sol.kind == "classical":
         return ClassicalCritic.create(global_obs_dim, sol.width, rng, post_hidden=hc)
@@ -356,45 +348,22 @@ def build_critic(
     )
 
 
-def weight_table(scenario: str, global_obs_dim: int) -> list[dict]:
-    """CW/QW/TW bookkeeping rows for every solution of a scenario."""
-    rng = np.random.default_rng(0)
-    rows = []
-    for nn_name, n_layers in PAIRINGS[scenario]:
-        group = [nn_name] + [s for s in QUANTUM_SOLUTIONS if int(s[4]) == n_layers]
-        for name in group:
-            critic = build_critic(name, scenario, global_obs_dim, rng)
-            rows.append(
-                {
-                    "solution": name,
-                    "scenario": scenario,
-                    "cw": critic.classical_weights,
-                    "qw": critic.quantum_weights,
-                    "tw": critic.total_weights,
-                }
-            )
-    return rows
-
-
 def parity_report(scenario: str, global_obs_dim: int) -> list[dict]:
-    """Relative weight gap for each compared (NN, VQC) pair."""
-    rows = weight_table(scenario, global_obs_dim)
-    by_name = {r["solution"]: r for r in rows}
+    """Weight totals and their relative gap for each compared (NN, VQC) pair."""
+    rng = np.random.default_rng(0)  # only the weight counts are kept
     out = []
-    for nn_name, n_layers in PAIRINGS[scenario]:
-        for vqc in QUANTUM_SOLUTIONS:
-            if int(vqc[4]) != n_layers:
-                continue
-            twc = by_name[nn_name]["tw"]
-            twq = by_name[vqc]["tw"]
-            out.append(
-                {
-                    "scenario": scenario,
-                    "classical": nn_name,
-                    "quantum": vqc,
-                    "tw_classical": twc,
-                    "tw_quantum": twq,
-                    "rel_gap": abs(twc - twq) / min(twc, twq),
-                }
-            )
+    for name in QUANTUM_SOLUTIONS:
+        nn_name = _pair_of(scenario, SolutionId.parse(name))
+        twc = build_critic(nn_name, scenario, global_obs_dim, rng).total_weights
+        twq = build_critic(name, scenario, global_obs_dim, rng).total_weights
+        out.append(
+            {
+                "scenario": scenario,
+                "classical": nn_name,
+                "quantum": name,
+                "tw_classical": twc,
+                "tw_quantum": twq,
+                "rel_gap": abs(twc - twq) / min(twc, twq),
+            }
+        )
     return out

@@ -112,7 +112,10 @@ class ScenarioConfig:
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        """Write the config as indented JSON, creating missing parent directories."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":

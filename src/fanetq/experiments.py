@@ -52,8 +52,10 @@ def csv_rows(path: str | Path, header: list[str]):
     """Write a UTF-8, LF-terminated CSV: the header now, then one row per ``write(row)``.
 
     ``write`` takes a dict with every header key and flushes the row to disk,
-    so a run that dies leaves every row written so far readable.
+    so a run that dies leaves every row written so far readable.  Missing
+    parent directories are created.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
         writer.writeheader()
@@ -64,10 +66,6 @@ def csv_rows(path: str | Path, header: list[str]):
             fh.flush()
 
         yield write
-
-
-def scenario_names() -> list[str]:
-    return sorted(SCENARIO_BASELINES)
 
 
 def load_scenario(name_or_path: str) -> ScenarioConfig:
@@ -129,7 +127,7 @@ def calibrate(
 
     lo, hi = grid
     levels = np.arange(lo, hi + 1e-9, coarse_step)
-    prev_rc, prev_cr = None, None
+    prev_rc = None
     bracket = None
     for k, rc in enumerate(levels):
         cr = measure(float(rc), episodes_coarse, k)
@@ -139,7 +137,7 @@ def calibrate(
             else:
                 bracket = (prev_rc, float(rc))
             break
-        prev_rc, prev_cr = float(rc), cr
+        prev_rc = float(rc)
     if bracket is None:
         raise CalibrationError(
             f"target CR {target_cr} not reached anywhere on the grid {grid}", sweep
@@ -159,7 +157,6 @@ def calibrate(
     rc_a, rc_b = max(rc_lo - 0.005, lo), min(rc_hi + 0.005, hi)
     cr_a = measure(rc_a, episodes_refine, 200)
     cr_b = measure(rc_b, episodes_refine, 201)
-    rc, cr = rc_b, cr_b
     for k in range(3):
         slope = (cr_b - cr_a) / (rc_b - rc_a)
         if slope <= 0:
@@ -169,8 +166,7 @@ def calibrate(
         rc_a, cr_a, rc_b, cr_b = rc_b, cr_b, rc, cr
 
     refined = [row for row in sweep if row["episodes"] >= episodes_refine]
-    pool = refined or sweep
-    best = min(pool, key=lambda row: abs(row["cr_mean"] - target_cr))
+    best = min(refined, key=lambda row: abs(row["cr_mean"] - target_cr))
     final_cfg = _with_range(base_cfg, best["comm_range"])
     final_cr, _ = random_baseline_cr(final_cfg, episodes_refine, seed + 999)
     sweep.append({"comm_range": best["comm_range"], "episodes": episodes_refine, "cr_mean": final_cr})
@@ -234,9 +230,12 @@ def run_training(
     total_steps: int,
     out_dir: str | Path,
     trainer_cfg: TrainerConfig | None = None,
-    save_checkpoints: bool = True,
 ) -> list[RunRecord]:
-    """One RunRecord per seed; curves appended to disk as they grow."""
+    """One RunRecord per seed; curves appended to disk as they grow, then the actor and critic checkpoints.
+
+    The critic is built before anything is written, so a solution the
+    scenario does not define leaves no files behind.
+    """
     SolutionId.parse(solution)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")
@@ -244,18 +243,17 @@ def run_training(
     tcfg = trainer_cfg or TrainerConfig()
     records = []
     for seed in seeds:
+        critic = build_critic(
+            solution,
+            scenario,
+            cfg.global_obs_dim,
+            np.random.default_rng([seed, 2]),
+            lr=tcfg.lr,
+            spsa_seed=seed,
+        )
         csv_path = run_path(out_dir, scenario, solution, seed)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
         record = RunRecord(solution=solution, scenario=scenario, seed=seed)
         with csv_rows(csv_path, CURVE_HEADER) as write:
-            critic = build_critic(
-                solution,
-                scenario,
-                cfg.global_obs_dim,
-                np.random.default_rng([seed, 2]),
-                lr=tcfg.lr,
-                spsa_seed=seed,
-            )
             trainer = Trainer(cfg, critic, tcfg, seed=seed)
 
             def on_eval(point: dict) -> None:
@@ -267,9 +265,8 @@ def run_training(
             except Exception:
                 records.append(record)  # partial curve stays on disk
                 raise
-        if save_checkpoints:
-            trainer.actor.save(csv_path.with_name(f"seed{seed}_actor.json"))
-            save_critic(critic, csv_path.with_name(f"seed{seed}_critic.json"))
+        trainer.actor.save(csv_path.with_name(f"seed{seed}_actor.json"))
+        save_critic(critic, csv_path.with_name(f"seed{seed}_critic.json"))
         records.append(record)
     return records
 
@@ -361,7 +358,6 @@ def export_records(
     for r in records:
         by_key.setdefault((r.scenario, r.solution), []).append(r)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for (scenario, solution), group in sorted(by_key.items()):
         steps, mean, se = aggregate_curves(group)
@@ -375,6 +371,8 @@ def export_records(
             }
             for s, m, e, sm in zip(steps, mean, se, smoothed)
         ]
+        # made only once a table is built, so a bad smoothing factor or curve set writes nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{scenario}_{solution}.{fmt}"
         if fmt == "csv":
             with csv_rows(path, ["env_steps", "cr_mean", "cr_se", "cr_ema"]) as write:

@@ -172,10 +172,6 @@ class GaussianPolicyHead:
         acts = ["tanh"] * len(hidden) + ["identity"]
         return cls(DenseNet.create(sizes, acts, rng), np.full(action_dim, INIT_LOG_STD))
 
-    @property
-    def parameter_count(self) -> int:
-        return self.mean_net.parameter_count + self.log_std.size
-
     def params(self) -> list[np.ndarray]:
         return self.mean_net.params() + [self.log_std]
 

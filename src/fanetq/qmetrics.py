@@ -31,7 +31,6 @@ EPS_EMPTY_BIN = 1e-12
 class MetricEstimate:
     mean: float
     std: float
-    n_samples: int
 
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
@@ -85,12 +84,7 @@ def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
     deviation of the per-batch means.
     """
     values = [meyer_wallach_batch(states) for states in batches]
-    all_values = np.concatenate(values)
-    return MetricEstimate(
-        mean=float(all_values.mean()),
-        std=float(np.std([q.mean() for q in values])),
-        n_samples=all_values.size,
-    )
+    return MetricEstimate(mean=float(np.concatenate(values).mean()), std=float(np.std([q.mean() for q in values])))
 
 
 def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:
@@ -140,8 +134,4 @@ def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> Met
     haar = haar_bin_probabilities(n_bins)
     batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
     total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)
-    return MetricEstimate(
-        mean=_kl_from_counts(total_counts, haar),
-        std=float(np.std(batch_kls)),
-        n_samples=int(total_counts.sum()),
-    )
+    return MetricEstimate(mean=_kl_from_counts(total_counts, haar), std=float(np.std(batch_kls)))

@@ -326,34 +326,35 @@ def vqc_forward(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = 
 # ---------------------------------------------------------------------------
 
 
+# gain-schedule constants of every SPSA estimate
+SPSA_A = 50.0
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+
+
 @dataclass
 class SpsaState:
     """Gain schedule and RNG stream for simultaneous-perturbation estimates.
 
-    Step sizes a_k = a / (k + 1 + A)^alpha and perturbation magnitudes
-    c_k = c / (k + 1)^gamma, both positive and decreasing.
+    Step sizes a_k = a / (k + 1 + SPSA_A)^SPSA_ALPHA and perturbation
+    magnitudes c_k = c / (k + 1)^SPSA_GAMMA, both positive and decreasing.
     """
 
     a: float
     c: float = 0.1
-    A: float = 50.0
-    alpha: float = 0.602
-    gamma: float = 0.101
     k: int = 0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
     @classmethod
-    def matched_to_lr(cls, lr: float, seed: int = 0, **kwargs) -> "SpsaState":
+    def matched_to_lr(cls, lr: float, seed: int = 0) -> "SpsaState":
         """Pick ``a`` so the first step size equals the Adam learning rate."""
-        state = cls(a=1.0, rng=np.random.default_rng(seed), **kwargs)
-        state.a = lr * (1.0 + state.A) ** state.alpha
-        return state
+        return cls(a=lr * (1.0 + SPSA_A) ** SPSA_ALPHA, rng=np.random.default_rng(seed))
 
     def step_size(self) -> float:
-        return self.a / (self.k + 1 + self.A) ** self.alpha
+        return self.a / (self.k + 1 + SPSA_A) ** SPSA_ALPHA
 
     def perturbation_size(self) -> float:
-        return self.c / (self.k + 1) ** self.gamma
+        return self.c / (self.k + 1) ** SPSA_GAMMA
 
 
 def spsa_gradient(

@@ -188,13 +188,13 @@ def test_criterion_6_learning_smoke(tmp_path):
     threshold = 75.25
     results = {}
     for solution in ("NN-4", "VQC-1A"):
-        records = run_training(solution, "4a1s", [0, 1, 2], 200_000, tmp_path, save_checkpoints=False)
+        records = run_training(solution, "4a1s", [0, 1, 2], 200_000, tmp_path)
         steps, mean, _ = aggregate_curves(records)
         best = float(mean.max())
         crossed = bool((mean >= threshold).any())
         if not crossed:
             # spec-sanctioned fallback: extend the runs to 400k before failing
-            records = run_training(solution, "4a1s", [10, 11, 12], 400_000, tmp_path / "fallback", save_checkpoints=False)
+            records = run_training(solution, "4a1s", [10, 11, 12], 400_000, tmp_path / "fallback")
             steps, mean, _ = aggregate_curves(records)
             best = float(mean.max())
             crossed = bool((mean >= threshold).any())

@@ -22,6 +22,33 @@ def test_parity_command(capsys):
     assert out.count("gap") == 6
 
 
+PARITY_LINES = {
+    "4a1s": [
+        "  NN-4   vs VQC-1N : 245 / 247 weights, gap 0.82%",
+        "  NN-4   vs VQC-1A : 245 / 247 weights, gap 0.82%",
+        "  NN-7   vs VQC-2N : 482 / 481 weights, gap 0.21%",
+        "  NN-7   vs VQC-2A : 482 / 481 weights, gap 0.21%",
+        "  NN-10  vs VQC-3N : 689 / 689 weights, gap 0.00%",
+        "  NN-10  vs VQC-3A : 689 / 689 weights, gap 0.00%",
+    ],
+    "5a2s": [
+        "  NN-4   vs VQC-1N : 417 / 419 weights, gap 0.48%",
+        "  NN-4   vs VQC-1A : 417 / 419 weights, gap 0.48%",
+        "  NN-8   vs VQC-2N : 849 / 849 weights, gap 0.00%",
+        "  NN-8   vs VQC-2A : 849 / 849 weights, gap 0.00%",
+        "  NN-11  vs VQC-3N : 1254 / 1255 weights, gap 0.08%",
+        "  NN-11  vs VQC-3A : 1254 / 1255 weights, gap 0.08%",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PARITY_LINES))
+def test_parity_prints_the_readme_pairs_exactly(capsys, scenario):
+    # the totals and gaps of the README's weight-parity table, one line per compared pair
+    assert main(["parity", "--scenario", scenario]) == 0
+    assert capsys.readouterr().out.splitlines() == PARITY_LINES[scenario]
+
+
 def test_eval_random_baseline(capsys):
     assert main(["eval", "--scenario", "4a1s", "--episodes", "40", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -328,3 +355,62 @@ def test_qmetrics_rejects_a_sample_count_it_would_not_draw_exactly(tmp_path, cap
     assert captured.out == ""
     assert captured.err == f"fanetq: error: n_samples must be a multiple of 10 and at least 100, got {samples}\n"
     assert not out_csv.exists()
+
+
+def test_train_on_a_scenario_file_is_a_one_line_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    experiments.load_scenario("4a1s").save("my.json")
+    argv = ["train", "--solution", "NN-4", "--scenario", "my.json", "--seeds", "0", "--steps", "100", "--out-dir", "runs"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: solution NN-4 is not defined for scenario 'my.json'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["my.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--scenario", "4a1s", "--episodes", "1", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (
+            ["qmetrics", "--solutions", "VQC-1N", "--samples", "100", "--seed", "-2", "--out", "q.csv"],
+            "--seed must be a non-negative integer, got -2",
+        ),
+        (
+            ["calibrate", "--scenario", "4a1s", "--episodes", "10", "--seed", "-1", "--write", "--out", "c.json"],
+            "--seed must be a non-negative integer, got -1",
+        ),
+        (
+            ["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0,1,0", "--steps", "100", "--out-dir", "runs"],
+            "--seeds lists a seed more than once: '0,1,0'",
+        ),
+    ],
+    ids=["eval", "qmetrics", "calibrate", "train-repeated"],
+)
+def test_a_negative_or_repeated_seed_is_a_one_line_error_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_writers_create_missing_parent_directories(tmp_path, capsys):
+    out_csv = tmp_path / "new_dir" / "q.csv"
+    assert main(["qmetrics", "--solutions", "NN-4", "--samples", "100", "--out", str(out_csv)]) == 0
+    assert out_csv.read_text(encoding="utf-8").startswith("circuit_id,L,scaling_fn,")
+    scenario = tmp_path / "calibrated" / "4a1s.json"
+    experiments.load_scenario("4a1s").save(scenario)
+    assert experiments.load_scenario(str(scenario)).to_dict() == experiments.load_scenario("4a1s").to_dict()
+
+
+def test_export_rejects_a_bad_ema_factor_before_it_creates_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "export"
+    runs = Path(__file__).resolve().parent.parent / "runs"
+    argv = ["export", "--run-dir", str(runs), "--scenario", "4a1s", "--ema", "1.5", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: EMA factor must be in [0, 1)\n"
+    assert not out_dir.exists()

@@ -202,7 +202,7 @@ class TestRunRecords:
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
     def test_training_reproduces_committed_curve_prefix(self, tmp_path, solution):
         # 2000 env steps = one rollout/update and two evaluations of seed 0
-        run_training(solution, "4a1s", [0], 2000, tmp_path, save_checkpoints=False)
+        run_training(solution, "4a1s", [0], 2000, tmp_path)
         with open(run_path(tmp_path, "4a1s", solution, 0), newline="", encoding="utf-8") as fh:
             got = list(csv.DictReader(fh))
         committed = Path(__file__).resolve().parent.parent / "runs"
