@@ -21,6 +21,7 @@ from .experiments import (
     load_scenario,
     qmetrics_report,
     random_baseline_cr,
+    run_path,
     run_training,
     write_qmetrics_csv,
 )
@@ -85,7 +86,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    records = run_training(args.solution, args.scenario, _parse_seeds(args.seeds), args.steps, args.out_dir)
+    seeds = _parse_seeds(args.seeds)
+    for path in (run_path(args.out_dir, args.scenario, args.solution, seed) for seed in seeds):
+        if path.exists():  # never write over a curve, the committed reference runs included
+            raise ConfigError(f"{path} exists; train writes new curves only, so choose another --out-dir")
+    records = run_training(args.solution, args.scenario, seeds, args.steps, args.out_dir)
     for rec in records:
         final = rec.curve[-1]["cr_mean"] if rec.curve else float("nan")
         print(f"{rec.solution} {rec.scenario} seed={rec.seed}: {len(rec.curve)} eval points, final CR {final:.2f}")
@@ -122,6 +127,8 @@ def cmd_metrics(args) -> int:
 def cmd_qmetrics(args) -> int:
     _check_seed(args.seed)
     solutions = args.solutions.split(",")
+    if len(set(solutions)) < len(solutions):
+        raise ConfigError(f"--solutions lists a solution more than once: {args.solutions!r}")
     rows = qmetrics_report(solutions, n_samples=args.samples, seed=args.seed)
     for row in rows:
         if row["ent_mean"] == "not applicable":

@@ -141,6 +141,7 @@ class WorldState:
     links: np.ndarray | None = None  # (..., N, N) bool
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     dist: np.ndarray = field(init=False, repr=False, compare=False)
+    lk_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
@@ -249,45 +250,84 @@ def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
     return np.asarray(ptg_aircraft).mean(axis=-1)
 
 
+def _extrapolated(steps, dv: np.ndarray, dp: np.ndarray, squared: bool) -> np.ndarray:
+    """hypot(x, y), or x*x + y*y, of (x, y) = steps * dv + dp, x and y each built in place."""
+    x, y = (steps * dv[..., c] for c in (0, 1))
+    x += dp[..., 0]
+    y += dp[..., 1]
+    if not squared:
+        return np.hypot(x, y, out=x)
+    with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
+        return np.add(np.square(x, out=x), np.square(y, out=y), out=x)
+
+
+def _squared_range(r: float) -> tuple[float, float]:
+    """(lo, hi) = r*r less and plus a relative 1e-12; NaN, which sends every entry to hypot, if not normal floats."""
+    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
+    return (lo, hi) if lo >= _FLOAT.tiny and hi <= _FLOAT.max else (np.nan, np.nan)
+
+
+def _in_range(steps: np.ndarray, dv: np.ndarray, dp: np.ndarray, r: float) -> np.ndarray:
+    """hypot(steps * dv + dp) <= r per entry of (m,) steps and (m, 2) offsets.  x*x + y*y, within a few ulps
+    of the squared distance, decides every entry outside (lo, hi); the costly hypot decides the rest."""
+    lo, hi = _squared_range(r)
+    sq = _extrapolated(steps, dv, dp, squared=True)
+    within = sq <= lo
+    near = ~within & ~(sq >= hi)
+    if near.any():
+        within[near] = _extrapolated(steps[near], dv[near], dp[near], squared=False) <= r
+    return within
+
+
+def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
+    """(cfg, t0, counts, ambiguous, dv) for the world's remaining episode, t0 its step; see _lk_rows.
+
+    counts[k] (..., n_aircraft, N) counts the clearly-in steps from t0 + k on; ambiguous is the
+    np.nonzero of the (steps, ..., n_aircraft, N) ambiguous mask; dv holds the velocity offsets."""
+    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
+    n_steps, h = max(cfg.horizon - world.t, 0), cfg.horizon
+    x_max = 2.0 * (float(np.abs(world.pos).max()) + 2.0 * h * float(np.abs(world.vel).max()))
+    drift = 16.0 * (h + 10) * 2.0**-53 * (x_max * x_max + _FLOAT.tiny)
+    lo, hi = _squared_range(float(cfg.comm_range))
+    lo, hi = (lo, hi) if drift < lo else (np.nan, np.nan)  # NaN bounds leave every entry ambiguous
+    steps = np.arange(n_steps, dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
+    sq = _extrapolated(steps, dv, world.offsets, squared=True)
+    clear = sq <= lo - drift
+    counts = np.zeros((n_steps + 1,) + dv.shape[:-1], dtype=int)
+    np.cumsum(clear[::-1], axis=0, out=counts[:n_steps][::-1])
+    return cfg, world.t, counts, np.nonzero(~clear & ~(sq >= hi + drift)), dv
+
+
 def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     """(..., n_aircraft, N) lk features: fraction of the horizon a pair stays in range.
 
-    Counts steps s in {t, ..., horizon-1} at which the constant-velocity
-    extrapolations of aircraft i and entity j are within comm_range,
-    normalized by the full horizon; -1 where the pair is not in range now.
-    x and y are extrapolated separately and in place, which keeps the
-    (steps, ..., n_aircraft, N) temporaries to two.
+    Counts steps tau in {t, ..., horizon-1} at which the constant-velocity extrapolations from t of
+    aircraft i and entity j are within comm_range (``_in_range``), normalized by the full horizon;
+    -1 where the pair is not in range now.
 
-    In range means hypot(x, y) <= comm_range.  x*x + y*y is within a few
-    ulps of the squared distance, so it decides every pair farther than a
-    relative 1e-12 from the range; only those near it go through the costly
-    hypot, on offsets rebuilt in the same operation order.  When r*r with
-    that margin is not a normal float, every pair goes through hypot.
+    Velocities are fixed, so the first call on a world classifies its remaining episode once and
+    env_step carries the table on.  With sq extrapolated from the table's t0, an entry is clearly in
+    when sq <= lo - E and clearly out when sq >= hi + E; each step adds its own exact test of the
+    ambiguous rest to the clearly-in count.  E bounds |sq_t - sq_t0|, the drift from positions
+    re-added t - t0 times.  With u = 2**-53, P = max|pos| and V = max|vel| over the block,
+    X = 2(P + 2HV) bounds every |x|, |y|.  A re-addition rounds a position by <= u(P + HV), so an
+    offset drifts by <= HuX; the offset, s * dv (dv rounded) and the sum add <= 4uX at each side, so
+    |x_t - x_t0| <= (H + 8)uX.  The squares and their sum round by <= 4uX^2 at each side, so
+    |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on X^2 + tiny to cover underflow;
+    every entry is ambiguous when E is not below lo.
     """
-    dp = world.offsets
-    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
-    steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
-    x = steps * dv[..., 0]
-    x += dp[..., 0]
-    y = steps * dv[..., 1]
-    y += dp[..., 1]
     r = float(cfg.comm_range)  # a numpy scalar would warn where r * r overflows
-    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
-    if lo < _FLOAT.tiny or hi > _FLOAT.max:
-        within = np.hypot(x, y, out=x) <= r
-    else:
-        with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
-            x *= x
-            y *= y
-            x += y
-        within = x <= lo
-        near = x > lo
-        near &= x < hi
-        if near.any():
-            s, *pair = np.nonzero(near)
-            xn, yn = (s * dv[..., c][tuple(pair)] + dp[..., c][tuple(pair)] for c in (0, 1))
-            within[near] = np.hypot(xn, yn) <= r
-    return np.where(world.dist <= r, within.sum(axis=0) / cfg.horizon, -1.0)
+    if world.lk_table is None or world.lk_table[0] != cfg:
+        world.lk_table = _lk_table(world, cfg)
+    _, t0, counts, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
+    k = world.t - t0
+    counts, first = counts[k], int(np.searchsorted(s, k))
+    if first < len(s):
+        pair = tuple(p[first:] for p in pair)
+        within = _in_range(s[first:] - k, dv[pair], world.offsets[pair], r)
+        counts = counts.copy()
+        np.add.at(counts, pair, within)
+    return np.where(world.dist <= r, counts / cfg.horizon, -1.0)
 
 
 def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
@@ -326,6 +366,7 @@ def env_step(
         vel=world.vel,
         n_aircraft=world.n_aircraft,
     )
+    new.lk_table = world.lk_table
     new.links = resolve_links(new, joint_action, cfg)
     obs = observe_all(new, cfg)
     done = new.t >= cfg.horizon

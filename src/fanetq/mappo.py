@@ -174,7 +174,8 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
         return actions[:, t - t0]
 
     world, last_obs, rewards = step_episodes(world, k, scenario, policy)
-    values = np.stack([critic.value(g) for g in obs.reshape(b, k, -1)])  # one critic pass per episode
+    gobs = obs.reshape(b, k, -1)  # one stacked pass; at k = 1 the circuit would round its rows unlike (1, d) passes
+    values = critic.value(gobs) if k > 1 else np.stack([critic.value(g) for g in gobs])
     done = world.t == scenario.horizon
     bootstrap = 0.0 if done else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)

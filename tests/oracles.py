@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from fanetq.env import ScenarioConfig, WorldState, _aircraft_offsets
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
 from fanetq.nets import GaussianPolicyHead
 from fanetq.qmetrics import meyer_wallach_batch
@@ -59,3 +60,40 @@ def save_curve(record: RunRecord, path: str | Path) -> None:
     with csv_rows(path, CURVE_HEADER) as write:
         for point in record.curve:
             write(point)
+
+
+def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
+    """(..., n_aircraft, N) lk features, every pair extrapolated over every remaining step at this t.
+
+    The per-step form of the carried lk table: counts steps s in
+    {0, ..., horizon-t-1} at which offsets + s * velocity offsets are within
+    comm_range, normalized by the full horizon; -1 where the pair is not in
+    range now.  x*x + y*y decides every pair farther than a relative 1e-12
+    from the range, and hypot decides the rest, on offsets rebuilt in the
+    same operation order; every pair goes through hypot when r*r with that
+    margin is not a normal float.
+    """
+    dp = world.offsets
+    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
+    steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
+    x = steps * dv[..., 0]
+    x += dp[..., 0]
+    y = steps * dv[..., 1]
+    y += dp[..., 1]
+    r = float(cfg.comm_range)
+    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
+    if lo < np.finfo(float).tiny or hi > np.finfo(float).max:
+        within = np.hypot(x, y, out=x) <= r
+    else:
+        with np.errstate(over="ignore"):
+            x *= x
+            y *= y
+            x += y
+        within = x <= lo
+        near = x > lo
+        near &= x < hi
+        if near.any():
+            s, *pair = np.nonzero(near)
+            xn, yn = (s * dv[..., c][tuple(pair)] + dp[..., c][tuple(pair)] for c in (0, 1))
+            within[near] = np.hypot(xn, yn) <= r
+    return np.where(world.dist <= r, within.sum(axis=0) / cfg.horizon, -1.0)

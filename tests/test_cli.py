@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +356,33 @@ def test_qmetrics_rejects_a_sample_count_it_would_not_draw_exactly(tmp_path, cap
     assert captured.out == ""
     assert captured.err == f"fanetq: error: n_samples must be a multiple of 10 and at least 100, got {samples}\n"
     assert not out_csv.exists()
+
+
+def test_qmetrics_rejects_a_repeated_solution_before_sampling(tmp_path, monkeypatch, capsys):
+    sampled = []
+    monkeypatch.setattr(experiments, "sample_states", lambda *a: sampled.append(a))
+    out_csv = tmp_path / "q.csv"
+    argv = ["qmetrics", "--solutions", "VQC-1N,VQC-1A,VQC-1N", "--samples", "100", "--out", str(out_csv)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fanetq: error: --solutions lists a solution more than once: 'VQC-1N,VQC-1A,VQC-1N'\n"
+    assert sampled == [] and not out_csv.exists()
+
+
+def test_train_never_writes_over_a_committed_curve(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    shutil.copytree(Path(__file__).resolve().parent.parent / "runs", runs)
+    before = {p: p.read_bytes() for p in runs.rglob("*") if p.is_file()}
+    argv = ["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "5,1", "--steps", "100", "--out-dir", str(runs)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"fanetq: error: {runs / '4a1s' / 'NN-4' / 'seed1.csv'} exists; "
+        "train writes new curves only, so choose another --out-dir\n"
+    )
+    assert {p: p.read_bytes() for p in runs.rglob("*") if p.is_file()} == before
 
 
 def test_train_on_a_scenario_file_is_a_one_line_error_and_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -123,6 +123,16 @@ class TestWeightBookkeeping:
             assert critic.total_weights == critic.classical_weights + critic.quantum_weights
 
 
+@pytest.mark.parametrize("solution", ["NN-4", "NN-10", "VQC-1A", "VQC-2N", "VQC-3A"])
+@pytest.mark.parametrize("shape", [(40, 50), (1, 7), (3, 50), (64, 13)])
+def test_stacked_value_equals_each_episode_pass(solution, shape):
+    # a rollout block takes its (episodes, steps) values from one stacked pass
+    rng = np.random.default_rng(11)
+    critic = build_critic(solution, "4a1s", 52, rng)
+    O = rng.standard_normal(shape + (52,))
+    assert np.array_equal(critic.value(O), np.stack([critic.value(g) for g in O]))
+
+
 class TestClassicalCritic:
     def test_value_shape_and_determinism(self):
         rng = np.random.default_rng(2)

@@ -14,6 +14,7 @@ from fanetq.env import (
     ScenarioConfig,
     WorldState,
     _lk_rows,
+    _lk_table,
     clamp_actions,
     env_step,
     init_world,
@@ -24,6 +25,7 @@ from fanetq.env import (
     run_episodes,
 )
 from fanetq.errors import ConfigError, ContractViolation
+from tests.oracles import lk_rows_per_step
 
 
 def cfg_4a1s(comm_range=0.3, **kw):
@@ -357,6 +359,72 @@ class TestLkSquaredDistancePrefilter:
             assume(0.0 < d < np.inf)
             cfg = dataclasses.replace(cfg, comm_range=d)
         assert_lk_equals_plain_hypot(world, cfg)
+
+
+class TestCarriedLkTable:
+    # the table counts each pair's future once, from its first observed step;
+    # every later step must read the lk rows of extrapolating anew from its own
+    # offsets, which drift from the table's by the rounding of re-added positions
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=st.sampled_from([(), (2,)]),
+        n_aircraft=st.integers(1, 4),
+        n_ground=st.integers(1, 2),
+        horizon=st.integers(1, 50),
+        scale=st.sampled_from([0.0, 1e3, 1e5, 1e6, 1e7]),
+        nudge=st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_every_step_equals_the_per_step_oracle(self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
+        rng = np.random.default_rng(seed)
+        n = n_aircraft + n_ground
+        # entities within a few comm_range of each other, up to 1e7 comm_range from the origin
+        pos = scale * rng.uniform(0.5, 1.0, 2) + rng.uniform(-2.0, 2.0, batch + (n, 2))
+        vel = np.zeros_like(pos)
+        vel[..., :n_aircraft, :] = rng.uniform(-0.1, 0.1, batch + (n_aircraft, 2))
+        t0 = int(rng.integers(0, horizon))  # the table is built at t0, mid-episode when t0 > 0
+        # comm_range on (or a relative nudge off) one pair's distance at a future step, as seen from t0
+        i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, n))
+        assume(i != j)
+        dp, dv = pos[..., i, :] - pos[..., j, :], vel[..., i, :] - vel[..., j, :]
+        d = np.hypot(*np.moveaxis(float(rng.integers(0, horizon - t0)) * dv + dp, -1, 0)).flat[0]
+        cfg = ScenarioConfig(
+            n_aircraft=n_aircraft, n_ground=n_ground, comm_range=float(d) * (1.0 + nudge), horizon=horizon,
+            world_side=max(scale, 1.0),
+        )
+        world = WorldState(t=t0, pos=pos, vel=vel, n_aircraft=n_aircraft)
+        assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg))
+        table = world.lk_table
+        while world.t < horizon:
+            actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
+            world, obs, _, _ = env_step(world, actions, cfg)
+            assert world.lk_table is table
+            assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg)), world.t
+
+    def test_a_world_read_under_another_config_counts_anew(self):
+        # the pair starts 0.3 apart and closes in by 0.01 a step: always in range of 0.35, not now of 0.25
+        w = make_world([[0.0, 0.0], [0.3, 0.0]], n_aircraft=1, velocities=[[0.01, 0.0], [0.0, 0.0]])
+        short, wide = (ScenarioConfig(n_aircraft=1, n_ground=1, comm_range=r, horizon=10) for r in (0.25, 0.35))
+        assert [_lk_rows(w, cfg)[0, 1] for cfg in (short, wide, short)] == [-1.0, 1.0, -1.0]
+        w2, *_ = env_step(w, np.full((1, 1), 0.5), wide)
+        assert _lk_rows(w2, short)[0, 1] == -1.0 and _lk_rows(w2, wide)[0, 1] == 0.9
+
+    def test_one_table_per_episode_block(self, monkeypatch):
+        # a guard against counting the future anew at every step
+        import fanetq.env as env
+
+        builds = []
+        monkeypatch.setattr(env, "_lk_table", lambda world, cfg: builds.append(world.t) or _lk_table(world, cfg))
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
+        run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
+        assert builds == [0, 0, 0]  # blocks of 64, 64 and 2 episodes
+        builds.clear()
+        fanet = FanetEnv(cfg)
+        fanet.reset(3)
+        for _ in range(cfg.horizon):
+            fanet.step(np.full((cfg.n_aircraft, cfg.action_dim), 0.5))
+        assert builds == [0]
 
 
 class TestResolveLinks:
