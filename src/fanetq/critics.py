@@ -1,7 +1,9 @@
 """Centralized critics: classical pre/core/post stacks and the quantum-core variant.
 
 Both kinds expose ``value`` over global observations, an Adam-trainable
-parameter list, and weight bookkeeping split into classical/quantum counts.
+parameter list whose arrays are views of one flat vector (``flat``; their
+gradients are views of ``grad``, see ``fanetq.nets``), and weight
+bookkeeping split into classical/quantum counts.
 The quantum critic routes gradients per the hybrid scheme: exact backprop
 through the post block, a three-evaluation simultaneous-perturbation
 estimate for the circuit weights, and the same two perturbed evaluations
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, json_fields, read_json
-from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version
+from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, pack
 from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 
@@ -39,6 +41,9 @@ class ClassicalCritic:
         self.pre = pre
         self.core = core
         self.post = post
+        self.flat, self.grad, parts = pack([pre.flat, core.flat, post.flat])
+        for net, part in zip((pre, core, post), parts):
+            net.bind(*part)
 
     @classmethod
     def create(cls, global_obs_dim: int, width: int, rng: np.random.Generator, post_hidden: int = 0) -> "ClassicalCritic":
@@ -114,6 +119,9 @@ class QuantumCritic:
         self.post = post
         self.spsa = spsa
         self.circuit_evaluations = 0
+        self.flat, self.grad, (pre_part, (spec.xi, self._xi_grad), post_part) = pack([pre.flat, spec.xi, post.flat])
+        pre.bind(*pre_part)
+        post.bind(*post_part)
 
     @classmethod
     def create(
@@ -201,7 +209,7 @@ class QuantumCritic:
         u = features if features.ndim == 2 else features[None, :]
         dx_ds = SCALING_FNS[self.spec.scaling_fn][1](u * self.spec.xi)
         upstream_x = np.broadcast_to(grad_angles / batch, u.shape)
-        grad_xi = (upstream_x * dx_ds * u).sum(axis=0)
+        grad_xi = (upstream_x * dx_ds * u).sum(axis=0, out=self._xi_grad)
         d_features = upstream_x * dx_ds * self.spec.xi
         if features.ndim == 1:
             d_features = d_features[0]

@@ -330,22 +330,35 @@ def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     return np.where(world.dist <= r, counts / cfg.horizon, -1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _obs_index(n_aircraft: int, n_entities: int) -> np.ndarray:
+    """Read-only flat index of the observations in the rows [own ptg, then (ptg, lk, oc) per entity] of observe_all."""
+    ids = np.arange(n_aircraft * (1 + 3 * n_entities)).reshape(n_aircraft, -1)
+    others = ids[:, 1:].reshape(n_aircraft, n_entities, 3)[_not_self(n_aircraft, n_entities)]
+    index = np.concatenate([ids[:, :1], others.reshape(n_aircraft, -1)], axis=1).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     """(..., n_aircraft, obs_dim) local observations: [own ptg, then (ptg, lk, oc) per other entity].
 
     Other entities appear in ascending id order.  ``oc`` maps an entity's
     active connection count linearly so that 0 -> -1, 1 -> 0, 2 -> +1.
     Uses the most recent link graph; at episode start the graph is empty.
+    Each aircraft's row is written once and read out with one np.take (see _obs_index).
     """
     n_a, n = cfg.n_aircraft, cfg.n_entities
     batch = world.pos.shape[:-2]
     ptg = path_to_ground(world.links, world).astype(float)
-    block = np.empty(batch + (n_a, n, 3))
+    rows = np.empty(batch + (n_a, 1 + 3 * n))
+    rows[..., 0] = ptg[..., :n_a]
+    block = rows[..., 1:].reshape(batch + (n_a, n, 3))
     block[..., 0] = ptg[..., None, :]
     block[..., 1] = _lk_rows(world, cfg)
     block[..., 2] = world.links.sum(axis=-2)[..., None, :] - 1.0
-    others = block[..., _not_self(n_a, n), :].reshape(batch + (n_a, 3 * (n - 1)))
-    return np.concatenate([ptg[..., :n_a, None], others], axis=-1)
+    obs = np.take(rows.reshape(batch + (-1,)), _obs_index(n_a, n), axis=-1)
+    return obs.reshape(batch + (n_a, cfg.obs_dim))
 
 
 def env_step(

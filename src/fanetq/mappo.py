@@ -135,7 +135,7 @@ def collect_rollout(
         raise ContractViolation("steps must be positive")
     horizon = env.cfg.horizon
     if env.world is None or env.t >= horizon:
-        env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
+        env.world = init_world(env.cfg, base_seed + EPISODE_SEED_STRIDE * episode_counter)
         episode_counter += 1
     plan, world = [], env.world  # (start world, steps) per episode
     while steps > 0:
@@ -174,8 +174,7 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
         return actions[:, t - t0]
 
     world, last_obs, rewards = step_episodes(world, k, scenario, policy)
-    gobs = obs.reshape(b, k, -1)  # one stacked pass; at k = 1 the circuit would round its rows unlike (1, d) passes
-    values = critic.value(gobs) if k > 1 else np.stack([critic.value(g) for g in gobs])
+    values = critic.value(obs.reshape(b, k, -1))  # one stacked pass, equal to one pass per episode
     done = world.t == scenario.horizon
     bootstrap = 0.0 if done else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
@@ -191,30 +190,31 @@ def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old,
     loss = -mean(min(r A, clip(r) A)) - entropy_coeff * S
            + kl_coeff * mean(KL(old || new)).
     Returns (loss, grads in params() order, stats), or None when a ratio is
-    non-finite.
+    non-finite.  The clip is minimum(maximum()), which equals np.clip on the
+    finite ratios that reach it; each mean is add.reduce / m, as np.mean is.
     """
     m = obs.shape[0]
     lp_new, mu_new, cache = actor.log_prob_cached(obs, actions)
     ratio = np.exp(lp_new - log_prob_old)
-    if not np.all(np.isfinite(ratio)):
+    if not np.isfinite(ratio).all():
         return None  # caller skips this minibatch
-    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     unclipped_term = ratio * advantages
-    clipped_term = clipped * advantages
+    clipped_term = np.minimum(np.maximum(ratio, lo), hi)
+    clipped_term *= advantages
     surr = np.minimum(unclipped_term, clipped_term)
-    inside = (ratio > 1.0 - cfg.clip_eps) & (ratio < 1.0 + cfg.clip_eps)
-    active = (unclipped_term <= clipped_term) | inside
+    active = (unclipped_term <= clipped_term) | ((ratio > lo) & (ratio < hi))
     d_lp = -(active * ratio * advantages) / m
 
     kl, d_mu_kl, d_log_std_kl = actor.kl_divergence(mu_old, log_std_old, mu_new, scale=cfg.kl_coeff / m)
-    grads = actor.backward_log_prob(cache, mu_new, actions, d_lp, d_mu_kl)
+    grads = actor.backward_log_prob(cache, d_lp, d_mu_kl)
     d_log_std = grads[-1]
     d_log_std -= cfg.entropy_coeff
     d_log_std += d_log_std_kl
 
-    kl_mean, entropy = float(kl.mean()), actor.entropy()
-    loss = float(-surr.mean() - cfg.entropy_coeff * entropy + cfg.kl_coeff * kl_mean)
-    stats = {"kl": kl_mean, "entropy": entropy, "clip_frac": float((~active).mean())}
+    kl_mean, entropy = float(np.add.reduce(kl) / m), actor.entropy()
+    loss = float(-(np.add.reduce(surr) / m) - cfg.entropy_coeff * entropy + cfg.kl_coeff * kl_mean)
+    stats = {"kl": kl_mean, "entropy": entropy, "clip_frac": float(np.count_nonzero(~active) / m)}
     return loss, grads, stats
 
 
@@ -244,19 +244,24 @@ def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg):
     return loss, grads
 
 
-def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, seed: int) -> tuple[float, float]:
-    """Deterministic-mean-action episode CR statistics.
+def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, seed):
+    """Deterministic-mean-action episode CR statistics, (mean, std).
 
     Execution is decentralized: only local observations reach the actor,
     and no critic (hence no global observation) exists here.  CR per
-    episode is the sum over steps of connected-aircraft counts.
+    episode is the sum over steps of connected-aircraft counts.  For a
+    sequence of seeds, the episodes of all of them run as one block and
+    the result is a list with one (mean, std) per seed, each equal to its
+    own call.
     """
     if n_episodes < 1:
         raise ContractViolation("n_episodes must be positive")
-    seeds = range(seed, seed + EVAL_SEED_STRIDE * n_episodes, EVAL_SEED_STRIDE)
+    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]
     # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order
-    crs = run_episodes(cfg, seeds, lambda obs, t: actor.mean(obs))
-    return float(crs.mean()), float(crs.std())
+    crs = run_episodes(cfg, episode_seeds, lambda obs, t: actor.mean(obs)).reshape(len(seeds), n_episodes)
+    stats = [(float(row.mean()), float(row.std())) for row in crs]
+    return stats[0] if isinstance(seed, numbers.Integral) else stats
 
 
 @dataclass
@@ -291,8 +296,8 @@ class Trainer:
             scenario_cfg.obs_dim, scenario_cfg.action_dim, ACTOR_HIDDEN, actor_rng
         )
         self.critic = critic
-        self.actor_opt = Adam(self.actor.params(), lr=self.cfg.lr)
-        self.critic_opt = Adam(critic.adam_params(), lr=self.cfg.lr)
+        self.actor_opt = Adam(self.actor.flat, lr=self.cfg.lr)
+        self.critic_opt = Adam(critic.flat, lr=self.cfg.lr)
         self.rollout_rng = np.random.default_rng([seed, 1])
         self.shuffle_rng = np.random.default_rng([seed, 2])
         self.episode_counter = 0
@@ -312,14 +317,16 @@ class Trainer:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         S, n = batch.n_steps, batch.n_agents
-        obs_flat = batch.obs.reshape(S * n, -1)
-        act_flat = batch.actions.reshape(S * n, -1)
-        lp_flat = batch.log_prob_old.reshape(S * n)
-        mu_flat = batch.mu_old.reshape(S * n, -1)
-        adv_flat = np.repeat(adv, n)
+        actor_rows = (
+            batch.obs.reshape(S * n, -1),
+            batch.actions.reshape(S * n, -1),
+            batch.log_prob_old.reshape(S * n),
+            np.repeat(adv, n),
+            batch.mu_old.reshape(S * n, -1),
+        )
+        critic_rows = (batch.global_obs, batch.returns, batch.values)
 
-        actor_snapshot = [p.copy() for p in self.actor.params()]
-        critic_snapshot = [p.copy() for p in self.critic.adam_params()]
+        actor_snapshot, critic_snapshot = self.actor.flat.copy(), self.critic.flat.copy()
         opts = (self.actor_opt, self.critic_opt)
         opt_snapshot = [(opt.m.copy(), opt.v.copy(), opt.t) for opt in opts]
         circuit_snapshot = (
@@ -331,18 +338,13 @@ class Trainer:
         n_critic_mb = 0
         try:
             for _ in range(cfg.epochs):
+                # one gather per epoch; each minibatch is a contiguous slice of the shuffled rows
                 order = self.shuffle_rng.permutation(S * n)
+                obs, act, lp, adv_rows, mu = (rows[order] for rows in actor_rows)
                 for lo in range(0, S * n, cfg.minibatch_size):
-                    idx = order[lo : lo + cfg.minibatch_size]
+                    mb = slice(lo, lo + cfg.minibatch_size)
                     res = _actor_loss_and_grads(
-                        self.actor,
-                        obs_flat[idx],
-                        act_flat[idx],
-                        lp_flat[idx],
-                        adv_flat[idx],
-                        mu_flat[idx],
-                        batch.log_std_old,
-                        cfg,
+                        self.actor, obs[mb], act[mb], lp[mb], adv_rows[mb], mu[mb], batch.log_std_old, cfg
                     )
                     if res is None:
                         stats.skipped_minibatches += 1
@@ -351,7 +353,7 @@ class Trainer:
                     loss, grads, mb_stats = res
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite actor loss")
-                    stats.actor_grad_norm += self.actor_opt.step(self.actor.params(), grads)
+                    stats.actor_grad_norm += self.actor_opt.step(self.actor.flat, self.actor.grad)
                     stats.actor_loss += loss
                     stats.kl += mb_stats["kl"]
                     stats.clip_frac += mb_stats["clip_frac"]
@@ -359,25 +361,18 @@ class Trainer:
                     n_actor_mb += 1
 
                 step_order = self.shuffle_rng.permutation(S)
+                global_obs, returns, values = (rows[step_order] for rows in critic_rows)
                 for lo in range(0, S, cfg.minibatch_size):
-                    idx = step_order[lo : lo + cfg.minibatch_size]
-                    loss, grads = _critic_loss_and_grads(
-                        self.critic,
-                        batch.global_obs[idx],
-                        batch.returns[idx],
-                        batch.values[idx],
-                        cfg,
-                    )
+                    mb = slice(lo, lo + cfg.minibatch_size)
+                    loss, grads = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
-                    stats.critic_grad_norm += self.critic_opt.step(self.critic.adam_params(), grads)
+                    stats.critic_grad_norm += self.critic_opt.step(self.critic.flat, self.critic.grad)
                     stats.critic_loss += loss
                     n_critic_mb += 1
         except TrainingError as exc:
-            for p, snap in zip(self.actor.params(), actor_snapshot):
-                p[...] = snap
-            for p, snap in zip(self.critic.adam_params(), critic_snapshot):
-                p[...] = snap
+            self.actor.flat[...] = actor_snapshot
+            self.critic.flat[...] = critic_snapshot
             for opt, (m, v, t) in zip(opts, opt_snapshot):
                 opt.m, opt.v, opt.t = m, v, t
             if circuit_snapshot is not None:
@@ -400,9 +395,10 @@ class Trainer:
         """Run rollout/update cycles for ``total_steps`` env steps.
 
         Evaluates the deterministic policy every ``eval_interval`` env steps
-        (one evaluation per crossed boundary) and returns the curve as a
+        (one evaluation per crossed boundary; the boundaries one update
+        crosses share one ``evaluate`` call) and returns the curve as a
         list of {env_steps, cr_mean, cr_std, actor_loss, critic_loss} dicts.
-        ``on_eval(point)`` is called after each evaluation.
+        ``on_eval(point)`` is called after each point's evaluation.
         """
         cfg = self.cfg
         curve: list[dict] = []
@@ -410,29 +406,21 @@ class Trainer:
         while self.env_steps < total_steps:
             steps = min(cfg.rollout_steps, total_steps - self.env_steps)
             batch, self.episode_counter = collect_rollout(
-                self.env,
-                self.actor,
-                self.critic,
-                steps,
-                self.rollout_rng,
-                self.seed,
-                self.episode_counter,
-                cfg,
+                self.env, self.actor, self.critic, steps, self.rollout_rng, self.seed, self.episode_counter, cfg
             )
             self.env_steps += steps
             self.last_stats = self.update(batch)
-            while next_eval <= self.env_steps:
-                eval_seed = int(np.random.default_rng([self.seed, 3, next_eval]).integers(0, 2**31 - 1))
-                cr_mean, cr_std = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seed)
-                point = {
-                    "env_steps": next_eval,
-                    "cr_mean": cr_mean,
-                    "cr_std": cr_std,
-                    "actor_loss": self.last_stats.actor_loss,
-                    "critic_loss": self.last_stats.critic_loss,
-                }
+            due = range(next_eval, self.env_steps + 1, cfg.eval_interval)  # the points this update crossed
+            if not due:
+                continue
+            next_eval = due[-1] + cfg.eval_interval
+            eval_seeds = [int(np.random.default_rng([self.seed, 3, at]).integers(0, 2**31 - 1)) for at in due]
+            # one evaluate call, so one block of episodes, for all of them
+            results = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seeds)
+            losses = {"actor_loss": self.last_stats.actor_loss, "critic_loss": self.last_stats.critic_loss}
+            for at, (cr_mean, cr_std) in zip(due, results):
+                point = {"env_steps": at, "cr_mean": cr_mean, "cr_std": cr_std, **losses}
                 curve.append(point)
                 if on_eval is not None:
                     on_eval(point)
-                next_eval += cfg.eval_interval
         return curve

@@ -7,11 +7,17 @@ the leading axis; a forward pass also takes further leading axes, as in the
 (episodes, n_aircraft, obs_dim) observations of a block of episodes.  Backward
 computes gradients of the *sum* of per-sample contributions, so callers pass
 upstream values already scaled for means.
+
+Each owner (a policy head, a critic or a lone net) keeps its parameters in
+one flat vector, ``flat``, and its gradients in another, ``grad``; params()
+and a backward pass return views of them, so one Adam pass steps an owner.
+A backward pass overwrites the gradients of the one before it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +36,25 @@ def check_checkpoint_version(d: dict) -> None:
     (version,) = json_fields(d, "version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version!r}, this build reads {CHECKPOINT_VERSION}")
+
+
+def views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of ``flat`` with the given shapes, laid out one after another."""
+    out, lo = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[lo : lo + n].reshape(shape))
+        lo += n
+    return out
+
+
+def pack(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(flat, grad, segments): the 1-D ``parts`` copied into one new vector, a
+    gradient vector of its size, and one (parameter, gradient) pair of segments per part."""
+    flat = np.concatenate(parts)
+    grad = np.empty_like(flat)
+    shapes = [part.shape for part in parts]
+    return flat, grad, list(zip(views(flat, shapes), views(grad, shapes)))
 
 
 def _act(x: np.ndarray, kind: str) -> None:
@@ -55,6 +80,15 @@ class DenseNet:
         self.weights = weights
         self.biases = biases
         self.activations = activations
+        self._shapes = [p.shape for p in self.params()]
+        flat, grad, _ = pack([p.ravel() for p in self.params()])
+        self.bind(flat, grad)
+
+    def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Hold the parameters as views of ``flat`` and the gradients as views of ``grad``, in params() order."""
+        params = views(flat, self._shapes)
+        self.flat, self.grad, self.weights, self.biases = flat, grad, params[0::2], params[1::2]
+        self._grads = views(grad, self._shapes)
 
     @classmethod
     def create(cls, sizes: Sequence[int], activations: Sequence[str], rng: np.random.Generator) -> "DenseNet":
@@ -113,12 +147,13 @@ class DenseNet:
 
         ``upstream`` is dLoss/d(output) per sample, shape (batch, out_dim) or
         (out_dim,).  Returns (param grads in params() order, dLoss/d(input)),
-        with None for the input gradient when ``input_grad`` is false.
+        with None for the input gradient when ``input_grad`` is false.  The
+        param grads are views of ``grad``.
         """
         upstream = np.asarray(upstream, dtype=float)
         squeeze = upstream.ndim == 1
         d = upstream[None, :] if squeeze else upstream
-        grads: list[np.ndarray] = []
+        grads = self._grads
         for k in range(len(self.weights) - 1, -1, -1):
             if self.activations[k] == "tanh":
                 out_k = cache[k + 1]
@@ -126,14 +161,13 @@ class DenseNet:
                 np.subtract(1.0, dt, out=dt)
                 dt *= d
                 d = dt
-            grads.append(d.sum(axis=0))
-            grads.append(d.T @ cache[k])
+            d.sum(axis=0, out=grads[2 * k + 1])
+            np.matmul(d.T, cache[k], out=grads[2 * k])
             if k > 0 or input_grad:
                 d = d @ self.weights[k]
-        grads.reverse()
         if not input_grad:
-            return grads, None
-        return grads, (d[0] if squeeze else d)
+            return list(grads), None
+        return list(grads), (d[0] if squeeze else d)
 
     def to_dict(self) -> dict:
         return {
@@ -164,7 +198,8 @@ class GaussianPolicyHead:
         if log_std.shape != (mean_net.out_dim,):
             raise ContractViolation("log_std must match the action dimension")
         self.mean_net = mean_net
-        self.log_std = log_std
+        self.flat, self.grad, (net_part, (self.log_std, self._log_std_grad)) = pack([mean_net.flat, log_std])
+        mean_net.bind(*net_part)
 
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, hidden: Sequence[int], rng: np.random.Generator) -> "GaussianPolicyHead":
@@ -179,41 +214,43 @@ class GaussianPolicyHead:
         return self.mean_net.forward(obs)
 
     def _log_prob(self, mu: np.ndarray, action: np.ndarray) -> np.ndarray:
-        z = (action - mu) / np.exp(self.log_std)
-        return -0.5 * np.sum(z * z + 2.0 * self.log_std + LOG_2PI, axis=-1)
+        return self._log_prob_of(action - mu)
+
+    def _log_prob_of(self, diff: np.ndarray) -> np.ndarray:
+        """Log-density of the deviations ``diff`` = action - mu."""
+        z = diff / np.exp(self.log_std)
+        return -0.5 * np.add.reduce(z * z + 2.0 * self.log_std + LOG_2PI, axis=-1)
 
     def log_prob(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
         return self._log_prob(self.mean_net.forward(obs), action)
 
     def log_prob_cached(self, obs: np.ndarray, action: np.ndarray):
-        """(log_prob, mu, forward cache) for a later backward pass."""
-        mu, cache = self.mean_net.forward_cached(obs)
-        return self._log_prob(mu, action), mu, cache
+        """(log_prob, mu, cache) for a later backward pass; the cache holds action - mu and the variance."""
+        mu, net_cache = self.mean_net.forward_cached(obs)
+        diff = action - mu
+        return self._log_prob_of(diff), mu, (net_cache, diff, np.exp(2.0 * self.log_std))
 
     def backward_log_prob(
         self,
-        cache: list[np.ndarray],
-        mu: np.ndarray,
-        action: np.ndarray,
+        cache: tuple,
         upstream: np.ndarray,
         d_mu_other: np.ndarray | float = 0.0,
     ) -> list[np.ndarray]:
-        """Gradients of sum_i upstream_i * log_prob_i in params() order.
+        """Gradients of sum_i upstream_i * log_prob_i in params() order, views of ``grad``.
 
         ``d_mu_other`` is the gradient reaching the mean from other loss
         terms; it joins the log-prob term before the one mean-net backward.
         """
-        var = np.exp(2.0 * self.log_std)
-        diff = action - mu
+        net_cache, diff, var = cache
         d_mu = upstream[..., None] * diff / var + d_mu_other
-        net_grads, _ = self.mean_net.backward(cache, d_mu, input_grad=False)
+        net_grads, _ = self.mean_net.backward(net_cache, d_mu, input_grad=False)
         z2 = diff * diff / var
-        d_log_std = (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0)
-        return net_grads + [d_log_std]
+        (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0, out=self._log_std_grad)
+        return net_grads + [self._log_std_grad]
 
     def entropy(self) -> float:
         """Closed form: sum(log_std + 0.5 log(2 pi e)); obs-independent."""
-        return float(np.sum(self.log_std + 0.5 * (LOG_2PI + 1.0)))
+        return float(np.add.reduce(self.log_std + 0.5 * (LOG_2PI + 1.0)))
 
     def kl_divergence(self, mu_old: np.ndarray, log_std_old: np.ndarray, mu_new: np.ndarray, scale: float | None = None):
         """KL(old || new) per sample for diagonal Gaussians (new std = current).
@@ -224,7 +261,7 @@ class GaussianPolicyHead:
         var_new = np.exp(2.0 * self.log_std)
         var_old = np.exp(2.0 * log_std_old)
         spread = var_old + (mu_old - mu_new) ** 2
-        kl = np.sum(self.log_std - log_std_old + spread / (2.0 * var_new) - 0.5, axis=-1)
+        kl = np.add.reduce(self.log_std - log_std_old + spread / (2.0 * var_new) - 0.5, axis=-1)
         if scale is None:
             return kl
         d_mu = scale * (mu_new - mu_old) / var_new
@@ -257,33 +294,29 @@ class GaussianPolicyHead:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a list of parameter arrays.
+    """Standard bias-corrected Adam over one flat parameter vector.
 
-    Both moments are one flat vector over the parameters in list order.
+    Both moments are flat vectors of the same length.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.n_arrays = len(params)
-        self.m = np.zeros(sum(p.size for p in params))
+        self.m = np.zeros(params.size)
         self.v = np.zeros_like(self.m)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> float:
-        """In-place update; returns the gradient's L2 norm.
+    def step(self, params: np.ndarray, grads: np.ndarray) -> float:
+        """In-place update of the flat ``params`` from the flat ``grads``; returns the gradient's L2 norm.
 
         Raises TrainingError on a non-finite gradient, before any state changes.
         """
-        if len(params) != self.n_arrays or len(grads) != self.n_arrays:
+        if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ContractViolation("params/grads do not match optimizer state")
-        g = np.concatenate([x.reshape(-1) for x in grads])
-        if g.size != self.m.size:
-            raise ContractViolation("params/grads do not match optimizer state")
-        sq = g @ g  # a sum of squares is finite only if every entry is
-        if not np.isfinite(sq) and not np.isfinite(g).all():
+        sq = grads @ grads  # a sum of squares is finite only if every entry is
+        if not np.isfinite(sq) and not np.isfinite(grads).all():
             raise TrainingError("non-finite gradient in Adam step")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
@@ -291,21 +324,18 @@ class Adam:
         # the per-element arithmetic, in the same order, of
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        tmp = (1.0 - self.beta1) * g
+        tmp = (1.0 - self.beta1) * grads
         self.m *= self.beta1
         self.m += tmp
-        np.multiply(1.0 - self.beta2, g, out=tmp)
-        tmp *= g
+        np.multiply(1.0 - self.beta2, grads, out=tmp)
+        tmp *= grads
         self.v *= self.beta2
         self.v += tmp
-        step = np.divide(self.m, bc1, out=g)
+        step = self.m / bc1
         step *= self.lr
         np.divide(self.v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
         step /= tmp
-        lo = 0
-        for p in params:
-            p -= step[lo : lo + p.size].reshape(p.shape)
-            lo += p.size
+        params -= step
         return float(np.sqrt(sq))

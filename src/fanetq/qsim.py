@@ -255,7 +255,8 @@ def _encoding_phases(x: np.ndarray) -> np.ndarray:
     ``x`` holds one layer's scaled angles, shape (..., 4); returns (..., 16).
     """
     px = np.pi - x
-    y = px[..., _PAIR_I] * px[..., _PAIR_J]
+    # np.take returns C-contiguous rows, so a (b, 1, 4) batch takes the same matmul loop as (1, 4)
+    y = np.take(px, _PAIR_I, axis=-1) * np.take(px, _PAIR_J, axis=-1)
     return np.exp(-1j * (x @ SIGNS_1 + y @ SIGNS_2))
 
 
@@ -311,7 +312,7 @@ def vqc_state(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = No
         else:
             state = (state @ H4_MATRIX) * phases
         k = _rotation_matrix(theta[..., PARAMS_PER_ROTATION_LAYER * layer : PARAMS_PER_ROTATION_LAYER * (layer + 1)])
-        state = state[..., RING_SOURCE]
+        state = np.take(state, RING_SOURCE, axis=-1)  # C-contiguous, as in _encoding_phases
         state = state @ k.T if k.ndim == 2 else np.matmul(k, state[..., None])[..., 0]
     return state
 

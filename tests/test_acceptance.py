@@ -135,8 +135,8 @@ def test_criterion_5_gradient_suite():
         obs = rng.standard_normal((6, 5))
         acts = rng.standard_normal((6, 3))
         w = rng.standard_normal(6)
-        _, mu, cache = head.log_prob_cached(obs, acts)
-        grads = head.backward_log_prob(cache, mu, acts, w)
+        _, _, cache = head.log_prob_cached(obs, acts)
+        grads = head.backward_log_prob(cache, w)
         finite_difference_check(
             lambda: float(np.sum(w * head.log_prob(obs, acts))), head.params(), grads, rng, n_coords=3
         )

@@ -124,7 +124,7 @@ class TestWeightBookkeeping:
 
 
 @pytest.mark.parametrize("solution", ["NN-4", "NN-10", "VQC-1A", "VQC-2N", "VQC-3A"])
-@pytest.mark.parametrize("shape", [(40, 50), (1, 7), (3, 50), (64, 13)])
+@pytest.mark.parametrize("shape", [(40, 50), (1, 7), (3, 50), (64, 13), (7, 1), (64, 1)])
 def test_stacked_value_equals_each_episode_pass(solution, shape):
     # a rollout block takes its (episodes, steps) values from one stacked pass
     rng = np.random.default_rng(11)
@@ -237,7 +237,7 @@ class TestQuantumCritic:
 
         from fanetq.nets import Adam
 
-        opt = Adam(critic.adam_params(), lr=0.02)
+        opt = Adam(critic.flat, lr=0.02)
         start = loss_now()
         for _ in range(60):
             v, cache = critic.value_cached(O)
@@ -246,8 +246,8 @@ class TestQuantumCritic:
             def loss_fn(values):
                 return float(np.mean((values - targets) ** 2))
 
-            grads = critic.backward(cache, d_v, loss_fn, loss_fn(v))
-            opt.step(critic.adam_params(), grads)
+            critic.backward(cache, d_v, loss_fn, loss_fn(v))
+            opt.step(critic.flat, critic.grad)
         assert loss_now() < start
 
     def test_checkpoint_roundtrip(self, tmp_path):

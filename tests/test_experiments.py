@@ -199,6 +199,26 @@ class TestRunRecords:
         assert lines[0] == ",".join(CURVE_HEADER)
         assert [line.split(",")[0] for line in lines[1:]] == ["200"]
 
+    def test_an_update_runs_one_evaluation_block(self, tmp_path, monkeypatch):
+        # 2000 steps at the default config are one update that crosses two evaluation points
+        import fanetq.mappo as mappo
+
+        blocks = []
+        run_episodes = mappo.run_episodes
+        monkeypatch.setattr(mappo, "run_episodes", lambda *args: blocks.append(len(args[1])) or run_episodes(*args))
+        run_training("NN-4", "4a1s", [0], 2000, tmp_path)
+        assert blocks == [2 * TrainerConfig().eval_episodes]
+
+    def test_a_training_op_counts_the_future_once_per_episode_block(self, tmp_path, monkeypatch):
+        import fanetq.env as env
+
+        builds = []
+        lk_table = env._lk_table
+        monkeypatch.setattr(env, "_lk_table", lambda world, cfg: builds.append(world.pos.shape[:-2]) or lk_table(world, cfg))
+        run_training("NN-4", "4a1s", [0], 2000, tmp_path)
+        # the rollout's 40 episodes, then both evaluation points' 5 + 5; no world is observed and dropped
+        assert builds == [(40,), (10,)]
+
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
     def test_training_reproduces_committed_curve_prefix(self, tmp_path, solution):
         # 2000 env steps = one rollout/update and two evaluations of seed 0

@@ -680,6 +680,45 @@ class TestUpdateMechanics:
         )
         assert trainer.update(batch).clip_frac == 0.0
 
+    @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
+    def test_parameters_and_gradients_stay_views_of_the_flat_vectors(self, solution):
+        # Adam steps owner.flat from owner.grad; an array that stopped sharing
+        # their memory would silently stop training
+        cfg = cfg_4a1s()
+
+        def assert_views(owner, arrays, vector):
+            assert all(np.shares_memory(a, vector) for a in arrays)
+            assert sum(a.size for a in arrays) == vector.size
+
+        def assert_owned(actor, critic):
+            assert_views(actor, actor.params(), actor.flat)
+            assert_views(critic, critic.adam_params(), critic.flat)
+
+        critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(3), spsa_seed=3)
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=3)
+        assert_owned(trainer.actor, critic)
+        batch, _ = collect_rollout(trainer.env, trainer.actor, critic, 50, trainer.rollout_rng, 3, 0, trainer.cfg)
+        adv = np.repeat(batch.advantages, cfg.n_aircraft)
+        obs, acts = batch.obs.reshape(200, -1), batch.actions.reshape(200, -1)
+        lp, mu = batch.log_prob_old.reshape(200), batch.mu_old.reshape(200, -1)
+        _, grads, _ = _actor_loss_and_grads(trainer.actor, obs, acts, lp, adv, mu, batch.log_std_old, trainer.cfg)
+        assert_views(trainer.actor, grads, trainer.actor.grad)
+        _, grads = _critic_loss_and_grads(critic, batch.global_obs, batch.returns, batch.values, trainer.cfg)
+        assert_views(critic, grads, critic.grad)
+
+        assert_owned(GaussianPolicyHead.from_dict(trainer.actor.to_dict()), type(critic).from_dict(critic.to_dict()))
+
+        assert not trainer.update(batch).aborted
+        batch.returns[:] = np.nan
+        with pytest.warns(RuntimeWarning):
+            assert trainer.update(batch).aborted
+        assert_owned(trainer.actor, critic)
+        means, values = trainer.actor.mean(obs), critic.value(batch.global_obs)
+        batch.returns[:] = batch.advantages + batch.values
+        assert not trainer.update(batch).aborted  # and the nets use what Adam stepped
+        assert not np.array_equal(trainer.actor.mean(obs), means)
+        assert not np.array_equal(critic.value(batch.global_obs), values)
+
 
 def actor_loss_and_grads_reference(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
     """The actor loss arithmetic before the shared-variance head methods, step for step."""
@@ -900,6 +939,31 @@ class TestEvaluate:
         monkeypatch.setattr(mappo, "run_episodes", spy)
         evaluate(actor, cfg, n_episodes=3, seed=0)
         assert np.array_equal(actions[0], np.stack([actor.mean(o) for o in obs]))
+
+    def test_a_sequence_of_seeds_equals_one_call_per_seed(self):
+        # 3 x 30 episodes cross a block boundary inside the second seed's episodes
+        cfg = cfg_4a1s(horizon=6)
+        actor = GaussianPolicyHead.load(COMMITTED_ACTOR)
+        seeds = [9, 70_001, 9]
+        assert 3 * 30 > EPISODE_BLOCK > 30
+        assert evaluate(actor, cfg, 30, seeds) == [evaluate(actor, cfg, 30, seed) for seed in seeds]
+
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    def test_an_update_evaluates_every_point_it_crosses_in_one_call(self, points, monkeypatch):
+        import fanetq.mappo as mappo
+
+        cfg = cfg_4a1s()
+        critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(31))
+        tcfg = TrainerConfig(rollout_steps=100 * points, eval_interval=100, eval_episodes=3)
+        trainer = Trainer(cfg, critic, tcfg, seed=31)
+        calls = []
+        monkeypatch.setattr(mappo, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        curve = trainer.train(100 * points)
+        ((_, _, n_episodes, seeds),) = calls
+        assert n_episodes == 3 and len(seeds) == points
+        assert [point["env_steps"] for point in curve] == [100 * (k + 1) for k in range(points)]
+        for point, seed in zip(curve, seeds, strict=True):
+            assert (point["cr_mean"], point["cr_std"]) == evaluate(trainer.actor, cfg, 3, seed)
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_rejects_fewer_than_one_episode(self, n_episodes):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fanetq.errors import ConfigError, ContractViolation, TrainingError
-from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead
+from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead, views
 
 from tests.oracles import sample_action
 
@@ -40,6 +40,12 @@ class AdamReference:
 
 def flat(arrays) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(vector, copies of ``arrays`` as views of it): the layout Adam steps."""
+    vector = flat(arrays)
+    return vector, views(vector, [np.shape(a) for a in arrays])
 
 
 def dense_forward_reference(net, x):
@@ -323,8 +329,8 @@ class TestGaussianHead:
             def loss():
                 return float(np.sum(w * head.log_prob(obs, acts)))
 
-            _, mu, cache = head.log_prob_cached(obs, acts)
-            grads = head.backward_log_prob(cache, mu, acts, w)
+            _, _, cache = head.log_prob_cached(obs, acts)
+            grads = head.backward_log_prob(cache, w)
             finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
 
     def test_log_prob_gradients_with_extra_mean_gradient(self):
@@ -340,8 +346,8 @@ class TestGaussianHead:
             def loss():
                 return float(np.sum(w * head.log_prob(obs, acts)) + np.sum(g * head.mean(obs)))
 
-            _, mu, cache = head.log_prob_cached(obs, acts)
-            grads = head.backward_log_prob(cache, mu, acts, w, g)
+            _, _, cache = head.log_prob_cached(obs, acts)
+            grads = head.backward_log_prob(cache, w, g)
             finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
 
     def test_kl_zero_for_identical(self):
@@ -376,19 +382,19 @@ class TestGaussianHead:
 class TestAdam:
     def test_zero_gradient_no_change(self):
         rng = np.random.default_rng(14)
-        params = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
+        vector, params = flat_views([rng.standard_normal((3, 3)), rng.standard_normal(3)])
         before = [p.copy() for p in params]
-        opt = Adam(params, lr=0.01)
-        opt.step(params, [np.zeros_like(p) for p in params])
+        opt = Adam(vector, lr=0.01)
+        opt.step(vector, flat([np.zeros_like(p) for p in params]))
         for p, b in zip(params, before):
             assert np.array_equal(p, b)
 
     def test_first_step_is_signed_lr(self):
         # bias correction makes the first update -lr * sign(g)
         params = [np.zeros(4)]
-        opt = Adam(params, lr=0.05)
+        opt = Adam(params[0], lr=0.05)
         g = np.array([3.0, -2.0, 0.5, -0.1])
-        opt.step(params, [g])
+        opt.step(params[0], g)
         expected = -0.05 * np.sign(g) * (1.0 / (1.0 + 1e-8 / np.abs(g * 0 + np.sqrt(g * g))))
         assert np.abs(params[0] + 0.05 * np.sign(g)).max() < 1e-6
 
@@ -396,31 +402,31 @@ class TestAdam:
         rng = np.random.default_rng(15)
         target = rng.standard_normal(6)
         params = [np.zeros(6)]
-        opt = Adam(params, lr=0.01)
+        opt = Adam(params[0], lr=0.01)
         losses = []
         for _ in range(500):
             g = 2 * (params[0] - target)
             losses.append(float(np.sum((params[0] - target) ** 2)))
-            opt.step(params, [g])
+            opt.step(params[0], g)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-6
 
     def test_non_finite_gradient_raises(self):
         params = [np.zeros(2)]
-        opt = Adam(params)
+        opt = Adam(params[0])
         with pytest.raises(TrainingError):
-            opt.step(params, [np.array([np.nan, 0.0])])
+            opt.step(params[0], np.array([np.nan, 0.0]))
 
     def test_deterministic_given_seed(self):
         def run():
             rng = np.random.default_rng(16)
             net = DenseNet.create([3, 4, 1], ["tanh", "identity"], rng)
-            opt = Adam(net.params(), lr=0.01)
+            opt = Adam(net.flat, lr=0.01)
             x = rng.standard_normal((8, 3))
             for _ in range(10):
                 y, cache = net.forward_cached(x)
                 grads, _ = net.backward(cache, 2 * y)
-                opt.step(net.params(), grads)
+                opt.step(net.flat, net.grad)
             return net.forward(x)
 
         assert np.array_equal(run(), run())
@@ -429,14 +435,14 @@ class TestAdam:
         rng = np.random.default_rng(43)
         for _ in range(12):
             shapes = [tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 3))) for _ in range(rng.integers(1, 8))]
-            params = [rng.standard_normal(shape) for shape in shapes]
+            vector, params = flat_views([rng.standard_normal(shape) for shape in shapes])
             oracle_params = [p.copy() for p in params]
             kw = dict(lr=float(10 ** rng.uniform(-5, -1)), beta1=float(rng.uniform(0.5, 0.99)), beta2=float(rng.uniform(0.9, 0.9999)))
-            opt, oracle = Adam(params, **kw), AdamReference(oracle_params, **kw)
+            opt, oracle = Adam(vector, **kw), AdamReference(oracle_params, **kw)
             for _ in range(50):
                 scale = 10.0 ** rng.uniform(-8, 3)
                 grads = [scale * rng.standard_normal(shape) * (rng.random(shape) > 0.2) for shape in shapes]
-                norm = opt.step(params, grads)
+                norm = opt.step(vector, flat(grads))
                 want = oracle.step(oracle_params, grads)
                 assert norm == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert all(np.array_equal(p, q) for p, q in zip(params, oracle_params))
@@ -447,16 +453,16 @@ class TestAdam:
     def test_non_finite_entry_in_any_array_changes_nothing(self, bad):
         rng = np.random.default_rng(44)
         shapes = [(3, 4), (4,), (2, 3), (1,)]
-        params = [rng.standard_normal(shape) for shape in shapes]
-        opt = Adam(params, lr=0.01)
+        vector, params = flat_views([rng.standard_normal(shape) for shape in shapes])
+        opt = Adam(vector, lr=0.01)
         for _ in range(3):
-            opt.step(params, [rng.standard_normal(shape) for shape in shapes])
+            opt.step(vector, flat([rng.standard_normal(shape) for shape in shapes]))
         for k, shape in enumerate(shapes):
             grads = [rng.standard_normal(shape) for shape in shapes]
             grads[k].flat[int(rng.integers(grads[k].size))] = bad
             before = [p.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t
             with pytest.raises(TrainingError):
-                opt.step(params, grads)
+                opt.step(vector, flat(grads))
             assert all(np.array_equal(p, q) for p, q in zip(params, before[0]))
             assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
             assert opt.t == before[3]
@@ -464,13 +470,13 @@ class TestAdam:
     def test_returns_the_norm_even_when_the_squares_overflow(self):
         params = [np.zeros(2)]
         with np.errstate(over="ignore"):
-            assert Adam(params).step(params, [np.array([1e200, 0.0])]) == np.inf
+            assert Adam(params[0]).step(params[0], np.array([1e200, 0.0])) == np.inf
         assert np.all(np.isfinite(params[0]))
 
     def test_rejects_a_gradient_list_that_does_not_match(self):
-        params = [np.zeros((2, 2)), np.zeros(2)]
-        opt = Adam(params)
+        vector, _ = flat_views([np.zeros((2, 2)), np.zeros(2)])
+        opt = Adam(vector)
         with pytest.raises(ContractViolation):
-            opt.step(params, [np.zeros((2, 2))])
+            opt.step(vector, flat([np.zeros((2, 2))]))
         with pytest.raises(ContractViolation):
-            opt.step(params, [np.zeros((2, 2)), np.zeros(3)])
+            opt.step(vector, flat([np.zeros((2, 2)), np.zeros(3)]))
