@@ -129,9 +129,7 @@ class WorldState:
     ``pos`` and ``vel`` are (..., N, 2); leading axes, if any, index episodes
     that step together and share ``t``.  ``links`` is a symmetric (..., N, N)
     boolean adjacency matrix; it is all False until the first step resolves
-    links.  ``offsets`` (..., n_aircraft, N, 2) holds pos[i] - pos[j] from
-    every aircraft i to every entity j and ``dist`` their lengths, computed
-    once per world for both link resolution and the ``lk`` feature.
+    links.  ``geometry`` keeps the (cfg, in range now, lk rows) of _geometry.
     """
 
     t: int
@@ -139,15 +137,12 @@ class WorldState:
     vel: np.ndarray  # (..., N, 2)
     n_aircraft: int
     links: np.ndarray | None = None  # (..., N, N) bool
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    dist: np.ndarray = field(init=False, repr=False, compare=False)
     lk_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    geometry: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
             self.links = np.zeros(self.pos.shape[:-1] + (self.n_entities,), dtype=bool)
-        self.offsets = _aircraft_offsets(self.pos, self.n_aircraft)
-        self.dist = np.hypot(self.offsets[..., 0], self.offsets[..., 1])
 
     @property
     def n_entities(self) -> int:
@@ -174,8 +169,9 @@ def clamp_actions(desirability: np.ndarray) -> np.ndarray:
 
 
 def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
-    """(..., n_aircraft, N, 2) differences a[i] - a[j] from every aircraft i to every entity j."""
-    return a[..., :n_aircraft, None, :] - a[..., None, :, :]
+    """(2, ..., n_aircraft, N) contiguous x and y planes of a[i] - a[j] from every aircraft i to every entity j."""
+    a = np.moveaxis(a, -1, 0)
+    return np.subtract(a[..., :n_aircraft, None], a[..., None, :], order="C")
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +215,7 @@ def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig)
     desir[..., not_self] = clamp_actions(proposals).reshape(batch + (-1,))
 
     # with fewer than max_links candidates the -inf self slot is picked; not_self drops it
-    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & (world.dist <= cfg.comm_range)
+    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & _geometry(world, cfg)[0]
 
     bids = np.where(asks[..., n_a:], desir[..., n_a:], -np.inf)
     accepted = _top_k(bids, cfg.max_links, axis=-2) & asks[..., n_a:]
@@ -251,10 +247,10 @@ def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
 
 
 def _extrapolated(steps, dv: np.ndarray, dp: np.ndarray, squared: bool) -> np.ndarray:
-    """hypot(x, y), or x*x + y*y, of (x, y) = steps * dv + dp, x and y each built in place."""
-    x, y = (steps * dv[..., c] for c in (0, 1))
-    x += dp[..., 0]
-    y += dp[..., 1]
+    """hypot(x, y), or x*x + y*y, of (x, y) = steps * dv + dp on the x and y planes dv[0], dv[1], dp[0], dp[1]."""
+    x, y = (steps * dv[c] for c in (0, 1))
+    x += dp[0]
+    y += dp[1]
     if not squared:
         return np.hypot(x, y, out=x)
     with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
@@ -268,66 +264,83 @@ def _squared_range(r: float) -> tuple[float, float]:
 
 
 def _in_range(steps: np.ndarray, dv: np.ndarray, dp: np.ndarray, r: float) -> np.ndarray:
-    """hypot(steps * dv + dp) <= r per entry of (m,) steps and (m, 2) offsets.  x*x + y*y, within a few ulps
-    of the squared distance, decides every entry outside (lo, hi); the costly hypot decides the rest."""
+    """hypot(steps * dv + dp) <= r per entry of (m,) steps and (2, m) offset planes.  x*x + y*y, within a few
+    ulps of the squared distance, decides every entry outside (lo, hi); the costly hypot decides the rest."""
     lo, hi = _squared_range(r)
     sq = _extrapolated(steps, dv, dp, squared=True)
     within = sq <= lo
     near = ~within & ~(sq >= hi)
     if near.any():
-        within[near] = _extrapolated(steps[near], dv[near], dp[near], squared=False) <= r
+        within[near] = _extrapolated(steps[near], dv[:, near], dp[:, near], squared=False) <= r
     return within
 
 
 def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
-    """(cfg, t0, counts, ambiguous, dv) for the world's remaining episode, t0 its step; see _lk_rows.
+    """(cfg, t0, clear, counts, ambiguous, dv) for the world's remaining episode, t0 its step; see _geometry.
 
-    counts[k] (..., n_aircraft, N) counts the clearly-in steps from t0 + k on; ambiguous is the
-    np.nonzero of the (steps, ..., n_aircraft, N) ambiguous mask; dv holds the velocity offsets."""
-    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
+    clear (horizon - t0 + 1, ..., n_aircraft, N) marks the clearly-in pairs at each tau in {t0, ..., horizon};
+    counts[k] counts them from t0 + k to horizon - 1; ambiguous is the np.nonzero of the ambiguous mask of
+    clear's shape; dv holds the x and y planes of the velocity offsets."""
+    dp, dv = (_aircraft_offsets(a, cfg.n_aircraft) for a in (world.pos, world.vel))
     n_steps, h = max(cfg.horizon - world.t, 0), cfg.horizon
     x_max = 2.0 * (float(np.abs(world.pos).max()) + 2.0 * h * float(np.abs(world.vel).max()))
     drift = 16.0 * (h + 10) * 2.0**-53 * (x_max * x_max + _FLOAT.tiny)
     lo, hi = _squared_range(float(cfg.comm_range))
     lo, hi = (lo, hi) if drift < lo else (np.nan, np.nan)  # NaN bounds leave every entry ambiguous
-    steps = np.arange(n_steps, dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
-    sq = _extrapolated(steps, dv, world.offsets, squared=True)
+    steps = np.arange(n_steps + 1, dtype=float).reshape((-1,) + (1,) * dp[0].ndim)
+    sq = _extrapolated(steps, dv, dp, squared=True)
     clear = sq <= lo - drift
-    counts = np.zeros((n_steps + 1,) + dv.shape[:-1], dtype=int)
-    np.cumsum(clear[::-1], axis=0, out=counts[:n_steps][::-1])
-    return cfg, world.t, counts, np.nonzero(~clear & ~(sq >= hi + drift)), dv
+    counts = np.zeros(clear.shape, dtype=int)
+    for k in range(n_steps - 1, -1, -1):  # suffix sums, one in-place row add each
+        np.add(counts[k + 1], clear[k], out=counts[k])
+    ambiguous = ~clear & ~(sq >= hi + drift)
+    # an empty slice spares the scan of np.nonzero when nothing is ambiguous
+    return cfg, world.t, clear, counts, np.nonzero(ambiguous if ambiguous.any() else ambiguous[:0]), dv
+
+
+def _geometry(world: WorldState, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(in range now, lk rows), each (..., n_aircraft, N), of the world under cfg; kept on the world per config.
+
+    In range now is hypot(pos[i] - pos[j]) <= comm_range.  The lk rows give the fraction of the horizon a
+    pair stays in range: they count steps tau in {t, ..., horizon-1} at which the constant-velocity
+    extrapolations from t of aircraft i and entity j are within comm_range (``_in_range``), normalized by
+    the full horizon; -1 where the pair is not in range now.
+
+    Velocities are fixed, so the first call on a world classifies its remaining episode, tau in
+    {t0, ..., horizon}, once and env_step carries the table on.  With sq extrapolated from the table's t0,
+    an entry is clearly in when sq <= lo - E and clearly out when sq >= hi + E; each step tests the
+    ambiguous rest exactly from its own offsets, pos[i] - pos[j] taken for those entries alone.  At
+    tau = t that test extrapolates 0 steps, which is hypot(offsets) <= r, and it sets the ambiguous
+    entries of the in-range mask; at tau < horizon it adds to the clearly-in count.  E bounds
+    |sq_t - sq_t0|, the drift from positions re-added t - t0 <= H times.  With u = 2**-53, P = max|pos| and
+    V = max|vel| over the block, X = 2(P + 2HV) bounds every |x|, |y| for every tau - t0 <= H.  A
+    re-addition rounds a position by <= u(P + HV), so an offset drifts by <= HuX; the offset, s * dv (dv
+    rounded) and the sum add <= 4uX at each side, so |x_t - x_t0| <= (H + 8)uX.  The squares and their
+    sum round by <= 4uX^2 at each side, so |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on
+    X^2 + tiny to cover underflow; every entry is ambiguous when E is not below lo.
+    """
+    if world.geometry is not None and world.geometry[0] == cfg:
+        return world.geometry[1:]
+    if world.lk_table is None or world.lk_table[0] != cfg:
+        world.lk_table = _lk_table(world, cfg)
+    _, t0, clear, counts, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
+    k = world.t - t0
+    now, counts, first = clear[k], counts[k], int(np.searchsorted(s, k))
+    if first < len(s):
+        s, pair = s[first:] - k, tuple(p[first:] for p in pair)
+        dp = (world.pos[pair[:-1]] - world.pos[pair[:-2] + pair[-1:]]).T
+        within = _in_range(s, dv[(slice(None),) + pair], dp, float(cfg.comm_range))
+        n_now, n_counted = np.searchsorted(s, [1, len(clear) - 1 - k])  # entries at tau = t, at tau < horizon
+        now, counts = now.copy(), counts.copy()
+        now[tuple(p[:n_now] for p in pair)] = within[:n_now]
+        np.add.at(counts, tuple(p[:n_counted] for p in pair), within[:n_counted])
+    world.geometry = cfg, now, np.where(now, counts / cfg.horizon, -1.0)
+    return world.geometry[1:]
 
 
 def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(..., n_aircraft, N) lk features: fraction of the horizon a pair stays in range.
-
-    Counts steps tau in {t, ..., horizon-1} at which the constant-velocity extrapolations from t of
-    aircraft i and entity j are within comm_range (``_in_range``), normalized by the full horizon;
-    -1 where the pair is not in range now.
-
-    Velocities are fixed, so the first call on a world classifies its remaining episode once and
-    env_step carries the table on.  With sq extrapolated from the table's t0, an entry is clearly in
-    when sq <= lo - E and clearly out when sq >= hi + E; each step adds its own exact test of the
-    ambiguous rest to the clearly-in count.  E bounds |sq_t - sq_t0|, the drift from positions
-    re-added t - t0 times.  With u = 2**-53, P = max|pos| and V = max|vel| over the block,
-    X = 2(P + 2HV) bounds every |x|, |y|.  A re-addition rounds a position by <= u(P + HV), so an
-    offset drifts by <= HuX; the offset, s * dv (dv rounded) and the sum add <= 4uX at each side, so
-    |x_t - x_t0| <= (H + 8)uX.  The squares and their sum round by <= 4uX^2 at each side, so
-    |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on X^2 + tiny to cover underflow;
-    every entry is ambiguous when E is not below lo.
-    """
-    r = float(cfg.comm_range)  # a numpy scalar would warn where r * r overflows
-    if world.lk_table is None or world.lk_table[0] != cfg:
-        world.lk_table = _lk_table(world, cfg)
-    _, t0, counts, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
-    k = world.t - t0
-    counts, first = counts[k], int(np.searchsorted(s, k))
-    if first < len(s):
-        pair = tuple(p[first:] for p in pair)
-        within = _in_range(s[first:] - k, dv[pair], world.offsets[pair], r)
-        counts = counts.copy()
-        np.add.at(counts, pair, within)
-    return np.where(world.dist <= r, counts / cfg.horizon, -1.0)
+    """(..., n_aircraft, N) lk features of the world under cfg; see _geometry."""
+    return _geometry(world, cfg)[1]
 
 
 @functools.lru_cache(maxsize=None)

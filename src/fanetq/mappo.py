@@ -340,7 +340,7 @@ class Trainer:
             for _ in range(cfg.epochs):
                 # one gather per epoch; each minibatch is a contiguous slice of the shuffled rows
                 order = self.shuffle_rng.permutation(S * n)
-                obs, act, lp, adv_rows, mu = (rows[order] for rows in actor_rows)
+                obs, act, lp, adv_rows, mu = (np.take(rows, order, axis=0) for rows in actor_rows)
                 for lo in range(0, S * n, cfg.minibatch_size):
                     mb = slice(lo, lo + cfg.minibatch_size)
                     res = _actor_loss_and_grads(
@@ -361,7 +361,7 @@ class Trainer:
                     n_actor_mb += 1
 
                 step_order = self.shuffle_rng.permutation(S)
-                global_obs, returns, values = (rows[step_order] for rows in critic_rows)
+                global_obs, returns, values = (np.take(rows, step_order, axis=0) for rows in critic_rows)
                 for lo in range(0, S, cfg.minibatch_size):
                     mb = slice(lo, lo + cfg.minibatch_size)
                     loss, grads = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from fanetq.env import ScenarioConfig, WorldState, _aircraft_offsets
+from fanetq.env import ScenarioConfig, WorldState
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
 from fanetq.nets import GaussianPolicyHead
 from fanetq.qmetrics import meyer_wallach_batch
@@ -71,10 +71,12 @@ def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     range now.  x*x + y*y decides every pair farther than a relative 1e-12
     from the range, and hypot decides the rest, on offsets rebuilt in the
     same operation order; every pair goes through hypot when r*r with that
-    margin is not a normal float.
+    margin is not a normal float.  The offsets and distances are taken from
+    ``world.pos`` and ``world.vel`` here, pos[i] - pos[j] per pair.
     """
-    dp = world.offsets
-    dv = _aircraft_offsets(world.vel, cfg.n_aircraft)
+    n_a = cfg.n_aircraft
+    dp = world.pos[..., :n_a, None, :] - world.pos[..., None, :, :]
+    dv = world.vel[..., :n_a, None, :] - world.vel[..., None, :, :]
     steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
     x = steps * dv[..., 0]
     x += dp[..., 0]
@@ -96,4 +98,4 @@ def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
             s, *pair = np.nonzero(near)
             xn, yn = (s * dv[..., c][tuple(pair)] + dp[..., c][tuple(pair)] for c in (0, 1))
             within[near] = np.hypot(xn, yn) <= r
-    return np.where(world.dist <= r, within.sum(axis=0) / cfg.horizon, -1.0)
+    return np.where(np.hypot(dp[..., 0], dp[..., 1]) <= r, within.sum(axis=0) / cfg.horizon, -1.0)

@@ -361,39 +361,62 @@ class TestLkSquaredDistancePrefilter:
         assert_lk_equals_plain_hypot(world, cfg)
 
 
+WORLDS_ON_A_RANGE = dict(
+    batch=st.sampled_from([(), (2,)]),
+    n_aircraft=st.integers(1, 4),
+    n_ground=st.integers(1, 2),
+    horizon=st.integers(1, 50),
+    scale=st.sampled_from([0.0, 1e3, 1e5, 1e6, 1e7]),
+    nudge=st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9]),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+def world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
+    """(rng, cfg, world at t0) with comm_range on, or a relative nudge off, one pair's distance at a step >= t0."""
+    rng = np.random.default_rng(seed)
+    n = n_aircraft + n_ground
+    # entities within a few comm_range of each other, up to 1e7 comm_range from the origin
+    pos = scale * rng.uniform(0.5, 1.0, 2) + rng.uniform(-2.0, 2.0, batch + (n, 2))
+    vel = np.zeros_like(pos)
+    vel[..., :n_aircraft, :] = rng.uniform(-0.1, 0.1, batch + (n_aircraft, 2))
+    t0 = int(rng.integers(0, horizon))  # the table is built at t0, mid-episode when t0 > 0
+    # comm_range on (or a relative nudge off) one pair's distance at a future step, as seen from t0
+    i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, n))
+    assume(i != j)
+    dp, dv = pos[..., i, :] - pos[..., j, :], vel[..., i, :] - vel[..., j, :]
+    d = np.hypot(*np.moveaxis(float(rng.integers(0, horizon - t0)) * dv + dp, -1, 0)).flat[0]
+    cfg = ScenarioConfig(
+        n_aircraft=n_aircraft, n_ground=n_ground, comm_range=float(d) * (1.0 + nudge), horizon=horizon,
+        world_side=max(scale, 1.0),
+    )
+    return rng, cfg, WorldState(t=t0, pos=pos, vel=vel, n_aircraft=n_aircraft)
+
+
+def in_range_oracle(world, cfg):
+    """hypot(pos[i] - pos[j]) <= comm_range from every aircraft i to every entity j, taken from world.pos alone."""
+    dp = world.pos[..., : cfg.n_aircraft, None, :] - world.pos[..., None, :, :]
+    return np.hypot(dp[..., 0], dp[..., 1]) <= cfg.comm_range
+
+
+def assert_links_follow_the_in_range_oracle(world, proposals, links, cfg):
+    """The mask kept on the world is the oracle's, and each episode's links are the scalar resolver's."""
+    assert world.geometry[0] == cfg
+    assert np.array_equal(world.geometry[1], in_range_oracle(world, cfg)), world.t
+    pos, links = world.pos.reshape((-1,) + world.pos.shape[-2:]), links.reshape((-1,) + links.shape[-2:])
+    for p, a, got in zip(pos, proposals.reshape((len(pos),) + proposals.shape[-2:]), links):
+        assert edge_set(got) == oracle_resolve_links(make_world(p, cfg.n_aircraft), a, cfg), world.t
+
+
 class TestCarriedLkTable:
     # the table counts each pair's future once, from its first observed step;
     # every later step must read the lk rows of extrapolating anew from its own
     # offsets, which drift from the table's by the rounding of re-added positions
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        batch=st.sampled_from([(), (2,)]),
-        n_aircraft=st.integers(1, 4),
-        n_ground=st.integers(1, 2),
-        horizon=st.integers(1, 50),
-        scale=st.sampled_from([0.0, 1e3, 1e5, 1e6, 1e7]),
-        nudge=st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9]),
-        seed=st.integers(0, 2**31 - 1),
-    )
+    @given(**WORLDS_ON_A_RANGE)
     def test_every_step_equals_the_per_step_oracle(self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
-        rng = np.random.default_rng(seed)
-        n = n_aircraft + n_ground
-        # entities within a few comm_range of each other, up to 1e7 comm_range from the origin
-        pos = scale * rng.uniform(0.5, 1.0, 2) + rng.uniform(-2.0, 2.0, batch + (n, 2))
-        vel = np.zeros_like(pos)
-        vel[..., :n_aircraft, :] = rng.uniform(-0.1, 0.1, batch + (n_aircraft, 2))
-        t0 = int(rng.integers(0, horizon))  # the table is built at t0, mid-episode when t0 > 0
-        # comm_range on (or a relative nudge off) one pair's distance at a future step, as seen from t0
-        i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, n))
-        assume(i != j)
-        dp, dv = pos[..., i, :] - pos[..., j, :], vel[..., i, :] - vel[..., j, :]
-        d = np.hypot(*np.moveaxis(float(rng.integers(0, horizon - t0)) * dv + dp, -1, 0)).flat[0]
-        cfg = ScenarioConfig(
-            n_aircraft=n_aircraft, n_ground=n_ground, comm_range=float(d) * (1.0 + nudge), horizon=horizon,
-            world_side=max(scale, 1.0),
-        )
-        world = WorldState(t=t0, pos=pos, vel=vel, n_aircraft=n_aircraft)
+        rng, cfg, world = world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed)
         assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg))
         table = world.lk_table
         while world.t < horizon:
@@ -401,6 +424,25 @@ class TestCarriedLkTable:
             world, obs, _, _ = env_step(world, actions, cfg)
             assert world.lk_table is table
             assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg)), world.t
+
+    @settings(max_examples=300, deadline=None)
+    @given(**WORLDS_ON_A_RANGE)
+    def test_every_step_links_over_the_in_range_mask_of_its_own_positions(
+        self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed
+    ):
+        # the mask comes from the table, the finished world's at t = horizon too; a fresh world builds it in
+        # resolve_links, and a world read under a second config (one ulp shorter a range) takes that config's
+        rng, cfg, world = world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed)
+        shorter = dataclasses.replace(cfg, comm_range=float(np.nextafter(cfg.comm_range, 0.0)))
+        for c in (cfg, shorter, cfg):
+            actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
+            assert_links_follow_the_in_range_oracle(world, actions, resolve_links(world, actions, c), c)
+        while world.t < horizon:
+            actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
+            world, *_ = env_step(world, actions, cfg)
+            assert_links_follow_the_in_range_oracle(world, actions, world.links, cfg)
+        actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
+        assert_links_follow_the_in_range_oracle(world, actions, resolve_links(world, actions, shorter), shorter)
 
     def test_a_world_read_under_another_config_counts_anew(self):
         # the pair starts 0.3 apart and closes in by 0.01 a step: always in range of 0.35, not now of 0.25
@@ -425,6 +467,18 @@ class TestCarriedLkTable:
         for _ in range(cfg.horizon):
             fanet.step(np.full((cfg.n_aircraft, cfg.action_dim), 0.5))
         assert builds == [0]
+
+    def test_one_geometry_read_per_table(self, monkeypatch):
+        # a guard against all-pairs offsets and distances at every step
+        import fanetq.env as env
+
+        reads = []
+        offsets = env._aircraft_offsets
+        monkeypatch.setattr(env, "_aircraft_offsets", lambda a, n_aircraft: reads.append(a.shape) or offsets(a, n_aircraft))
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
+        run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
+        # positions and velocities, once per table of the blocks of 64, 64 and 2 episodes
+        assert reads == [(64, 7, 2)] * 4 + [(2, 7, 2)] * 2
 
 
 class TestResolveLinks:

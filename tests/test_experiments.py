@@ -125,6 +125,11 @@ class TestCalibration:
         mean5, _ = random_baseline_cr(cfg5, 400, seed=11)
         assert abs(mean5 - 84.88) < 3.0
 
+    def test_baselines_keep_their_exact_bits(self):
+        # pinned from the all-pairs per-step geometry; any change to the env's arithmetic shows here
+        assert random_baseline_cr(load_scenario("5a2s"), 2000, 0) == (83.367, 24.228584585154785)
+        assert random_baseline_cr(load_scenario("4a1s"), 500, 3) == (58.76, 24.755896267354167)
+
 
 def oracle_random_baseline_cr(cfg, episodes, seed):
     """One episode at a time, one (n_aircraft, action_dim) uniform draw per step."""
