@@ -1,9 +1,9 @@
 """Centralized critics: classical pre/core/post stacks and the quantum-core variant.
 
-Both kinds expose ``value`` over global observations, an Adam-trainable
-parameter list whose arrays are views of one flat vector (``flat``; their
-gradients are views of ``grad``, see ``fanetq.nets``), and weight
-bookkeeping split into classical/quantum counts.
+Both kinds expose ``value`` over global observations, their Adam-trained
+parameters in one flat vector ``flat`` (``params()`` returns views of it),
+a ``backward`` that writes their gradients into ``grad`` (see
+``fanetq.nets``), and weight bookkeeping split into classical/quantum counts.
 The quantum critic routes gradients per the hybrid scheme: exact backprop
 through the post block, a three-evaluation simultaneous-perturbation
 estimate for the circuit weights, and the same two perturbed evaluations
@@ -54,7 +54,7 @@ class ClassicalCritic:
 
     @property
     def classical_weights(self) -> int:
-        return self.pre.parameter_count + self.core.parameter_count + self.post.parameter_count
+        return self.flat.size
 
     @property
     def quantum_weights(self) -> int:
@@ -64,7 +64,7 @@ class ClassicalCritic:
     def total_weights(self) -> int:
         return self.classical_weights
 
-    def adam_params(self) -> list[np.ndarray]:
+    def params(self) -> list[np.ndarray]:
         return self.pre.params() + self.core.params() + self.post.params()
 
     def value(self, global_obs: np.ndarray) -> np.ndarray:
@@ -77,13 +77,12 @@ class ClassicalCritic:
         v, c3 = self.post.forward_cached(h2)
         return v[..., 0], (c1, c2, c3)
 
-    def backward(self, cache, d_value: np.ndarray, _loss_fn=None, _loss_center=None) -> list[np.ndarray]:
-        """Gradients in adam_params() order for upstream dLoss/dV."""
+    def backward(self, cache, d_value: np.ndarray, _loss_fn=None, _loss_center=None) -> None:
+        """Writes the gradients for upstream dLoss/dV into ``grad``."""
         c1, c2, c3 = cache
-        g3, d_h2 = self.post.backward(c3, np.asarray(d_value)[..., None])
-        g2, d_h1 = self.core.backward(c2, d_h2)
-        g1, _ = self.pre.backward(c1, d_h1, input_grad=False)
-        return g1 + g2 + g3
+        d_h2 = self.post.backward(c3, np.asarray(d_value)[..., None])
+        d_h1 = self.core.backward(c2, d_h2)
+        self.pre.backward(c1, d_h1, input_grad=False)
 
     def to_dict(self) -> dict:
         return {
@@ -142,7 +141,7 @@ class QuantumCritic:
 
     @property
     def classical_weights(self) -> int:
-        return self.pre.parameter_count + self.post.parameter_count + self.spec.xi.size
+        return self.flat.size
 
     @property
     def quantum_weights(self) -> int:
@@ -152,7 +151,7 @@ class QuantumCritic:
     def total_weights(self) -> int:
         return self.classical_weights + self.quantum_weights
 
-    def adam_params(self) -> list[np.ndarray]:
+    def params(self) -> list[np.ndarray]:
         return self.pre.params() + [self.spec.xi] + self.post.params()
 
     def _run_circuit(self, angles: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -178,8 +177,8 @@ class QuantumCritic:
         d_value: np.ndarray,
         loss_fn: Callable[[np.ndarray], float],
         loss_center: float,
-    ) -> list[np.ndarray]:
-        """Hybrid gradients in adam_params() order; updates theta via SPSA.
+    ) -> None:
+        """Writes the hybrid gradients into ``grad``; updates theta via SPSA.
 
         ``loss_fn(values)`` must return the scalar minibatch loss that the
         caller is descending, and ``loss_center`` its value at the cached
@@ -192,7 +191,7 @@ class QuantumCritic:
         batch = angles.shape[0] if angles.ndim == 2 else 1
         n_theta = self.spec.theta.size
 
-        post_grads, _ = self.post.backward(post_cache, d_value[..., None], input_grad=False)
+        self.post.backward(post_cache, d_value[..., None], input_grad=False)
 
         def joint_loss(params: np.ndarray) -> float:
             z_p = self._run_circuit(angles + params[n_theta:], params[:n_theta])
@@ -209,13 +208,11 @@ class QuantumCritic:
         u = features if features.ndim == 2 else features[None, :]
         dx_ds = SCALING_FNS[self.spec.scaling_fn][1](u * self.spec.xi)
         upstream_x = np.broadcast_to(grad_angles / batch, u.shape)
-        grad_xi = (upstream_x * dx_ds * u).sum(axis=0, out=self._xi_grad)
+        (upstream_x * dx_ds * u).sum(axis=0, out=self._xi_grad)
         d_features = upstream_x * dx_ds * self.spec.xi
         if features.ndim == 1:
             d_features = d_features[0]
-        pre_grads, _ = self.pre.backward(pre_cache, d_features, input_grad=False)
-
-        return pre_grads + [grad_xi] + post_grads
+        self.pre.backward(pre_cache, d_features, input_grad=False)
 
     def to_dict(self) -> dict:
         return {
@@ -230,10 +227,11 @@ class QuantumCritic:
     @classmethod
     def from_dict(cls, d: dict, lr: float = 1e-4, spsa_seed: int = 0) -> "QuantumCritic":
         check_checkpoint_version(d)
-        pre, circuit, post = json_fields(d, "pre", "circuit", "post")
-        json_fields(circuit, "L", "scaling_fn", "theta", "xi", what="circuit")
+        pre, circuit, post, spsa_k = json_fields(d, "pre", "circuit", "post", "spsa_k")
+        if not isinstance(spsa_k, int) or isinstance(spsa_k, bool) or spsa_k < 0:
+            raise ConfigError(f"checkpoint spsa_k must be a non-negative integer, got {spsa_k!r}")
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
-        spsa.k = d.get("spsa_k", 0)
+        spsa.k = spsa_k
         return cls(DenseNet.from_dict(pre), VqcSpec.from_dict(circuit), DenseNet.from_dict(post), spsa)
 
 
@@ -306,9 +304,9 @@ def tuned_post_hidden(scenario: str, obs_dim: int) -> dict[str, tuple[int, int]]
 
     def totals(critic) -> list[int]:
         """The critic's weight total for each post hidden width."""
-        rest = critic.total_weights - critic.post.parameter_count
+        rest = critic.total_weights - critic.post.flat.size
         posts = (DenseNet.create(*_post_sizes(critic.post.in_dim, h), rng) for h in _POST_HIDDEN_CHOICES)
-        return [rest + post.parameter_count for post in posts]
+        return [rest + post.flat.size for post in posts]
 
     out = {}
     for nn_name, n_layers in PAIRINGS[scenario]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -43,6 +44,7 @@ SCENARIO_BASELINES = {
     "5a2s": {"target_cr_rand": 84.88, "tolerance": 3.0},
 }
 
+SEED_CSV = re.compile(r"seed(0|[1-9][0-9]*)\.csv")
 CCR_WINDOW_START = 1_000_000
 CS_FACTOR = 1.25
 
@@ -207,15 +209,12 @@ class RunRecord:
             if reader.fieldnames != CURVE_HEADER:
                 raise ContractViolation(f"bad curve header in {path}: {reader.fieldnames}")
             for row in reader:
-                curve.append(
-                    {
-                        "env_steps": int(row["env_steps"]),
-                        "cr_mean": float(row["cr_mean"]),
-                        "cr_std": float(row["cr_std"]),
-                        "actor_loss": float(row["actor_loss"]),
-                        "critic_loss": float(row["critic_loss"]),
-                    }
-                )
+                try:
+                    if len(row) != len(CURVE_HEADER) or None in row.values():
+                        raise ValueError(f"expected {len(CURVE_HEADER)} cells")
+                    curve.append({key: (int if key == "env_steps" else float)(row[key]) for key in CURVE_HEADER})
+                except ValueError as exc:
+                    raise ConfigError(f"malformed curve row in {path} line {reader.line_num}: {exc}") from exc
         return cls(solution=solution, scenario=scenario, seed=seed, curve=curve)
 
 
@@ -260,11 +259,7 @@ def run_training(
                 record.curve.append(point)
                 write(point)
 
-            try:
-                trainer.train(total_steps, on_eval=on_eval)
-            except Exception:
-                records.append(record)  # partial curve stays on disk
-                raise
+            trainer.train(total_steps, on_eval=on_eval)  # a run that dies leaves its rows so far on disk
         trainer.actor.save(csv_path.with_name(f"seed{seed}_actor.json"))
         save_critic(critic, csv_path.with_name(f"seed{seed}_critic.json"))
         records.append(record)
@@ -276,11 +271,10 @@ def load_records(out_dir: str | Path, scenario: str, solutions: list[str]) -> di
     base = Path(out_dir) / scenario
     found = {}
     for solution in solutions:
-        paths = sorted((base / solution).glob("seed*.csv"))
+        # only the seed<k>.csv names run_path writes; a stray seed0_old.csv is not a curve
+        paths = [path for path in sorted((base / solution).glob("seed*.csv")) if SEED_CSV.fullmatch(path.name)]
         if paths:
-            found[solution] = [
-                RunRecord.load_csv(path, solution, scenario, int(path.stem.replace("seed", ""))) for path in paths
-            ]
+            found[solution] = [RunRecord.load_csv(path, solution, scenario, int(path.stem[4:])) for path in paths]
     if not found:
         raise ConfigError(f"no curves for {', '.join(solutions)} under {base}")
     return found

@@ -179,19 +179,19 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
     bootstrap = 0.0 if done else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
     dones = np.broadcast_to((np.arange(k) == k - 1) & done, (b, k))
-    fields = dict(obs=obs, actions=actions, log_prob_old=actor._log_prob(mu, actions), mu_old=mu, rewards=rewards,
+    fields = dict(obs=obs, actions=actions, log_prob_old=actor.log_prob_of(actions - mu), mu_old=mu, rewards=rewards,
                   values=values, dones=dones, advantages=advantages, returns=returns)
     return world, {name: a.reshape((b * k,) + a.shape[2:]) for name, a in fields.items()}
 
 
 def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
-    """Clipped-surrogate actor objective, arranged for descent, and its gradients.
+    """Clipped-surrogate actor objective, arranged for descent; its gradients go into ``actor.grad``.
 
     loss = -mean(min(r A, clip(r) A)) - entropy_coeff * S
            + kl_coeff * mean(KL(old || new)).
-    Returns (loss, grads in params() order, stats), or None when a ratio is
-    non-finite.  The clip is minimum(maximum()), which equals np.clip on the
-    finite ratios that reach it; each mean is add.reduce / m, as np.mean is.
+    Returns (loss, stats), or None when a ratio is non-finite.  The clip is
+    minimum(maximum()), which equals np.clip on the finite ratios that reach
+    it; each mean is add.reduce / m, as np.mean is.
     """
     m = obs.shape[0]
     lp_new, mu_new, cache = actor.log_prob_cached(obs, actions)
@@ -206,16 +206,15 @@ def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old,
     active = (unclipped_term <= clipped_term) | ((ratio > lo) & (ratio < hi))
     d_lp = -(active * ratio * advantages) / m
 
-    kl, d_mu_kl, d_log_std_kl = actor.kl_divergence(mu_old, log_std_old, mu_new, scale=cfg.kl_coeff / m)
-    grads = actor.backward_log_prob(cache, d_lp, d_mu_kl)
-    d_log_std = grads[-1]
-    d_log_std -= cfg.entropy_coeff
-    d_log_std += d_log_std_kl
+    kl, d_mu_kl, d_log_std_kl = actor.kl_divergence(mu_old, log_std_old, mu_new, cache[2], cfg.kl_coeff / m)
+    actor.backward_log_prob(cache, d_lp, d_mu_kl)
+    actor.log_std_grad -= cfg.entropy_coeff
+    actor.log_std_grad += d_log_std_kl
 
     kl_mean, entropy = float(np.add.reduce(kl) / m), actor.entropy()
     loss = float(-(np.add.reduce(surr) / m) - cfg.entropy_coeff * entropy + cfg.kl_coeff * kl_mean)
     stats = {"kl": kl_mean, "entropy": entropy, "clip_frac": float(np.count_nonzero(~active) / m)}
-    return loss, grads, stats
+    return loss, stats
 
 
 def _value_objective(v: np.ndarray, returns: np.ndarray, values_old: np.ndarray, eps: float) -> float:
@@ -224,7 +223,8 @@ def _value_objective(v: np.ndarray, returns: np.ndarray, values_old: np.ndarray,
     return float(np.mean(np.maximum((v - returns) ** 2, (clipped - returns) ** 2)))
 
 
-def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg):
+def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg) -> float:
+    """The clipped value objective; its gradients go into ``critic.grad``."""
     m = global_obs.shape[0]
     v, cache = critic.value_cached(global_obs)
 
@@ -240,8 +240,8 @@ def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg):
         2.0 * (v - returns),
         np.where(inside, 2.0 * (clipped - returns), 0.0),
     ) / m
-    grads = critic.backward(cache, d_v, loss_fn, loss)
-    return loss, grads
+    critic.backward(cache, d_v, loss_fn, loss)
+    return loss
 
 
 def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, seed):
@@ -350,7 +350,7 @@ class Trainer:
                         stats.skipped_minibatches += 1
                         warnings.warn("skipped actor minibatch: non-finite ratio", RuntimeWarning)
                         continue
-                    loss, grads, mb_stats = res
+                    loss, mb_stats = res
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite actor loss")
                     stats.actor_grad_norm += self.actor_opt.step(self.actor.flat, self.actor.grad)
@@ -364,7 +364,7 @@ class Trainer:
                 global_obs, returns, values = (np.take(rows, step_order, axis=0) for rows in critic_rows)
                 for lo in range(0, S, cfg.minibatch_size):
                     mb = slice(lo, lo + cfg.minibatch_size)
-                    loss, grads = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)
+                    loss = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
                     stats.critic_grad_norm += self.critic_opt.step(self.critic.flat, self.critic.grad)
@@ -398,22 +398,23 @@ class Trainer:
         (one evaluation per crossed boundary; the boundaries one update
         crosses share one ``evaluate`` call) and returns the curve as a
         list of {env_steps, cr_mean, cr_std, actor_loss, critic_loss} dicts.
-        ``on_eval(point)`` is called after each point's evaluation.
+        ``on_eval(point)`` is called after each point's evaluation.  A
+        later call continues from ``env_steps`` and returns only the points
+        it crosses.
         """
         cfg = self.cfg
         curve: list[dict] = []
-        next_eval = cfg.eval_interval
         while self.env_steps < total_steps:
             steps = min(cfg.rollout_steps, total_steps - self.env_steps)
             batch, self.episode_counter = collect_rollout(
                 self.env, self.actor, self.critic, steps, self.rollout_rng, self.seed, self.episode_counter, cfg
             )
+            first = (self.env_steps // cfg.eval_interval + 1) * cfg.eval_interval  # the next point not yet passed
             self.env_steps += steps
             self.last_stats = self.update(batch)
-            due = range(next_eval, self.env_steps + 1, cfg.eval_interval)  # the points this update crossed
+            due = range(first, self.env_steps + 1, cfg.eval_interval)  # the points this update crossed
             if not due:
                 continue
-            next_eval = due[-1] + cfg.eval_interval
             eval_seeds = [int(np.random.default_rng([self.seed, 3, at]).integers(0, 2**31 - 1)) for at in due]
             # one evaluate call, so one block of episodes, for all of them
             results = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seeds)

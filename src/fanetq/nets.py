@@ -10,8 +10,9 @@ upstream values already scaled for means.
 
 Each owner (a policy head, a critic or a lone net) keeps its parameters in
 one flat vector, ``flat``, and its gradients in another, ``grad``; params()
-and a backward pass return views of them, so one Adam pass steps an owner.
-A backward pass overwrites the gradients of the one before it.
+returns views of ``flat``, and a backward pass writes ``grad`` and returns at
+most the input gradient, so one Adam pass steps an owner.  A backward pass
+overwrites the gradients of the one before it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ CHECKPOINT_VERSION = 1
 
 LOG_2PI = np.log(2.0 * np.pi)
 INIT_LOG_STD = -0.5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def check_checkpoint_version(d: dict) -> None:
@@ -110,10 +112,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -140,15 +138,11 @@ class DenseNet:
             cache.append(h)
         return (h[0] if squeeze else h), cache
 
-    def backward(
-        self, cache: list[np.ndarray], upstream: np.ndarray, *, input_grad: bool = True
-    ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """Exact gradients for the cached forward pass.
+    def backward(self, cache: list[np.ndarray], upstream: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
+        """Exact gradients for the cached forward pass, written into ``grad``.
 
         ``upstream`` is dLoss/d(output) per sample, shape (batch, out_dim) or
-        (out_dim,).  Returns (param grads in params() order, dLoss/d(input)),
-        with None for the input gradient when ``input_grad`` is false.  The
-        param grads are views of ``grad``.
+        (out_dim,).  Returns dLoss/d(input), or None when ``input_grad`` is false.
         """
         upstream = np.asarray(upstream, dtype=float)
         squeeze = upstream.ndim == 1
@@ -166,8 +160,8 @@ class DenseNet:
             if k > 0 or input_grad:
                 d = d @ self.weights[k]
         if not input_grad:
-            return list(grads), None
-        return list(grads), (d[0] if squeeze else d)
+            return None
+        return d[0] if squeeze else d
 
     def to_dict(self) -> dict:
         return {
@@ -198,7 +192,7 @@ class GaussianPolicyHead:
         if log_std.shape != (mean_net.out_dim,):
             raise ContractViolation("log_std must match the action dimension")
         self.mean_net = mean_net
-        self.flat, self.grad, (net_part, (self.log_std, self._log_std_grad)) = pack([mean_net.flat, log_std])
+        self.flat, self.grad, (net_part, (self.log_std, self.log_std_grad)) = pack([mean_net.flat, log_std])
         mean_net.bind(*net_part)
 
     @classmethod
@@ -213,57 +207,46 @@ class GaussianPolicyHead:
     def mean(self, obs: np.ndarray) -> np.ndarray:
         return self.mean_net.forward(obs)
 
-    def _log_prob(self, mu: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return self._log_prob_of(action - mu)
-
-    def _log_prob_of(self, diff: np.ndarray) -> np.ndarray:
+    def log_prob_of(self, diff: np.ndarray) -> np.ndarray:
         """Log-density of the deviations ``diff`` = action - mu."""
         z = diff / np.exp(self.log_std)
         return -0.5 * np.add.reduce(z * z + 2.0 * self.log_std + LOG_2PI, axis=-1)
-
-    def log_prob(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return self._log_prob(self.mean_net.forward(obs), action)
 
     def log_prob_cached(self, obs: np.ndarray, action: np.ndarray):
         """(log_prob, mu, cache) for a later backward pass; the cache holds action - mu and the variance."""
         mu, net_cache = self.mean_net.forward_cached(obs)
         diff = action - mu
-        return self._log_prob_of(diff), mu, (net_cache, diff, np.exp(2.0 * self.log_std))
+        return self.log_prob_of(diff), mu, (net_cache, diff, np.exp(2.0 * self.log_std))
 
-    def backward_log_prob(
-        self,
-        cache: tuple,
-        upstream: np.ndarray,
-        d_mu_other: np.ndarray | float = 0.0,
-    ) -> list[np.ndarray]:
-        """Gradients of sum_i upstream_i * log_prob_i in params() order, views of ``grad``.
+    def backward_log_prob(self, cache: tuple, upstream: np.ndarray, d_mu_other: np.ndarray | float = 0.0) -> None:
+        """Writes the gradients of sum_i upstream_i * log_prob_i into ``grad``.
 
         ``d_mu_other`` is the gradient reaching the mean from other loss
         terms; it joins the log-prob term before the one mean-net backward.
+        Callers add further log-std terms into ``log_std_grad``.
         """
         net_cache, diff, var = cache
         d_mu = upstream[..., None] * diff / var + d_mu_other
-        net_grads, _ = self.mean_net.backward(net_cache, d_mu, input_grad=False)
+        self.mean_net.backward(net_cache, d_mu, input_grad=False)
         z2 = diff * diff / var
-        (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0, out=self._log_std_grad)
-        return net_grads + [self._log_std_grad]
+        (upstream[..., None] * (z2 - 1.0)).reshape(-1, self.log_std.size).sum(axis=0, out=self.log_std_grad)
 
     def entropy(self) -> float:
         """Closed form: sum(log_std + 0.5 log(2 pi e)); obs-independent."""
         return float(np.add.reduce(self.log_std + 0.5 * (LOG_2PI + 1.0)))
 
-    def kl_divergence(self, mu_old: np.ndarray, log_std_old: np.ndarray, mu_new: np.ndarray, scale: float | None = None):
-        """KL(old || new) per sample for diagonal Gaussians (new std = current).
+    def kl_divergence(
+        self, mu_old: np.ndarray, log_std_old: np.ndarray, mu_new: np.ndarray, var_new: np.ndarray, scale: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """KL(old || new) per sample for diagonal Gaussians (new std = current), and its gradients.
 
-        With ``scale``, returns (kl, d_mu, d_log_std): also the gradients of
-        scale * sum_i KL_i with respect to ``mu_new`` and the current log-std.
+        ``var_new`` is the current variance, as a log_prob_cached cache holds
+        it.  Returns (kl, d_mu, d_log_std): the gradients of scale * sum_i KL_i
+        with respect to ``mu_new`` and the current log-std.
         """
-        var_new = np.exp(2.0 * self.log_std)
         var_old = np.exp(2.0 * log_std_old)
         spread = var_old + (mu_old - mu_new) ** 2
         kl = np.add.reduce(self.log_std - log_std_old + spread / (2.0 * var_new) - 0.5, axis=-1)
-        if scale is None:
-            return kl
         d_mu = scale * (mu_new - mu_old) / var_new
         d_log_std = scale * (1.0 - spread / var_new).reshape(-1, self.log_std.size).sum(axis=0)
         return kl, d_mu, d_log_std
@@ -296,14 +279,12 @@ class GaussianPolicyHead:
 class Adam:
     """Standard bias-corrected Adam over one flat parameter vector.
 
-    Both moments are flat vectors of the same length.
+    Both moments are flat vectors of the same length; the decay rates and
+    epsilon are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
 
-    def __init__(self, params: np.ndarray, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(params.size)
         self.v = np.zeros_like(self.m)
@@ -319,23 +300,23 @@ class Adam:
         if not np.isfinite(sq) and not np.isfinite(grads).all():
             raise TrainingError("non-finite gradient in Adam step")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         # the per-element arithmetic, in the same order, of
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        tmp = (1.0 - self.beta1) * grads
-        self.m *= self.beta1
+        tmp = (1.0 - ADAM_BETA1) * grads
+        self.m *= ADAM_BETA1
         self.m += tmp
-        np.multiply(1.0 - self.beta2, grads, out=tmp)
+        np.multiply(1.0 - ADAM_BETA2, grads, out=tmp)
         tmp *= grads
-        self.v *= self.beta2
+        self.v *= ADAM_BETA2
         self.v += tmp
         step = self.m / bc1
         step *= self.lr
         np.divide(self.v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         step /= tmp
         params -= step
         return float(np.sqrt(sq))

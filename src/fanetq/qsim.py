@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, TrainingError
+from .errors import ConfigError, ContractViolation, TrainingError, json_fields
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -208,9 +208,16 @@ class VqcSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VqcSpec":
+        n_layers, scaling_fn, theta, xi = json_fields(d, "L", "scaling_fn", "theta", "xi", what="circuit")
         if d.get("n_qubits", N_QUBITS) != N_QUBITS:
             raise ContractViolation("the critic core circuit is fixed at 4 qubits")
-        return cls(n_layers=d["L"], scaling_fn=d["scaling_fn"], theta=np.asarray(d["theta"]), xi=np.asarray(d["xi"]))
+        if not isinstance(n_layers, int) or isinstance(n_layers, bool):
+            raise ConfigError(f"circuit L must be an integer, got {n_layers!r}")
+        try:
+            theta, xi = np.asarray(theta, dtype=float), np.asarray(xi, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"circuit theta and xi must be lists of numbers: {exc}") from exc
+        return cls(n_layers=n_layers, scaling_fn=scaling_fn, theta=theta, xi=xi)
 
 
 def _basis_signs() -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from fanetq.env import ScenarioConfig, WorldState
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
-from fanetq.nets import GaussianPolicyHead
+from fanetq.nets import GaussianPolicyHead, views
 from fanetq.qmetrics import meyer_wallach_batch
 from fanetq.qsim import N_QUBITS, SpsaState, spsa_gradient
 
@@ -52,7 +52,12 @@ def sample_action(head: GaussianPolicyHead, obs: np.ndarray, rng: np.random.Gene
     """
     mu = head.mean(obs)
     action = mu + np.exp(head.log_std) * rng.standard_normal(mu.shape)
-    return action, head._log_prob(mu, action), mu
+    return action, head.log_prob_of(action - mu), mu
+
+
+def grad_views(owner) -> list[np.ndarray]:
+    """Views of ``owner.grad`` shaped as ``owner.params()``, one per array: the gradients a backward pass wrote."""
+    return views(owner.grad, [p.shape for p in owner.params()])
 
 
 def save_curve(record: RunRecord, path: str | Path) -> None:

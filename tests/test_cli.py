@@ -245,6 +245,49 @@ def test_bad_curve_header_surfaces_instead_of_being_skipped(tmp_path, monkeypatc
     assert err.startswith("fanetq: error: ") and "bad curve header" in err and err.count("\n") == 1
 
 
+CURVE_TEXT = "env_steps,cr_mean,cr_std,actor_loss,critic_loss\n1000,60.0,1.0,-0.01,2.0\n2000,61.5,1.0,-0.01,2.0\n"
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
+@pytest.mark.parametrize(
+    "bad_row, detail",
+    [
+        ("3000,sixty,1.0,-0.01,2.0", "could not convert"),
+        ("3000,60.0,1.0", "expected 5 cells"),
+        ("3000,60.0,1.0,-0.01,2.0,7", "expected 5 cells"),
+    ],
+    ids=["non-numeric-cell", "short-row", "long-row"],
+)
+def test_malformed_curve_row_is_a_one_line_error_naming_file_and_line(
+    tmp_path, monkeypatch, capsys, command, bad_row, detail
+):
+    monkeypatch.chdir(tmp_path)
+    seed_csv = tmp_path / "runs" / "4a1s" / "NN-4" / "seed0.csv"
+    seed_csv.parent.mkdir(parents=True)
+    seed_csv.write_text(CURVE_TEXT + bad_row + "\n")
+    rc = main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"fanetq: error: malformed curve row in {seed_csv} line 4: ")
+    assert detail in captured.err
+    assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["export", "--out-dir", "export"]])
+def test_a_stray_file_beside_the_curves_is_not_read(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    run_dir = tmp_path / "runs" / "4a1s" / "NN-4"
+    run_dir.mkdir(parents=True)
+    (run_dir / "seed0.csv").write_text(CURVE_TEXT)
+    (run_dir / "seed0_old.csv").write_text("not a curve\n")
+    (run_dir / "seed01.csv").write_text("not a curve either\n")
+    assert main(command + ["--run-dir", str(tmp_path / "runs"), "--scenario", "4a1s", "--solution", "NN-4"]) == 0
+    assert capsys.readouterr().err == ""
+    records = experiments.load_records(tmp_path / "runs", "4a1s", ["NN-4"])["NN-4"]
+    assert [(r.seed, len(r.curve)) for r in records] == [(0, 2)]
+
+
 def test_eval_with_checkpoint(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     main(

@@ -25,6 +25,7 @@ from fanetq.errors import ConfigError
 from fanetq.nets import DenseNet, GaussianPolicyHead
 from fanetq.qsim import VqcSpec, vqc_forward
 
+from tests.oracles import grad_views
 from tests.test_nets import finite_difference_check
 
 OBS_DIMS = {"4a1s": 52, "5a2s": 95}
@@ -97,7 +98,7 @@ class TestWeightBookkeeping:
                     critic = build_critic(name, scenario, OBS_DIMS[scenario], rng)
                 except ConfigError:
                     continue
-                live = sum(p.size for p in critic.adam_params())
+                live = sum(p.size for p in critic.params())
                 if critic.kind == "quantum":
                     live += critic.spec.theta.size
                 assert critic.total_weights == live
@@ -217,14 +218,14 @@ class TestQuantumCritic:
         g = rng.standard_normal(n_theta + critic.spec.n_features)
         monkeypatch.setattr(critics_module, "spsa_gradient", lambda *args, **kwargs: (g.copy(), 0.0))
         v, cache = critic.value_cached(O)
-        grads = critic.backward(cache, np.zeros_like(v), lambda values: 0.0, 0.0)
+        critic.backward(cache, np.zeros_like(v), lambda values: 0.0, 0.0)
         w = g[n_theta:] / (5 if batched else 1)
 
         def chained():
             return float(np.sum(w * critic.spec.scaled_angles(critic.pre.forward(O))))
 
         params = critic.pre.params() + [critic.spec.xi]
-        finite_difference_check(chained, params, grads[: len(params)], rng)
+        finite_difference_check(chained, params, grad_views(critic)[: len(params)], rng)
 
     def test_spsa_moves_theta_downhill_on_average(self):
         rng = np.random.default_rng(5)
@@ -302,6 +303,7 @@ class TestCheckpointChecks:
             ("circuit", "checkpoint has no 'circuit'"),
             ("theta", "circuit has no 'theta'"),
             ("weights", "dense net has no 'weights'"),
+            ("spsa_k", "checkpoint has no 'spsa_k'"),
         ],
     )
     def test_missing_key_is_named(self, tmp_path, drop, message):
@@ -333,6 +335,31 @@ class TestCheckpointChecks:
             load_critic(tmp_path / "missing.json")
         (tmp_path / "c.json").write_text('{"kind": ')
         with pytest.raises(ConfigError, match="c.json is not valid JSON"):
+            load_critic(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("spsa_k", [-5, "abc", 1.5, True, None, [3]])
+    def test_spsa_k_must_be_a_non_negative_integer(self, tmp_path, spsa_k):
+        d = self.critic_dicts()[1]
+        (tmp_path / "c.json").write_text(json.dumps({**d, "spsa_k": spsa_k}))
+        with pytest.raises(ConfigError, match="spsa_k must be a non-negative integer"):
+            load_critic(tmp_path / "c.json")
+        (tmp_path / "c.json").write_text(json.dumps({**d, "spsa_k": 7}))
+        assert load_critic(tmp_path / "c.json").spsa.k == 7
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("L", "1", "L must be an integer"),
+            ("L", 1.0, "L must be an integer"),
+            ("theta", ["x"] * 12, "theta and xi must be lists of numbers"),
+            ("xi", {"a": 1}, "theta and xi must be lists of numbers"),
+        ],
+    )
+    def test_malformed_circuit_is_a_config_error(self, tmp_path, key, value, message):
+        d = self.critic_dicts()[1]
+        d["circuit"][key] = value
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match=message):
             load_critic(tmp_path / "c.json")
 
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])

@@ -29,7 +29,7 @@ from fanetq.mappo import (
 )
 from fanetq.nets import DenseNet, GaussianPolicyHead
 
-from tests.oracles import sample_action
+from tests.oracles import grad_views, sample_action
 from tests.test_env import episode_cr_alone
 from tests.test_nets import AdamReference, dense_backward_reference, dense_forward_reference, flat
 
@@ -124,12 +124,12 @@ def actor_loss(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_ol
     loss = -mean(min(r A, clip(r) A)) - entropy_coeff * S
            + kl_coeff * mean(KL(old || new)).
     """
-    lp_new = actor.log_prob(obs, actions)
+    lp_new = actor.log_prob_cached(obs, actions)[0]
     ratio = np.exp(lp_new - log_prob_old)
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
     surr = np.minimum(ratio * advantages, clipped * advantages)
     mu_new = actor.mean_net.forward(obs)
-    kl = actor.kl_divergence(mu_old, log_std_old, mu_new).mean()
+    kl = actor.kl_divergence(mu_old, log_std_old, mu_new, np.exp(2.0 * actor.log_std), 1.0)[0].mean()
     return float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl)
 
 
@@ -145,7 +145,7 @@ def naive_actor_loss(actor, obs, acts, lp_old, adv, mu_old, ls_old, cfg):
     total = 0.0
     m = obs.shape[0]
     for i in range(m):
-        lp = float(actor.log_prob(obs[i], acts[i]))
+        lp = float(actor.log_prob_cached(obs[i], acts[i])[0])
         ratio = np.exp(lp - lp_old[i])
         clipped = min(max(ratio, 1 - cfg.clip_eps), 1 + cfg.clip_eps)
         total += min(ratio * adv[i], clipped * adv[i])
@@ -175,7 +175,7 @@ class TestActorLoss:
         self.adv = self.rng.standard_normal(16)
 
     def test_new_equals_old_gives_unit_ratio(self):
-        lp_old = self.actor.log_prob(self.obs, self.acts)
+        lp_old = self.actor.log_prob_cached(self.obs, self.acts)[0]
         mu_old = self.actor.mean_net.forward(self.obs)
         loss = actor_loss(
             self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, self.actor.log_std.copy(), self.cfg
@@ -188,19 +188,17 @@ class TestActorLoss:
         # ratio far above 1+eps with positive advantage: surrogate grad is zero
         obs = self.rng.standard_normal((4, 5))
         acts = self.actor.mean_net.forward(obs)  # at the mean
-        lp_old = self.actor.log_prob(obs, acts) - 2.0  # new/old ratio = e^2 >> 1+eps
+        lp_old = self.actor.log_prob_cached(obs, acts)[0] - 2.0  # new/old ratio = e^2 >> 1+eps
         adv = np.ones(4)
         mu_old = self.actor.mean_net.forward(obs)
         cfg = TrainerConfig(entropy_coeff=0.0, kl_coeff=0.0)
-        loss, grads, _ = _actor_loss_and_grads(
-            self.actor, obs, acts, lp_old, adv, mu_old, self.actor.log_std.copy(), cfg
-        )
-        for g in grads:
+        _actor_loss_and_grads(self.actor, obs, acts, lp_old, adv, mu_old, self.actor.log_std.copy(), cfg)
+        for g in grad_views(self.actor):
             assert np.abs(g).max() < 1e-12
 
     def test_matches_per_sample_oracle(self):
         for trial in range(10):
-            lp_old = self.actor.log_prob(self.obs, self.acts) + 0.1 * self.rng.standard_normal(16)
+            lp_old = self.actor.log_prob_cached(self.obs, self.acts)[0] + 0.1 * self.rng.standard_normal(16)
             mu_old = self.actor.mean_net.forward(self.obs) + 0.1 * self.rng.standard_normal((16, 3))
             ls_old = self.actor.log_std + 0.05 * self.rng.standard_normal(3)
             got = actor_loss(self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, ls_old, self.cfg)
@@ -210,28 +208,26 @@ class TestActorLoss:
     def test_gradients_match_finite_differences(self):
         from tests.test_nets import finite_difference_check
 
-        lp_old = self.actor.log_prob(self.obs, self.acts) + 0.05 * self.rng.standard_normal(16)
+        lp_old = self.actor.log_prob_cached(self.obs, self.acts)[0] + 0.05 * self.rng.standard_normal(16)
         mu_old = self.actor.mean_net.forward(self.obs) + 0.05 * self.rng.standard_normal((16, 3))
         ls_old = self.actor.log_std + 0.02
 
         def loss():
             return actor_loss(self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, ls_old, self.cfg)
 
-        _, grads, _ = _actor_loss_and_grads(
-            self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, ls_old, self.cfg
-        )
-        finite_difference_check(loss, self.actor.params(), grads, self.rng, n_coords=5)
+        _actor_loss_and_grads(self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, ls_old, self.cfg)
+        finite_difference_check(loss, self.actor.params(), grad_views(self.actor), self.rng, n_coords=5)
 
     def test_clip_inert_with_infinite_epsilon(self):
         # with the clip range blown up the clipped losses equal plain PPO ones
         from types import SimpleNamespace
 
-        lp_old = self.actor.log_prob(self.obs, self.acts) + self.rng.standard_normal(16)
+        lp_old = self.actor.log_prob_cached(self.obs, self.acts)[0] + self.rng.standard_normal(16)
         mu_old = self.actor.mean_net.forward(self.obs)
         ls_old = self.actor.log_std.copy()
         wide = SimpleNamespace(clip_eps=1e12, entropy_coeff=0.0, kl_coeff=0.0)
         got = actor_loss(self.actor, self.obs, self.acts, lp_old, self.adv, mu_old, ls_old, wide)
-        lp_new = self.actor.log_prob(self.obs, self.acts)
+        lp_new = self.actor.log_prob_cached(self.obs, self.acts)[0]
         ratio = np.exp(lp_new - lp_old)
         plain = float(-(ratio * self.adv).mean())
         assert got == pytest.approx(plain, abs=1e-12)
@@ -286,8 +282,8 @@ class TestCriticLoss:
         def loss():
             return critic_loss(self.critic, self.O, returns, v_old, self.cfg)
 
-        _, grads = _critic_loss_and_grads(self.critic, self.O, returns, v_old, self.cfg)
-        finite_difference_check(loss, self.critic.adam_params(), grads, self.rng, n_coords=5)
+        _critic_loss_and_grads(self.critic, self.O, returns, v_old, self.cfg)
+        finite_difference_check(loss, self.critic.params(), grad_views(self.critic), self.rng, n_coords=5)
 
 
 def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_counter, cfg):
@@ -437,7 +433,7 @@ class TestRollout:
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         batch, _ = collect_rollout(env, actor, critic, 30, rng, 0, 0, TrainerConfig())
         for t in range(30):
-            recomputed = actor.log_prob(batch.obs[t], batch.actions[t])
+            recomputed = actor.log_prob_cached(batch.obs[t], batch.actions[t])[0]
             assert np.abs(recomputed - batch.log_prob_old[t]).max() < 1e-12
 
     def test_actions_come_from_the_policy_sampler(self):
@@ -501,9 +497,9 @@ class TestUpdateMechanics:
         batch, _ = collect_rollout(
             trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 1, 0, trainer.cfg
         )
-        lp_new = trainer.actor.log_prob(
+        lp_new = trainer.actor.log_prob_cached(
             batch.obs.reshape(-1, cfg.obs_dim), batch.actions.reshape(-1, cfg.action_dim)
-        )
+        )[0]
         ratio = np.exp(lp_new - batch.log_prob_old.reshape(-1))
         assert np.abs(ratio - 1.0).max() < 1e-10
 
@@ -571,7 +567,7 @@ class TestUpdateMechanics:
         critic = QuantumCritic.create(52, 1, "arctan", rng)
         global_obs = rng.standard_normal((16, 52))
         returns, values_old = rng.standard_normal(16), rng.standard_normal(16)
-        loss, _ = _critic_loss_and_grads(critic, global_obs, returns, values_old, TrainerConfig())
+        loss = _critic_loss_and_grads(critic, global_obs, returns, values_old, TrainerConfig())
         # the returned loss, then the two perturbed SPSA losses; the center is not computed again
         assert len(calls) == 3 and calls[0] == loss
 
@@ -585,13 +581,13 @@ class TestUpdateMechanics:
         )
         batch.returns[:] = np.nan  # poisons the critic loss
         before_actor = [p.copy() for p in trainer.actor.params()]
-        before_critic = [p.copy() for p in critic.adam_params()]
+        before_critic = [p.copy() for p in critic.params()]
         with pytest.warns(RuntimeWarning):
             stats = trainer.update(batch)
         assert stats.aborted
         for p, b in zip(trainer.actor.params(), before_actor):
             assert np.array_equal(p, b)
-        for p, b in zip(critic.adam_params(), before_critic):
+        for p, b in zip(critic.params(), before_critic):
             assert np.array_equal(p, b)
 
     @staticmethod
@@ -629,8 +625,8 @@ class TestUpdateMechanics:
 
         def nan_in_epoch_2(*args):
             calls.append(None)
-            loss, grads = inner(*args)
-            return (np.nan if len(calls) > 1 else loss), grads
+            loss = inner(*args)
+            return np.nan if len(calls) > 1 else loss
 
         monkeypatch.setattr(mappo, "_critic_loss_and_grads", nan_in_epoch_2)
         cfg = cfg_4a1s()
@@ -653,7 +649,7 @@ class TestUpdateMechanics:
 
         def spy(*args):
             res = inner(*args)
-            seen.append(res[2]["clip_frac"])
+            seen.append(res[1]["clip_frac"])
             return res
 
         monkeypatch.setattr(mappo, "_actor_loss_and_grads", spy)
@@ -692,7 +688,7 @@ class TestUpdateMechanics:
 
         def assert_owned(actor, critic):
             assert_views(actor, actor.params(), actor.flat)
-            assert_views(critic, critic.adam_params(), critic.flat)
+            assert_views(critic, critic.params(), critic.flat)
 
         critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(3), spsa_seed=3)
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=3)
@@ -701,10 +697,13 @@ class TestUpdateMechanics:
         adv = np.repeat(batch.advantages, cfg.n_aircraft)
         obs, acts = batch.obs.reshape(200, -1), batch.actions.reshape(200, -1)
         lp, mu = batch.log_prob_old.reshape(200), batch.mu_old.reshape(200, -1)
-        _, grads, _ = _actor_loss_and_grads(trainer.actor, obs, acts, lp, adv, mu, batch.log_std_old, trainer.cfg)
-        assert_views(trainer.actor, grads, trainer.actor.grad)
-        _, grads = _critic_loss_and_grads(critic, batch.global_obs, batch.returns, batch.values, trainer.cfg)
-        assert_views(critic, grads, critic.grad)
+        for owner in (trainer.actor, critic):
+            owner.grad.fill(np.nan)  # so a gradient the passes do not write into grad shows
+        _actor_loss_and_grads(trainer.actor, obs, acts, lp, adv, mu, batch.log_std_old, trainer.cfg)
+        assert_views(trainer.actor, grad_views(trainer.actor), trainer.actor.grad)
+        _critic_loss_and_grads(critic, batch.global_obs, batch.returns, batch.values, trainer.cfg)
+        assert_views(critic, grad_views(critic), critic.grad)
+        assert np.isfinite(trainer.actor.grad).all() and np.isfinite(critic.grad).all()
 
         assert_owned(GaussianPolicyHead.from_dict(trainer.actor.to_dict()), type(critic).from_dict(critic.to_dict()))
 
@@ -746,7 +745,7 @@ def actor_loss_and_grads_reference(actor, obs, actions, log_prob_old, advantages
     d_mu_kl = cfg.kl_coeff / m * (mu_new - mu_old) / var
     diff = actions - mu_new
     d_mu = d_lp[..., None] * diff / np.exp(2.0 * actor.log_std) + d_mu_kl
-    net_grads, _ = actor.mean_net.backward(cache, d_mu)
+    actor.mean_net.backward(cache, d_mu)
     z2 = diff * diff / np.exp(2.0 * actor.log_std)
     d_log_std = (d_lp[..., None] * (z2 - 1.0)).reshape(-1, actor.log_std.size).sum(axis=0)
     d_log_std -= cfg.entropy_coeff
@@ -754,7 +753,7 @@ def actor_loss_and_grads_reference(actor, obs, actions, log_prob_old, advantages
 
     loss = float(-surr.mean() - cfg.entropy_coeff * actor.entropy() + cfg.kl_coeff * kl.mean())
     stats = {"kl": float(kl.mean()), "entropy": actor.entropy(), "clip_frac": float((~active).mean())}
-    return loss, net_grads + [d_log_std], stats
+    return loss, grad_views(actor.mean_net) + [d_log_std], stats
 
 
 def critic_loss_and_grads_reference(critic, global_obs, returns, values_old, cfg):
@@ -770,7 +769,8 @@ def critic_loss_and_grads_reference(critic, global_obs, returns, values_old, cfg
     take_unclipped = (v - returns) ** 2 >= (clipped - returns) ** 2
     inside = (v > values_old - cfg.clip_eps) & (v < values_old + cfg.clip_eps)
     d_v = np.where(take_unclipped, 2.0 * (v - returns), np.where(inside, 2.0 * (clipped - returns), 0.0)) / m
-    return loss, critic.backward(cache, d_v, loss_fn, loss)
+    critic.backward(cache, d_v, loss_fn, loss)
+    return loss, grad_views(critic)
 
 
 def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, batch) -> UpdateStats:
@@ -791,7 +791,7 @@ def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, bat
         mu_flat = batch.mu_old.reshape(S * n, -1)
         adv_flat = np.repeat(adv, n)
         actor_snapshot = [p.copy() for p in actor.params()]
-        critic_snapshot = [p.copy() for p in critic.adam_params()]
+        critic_snapshot = [p.copy() for p in critic.params()]
         theta_snapshot = critic.spec.theta.copy() if critic.kind == "quantum" else None
         stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         n_actor_mb = n_critic_mb = 0
@@ -824,13 +824,13 @@ def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, bat
                     )
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
-                    stats.critic_grad_norm += critic_opt.step(critic.adam_params(), grads)
+                    stats.critic_grad_norm += critic_opt.step(critic.params(), grads)
                     stats.critic_loss += loss
                     n_critic_mb += 1
         except TrainingError:
             for p, snap in zip(actor.params(), actor_snapshot):
                 p[...] = snap
-            for p, snap in zip(critic.adam_params(), critic_snapshot):
+            for p, snap in zip(critic.params(), critic_snapshot):
                 p[...] = snap
             if theta_snapshot is not None:
                 critic.spec.theta = theta_snapshot
@@ -869,7 +869,7 @@ def test_update_equals_the_pre_change_reference(solution, steps, minibatch_size,
 
     trainer, oracle = make_trainer(), make_trainer()
     actor_opt = AdamReference(oracle.actor.params(), lr=lr)
-    critic_opt = AdamReference(oracle.critic.adam_params(), lr=lr)
+    critic_opt = AdamReference(oracle.critic.params(), lr=lr)
     batch, _ = collect_rollout(trainer.env, trainer.actor, trainer.critic, steps, trainer.rollout_rng, seed, 0, tcfg)
     for _ in range(n_updates):
         with warnings.catch_warnings():
@@ -882,8 +882,8 @@ def test_update_equals_the_pre_change_reference(solution, steps, minibatch_size,
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0), field.name
             else:
                 assert g == w, field.name
-        params = trainer.actor.params() + trainer.critic.adam_params()
-        oracle_params = oracle.actor.params() + oracle.critic.adam_params()
+        params = trainer.actor.params() + trainer.critic.params()
+        oracle_params = oracle.actor.params() + oracle.critic.params()
         assert all(np.array_equal(p, q) for p, q in zip(params, oracle_params, strict=True))
         if trainer.critic.kind == "quantum":
             assert np.array_equal(trainer.critic.spec.theta, oracle.critic.spec.theta)
@@ -964,6 +964,18 @@ class TestEvaluate:
         assert [point["env_steps"] for point in curve] == [100 * (k + 1) for k in range(points)]
         for point, seed in zip(curve, seeds, strict=True):
             assert (point["cr_mean"], point["cr_std"]) == evaluate(trainer.actor, cfg, 3, seed)
+
+    @pytest.mark.parametrize(
+        "rollout_steps, calls",
+        [(100, [(300, [100, 200, 300]), (500, [400, 500])]), (150, [(150, [100]), (400, [200, 300, 400])])],
+    )
+    def test_a_later_train_call_returns_only_the_points_it_crosses(self, rollout_steps, calls):
+        cfg = cfg_4a1s()
+        critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(32))
+        tcfg = TrainerConfig(rollout_steps=rollout_steps, eval_interval=100, eval_episodes=1)
+        trainer = Trainer(cfg, critic, tcfg, seed=32)
+        for total_steps, points in calls:
+            assert [point["env_steps"] for point in trainer.train(total_steps)] == points
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_rejects_fewer_than_one_episode(self, n_episodes):

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fanetq import nets
 from fanetq.errors import ConfigError, ContractViolation, TrainingError
 from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead, views
 
-from tests.oracles import sample_action
+from tests.oracles import grad_views, sample_action
 
 COMMITTED_ACTORS = sorted((Path(__file__).resolve().parent.parent / "runs").glob("*/*/seed*_actor.json"))
 
@@ -63,7 +64,7 @@ def dense_forward_reference(net, x):
 
 
 def dense_backward_reference(net, cache, upstream, *, input_grad=True):
-    """The out-of-place backward pass.
+    """The out-of-place backward pass; copies its gradients into ``net.grad``, as ``DenseNet.backward`` writes them.
 
     Takes ``input_grad`` so it can stand in for ``DenseNet.backward``, but always
     returns the input gradient.
@@ -82,7 +83,9 @@ def dense_backward_reference(net, cache, upstream, *, input_grad=True):
         grads.append(dw)
         d = d @ net.weights[k]
     grads.reverse()
-    return grads, (d[0] if squeeze else d)
+    for view, g in zip(grad_views(net), grads, strict=True):
+        view[...] = g
+    return d[0] if squeeze else d
 
 
 def random_net(rng):
@@ -185,7 +188,7 @@ class TestDenseNetForward:
         net = DenseNet.create([7, 5, 2], ["tanh", "identity"], rng)
         d = net.to_dict()
         recount = sum(len(w) for w in d["weights"]) + sum(len(b) for b in d["biases"])
-        assert net.parameter_count == recount == 7 * 5 + 5 + 5 * 2 + 2
+        assert net.flat.size == recount == 7 * 5 + 5 + 5 * 2 + 2
 
     def test_checkpoint_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -228,12 +231,16 @@ class TestInPlacePasses:
             upstream = rng.standard_normal((5, net.out_dim) if batched else net.out_dim)
             _, cache = net.forward_cached(x)
             upstream_before = upstream.copy()
-            want_grads, want_dx = dense_backward_reference(net, cache, upstream)
-            grads, dx = net.backward(cache, upstream)
+            want_dx = dense_backward_reference(net, cache, upstream)
+            want_grads = [g.copy() for g in grad_views(net)]
+            net.grad.fill(np.nan)  # so every gradient compared below is one the pass wrote
+            dx = net.backward(cache, upstream)
+            grads = grad_views(net)
             assert np.array_equal(upstream, upstream_before)
             assert np.array_equal(dx, want_dx)
             assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads, strict=True))
-            grads, dx = net.backward(cache, upstream, input_grad=False)
+            net.grad.fill(np.nan)
+            dx = net.backward(cache, upstream, input_grad=False)
             assert dx is None
             assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads, strict=True))
 
@@ -251,15 +258,15 @@ class TestDenseNetBackward:
                 return float(np.sum(w * net.forward(x)))
 
             _, cache = net.forward_cached(x)
-            grads, _ = net.backward(cache, w)
-            finite_difference_check(loss, net.params(), grads, rng, n_coords=4)
+            net.backward(cache, w)
+            finite_difference_check(loss, net.params(), grad_views(net), rng, n_coords=4)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(4)
         net = DenseNet.create([3, 5, 2], ["tanh", "identity"], rng)
         _, cache = net.forward_cached(rng.standard_normal((6, 3)))
-        grads, dx = net.backward(cache, np.zeros((6, 2)))
-        assert all(np.all(g == 0) for g in grads)
+        dx = net.backward(cache, np.zeros((6, 2)))
+        assert all(np.all(g == 0) for g in grad_views(net))
         assert np.all(dx == 0)
 
     def test_linear_net_input_grad_exact(self):
@@ -268,7 +275,7 @@ class TestDenseNetBackward:
         net = DenseNet([W], [np.zeros(3)], ["identity"])
         _, cache = net.forward_cached(rng.standard_normal(4))
         upstream = rng.standard_normal(3)
-        _, dx = net.backward(cache, upstream)
+        dx = net.backward(cache, upstream)
         assert np.abs(dx - W.T @ upstream).max() < 1e-14
 
 
@@ -287,7 +294,7 @@ class TestGaussianHead:
         obs = rng.standard_normal((5, 4))
         action, log_prob, mu = sample_action(head, obs, np.random.default_rng(1))
         assert np.array_equal(mu, head.mean(obs))
-        assert np.array_equal(log_prob, head.log_prob(obs, action))
+        assert np.array_equal(log_prob, head.log_prob_cached(obs, action)[0])
         # exactly one standard-normal draw of the action's shape
         noise = np.random.default_rng(1).standard_normal((5, 3))
         assert np.array_equal(action, mu + np.exp(head.log_std) * noise)
@@ -298,7 +305,7 @@ class TestGaussianHead:
         obs = rng.standard_normal(3)
         mu = head.mean(obs)
         expected = -np.sum(head.log_std + 0.5 * np.log(2 * np.pi))
-        assert head.log_prob(obs, mu) == pytest.approx(expected)
+        assert head.log_prob_cached(obs, mu)[0] == pytest.approx(expected)
 
     def test_empirical_mean_of_samples(self):
         rng = np.random.default_rng(8)
@@ -327,11 +334,11 @@ class TestGaussianHead:
             w = rng.standard_normal(5)
 
             def loss():
-                return float(np.sum(w * head.log_prob(obs, acts)))
+                return float(np.sum(w * head.log_prob_cached(obs, acts)[0]))
 
             _, _, cache = head.log_prob_cached(obs, acts)
-            grads = head.backward_log_prob(cache, w)
-            finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
+            head.backward_log_prob(cache, w)
+            finite_difference_check(loss, head.params(), grad_views(head), rng, n_coords=4)
 
     def test_log_prob_gradients_with_extra_mean_gradient(self):
         # d_mu_other carries dLoss/dmu from terms outside the log-prob
@@ -344,18 +351,18 @@ class TestGaussianHead:
             g = rng.standard_normal((5, 3))
 
             def loss():
-                return float(np.sum(w * head.log_prob(obs, acts)) + np.sum(g * head.mean(obs)))
+                return float(np.sum(w * head.log_prob_cached(obs, acts)[0]) + np.sum(g * head.mean(obs)))
 
             _, _, cache = head.log_prob_cached(obs, acts)
-            grads = head.backward_log_prob(cache, w, g)
-            finite_difference_check(loss, head.params(), grads, rng, n_coords=4)
+            head.backward_log_prob(cache, w, g)
+            finite_difference_check(loss, head.params(), grad_views(head), rng, n_coords=4)
 
     def test_kl_zero_for_identical(self):
         rng = np.random.default_rng(12)
         head = GaussianPolicyHead.create(3, 2, (4,), rng)
         obs = rng.standard_normal((6, 3))
         mu = head.mean_net.forward(obs)
-        kl = head.kl_divergence(mu, head.log_std.copy(), mu)
+        kl, _, _ = head.kl_divergence(mu, head.log_std.copy(), mu, np.exp(2.0 * head.log_std), 1.0)
         assert np.abs(kl).max() < 1e-14
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -425,20 +432,23 @@ class TestAdam:
             x = rng.standard_normal((8, 3))
             for _ in range(10):
                 y, cache = net.forward_cached(x)
-                grads, _ = net.backward(cache, 2 * y)
+                net.backward(cache, 2 * y)
                 opt.step(net.flat, net.grad)
             return net.forward(x)
 
         assert np.array_equal(run(), run())
 
-    def test_flat_state_equals_the_per_array_oracle_bit_for_bit(self):
+    def test_flat_state_equals_the_per_array_oracle_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(43)
         for _ in range(12):
             shapes = [tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 3))) for _ in range(rng.integers(1, 8))]
             vector, params = flat_views([rng.standard_normal(shape) for shape in shapes])
             oracle_params = [p.copy() for p in params]
             kw = dict(lr=float(10 ** rng.uniform(-5, -1)), beta1=float(rng.uniform(0.5, 0.99)), beta2=float(rng.uniform(0.9, 0.9999)))
-            opt, oracle = Adam(vector, **kw), AdamReference(oracle_params, **kw)
+            # the decay rates are module constants; the draws set them as the oracle's arguments
+            monkeypatch.setattr(nets, "ADAM_BETA1", kw["beta1"])
+            monkeypatch.setattr(nets, "ADAM_BETA2", kw["beta2"])
+            opt, oracle = Adam(vector, lr=kw["lr"]), AdamReference(oracle_params, **kw)
             for _ in range(50):
                 scale = 10.0 ** rng.uniform(-8, 3)
                 grads = [scale * rng.standard_normal(shape) * (rng.random(shape) > 0.2) for shape in shapes]
