@@ -129,7 +129,7 @@ class WorldState:
     ``pos`` and ``vel`` are (..., N, 2); leading axes, if any, index episodes
     that step together and share ``t``.  ``links`` is a symmetric (..., N, N)
     boolean adjacency matrix; it is all False until the first step resolves
-    links.  ``geometry`` keeps the (cfg, in range now, lk rows) of _geometry.
+    links.  ``lk_table`` is the remaining episode's geometry (see _geometry).
     """
 
     t: int
@@ -138,7 +138,6 @@ class WorldState:
     n_aircraft: int
     links: np.ndarray | None = None  # (..., N, N) bool
     lk_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    geometry: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
@@ -263,24 +262,12 @@ def _squared_range(r: float) -> tuple[float, float]:
     return (lo, hi) if lo >= _FLOAT.tiny and hi <= _FLOAT.max else (np.nan, np.nan)
 
 
-def _in_range(steps: np.ndarray, dv: np.ndarray, dp: np.ndarray, r: float) -> np.ndarray:
-    """hypot(steps * dv + dp) <= r per entry of (m,) steps and (2, m) offset planes.  x*x + y*y, within a few
-    ulps of the squared distance, decides every entry outside (lo, hi); the costly hypot decides the rest."""
-    lo, hi = _squared_range(r)
-    sq = _extrapolated(steps, dv, dp, squared=True)
-    within = sq <= lo
-    near = ~within & ~(sq >= hi)
-    if near.any():
-        within[near] = _extrapolated(steps[near], dv[:, near], dp[:, near], squared=False) <= r
-    return within
-
-
 def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
-    """(cfg, t0, clear, counts, ambiguous, dv) for the world's remaining episode, t0 its step; see _geometry.
+    """(cfg, t0, clear, counts, lk, ambiguous, dv) for the world's remaining episode, t0 its step; see _geometry.
 
     clear (horizon - t0 + 1, ..., n_aircraft, N) marks the clearly-in pairs at each tau in {t0, ..., horizon};
-    counts[k] counts them from t0 + k to horizon - 1; ambiguous is the np.nonzero of the ambiguous mask of
-    clear's shape; dv holds the x and y planes of the velocity offsets."""
+    counts[k] counts them from t0 + k to horizon - 1 and lk[k] is their lk row, all three read-only; ambiguous
+    is the np.nonzero of the ambiguous mask of clear's shape; dv: the x and y planes of the velocity offsets."""
     dp, dv = (_aircraft_offsets(a, cfg.n_aircraft) for a in (world.pos, world.vel))
     n_steps, h = max(cfg.horizon - world.t, 0), cfg.horizon
     x_max = 2.0 * (float(np.abs(world.pos).max()) + 2.0 * h * float(np.abs(world.vel).max()))
@@ -293,54 +280,51 @@ def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
     counts = np.zeros(clear.shape, dtype=int)
     for k in range(n_steps - 1, -1, -1):  # suffix sums, one in-place row add each
         np.add(counts[k + 1], clear[k], out=counts[k])
+    lk = np.where(clear, counts / h, -1.0)
+    for a in (clear, counts, lk):
+        a.flags.writeable = False
     ambiguous = ~clear & ~(sq >= hi + drift)
     # an empty slice spares the scan of np.nonzero when nothing is ambiguous
-    return cfg, world.t, clear, counts, np.nonzero(ambiguous if ambiguous.any() else ambiguous[:0]), dv
+    return cfg, world.t, clear, counts, lk, np.nonzero(ambiguous if ambiguous.any() else ambiguous[:0]), dv
 
 
 def _geometry(world: WorldState, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(in range now, lk rows), each (..., n_aircraft, N), of the world under cfg; kept on the world per config.
+    """(in range now, lk rows), each (..., n_aircraft, N), of the world under cfg, read from world.lk_table.
 
-    In range now is hypot(pos[i] - pos[j]) <= comm_range.  The lk rows give the fraction of the horizon a
-    pair stays in range: they count steps tau in {t, ..., horizon-1} at which the constant-velocity
-    extrapolations from t of aircraft i and entity j are within comm_range (``_in_range``), normalized by
-    the full horizon; -1 where the pair is not in range now.
+    In range now is hypot(pos[i] - pos[j]) <= comm_range.  The lk rows give the fraction of the horizon a pair
+    stays in range: they count steps tau in {t, ..., horizon-1} at which the constant-velocity extrapolations
+    from t of aircraft i and entity j are within comm_range, by hypot, normalized by the full horizon; -1
+    where the pair is not in range now.
 
-    Velocities are fixed, so the first call on a world classifies its remaining episode, tau in
-    {t0, ..., horizon}, once and env_step carries the table on.  With sq extrapolated from the table's t0,
-    an entry is clearly in when sq <= lo - E and clearly out when sq >= hi + E; each step tests the
-    ambiguous rest exactly from its own offsets, pos[i] - pos[j] taken for those entries alone.  At
-    tau = t that test extrapolates 0 steps, which is hypot(offsets) <= r, and it sets the ambiguous
-    entries of the in-range mask; at tau < horizon it adds to the clearly-in count.  E bounds
-    |sq_t - sq_t0|, the drift from positions re-added t - t0 <= H times.  With u = 2**-53, P = max|pos| and
-    V = max|vel| over the block, X = 2(P + 2HV) bounds every |x|, |y| for every tau - t0 <= H.  A
-    re-addition rounds a position by <= u(P + HV), so an offset drifts by <= HuX; the offset, s * dv (dv
-    rounded) and the sum add <= 4uX at each side, so |x_t - x_t0| <= (H + 8)uX.  The squares and their
-    sum round by <= 4uX^2 at each side, so |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on
-    X^2 + tiny to cover underflow; every entry is ambiguous when E is not below lo.
+    Velocities are fixed, so the first call on a world under cfg classifies its remaining episode, tau in
+    {t0, ..., horizon}, once and env_step carries the table on.  With sq extrapolated from the table's t0, an
+    entry is clearly in when sq <= lo - E and clearly out when sq >= hi + E.  The table's read-only rows at t
+    are returned as they stand unless some entry at tau >= t is ambiguous; each call then tests that rest
+    exactly from its own offsets, pos[i] - pos[j] taken for those entries alone, into copies.  At tau = t
+    that test extrapolates 0 steps, which is hypot(offsets) <= r, and it sets the ambiguous entries of the
+    in-range mask; at tau < horizon it adds to the clearly-in count.  E bounds |sq_t - sq_t0|, the drift from
+    positions re-added t - t0 <= H times.  With u = 2**-53, P = max|pos| and V = max|vel| over the block,
+    X = 2(P + 2HV) bounds every |x|, |y| for every tau - t0 <= H.  A re-addition rounds a position by
+    <= u(P + HV), so an offset drifts by <= HuX; the offset, s * dv (dv rounded) and the sum add <= 4uX at
+    each side, so |x_t - x_t0| <= (H + 8)uX.  The squares and their sum round by <= 4uX^2 at each side, so
+    |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on X^2 + tiny to cover underflow; every entry
+    is ambiguous when E is not below lo.
     """
-    if world.geometry is not None and world.geometry[0] == cfg:
-        return world.geometry[1:]
     if world.lk_table is None or world.lk_table[0] != cfg:
         world.lk_table = _lk_table(world, cfg)
-    _, t0, clear, counts, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
+    _, t0, clear, counts, lk, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
     k = world.t - t0
-    now, counts, first = clear[k], counts[k], int(np.searchsorted(s, k))
-    if first < len(s):
-        s, pair = s[first:] - k, tuple(p[first:] for p in pair)
-        dp = (world.pos[pair[:-1]] - world.pos[pair[:-2] + pair[-1:]]).T
-        within = _in_range(s, dv[(slice(None),) + pair], dp, float(cfg.comm_range))
-        n_now, n_counted = np.searchsorted(s, [1, len(clear) - 1 - k])  # entries at tau = t, at tau < horizon
-        now, counts = now.copy(), counts.copy()
-        now[tuple(p[:n_now] for p in pair)] = within[:n_now]
-        np.add.at(counts, tuple(p[:n_counted] for p in pair), within[:n_counted])
-    world.geometry = cfg, now, np.where(now, counts / cfg.horizon, -1.0)
-    return world.geometry[1:]
-
-
-def _lk_rows(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(..., n_aircraft, N) lk features of the world under cfg; see _geometry."""
-    return _geometry(world, cfg)[1]
+    first = int(np.searchsorted(s, k))
+    if first == len(s):
+        return clear[k], lk[k]
+    s, pair = s[first:] - k, tuple(p[first:] for p in pair)
+    dp = (world.pos[pair[:-1]] - world.pos[pair[:-2] + pair[-1:]]).T
+    within = _extrapolated(s, dv[(slice(None),) + pair], dp, squared=False) <= float(cfg.comm_range)
+    n_now, n_counted = np.searchsorted(s, [1, len(clear) - 1 - k])  # entries at tau = t, at tau < horizon
+    now, counts = clear[k].copy(), counts[k].copy()
+    now[tuple(p[:n_now] for p in pair)] = within[:n_now]
+    np.add.at(counts, tuple(p[:n_counted] for p in pair), within[:n_counted])
+    return now, np.where(now, counts / cfg.horizon, -1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,7 +352,7 @@ def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     rows[..., 0] = ptg[..., :n_a]
     block = rows[..., 1:].reshape(batch + (n_a, n, 3))
     block[..., 0] = ptg[..., None, :]
-    block[..., 1] = _lk_rows(world, cfg)
+    block[..., 1] = _geometry(world, cfg)[1]
     block[..., 2] = world.links.sum(axis=-2)[..., None, :] - 1.0
     obs = np.take(rows.reshape(batch + (-1,)), _obs_index(n_a, n), axis=-1)
     return obs.reshape(batch + (n_a, cfg.obs_dim))

@@ -13,7 +13,7 @@ from fanetq.env import (
     FanetEnv,
     ScenarioConfig,
     WorldState,
-    _lk_rows,
+    _geometry,
     _lk_table,
     clamp_actions,
     env_step,
@@ -23,6 +23,7 @@ from fanetq.env import (
     resolve_links,
     reward,
     run_episodes,
+    stack_worlds,
 )
 from fanetq.errors import ConfigError, ContractViolation
 from tests.oracles import lk_rows_per_step
@@ -312,7 +313,7 @@ class TestLinkRangeFraction:
 
 def assert_lk_equals_plain_hypot(world, cfg):
     """Every (aircraft, other entity) lk of the core equals the hypot-per-step oracle, bit for bit."""
-    got = _lk_rows(world, cfg)
+    got = _geometry(world, cfg)[1]
     for i in range(cfg.n_aircraft):
         for j in range(cfg.n_entities):
             if j != i:
@@ -400,9 +401,9 @@ def in_range_oracle(world, cfg):
 
 
 def assert_links_follow_the_in_range_oracle(world, proposals, links, cfg):
-    """The mask kept on the world is the oracle's, and each episode's links are the scalar resolver's."""
-    assert world.geometry[0] == cfg
-    assert np.array_equal(world.geometry[1], in_range_oracle(world, cfg)), world.t
+    """The mask of the world's table is the oracle's, and each episode's links are the scalar resolver's."""
+    assert world.lk_table[0] == cfg
+    assert np.array_equal(_geometry(world, cfg)[0], in_range_oracle(world, cfg)), world.t
     pos, links = world.pos.reshape((-1,) + world.pos.shape[-2:]), links.reshape((-1,) + links.shape[-2:])
     for p, a, got in zip(pos, proposals.reshape((len(pos),) + proposals.shape[-2:]), links):
         assert edge_set(got) == oracle_resolve_links(make_world(p, cfg.n_aircraft), a, cfg), world.t
@@ -417,13 +418,13 @@ class TestCarriedLkTable:
     @given(**WORLDS_ON_A_RANGE)
     def test_every_step_equals_the_per_step_oracle(self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
         rng, cfg, world = world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed)
-        assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg))
+        assert np.array_equal(_geometry(world, cfg)[1], lk_rows_per_step(world, cfg))
         table = world.lk_table
         while world.t < horizon:
             actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
             world, obs, _, _ = env_step(world, actions, cfg)
             assert world.lk_table is table
-            assert np.array_equal(_lk_rows(world, cfg), lk_rows_per_step(world, cfg)), world.t
+            assert np.array_equal(_geometry(world, cfg)[1], lk_rows_per_step(world, cfg)), world.t
 
     @settings(max_examples=300, deadline=None)
     @given(**WORLDS_ON_A_RANGE)
@@ -448,9 +449,9 @@ class TestCarriedLkTable:
         # the pair starts 0.3 apart and closes in by 0.01 a step: always in range of 0.35, not now of 0.25
         w = make_world([[0.0, 0.0], [0.3, 0.0]], n_aircraft=1, velocities=[[0.01, 0.0], [0.0, 0.0]])
         short, wide = (ScenarioConfig(n_aircraft=1, n_ground=1, comm_range=r, horizon=10) for r in (0.25, 0.35))
-        assert [_lk_rows(w, cfg)[0, 1] for cfg in (short, wide, short)] == [-1.0, 1.0, -1.0]
+        assert [_geometry(w, cfg)[1][0, 1] for cfg in (short, wide, short)] == [-1.0, 1.0, -1.0]
         w2, *_ = env_step(w, np.full((1, 1), 0.5), wide)
-        assert _lk_rows(w2, short)[0, 1] == -1.0 and _lk_rows(w2, wide)[0, 1] == 0.9
+        assert _geometry(w2, short)[1][0, 1] == -1.0 and _geometry(w2, wide)[1][0, 1] == 0.9
 
     def test_one_table_per_episode_block(self, monkeypatch):
         # a guard against counting the future anew at every step
@@ -479,6 +480,21 @@ class TestCarriedLkTable:
         run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
         # positions and velocities, once per table of the blocks of 64, 64 and 2 episodes
         assert reads == [(64, 7, 2)] * 4 + [(2, 7, 2)] * 2
+
+    def test_the_rows_a_step_reads_are_read_only(self):
+        # every later step of the episode reads the same table, so no caller may write into its rows
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
+        world = stack_worlds([init_world(cfg, seed) for seed in range(3)])
+        actions = np.full((3, cfg.n_aircraft, cfg.action_dim), 0.5)
+        for _ in range(3):
+            now, lk = _geometry(world, cfg)
+            with pytest.raises(ValueError):
+                now[..., 0, 1] = ~now[..., 0, 1]
+            with pytest.raises(ValueError):
+                lk[...] = 0.5
+            world, *_ = env_step(world, actions, cfg)
+            assert np.array_equal(_geometry(world, cfg)[1], lk_rows_per_step(world, cfg)), world.t
+            assert np.array_equal(_geometry(world, cfg)[0], in_range_oracle(world, cfg)), world.t
 
 
 class TestResolveLinks:
