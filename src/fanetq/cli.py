@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,8 +26,6 @@ from .experiments import (
 )
 from .mappo import evaluate
 from .nets import GaussianPolicyHead
-
-DEFAULT_OUT = os.environ.get("FANETQ_OUT", "runs")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--scenario", required=True)
     t.add_argument("--seeds", default="0,1,2")
     t.add_argument("--steps", type=int, default=200_000)
-    t.add_argument("--out-dir", default=DEFAULT_OUT)
+    t.add_argument("--out-dir", default="my_runs")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpointed actor (or the random baseline)")
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     m = sub.add_parser("metrics", help="derive MCR/CCR/CS from persisted curves")
-    m.add_argument("--run-dir", default=DEFAULT_OUT)
+    m.add_argument("--run-dir", default="runs")
     m.add_argument("--scenario", required=True, choices=sorted(SCENARIO_BASELINES))
     m.add_argument("--solution", default=None)
     m.set_defaults(fn=cmd_metrics)
@@ -206,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_qmetrics)
 
     x = sub.add_parser("export", help="aggregated curves with SE bands and EMA smoothing")
-    x.add_argument("--run-dir", default=DEFAULT_OUT)
+    x.add_argument("--run-dir", default="runs")
     x.add_argument("--scenario", required=True, choices=sorted(SCENARIO_BASELINES))
     x.add_argument("--solution", default=None)
     x.add_argument("--ema", type=float, default=0.0)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A scenario or trainer configuration violates its constraints."""
@@ -42,3 +44,17 @@ def json_fields(d: dict, *keys: str, what: str = "checkpoint") -> list:
         if key not in d:
             raise ConfigError(f"{what} has no {key!r}")
     return [d[key] for key in keys]
+
+
+def json_floats(value, name: str) -> np.ndarray:
+    """A parsed JSON list of numbers as a float array; ConfigError naming ``name`` when an entry is a null, a
+    string or any other non-number, when the nesting is ragged, or when a number is NaN or infinite."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} is not a list of numbers: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} is not a list of numbers")
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{name} holds a NaN or infinite number")
+    return array.astype(float)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, json_fields, read_json
+from .errors import ConfigError, ContractViolation, TrainingError, json_fields, json_floats, read_json
 
 CHECKPOINT_VERSION = 1
 
@@ -175,11 +175,13 @@ class DenseNet:
     def from_dict(cls, d: dict) -> "DenseNet":
         shapes, activations, weights, biases = json_fields(d, "shapes", "activations", "weights", "biases", what="dense net")
         try:
-            weights = [np.asarray(w, dtype=float).reshape(shape) for w, shape in zip(weights, shapes, strict=True)]
-            biases = [np.asarray(b, dtype=float) for b in biases]
+            weights = [json_floats(w, "dense net weights").reshape(shape) for w, shape in zip(weights, shapes, strict=True)]
+            biases = [json_floats(b, "dense net biases") for b in biases]
             activations = list(activations)
             if any(w.ndim != 2 for w in weights):
                 raise ValueError("every layer shape must be [out, in]")
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dense net weights do not fit their shapes {shapes}: {exc}") from exc
         return cls(weights, biases, activations)
@@ -262,11 +264,7 @@ class GaussianPolicyHead:
     def from_dict(cls, d: dict) -> "GaussianPolicyHead":
         check_checkpoint_version(d)
         mean_net, log_std = json_fields(d, "mean_net", "log_std")
-        try:
-            log_std = np.asarray(log_std, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"checkpoint log_std is not a list of numbers: {exc}") from exc
-        return cls(DenseNet.from_dict(mean_net), log_std)
+        return cls(DenseNet.from_dict(mean_net), json_floats(log_std, "checkpoint log_std"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()))

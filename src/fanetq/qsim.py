@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, json_fields
+from .errors import ConfigError, ContractViolation, TrainingError, json_fields, json_floats
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -213,10 +213,7 @@ class VqcSpec:
             raise ContractViolation("the critic core circuit is fixed at 4 qubits")
         if not isinstance(n_layers, int) or isinstance(n_layers, bool):
             raise ConfigError(f"circuit L must be an integer, got {n_layers!r}")
-        try:
-            theta, xi = np.asarray(theta, dtype=float), np.asarray(xi, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"circuit theta and xi must be lists of numbers: {exc}") from exc
+        theta, xi = json_floats(theta, "circuit theta"), json_floats(xi, "circuit xi")
         return cls(n_layers=n_layers, scaling_fn=scaling_fn, theta=theta, xi=xi)
 
 

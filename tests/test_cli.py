@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -91,6 +92,21 @@ def weights_off_their_shape() -> dict:
     return d
 
 
+def actor_with_entry(key: str, value) -> dict:
+    """An actor checkpoint whose log_std, or first layer's weights or biases, starts with ``value``."""
+    d = actor_checkpoint()
+    (d["log_std"] if key == "log_std" else d["mean_net"][key][0])[0] = value
+    return d
+
+
+# a JSON null, NaN or Infinity entry, and the message that names it
+NON_FINITE = {
+    "null": (None, "is not a list of numbers"),
+    "NaN": (math.nan, "holds a NaN or infinite number"),
+    "Infinity": (math.inf, "holds a NaN or infinite number"),
+}
+
+
 @pytest.mark.parametrize(
     "checkpoint, message",
     [
@@ -100,8 +116,14 @@ def weights_off_their_shape() -> dict:
         (weights_off_their_shape(), "dense net weights do not fit their shapes [[4, 13], [4, 4]]"),
         (actor_checkpoint(log_std=["wide"] * 4), "checkpoint log_std is not a list of numbers"),
         ([1, 2], "checkpoint is not a JSON object"),
+    ]
+    + [
+        (actor_with_entry(key, value), f"{name} {message}")
+        for key, name in (("weights", "dense net weights"), ("biases", "dense net biases"), ("log_std", "checkpoint log_std"))
+        for value, message in NON_FINITE.values()
     ],
-    ids=["no-mean-net", "no-log-std", "no-activations", "bad-shape", "bad-log-std", "not-an-object"],
+    ids=["no-mean-net", "no-log-std", "no-activations", "bad-shape", "bad-log-std", "not-an-object"]
+    + [f"{key}-{entry}" for key in ("weights", "biases", "log_std") for entry in NON_FINITE],
 )
 def test_checkpoint_missing_a_key_or_off_its_shape_is_a_one_line_error(tmp_path, capsys, checkpoint, message):
     ckpt = tmp_path / "actor.json"
@@ -426,6 +448,14 @@ def test_train_never_writes_over_a_committed_curve(tmp_path, capsys):
         "train writes new curves only, so choose another --out-dir\n"
     )
     assert {p: p.read_bytes() for p in runs.rglob("*") if p.is_file()} == before
+
+
+def test_train_writes_under_my_runs_by_default_and_never_into_runs(tmp_path, monkeypatch, capsys):
+    # runs/ holds the committed reference curves, which metrics and export read by default
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", "100"]) == 0
+    assert (tmp_path / "my_runs" / "4a1s" / "NN-4" / "seed0.csv").is_file()
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_on_a_scenario_file_is_a_one_line_error_and_writes_nothing(tmp_path, monkeypatch, capsys):

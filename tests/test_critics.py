@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -351,8 +352,14 @@ class TestCheckpointChecks:
         [
             ("L", "1", "L must be an integer"),
             ("L", 1.0, "L must be an integer"),
-            ("theta", ["x"] * 12, "theta and xi must be lists of numbers"),
-            ("xi", {"a": 1}, "theta and xi must be lists of numbers"),
+            ("theta", ["x"] * 12, "theta is not a list of numbers"),
+            ("xi", {"a": 1}, "xi is not a list of numbers"),
+            ("theta", [None] + [0.0] * 11, "theta is not a list of numbers"),
+            ("theta", [math.nan] + [0.0] * 11, "theta holds a NaN or infinite number"),
+            ("theta", [0.0] * 11 + [-math.inf], "theta holds a NaN or infinite number"),
+            ("xi", [1.0, None, 1.0, 1.0], "xi is not a list of numbers"),
+            ("xi", [1.0, math.nan, 1.0, 1.0], "xi holds a NaN or infinite number"),
+            ("xi", [1.0, 1.0, math.inf, 1.0], "xi holds a NaN or infinite number"),
         ],
     )
     def test_malformed_circuit_is_a_config_error(self, tmp_path, key, value, message):
