@@ -48,13 +48,14 @@ def json_fields(d: dict, *keys: str, what: str = "checkpoint") -> list:
 
 def json_floats(value, name: str) -> np.ndarray:
     """A parsed JSON list of numbers as a float array; ConfigError naming ``name`` when an entry is a null, a
-    string or any other non-number, when the nesting is ragged, or when a number is NaN or infinite."""
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name} is not a list of numbers: {exc}") from exc
-    if array.dtype.kind not in "iuf":
+    bool, a string or any other non-number, when the nesting is ragged, or when a number is NaN or infinite."""
+    entries = np.array(value, dtype=object)  # a ragged nesting keeps its inner lists as entries
+    if not all(type(v) in (int, float) for v in entries.flat):  # not isinstance, which counts True as an int
         raise ConfigError(f"{name} is not a list of numbers")
+    try:
+        array = entries.astype(float)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} holds an integer beyond the float range") from exc
     if not np.isfinite(array).all():
         raise ConfigError(f"{name} holds a NaN or infinite number")
-    return array.astype(float)
+    return array

@@ -358,6 +358,7 @@ class TestCheckpointChecks:
             ("theta", [math.nan] + [0.0] * 11, "theta holds a NaN or infinite number"),
             ("theta", [0.0] * 11 + [-math.inf], "theta holds a NaN or infinite number"),
             ("xi", [1.0, None, 1.0, 1.0], "xi is not a list of numbers"),
+            ("xi", [1.0, 1.0, 1.0, True], "xi is not a list of numbers"),
             ("xi", [1.0, math.nan, 1.0, 1.0], "xi holds a NaN or infinite number"),
             ("xi", [1.0, 1.0, math.inf, 1.0], "xi holds a NaN or infinite number"),
         ],
