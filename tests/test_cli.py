@@ -450,7 +450,7 @@ def test_train_never_writes_over_a_committed_curve(tmp_path, capsys):
     assert {p: p.read_bytes() for p in runs.rglob("*") if p.is_file()} == before
 
 
-def test_train_writes_under_my_runs_by_default_and_never_into_runs(tmp_path, monkeypatch, capsys):
+def test_train_writes_under_my_runs_by_default_and_never_into_runs(tmp_path, monkeypatch):
     # runs/ holds the committed reference curves, which metrics and export read by default
     monkeypatch.chdir(tmp_path)
     assert main(["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", "100"]) == 0
