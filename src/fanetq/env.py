@@ -127,9 +127,12 @@ class WorldState:
     """Positions/velocities of all entities plus the active link graph.
 
     ``pos`` and ``vel`` are (..., N, 2); leading axes, if any, index episodes
-    that step together and share ``t``.  ``links`` is a symmetric (..., N, N)
-    boolean adjacency matrix; it is all False until the first step resolves
-    links.  ``lk_table`` is the remaining episode's geometry (see _geometry).
+    that step together and share ``t``.  Positions are closed-form in the
+    step: ``at(t)`` = pos_a + (t - t_a) * vel from ``anchor`` (t_a, pos_a),
+    which defaults to (t, pos), and ``pos`` is ``at(t)``.  ``links`` is a
+    symmetric (..., N, N) boolean adjacency matrix; it is all False until
+    the first step resolves links.  ``lk_table`` is the remaining episode's
+    geometry (see _geometry).
     """
 
     t: int
@@ -137,15 +140,22 @@ class WorldState:
     vel: np.ndarray  # (..., N, 2)
     n_aircraft: int
     links: np.ndarray | None = None  # (..., N, N) bool
+    anchor: tuple | None = None  # (t_a, pos_a)
     lk_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
             self.links = np.zeros(self.pos.shape[:-1] + (self.n_entities,), dtype=bool)
+        if self.anchor is None:
+            self.anchor = (self.t, self.pos)
 
     @property
     def n_entities(self) -> int:
         return self.pos.shape[-2]
+
+    def at(self, t: int) -> np.ndarray:
+        """(..., N, 2) positions at step t, pos_a + (t - t_a) * vel."""
+        return self.anchor[1] + (t - self.anchor[0]) * self.vel
 
 
 def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
@@ -168,9 +178,8 @@ def clamp_actions(desirability: np.ndarray) -> np.ndarray:
 
 
 def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
-    """(2, ..., n_aircraft, N) contiguous x and y planes of a[i] - a[j] from every aircraft i to every entity j."""
-    a = np.moveaxis(a, -1, 0)
-    return np.subtract(a[..., :n_aircraft, None], a[..., None, :], order="C")
+    """(2, n_aircraft, N, ...) x and y planes of a[:, i] - a[:, j], aircraft i to entity j, of (2, N, ...) planes a."""
+    return a[:, :n_aircraft, None] - a[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,86 +254,53 @@ def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
     return np.asarray(ptg_aircraft).mean(axis=-1)
 
 
-def _extrapolated(steps, dv: np.ndarray, dp: np.ndarray, squared: bool) -> np.ndarray:
-    """hypot(x, y), or x*x + y*y, of (x, y) = steps * dv + dp on the x and y planes dv[0], dv[1], dp[0], dp[1]."""
-    x, y = (steps * dv[c] for c in (0, 1))
-    x += dp[0]
-    y += dp[1]
-    if not squared:
-        return np.hypot(x, y, out=x)
-    with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
-        return np.add(np.square(x, out=x), np.square(y, out=y), out=x)
-
-
-def _squared_range(r: float) -> tuple[float, float]:
-    """(lo, hi) = r*r less and plus a relative 1e-12; NaN, which sends every entry to hypot, if not normal floats."""
-    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
-    return (lo, hi) if lo >= _FLOAT.tiny and hi <= _FLOAT.max else (np.nan, np.nan)
-
-
 def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
-    """(cfg, t0, clear, counts, lk, ambiguous, dv) for the world's remaining episode, t0 its step; see _geometry.
+    """(cfg, t0, in_range, lk) for the world's remaining episode, t0 its step; see _geometry.
 
-    clear (horizon - t0 + 1, ..., n_aircraft, N) marks the clearly-in pairs at each tau in {t0, ..., horizon};
-    counts[k] counts them from t0 + k to horizon - 1 and lk[k] is their lk row, all three read-only; ambiguous
-    is the np.nonzero of the ambiguous mask of clear's shape; dv: the x and y planes of the velocity offsets."""
-    dp, dv = (_aircraft_offsets(a, cfg.n_aircraft) for a in (world.pos, world.vel))
-    n_steps, h = max(cfg.horizon - world.t, 0), cfg.horizon
-    x_max = 2.0 * (float(np.abs(world.pos).max()) + 2.0 * h * float(np.abs(world.vel).max()))
-    drift = 16.0 * (h + 10) * 2.0**-53 * (x_max * x_max + _FLOAT.tiny)
-    lo, hi = _squared_range(float(cfg.comm_range))
-    lo, hi = (lo, hi) if drift < lo else (np.nan, np.nan)  # NaN bounds leave every entry ambiguous
-    steps = np.arange(n_steps + 1, dtype=float).reshape((-1,) + (1,) * dp[0].ndim)
-    sq = _extrapolated(steps, dv, dp, squared=True)
-    clear = sq <= lo - drift
-    counts = np.zeros(clear.shape, dtype=int)
-    for k in range(n_steps - 1, -1, -1):  # suffix sums, one in-place row add each
-        np.add(counts[k + 1], clear[k], out=counts[k])
-    lk = np.where(clear, counts / h, -1.0)
-    for a in (clear, counts, lk):
+    in_range (horizon - t0 + 1, ..., n_aircraft, N) is hypot(x, y) <= comm_range at each tau in {t0, ..., horizon},
+    (x, y) the offsets of the positions world.at(tau); lk[k] is the lk row at t0 + k; both are read-only.
+    x*x + y*y decides every entry beyond a relative 1e-12 of r*r, which its few roundings cannot cross, and
+    hypot decides the entries within it, or all of them when r*r so widened is not a normal float.
+    """
+    t_a, pos_a = world.anchor
+    r, h = float(cfg.comm_range), cfg.horizon
+    lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
+    lo, hi = (lo, hi) if lo >= _FLOAT.tiny and hi <= _FLOAT.max else (np.nan, np.nan)  # NaN: every entry to hypot
+    steps = np.arange(world.t - t_a, max(h, world.t) - t_a + 1, dtype=float).reshape((-1,) + (1,) * (pos_a.ndim - 2))
+    # (2, N, tau, ...) positions as world.at gives them, entity axes first: the offsets loop over tau and episodes
+    p, v = (np.ascontiguousarray(np.moveaxis(a, (-1, -2), (0, 1))[:, :, None]) for a in (pos_a, world.vel))
+    pos = p + steps * v
+    x, y = _aircraft_offsets(pos, cfg.n_aircraft)
+    with np.errstate(over="ignore"):  # an inf square is out of range, as the distance is
+        sq = np.add(np.square(x, out=x), np.square(y, out=y), out=x)
+    within = sq <= lo
+    near = ~(within | (sq >= hi))
+    if near.any():  # their offsets, taken anew from the positions as _aircraft_offsets takes them
+        i, j, *rest = np.nonzero(near)
+        within[near] = np.hypot(*(pos[(slice(None), i, *rest)] - pos[(slice(None), j, *rest)])) <= r
+    del x, y, sq  # the offsets go before the suffix sums
+    in_range = np.ascontiguousarray(np.moveaxis(within, (0, 1), (-2, -1)))
+    counts = np.zeros(in_range.shape, dtype=int)
+    for k in range(len(counts) - 2, -1, -1):  # suffix sums, counts[k] from t0 + k to horizon - 1, one row add each
+        np.add(counts[k + 1], in_range[k], out=counts[k])
+    lk = np.where(in_range, counts / h, -1.0)
+    for a in (in_range, lk):
         a.flags.writeable = False
-    ambiguous = ~clear & ~(sq >= hi + drift)
-    # an empty slice spares the scan of np.nonzero when nothing is ambiguous
-    return cfg, world.t, clear, counts, lk, np.nonzero(ambiguous if ambiguous.any() else ambiguous[:0]), dv
+    return cfg, world.t, in_range, lk
 
 
 def _geometry(world: WorldState, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(in range now, lk rows), each (..., n_aircraft, N), of the world under cfg, read from world.lk_table.
 
-    In range now is hypot(pos[i] - pos[j]) <= comm_range.  The lk rows give the fraction of the horizon a pair
-    stays in range: they count steps tau in {t, ..., horizon-1} at which the constant-velocity extrapolations
-    from t of aircraft i and entity j are within comm_range, by hypot, normalized by the full horizon; -1
-    where the pair is not in range now.
-
-    Velocities are fixed, so the first call on a world under cfg classifies its remaining episode, tau in
-    {t0, ..., horizon}, once and env_step carries the table on.  With sq extrapolated from the table's t0, an
-    entry is clearly in when sq <= lo - E and clearly out when sq >= hi + E.  The table's read-only rows at t
-    are returned as they stand unless some entry at tau >= t is ambiguous; each call then tests that rest
-    exactly from its own offsets, pos[i] - pos[j] taken for those entries alone, into copies.  At tau = t
-    that test extrapolates 0 steps, which is hypot(offsets) <= r, and it sets the ambiguous entries of the
-    in-range mask; at tau < horizon it adds to the clearly-in count.  E bounds |sq_t - sq_t0|, the drift from
-    positions re-added t - t0 <= H times.  With u = 2**-53, P = max|pos| and V = max|vel| over the block,
-    X = 2(P + 2HV) bounds every |x|, |y| for every tau - t0 <= H.  A re-addition rounds a position by
-    <= u(P + HV), so an offset drifts by <= HuX; the offset, s * dv (dv rounded) and the sum add <= 4uX at
-    each side, so |x_t - x_t0| <= (H + 8)uX.  The squares and their sum round by <= 4uX^2 at each side, so
-    |sq_t - sq_t0| <= 4(H + 10)uX^2.  E is 4 times that, taken on X^2 + tiny to cover underflow; every entry
-    is ambiguous when E is not below lo.
+    In range now is hypot(pos[i] - pos[j]) <= comm_range.  The lk rows count the steps tau in {t, ..., horizon-1}
+    at which aircraft i and entity j, at world.at(tau), are within comm_range, normalized by the full horizon; -1
+    where the pair is not in range now.  Positions are closed-form in tau, so the first call on a world under cfg
+    decides its remaining episode once, from the positions each later step will have; env_step carries it on.
     """
     if world.lk_table is None or world.lk_table[0] != cfg:
         world.lk_table = _lk_table(world, cfg)
-    _, t0, clear, counts, lk, (s, *pair), dv = world.lk_table  # s = tau - t0, ascending
-    k = world.t - t0
-    first = int(np.searchsorted(s, k))
-    if first == len(s):
-        return clear[k], lk[k]
-    s, pair = s[first:] - k, tuple(p[first:] for p in pair)
-    dp = (world.pos[pair[:-1]] - world.pos[pair[:-2] + pair[-1:]]).T
-    within = _extrapolated(s, dv[(slice(None),) + pair], dp, squared=False) <= float(cfg.comm_range)
-    n_now, n_counted = np.searchsorted(s, [1, len(clear) - 1 - k])  # entries at tau = t, at tau < horizon
-    now, counts = clear[k].copy(), counts[k].copy()
-    now[tuple(p[:n_now] for p in pair)] = within[:n_now]
-    np.add.at(counts, tuple(p[:n_counted] for p in pair), within[:n_counted])
-    return now, np.where(now, counts / cfg.horizon, -1.0)
+    _, t0, in_range, lk = world.lk_table
+    return in_range[world.t - t0], lk[world.t - t0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,19 +339,15 @@ def env_step(
 ) -> tuple[WorldState, np.ndarray, np.ndarray | float, bool]:
     """One environment step of one episode, or of a batch of episodes at the same t.
 
-    Order of effects: advance positions by one velocity step, resolve links
+    Order of effects: move to the positions at t + 1 (world.at), resolve links
     from the joint action, then build the next observations on the new
     graph; the reward is the mean of the aircraft's own path-to-ground
     entries, one per episode.  Done when t reaches horizon.
     """
     if world.t >= cfg.horizon:
         raise ContractViolation("cannot step a finished episode")
-    new = WorldState(
-        t=world.t + 1,
-        pos=world.pos + world.vel,
-        vel=world.vel,
-        n_aircraft=world.n_aircraft,
-    )
+    t = world.t + 1
+    new = WorldState(t=t, pos=world.at(t), vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
     new.lk_table = world.lk_table
     new.links = resolve_links(new, joint_action, cfg)
     obs = observe_all(new, cfg)
@@ -415,13 +387,16 @@ EPISODE_BLOCK = 64  # episodes stepped together; bounds the (steps, block, n_air
 
 
 def stack_worlds(worlds: list[WorldState]) -> WorldState:
-    """One world whose leading axis holds ``worlds`` in order; they must share t."""
+    """One world whose leading axis holds ``worlds`` in order; they must share t and their anchor step."""
+    if len(steps := {(w.t, w.anchor[0]) for w in worlds}) != 1:
+        raise ContractViolation(f"stack_worlds needs worlds at one (t, anchor step), got {sorted(steps)}")
     return WorldState(
         t=worlds[0].t,
         pos=np.stack([w.pos for w in worlds]),
         vel=np.stack([w.vel for w in worlds]),
         n_aircraft=worlds[0].n_aircraft,
         links=np.stack([w.links for w in worlds]),
+        anchor=(worlds[0].anchor[0], np.stack([w.anchor[1] for w in worlds])),
     )
 
 

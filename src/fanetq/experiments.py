@@ -238,8 +238,10 @@ def run_training(
     SolutionId.parse(solution)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")
-    cfg = load_scenario(scenario)
     tcfg = trainer_cfg or TrainerConfig()
+    if total_steps < tcfg.eval_interval:  # a run that records no evaluation point leaves a header-only curve
+        raise ContractViolation(f"total_steps must be at least eval_interval {tcfg.eval_interval}, got {total_steps}")
+    cfg = load_scenario(scenario)
     records = []
     for seed in seeds:
         critic = build_critic(

@@ -152,7 +152,9 @@ def collect_rollout(
             block = stack_worlds(worlds[lo : lo + EPISODE_BLOCK])
             end, part = _rollout_block(block, k, env.cfg, actor, critic, rng, cfg)
             parts.append(part)
-    env.world = world if end.t == horizon else WorldState(end.t, end.pos[0], end.vel[0], end.n_aircraft, end.links[0])
+    if end.t < horizon:  # the cut tail, unstacked, keeps its episode's anchor
+        world = WorldState(end.t, end.pos[0], end.vel[0], end.n_aircraft, end.links[0], (end.anchor[0], end.anchor[1][0]))
+    env.world = world
     fields = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     global_obs = fields["obs"].reshape(len(fields["obs"]), -1)
     return RolloutBatch(global_obs=global_obs, log_std_old=actor.log_std.copy(), **fields), episode_counter

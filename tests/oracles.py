@@ -68,39 +68,33 @@ def save_curve(record: RunRecord, path: str | Path) -> None:
 
 
 def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """(..., n_aircraft, N) lk features, every pair extrapolated over every remaining step at this t.
+    """(..., n_aircraft, N) lk features, every pair counted over every remaining step at this t.
 
-    The per-step form of the carried lk table: counts steps s in
-    {0, ..., horizon-t-1} at which offsets + s * velocity offsets are within
+    The per-step form of the carried lk table: counts steps tau in
+    {t, ..., horizon-1} at which the offsets of the closed-form positions
+    pos_a + (tau - t_a) * vel, (t_a, pos_a) the world's anchor, are within
     comm_range, normalized by the full horizon; -1 where the pair is not in
     range now.  x*x + y*y decides every pair farther than a relative 1e-12
-    from the range, and hypot decides the rest, on offsets rebuilt in the
-    same operation order; every pair goes through hypot when r*r with that
-    margin is not a normal float.  The offsets and distances are taken from
-    ``world.pos`` and ``world.vel`` here, pos[i] - pos[j] per pair.
+    from the range, and hypot decides the rest, on the same offsets; every
+    pair goes through hypot when r*r with that margin is not a normal float.
+    The positions and offsets are taken here from ``world.anchor`` and
+    ``world.vel``, pos[i] - pos[j] per pair and step.
     """
     n_a = cfg.n_aircraft
-    dp = world.pos[..., :n_a, None, :] - world.pos[..., None, :, :]
-    dv = world.vel[..., :n_a, None, :] - world.vel[..., None, :, :]
-    steps = np.arange(0, max(cfg.horizon - world.t, 0), dtype=float).reshape((-1,) + (1,) * (dv.ndim - 1))
-    x = steps * dv[..., 0]
-    x += dp[..., 0]
-    y = steps * dv[..., 1]
-    y += dp[..., 1]
+    t_a, pos_a = world.anchor
+    taus = np.arange(world.t, max(cfg.horizon, world.t))
+    pos = pos_a + (taus - t_a).astype(float).reshape((-1,) + (1,) * world.vel.ndim) * world.vel
+    x = pos[..., :n_a, None, 0] - pos[..., None, :, 0]
+    y = pos[..., :n_a, None, 1] - pos[..., None, :, 1]
     r = float(cfg.comm_range)
     lo, hi = r * r * (1.0 - 1e-12), r * r * (1.0 + 1e-12)
     if lo < np.finfo(float).tiny or hi > np.finfo(float).max:
-        within = np.hypot(x, y, out=x) <= r
+        within = np.hypot(x, y) <= r
     else:
         with np.errstate(over="ignore"):
-            x *= x
-            y *= y
-            x += y
-        within = x <= lo
-        near = x > lo
-        near &= x < hi
-        if near.any():
-            s, *pair = np.nonzero(near)
-            xn, yn = (s * dv[..., c][tuple(pair)] + dp[..., c][tuple(pair)] for c in (0, 1))
-            within[near] = np.hypot(xn, yn) <= r
+            sq = x * x + y * y
+        within = sq <= lo
+        near = (sq > lo) & (sq < hi)
+        within[near] = np.hypot(x[near], y[near]) <= r
+    dp = world.pos[..., :n_a, None, :] - world.pos[..., None, :, :]
     return np.where(np.hypot(dp[..., 0], dp[..., 1]) <= r, within.sum(axis=0) / cfg.horizon, -1.0)

@@ -146,6 +146,18 @@ def test_train_rejects_fewer_than_one_step_and_writes_nothing(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("steps", ["1", "999"])
+def test_train_rejects_fewer_steps_than_one_evaluation_and_writes_nothing(tmp_path, capsys, steps):
+    # such a run would record no curve point, and metrics and export could not read what it left
+    out_dir = tmp_path / "runs"
+    argv = ["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", steps, "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanetq: error: total_steps must be at least eval_interval 1000, got {steps}\n"
+    assert not out_dir.exists()
+
+
 def run_module(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -453,7 +465,7 @@ def test_train_never_writes_over_a_committed_curve(tmp_path, capsys):
 def test_train_writes_under_my_runs_by_default_and_never_into_runs(tmp_path, monkeypatch):
     # runs/ holds the committed reference curves, which metrics and export read by default
     monkeypatch.chdir(tmp_path)
-    assert main(["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", "100"]) == 0
+    assert main(["train", "--solution", "NN-4", "--scenario", "4a1s", "--seeds", "0", "--steps", "1000"]) == 0
     assert (tmp_path / "my_runs" / "4a1s" / "NN-4" / "seed0.csv").is_file()
     assert not (tmp_path / "runs").exists()
 
@@ -461,7 +473,7 @@ def test_train_writes_under_my_runs_by_default_and_never_into_runs(tmp_path, mon
 def test_train_on_a_scenario_file_is_a_one_line_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     experiments.load_scenario("4a1s").save("my.json")
-    argv = ["train", "--solution", "NN-4", "--scenario", "my.json", "--seeds", "0", "--steps", "100", "--out-dir", "runs"]
+    argv = ["train", "--solution", "NN-4", "--scenario", "my.json", "--seeds", "0", "--steps", "1000", "--out-dir", "runs"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

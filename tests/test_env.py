@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanetq.env import (
@@ -126,12 +126,12 @@ def oracle_link_range_fraction(i, j, world, cfg):
     """Fraction of the horizon the pair (i, j) stays in range; -1 if out of range now."""
     if i == j:
         raise ContractViolation("link_range_fraction needs two distinct entities")
-    dp = world.pos[i] - world.pos[j]
-    if float(np.hypot(*dp)) > cfg.comm_range:
+    if float(np.hypot(*(world.pos[i] - world.pos[j]))) > cfg.comm_range:
         return -1.0
-    dv = world.vel[i] - world.vel[j]
-    steps = np.arange(0, cfg.horizon - world.t)
-    rel = dp[None, :] + steps[:, None] * dv[None, :]
+    # both entities at their closed-form positions pos_a + (tau - t_a) * vel, tau in {t, ..., horizon - 1}
+    t_a, pos_a = world.anchor
+    elapsed = np.arange(world.t, cfg.horizon) - t_a
+    rel = (pos_a[i] + elapsed[:, None] * world.vel[i]) - (pos_a[j] + elapsed[:, None] * world.vel[j])
     return int(np.count_nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= cfg.comm_range)) / cfg.horizon
 
 
@@ -151,7 +151,9 @@ def oracle_observe(world, aircraft_id, cfg, edges):
 
 def oracle_step(world, edges, joint_action, cfg):
     """One step of the scalar path: (world, edges, obs, reward, done)."""
-    new = WorldState(t=world.t + 1, pos=world.pos + world.vel, vel=world.vel, n_aircraft=world.n_aircraft)
+    t_a, pos_a = world.anchor
+    t = world.t + 1
+    new = WorldState(t=t, pos=pos_a + (t - t_a) * world.vel, vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
     edges = oracle_resolve_links(new, joint_action, cfg)
     ptg = oracle_path_to_ground(edges, cfg.n_entities, cfg.n_aircraft)
     obs = np.stack([oracle_observe(new, a, cfg, edges) for a in range(cfg.n_aircraft)])
@@ -343,6 +345,11 @@ class TestLkSquaredDistancePrefilter:
         ulps=st.sampled_from([None, -1, 0, 1]),
         seed=st.integers(0, 2**31 - 1),
     )
+    # draws on which the table and an oracle extrapolating from re-added positions, pos + vel each step, disagree
+    @example(n_aircraft=1, n_ground=2, horizon=11, scale=1e154, ulps=0, seed=169)
+    @example(n_aircraft=1, n_ground=1, horizon=2, scale=1e-154, ulps=0, seed=6)
+    @example(n_aircraft=3, n_ground=1, horizon=3, scale=1e-200, ulps=-1, seed=524287)
+    @example(n_aircraft=1, n_ground=1, horizon=3, scale=1e-100, ulps=0, seed=193)
     def test_random_worlds_at_extreme_scales(self, n_aircraft, n_ground, horizon, scale, ulps, seed):
         cfg = ScenarioConfig(
             n_aircraft=n_aircraft, n_ground=n_ground, comm_range=0.5 * scale, horizon=horizon,
@@ -352,10 +359,10 @@ class TestLkSquaredDistancePrefilter:
         fresh = init_world(cfg, seed)
         world = make_world(fresh.pos, n_aircraft, fresh.vel, t=int(rng.integers(0, horizon)))
         if ulps is not None:
-            # comm_range on the extrapolated distance of one pair at one step, or one ulp off it
+            # comm_range on the distance of one pair at one step, or one ulp off it; the world's anchor is (t, pos)
             i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, cfg.n_entities))
             s = float(rng.integers(0, horizon - world.t))
-            d = float(np.hypot(*(s * (world.vel[i] - world.vel[j]) + (world.pos[i] - world.pos[j]))))
+            d = float(np.hypot(*((world.pos[i] + s * world.vel[i]) - (world.pos[j] + s * world.vel[j]))))
             d = d if ulps == 0 else float(np.nextafter(d, ulps * np.inf))
             assume(0.0 < d < np.inf)
             cfg = dataclasses.replace(cfg, comm_range=d)
@@ -385,8 +392,8 @@ def world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
     # comm_range on (or a relative nudge off) one pair's distance at a future step, as seen from t0
     i, j = int(rng.integers(0, n_aircraft)), int(rng.integers(0, n))
     assume(i != j)
-    dp, dv = pos[..., i, :] - pos[..., j, :], vel[..., i, :] - vel[..., j, :]
-    d = np.hypot(*np.moveaxis(float(rng.integers(0, horizon - t0)) * dv + dp, -1, 0)).flat[0]
+    s = float(rng.integers(0, horizon - t0))  # positions at t0 + s are pos + s * vel, the anchor being (t0, pos)
+    d = np.hypot(*np.moveaxis((pos[..., i, :] + s * vel[..., i, :]) - (pos[..., j, :] + s * vel[..., j, :]), -1, 0)).flat[0]
     cfg = ScenarioConfig(
         n_aircraft=n_aircraft, n_ground=n_ground, comm_range=float(d) * (1.0 + nudge), horizon=horizon,
         world_side=max(scale, 1.0),
@@ -411,11 +418,16 @@ def assert_links_follow_the_in_range_oracle(world, proposals, links, cfg):
 
 class TestCarriedLkTable:
     # the table counts each pair's future once, from its first observed step;
-    # every later step must read the lk rows of extrapolating anew from its own
-    # offsets, which drift from the table's by the rounding of re-added positions
+    # every later step must read the lk rows of counting anew at that step from
+    # the closed-form positions of the world's anchor
 
     @settings(max_examples=300, deadline=None)
     @given(**WORLDS_ON_A_RANGE)
+    # draws on which the table and an oracle extrapolating from re-added positions, pos + vel each step, disagree
+    @example(batch=(), n_aircraft=3, n_ground=1, horizon=4, scale=1e5, nudge=0.0, seed=0)
+    @example(batch=(), n_aircraft=1, n_ground=2, horizon=5, scale=0.0, nudge=0.0, seed=74)
+    @example(batch=(2,), n_aircraft=1, n_ground=1, horizon=4, scale=1e3, nudge=0.0, seed=5)
+    @example(batch=(), n_aircraft=1, n_ground=1, horizon=3, scale=1e5, nudge=-1e-13, seed=40)
     def test_every_step_equals_the_per_step_oracle(self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
         rng, cfg, world = world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed)
         assert np.array_equal(_geometry(world, cfg)[1], lk_rows_per_step(world, cfg))
@@ -478,8 +490,8 @@ class TestCarriedLkTable:
         monkeypatch.setattr(env, "_aircraft_offsets", lambda a, n_aircraft: reads.append(a.shape) or offsets(a, n_aircraft))
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
         run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
-        # positions and velocities, once per table of the blocks of 64, 64 and 2 episodes
-        assert reads == [(64, 7, 2)] * 4 + [(2, 7, 2)] * 2
+        # the (x and y, entity, tau, episode) positions of every step, once per table of the blocks of 64, 64 and 2
+        assert reads == [(2, 7, 51, 64)] * 2 + [(2, 7, 51, 2)]
 
     def test_the_rows_a_step_reads_are_read_only(self):
         # every later step of the episode reads the same table, so no caller may write into its rows
@@ -788,6 +800,62 @@ def test_batched_core_matches_each_episode_alone(batch, n_aircraft, n_ground, ho
             assert np.array_equal(world.links[b], alone[b].links)
             assert np.array_equal(obs[b], o_obs)
             assert r[b] == o_r and done == o_done
+
+
+def assert_closed_form(world, t_a, pos_a):
+    """world keeps the anchor (t_a, pos_a), and world.pos is pos_a + (t - t_a) * vel bit for bit."""
+    assert world.anchor[0] == t_a and world.anchor[1].tobytes() == pos_a.tobytes()
+    assert world.pos.tobytes() == (pos_a + float(world.t - t_a) * world.vel).tobytes(), world.t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.sampled_from([None, 1, 3, 8]),
+    n_aircraft=st.integers(1, 5),
+    n_ground=st.integers(1, 3),
+    horizon=st.integers(1, 60),
+    v_max=st.sampled_from([0.0, 0.02, 0.3, 1e3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_positions_are_closed_form_in_the_step(batch, n_aircraft, n_ground, horizon, v_max, seed):
+    # a single world (batch None) or a stacked block, fresh at t = 0 or anchored mid-episode at its own (t, pos)
+    cfg = ScenarioConfig(n_aircraft=n_aircraft, n_ground=n_ground, comm_range=0.3, horizon=horizon, v_max=v_max)
+    rng = np.random.default_rng(seed)
+    worlds = [init_world(cfg, seed + k) for k in range(batch or 1)]
+    world = worlds[0] if batch is None else stack_worlds(worlds)
+    if rng.integers(0, 2):
+        world = WorldState(t=int(rng.integers(0, horizon)), pos=world.pos, vel=world.vel, n_aircraft=n_aircraft)
+    t_a, pos_a = world.anchor
+    assert t_a == world.t and np.array_equal(pos_a, world.pos)
+    while world.t < horizon:
+        actions = rng.uniform(0.0, 1.0, world.pos.shape[:-2] + (n_aircraft, cfg.action_dim))
+        world, *_ = env_step(world, actions, cfg)
+        assert_closed_form(world, t_a, pos_a)
+
+
+class TestStackWorlds:
+    def test_carries_each_world_and_its_anchor(self):
+        cfg = cfg_4a1s()
+        worlds = [init_world(cfg, seed) for seed in (0, 2)]
+        for _ in range(2):
+            worlds = [env_step(w, np.full((4, 4), 0.5), cfg)[0] for w in worlds]
+        stacked = stack_worlds(worlds)
+        assert stacked.t == 2 and stacked.anchor[0] == 0
+        assert np.array_equal(stacked.anchor[1], np.stack([init_world(cfg, seed).pos for seed in (0, 2)]))
+        assert np.array_equal(stacked.pos, np.stack([w.pos for w in worlds]))
+        assert_closed_form(env_step(stacked, np.full((2, 4, 4), 0.5), cfg)[0], 0, stacked.anchor[1])
+
+    def test_rejects_no_worlds_and_worlds_at_different_steps_or_anchor_steps(self):
+        cfg = cfg_4a1s()
+        fresh = init_world(cfg, 0)
+        stepped = env_step(fresh, np.full((4, 4), 0.5), cfg)[0]
+        with pytest.raises(ContractViolation, match=r"got \[\]"):
+            stack_worlds([])
+        with pytest.raises(ContractViolation, match=r"\(0, 0\), \(1, 0\)"):
+            stack_worlds([fresh, stepped])
+        # one step, two anchor steps: a world anchored at t = 1 beside one anchored at t = 0
+        with pytest.raises(ContractViolation, match=r"\(1, 0\), \(1, 1\)"):
+            stack_worlds([stepped, WorldState(t=1, pos=stepped.pos, vel=stepped.vel, n_aircraft=4)])
 
 
 def test_batched_proposals_must_match_the_batch():

@@ -184,6 +184,14 @@ class TestRunRecords:
         assert run_path(tmp_path / "a", "4a1s", "NN-4", 5).with_name("seed5_actor.json").exists()
         assert run_path(tmp_path / "a", "4a1s", "NN-4", 5).with_name("seed5_critic.json").exists()
 
+    @pytest.mark.parametrize("total_steps, eval_interval", [(999, 1000), (199, 200)])
+    def test_fewer_steps_than_one_evaluation_are_rejected_before_any_file(self, tmp_path, total_steps, eval_interval):
+        tcfg = TrainerConfig(rollout_steps=200, eval_interval=eval_interval, eval_episodes=1)
+        with pytest.raises(ContractViolation, match=f"at least eval_interval {eval_interval}, got {total_steps}"):
+            run_training("NN-4", "4a1s", [0], total_steps, tmp_path, trainer_cfg=tcfg)
+        assert not any(tmp_path.iterdir())
+        assert len(run_training("NN-4", "4a1s", [0], eval_interval, tmp_path, trainer_cfg=tcfg)[0].curve) == 1
+
     def test_rows_are_on_disk_before_the_run_ends(self, tmp_path, monkeypatch):
         import fanetq.mappo as mappo
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanetq.critics import ClassicalCritic, QuantumCritic, build_critic
-from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, observe_all
+from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, init_world, observe_all
 from fanetq.errors import ContractViolation, TrainingError
 from fanetq.mappo import (
     EPISODE_SEED_STRIDE,
@@ -30,7 +30,7 @@ from fanetq.mappo import (
 from fanetq.nets import DenseNet, GaussianPolicyHead
 
 from tests.oracles import grad_views, sample_action
-from tests.test_env import episode_cr_alone
+from tests.test_env import assert_closed_form, episode_cr_alone
 from tests.test_nets import AdamReference, dense_backward_reference, dense_forward_reference, flat
 
 
@@ -406,6 +406,28 @@ def test_block_rollout_equals_the_serial_oracle(n_aircraft, n_ground, horizon, q
         assert np.array_equal(env.world.links, oracle_env.world.links)
         for p in actor.params():
             p += 0.05 * rng.standard_normal(p.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.integers(2, 30),
+    first=st.integers(1, 200),
+    second=st.integers(1, 200),
+    seed=st.integers(0, 2**20),
+)
+def test_a_cut_tail_keeps_its_episode_anchor_across_rollouts(horizon, first, second, seed):
+    # the world a rollout leaves unfinished moves on from the anchor of its episode's start, not from the cut
+    assume(first % horizon)
+    cfg = ScenarioConfig(n_aircraft=3, n_ground=1, comm_range=0.4, horizon=horizon, v_max=0.1)
+    rng = np.random.default_rng(seed)
+    actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+    critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
+    env, counter = FanetEnv(cfg), 0
+    for steps in (first, second):
+        _, counter = collect_rollout(env, actor, critic, steps, rng, seed, counter, TrainerConfig())
+        start = init_world(cfg, seed + EPISODE_SEED_STRIDE * (counter - 1))  # the counter runs one episode ahead
+        assert_closed_form(env.world, 0, start.pos)
+    assert env.t == (first + second) % horizon
 
 
 class TestRollout:
