@@ -6,7 +6,7 @@ computation, and the global reward, then dumps a JSON-lines trajectory.
 
 import numpy as np
 
-from fanetq.env import FanetEnv, dump_trajectory, path_to_ground
+from fanetq.env import dump_trajectory, env_step, init_world, path_to_ground
 from fanetq.experiments import load_scenario
 
 cfg = load_scenario("4a1s")
@@ -15,10 +15,9 @@ print(f"scenario 4a1s: {cfg.n_aircraft} aircraft + {cfg.n_ground} ground station
 print(f"observation dim {cfg.obs_dim}, action dim {cfg.action_dim}, "
       f"global obs dim {cfg.global_obs_dim}")
 
-env = FanetEnv(cfg)
-obs = env.reset(seed=42)
+world = init_world(cfg, seed=42)
 print("\ninitial positions:")
-for i, (pos, vel) in enumerate(zip(env.world.pos, env.world.vel)):
+for i, (pos, vel) in enumerate(zip(world.pos, world.vel)):
     kind = "aircraft" if i < cfg.n_aircraft else "ground"
     print(f"  {kind:8s} {i}: pos=({pos[0]:.3f}, {pos[1]:.3f}) vel=({vel[0]:+.3f}, {vel[1]:+.3f})")
 
@@ -26,12 +25,12 @@ rng = np.random.default_rng(0)
 total = 0.0
 for t in range(cfg.horizon):
     actions = rng.uniform(0, 1, size=(cfg.n_aircraft, cfg.action_dim))
-    obs, r, done = env.step(actions)
+    world, _, r, done = env_step(world, actions, cfg)
     total += r * cfg.n_aircraft
     if t < 3 or done:
-        links = env.world.links  # symmetric (N, N) boolean adjacency matrix
-        ptg = path_to_ground(links, env.world)
-        print(f"\nstep {env.world.t}: links={np.argwhere(np.triu(links)).tolist()}")
+        links = world.links  # symmetric (N, N) boolean adjacency matrix
+        ptg = path_to_ground(links, world)
+        print(f"\nstep {world.t}: links={np.argwhere(np.triu(links)).tolist()}")
         print(f"  path-to-ground={ptg.tolist()}  reward={r:.3f}")
 print(f"\nepisode cumulative reward (CR): {total:.1f} of max {cfg.horizon * cfg.n_aircraft}")
 

@@ -89,7 +89,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{path} exists; train writes new curves only, so choose another --out-dir")
     records = run_training(args.solution, args.scenario, seeds, args.steps, args.out_dir)
     for rec in records:
-        final = rec.curve[-1]["cr_mean"] if rec.curve else float("nan")
+        final = rec.curve[-1]["cr_mean"]
         print(f"{rec.solution} {rec.scenario} seed={rec.seed}: {len(rec.curve)} eval points, final CR {final:.2f}")
     return 0
 

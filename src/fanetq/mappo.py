@@ -10,7 +10,6 @@ classical, the SPSA rule inside the quantum critic for circuit weights).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import warnings
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, WorldState, init_world
+from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world
 from .env import run_episodes, stack_worlds, step_episodes
 from .errors import ContractViolation, TrainingError
 from .nets import Adam, GaussianPolicyHead
@@ -73,7 +72,6 @@ class RolloutBatch:
     log_std_old: np.ndarray  # (act_dim,)
     rewards: np.ndarray      # (S,) global scalar reward
     values: np.ndarray       # (S,)
-    dones: np.ndarray        # (S,)
     advantages: np.ndarray   # (S,)
     returns: np.ndarray      # (S,)
 
@@ -114,50 +112,48 @@ def gae(
 
 
 def collect_rollout(
-    env: FanetEnv,
+    world: WorldState | None,
+    scenario: ScenarioConfig,
     actor: GaussianPolicyHead,
     critic,
     steps: int,
     rng: np.random.Generator,
     base_seed: int,
-    episode_counter: int,
+    start: int,
     cfg: TrainerConfig,
-) -> tuple[RolloutBatch, int]:
-    """Gather ``steps`` env steps in episode order, computing GAE per episode segment.
+) -> tuple[RolloutBatch, WorldState | None]:
+    """Gather ``steps`` env steps from run step ``start``, computing GAE per episode segment.
 
-    Episodes reset with seeds derived from (base_seed, episode index).  The
-    episode ``env`` carries over and a tail cut at the rollout boundary step
-    alone, whole episodes in blocks of up to EPISODE_BLOCK; every field
-    equals that of stepping one episode at a time.  A cut tail bootstraps
-    with the critic value of its next observation and stays in ``env``.
+    Run step s is step s % horizon of episode s // horizon, seeded base_seed + EPISODE_SEED_STRIDE * (s // horizon).
+    ``world``, the episode the last rollout cut (a block of one), or None on an episode boundary, steps first, so
+    its lk table carries on; then the whole episodes in blocks of up to EPISODE_BLOCK, then one cut tail.  Every
+    field equals that of stepping one episode at a time.  A cut tail bootstraps with the critic value of its next
+    observation and is returned as the next world; otherwise None is.
     """
     if steps < 1:
         raise ContractViolation("steps must be positive")
-    horizon = env.cfg.horizon
-    if env.world is None or env.t >= horizon:
-        env.world = init_world(env.cfg, base_seed + EPISODE_SEED_STRIDE * episode_counter)
-        episode_counter += 1
-    plan, world = [], env.world  # (start world, steps) per episode
-    while steps > 0:
-        k = min(steps, horizon - world.t)
-        plan.append((world, k))
-        steps -= k
-        if world.t + k == horizon:  # the counter runs one episode ahead, as env resets at once
-            world = init_world(env.cfg, base_seed + EPISODE_SEED_STRIDE * episode_counter)
-            episode_counter += 1
+    horizon = scenario.horizon
+    if (0 if world is None else world.t) != start % horizon:
+        raise ContractViolation(f"run step {start} is not at the carried world's step")
+    plan = []  # (block, steps) in run order
+    if world is not None:
+        plan.append((world, min(steps, horizon - world.t)))
+        start, steps = start + plan[0][1], steps - plan[0][1]
+    whole, tail = divmod(steps, horizon)
+    seeds = [base_seed + EPISODE_SEED_STRIDE * (start // horizon + i) for i in range(whole + (tail > 0))]
+    worlds = [init_world(scenario, seed) for seed in seeds]
+    for lo in range(0, whole, EPISODE_BLOCK):
+        plan.append((stack_worlds(worlds[lo : min(lo + EPISODE_BLOCK, whole)]), horizon))
+    if tail:
+        plan.append((stack_worlds(worlds[-1:]), tail))
     parts = []
-    for (_, k), group in itertools.groupby(plan, key=lambda p: (p[0].t, p[1])):
-        worlds = [w for w, _ in group]
-        for lo in range(0, len(worlds), EPISODE_BLOCK):
-            block = stack_worlds(worlds[lo : lo + EPISODE_BLOCK])
-            end, part = _rollout_block(block, k, env.cfg, actor, critic, rng, cfg)
-            parts.append(part)
-    if end.t < horizon:  # the cut tail, unstacked, keeps its episode's anchor
-        world = WorldState(end.t, end.pos[0], end.vel[0], end.n_aircraft, end.links[0], (end.anchor[0], end.anchor[1][0]))
-    env.world = world
+    for block, k in plan:
+        world, part = _rollout_block(block, k, scenario, actor, critic, rng, cfg)
+        parts.append(part)
     fields = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     global_obs = fields["obs"].reshape(len(fields["obs"]), -1)
-    return RolloutBatch(global_obs=global_obs, log_std_old=actor.log_std.copy(), **fields), episode_counter
+    batch = RolloutBatch(global_obs=global_obs, log_std_old=actor.log_std.copy(), **fields)
+    return batch, (world if world.t < horizon else None)
 
 
 def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldState, dict]:
@@ -177,12 +173,10 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
 
     world, last_obs, rewards = step_episodes(world, k, scenario, policy)
     values = critic.value(obs.reshape(b, k, -1))  # one stacked pass, equal to one pass per episode
-    done = world.t == scenario.horizon
-    bootstrap = 0.0 if done else critic.value(last_obs.reshape(b, -1))
+    bootstrap = 0.0 if world.t == scenario.horizon else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
-    dones = np.broadcast_to((np.arange(k) == k - 1) & done, (b, k))
     fields = dict(obs=obs, actions=actions, log_prob_old=actor.log_prob_of(actions - mu), mu_old=mu, rewards=rewards,
-                  values=values, dones=dones, advantages=advantages, returns=returns)
+                  values=values, advantages=advantages, returns=returns)
     return world, {name: a.reshape((b * k,) + a.shape[2:]) for name, a in fields.items()}
 
 
@@ -292,7 +286,6 @@ class Trainer:
         self.scenario_cfg = scenario_cfg
         self.cfg = cfg or TrainerConfig()
         self.seed = seed
-        self.env = FanetEnv(scenario_cfg)
         actor_rng = np.random.default_rng([seed, 0])
         self.actor = GaussianPolicyHead.create(
             scenario_cfg.obs_dim, scenario_cfg.action_dim, ACTOR_HIDDEN, actor_rng
@@ -302,9 +295,8 @@ class Trainer:
         self.critic_opt = Adam(critic.flat, lr=self.cfg.lr)
         self.rollout_rng = np.random.default_rng([seed, 1])
         self.shuffle_rng = np.random.default_rng([seed, 2])
-        self.episode_counter = 0
         self.env_steps = 0
-        self.last_stats: UpdateStats | None = None
+        self.world: WorldState | None = None  # the episode the last rollout cut
 
     def update(self, batch: RolloutBatch) -> UpdateStats:
         """One MAPPO update: epochs of shuffled minibatches on both losses.
@@ -408,19 +400,20 @@ class Trainer:
         curve: list[dict] = []
         while self.env_steps < total_steps:
             steps = min(cfg.rollout_steps, total_steps - self.env_steps)
-            batch, self.episode_counter = collect_rollout(
-                self.env, self.actor, self.critic, steps, self.rollout_rng, self.seed, self.episode_counter, cfg
+            batch, self.world = collect_rollout(
+                self.world, self.scenario_cfg, self.actor, self.critic, steps, self.rollout_rng, self.seed,
+                self.env_steps, cfg,
             )
             first = (self.env_steps // cfg.eval_interval + 1) * cfg.eval_interval  # the next point not yet passed
             self.env_steps += steps
-            self.last_stats = self.update(batch)
+            stats = self.update(batch)
             due = range(first, self.env_steps + 1, cfg.eval_interval)  # the points this update crossed
             if not due:
                 continue
             eval_seeds = [int(np.random.default_rng([self.seed, 3, at]).integers(0, 2**31 - 1)) for at in due]
             # one evaluate call, so one block of episodes, for all of them
             results = evaluate(self.actor, self.scenario_cfg, cfg.eval_episodes, eval_seeds)
-            losses = {"actor_loss": self.last_stats.actor_loss, "critic_loss": self.last_stats.critic_loss}
+            losses = {"actor_loss": stats.actor_loss, "critic_loss": stats.critic_loss}
             for at, (cr_mean, cr_std) in zip(due, results):
                 point = {"env_steps": at, "cr_mean": cr_mean, "cr_std": cr_std, **losses}
                 curve.append(point)

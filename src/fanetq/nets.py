@@ -34,9 +34,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def check_checkpoint_version(d: dict) -> None:
-    """Raise ConfigError unless a checkpoint dict carries CHECKPOINT_VERSION."""
+    """Raise ConfigError unless a checkpoint dict carries CHECKPOINT_VERSION, an int (not a bool or a float)."""
     (version,) = json_fields(d, "version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version!r}, this build reads {CHECKPOINT_VERSION}")
 
 

@@ -273,7 +273,7 @@ class TestCheckpointChecks:
         rng = np.random.default_rng(30)
         return [ClassicalCritic.create(16, 4, rng).to_dict(), QuantumCritic.create(16, 1, "arctan", rng).to_dict()]
 
-    @pytest.mark.parametrize("version", [None, 0, 99])
+    @pytest.mark.parametrize("version", [None, 0, 99, True, 1.0])
     def test_version_checked_on_load(self, tmp_path, version):
         for d in self.critic_dicts():
             if version is None:

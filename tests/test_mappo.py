@@ -294,7 +294,7 @@ def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_co
     observation.  The env resets right after an episode ends, so the counter
     runs one episode ahead.  collect_rollout must match it bit for bit.
     """
-    obs_l, gobs_l, act_l, lp_l, mu_l, rew_l, done_l = [], [], [], [], [], [], []
+    obs_l, gobs_l, act_l, lp_l, mu_l, rew_l = [], [], [], [], [], []
 
     if env.world is None or env.t >= env.cfg.horizon:
         obs = env.reset(base_seed + EPISODE_SEED_STRIDE * episode_counter)
@@ -327,7 +327,6 @@ def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_co
         lp_l.append(log_prob)
         mu_l.append(mu)
         rew_l.append(r)
-        done_l.append(done)
 
         obs = next_obs
         if done:
@@ -347,7 +346,6 @@ def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_co
         log_std_old=actor.log_std.copy(),
         rewards=np.array(rew_l),
         values=np.concatenate(val_parts),
-        dones=np.array(done_l, dtype=bool),
         advantages=np.concatenate(adv_parts),
         returns=np.concatenate(ret_parts),
     )
@@ -392,18 +390,23 @@ def test_block_rollout_equals_the_serial_oracle(n_aircraft, n_ground, horizon, q
     else:
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
     tcfg = TrainerConfig()
-    env, oracle_env = FanetEnv(cfg), FanetEnv(cfg)
+    world, start = None, 3 * horizon
+    oracle_env, oracle_counter = FanetEnv(cfg), 3
     rollout_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    counter = oracle_counter = 3
     for steps in lengths:
-        batch, counter = collect_rollout(env, actor, critic, steps, rollout_rng, seed, counter, tcfg)
+        batch, world = collect_rollout(world, cfg, actor, critic, steps, rollout_rng, seed, start, tcfg)
         want, oracle_counter = collect_rollout_serial(
             oracle_env, actor, critic, steps, oracle_rng, seed, oracle_counter, tcfg
         )
+        start += steps
         assert_same_batch(batch, want)
-        assert counter == oracle_counter and env.t == oracle_env.t
-        assert np.array_equal(env.world.pos, oracle_env.world.pos)
-        assert np.array_equal(env.world.links, oracle_env.world.links)
+        # the oracle resets as an episode ends, so its counter runs one episode ahead
+        assert oracle_counter == start // horizon + 1 and oracle_env.t == start % horizon
+        assert (world is None) == (start % horizon == 0)
+        if world is not None:
+            assert world.t == oracle_env.t
+            assert np.array_equal(world.pos[0], oracle_env.world.pos)
+            assert np.array_equal(world.links[0], oracle_env.world.links)
         for p in actor.params():
             p += 0.05 * rng.standard_normal(p.shape)
 
@@ -416,44 +419,74 @@ def test_block_rollout_equals_the_serial_oracle(n_aircraft, n_ground, horizon, q
     seed=st.integers(0, 2**20),
 )
 def test_a_cut_tail_keeps_its_episode_anchor_across_rollouts(horizon, first, second, seed):
-    # the world a rollout leaves unfinished moves on from the anchor of its episode's start, not from the cut
+    # the world a rollout leaves unfinished moves on from the anchor of its episode's start, not from the cut;
+    # so does the one a Trainer carries, which is None exactly on an episode boundary
     assume(first % horizon)
     cfg = ScenarioConfig(n_aircraft=3, n_ground=1, comm_range=0.4, horizon=horizon, v_max=0.1)
     rng = np.random.default_rng(seed)
     actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
     critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
-    env, counter = FanetEnv(cfg), 0
+
+    def assert_carried(world, run_step):
+        episode, t = divmod(run_step, horizon)
+        assert (world is None) == (t == 0)
+        if world is not None:
+            assert world.t == t
+            assert_closed_form(world, 0, init_world(cfg, seed + EPISODE_SEED_STRIDE * episode).pos)
+
+    world, start = None, 0
     for steps in (first, second):
-        _, counter = collect_rollout(env, actor, critic, steps, rng, seed, counter, TrainerConfig())
-        start = init_world(cfg, seed + EPISODE_SEED_STRIDE * (counter - 1))  # the counter runs one episode ahead
-        assert_closed_form(env.world, 0, start.pos)
-    assert env.t == (first + second) % horizon
+        _, world = collect_rollout(world, cfg, actor, critic, steps, rng, seed, start, TrainerConfig())
+        start += steps
+        assert_carried(world, start)
+    trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=first), seed=seed)
+    for total in (first, first + second):
+        trainer.train(total)
+        assert_carried(trainer.world, trainer.env_steps)
+
+
+def test_a_trainer_builds_each_lk_table_at_its_episode_start(monkeypatch):
+    # the cut tail a rollout carries keeps the table it was built with, so no table is built after t = 0
+    import fanetq.env as env
+
+    built = []
+    inner = env._lk_table
+
+    def spy(world, cfg):
+        built.append(world.t)
+        return inner(world, cfg)
+
+    monkeypatch.setattr(env, "_lk_table", spy)
+    cfg = cfg_4a1s()
+    critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(0))
+    trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=130), seed=0)
+    trainer.train(1040)
+    # two tables per rollout of 130 steps (whole episodes, then the cut tail), and one for the evaluation
+    assert built == [0] * 16
 
 
 class TestRollout:
     def test_record_counts_and_shapes(self):
         cfg = cfg_4a1s()
-        env = FanetEnv(cfg)
         rng = np.random.default_rng(5)
         actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         tcfg = TrainerConfig()
-        batch, counter = collect_rollout(env, actor, critic, 50, rng, 0, 0, tcfg)
+        batch, world = collect_rollout(None, cfg, actor, critic, 50, rng, 0, 0, tcfg)
         assert batch.n_steps == 50
         assert batch.n_agents == 4
         assert batch.obs.shape == (50, 4, 13)
         assert batch.global_obs.shape == (50, 52)
         assert batch.actions.shape == (50, 4, 4)
-        # one episode consumed, plus the reset pre-seeding the next rollout
-        assert counter == 2
+        # one whole episode consumed, so nothing is carried into the next rollout
+        assert world is None
 
     def test_log_prob_self_consistency(self):
         cfg = cfg_4a1s()
-        env = FanetEnv(cfg)
         rng = np.random.default_rng(6)
         actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
-        batch, _ = collect_rollout(env, actor, critic, 30, rng, 0, 0, TrainerConfig())
+        batch, _ = collect_rollout(None, cfg, actor, critic, 30, rng, 0, 0, TrainerConfig())
         for t in range(30):
             recomputed = actor.log_prob_cached(batch.obs[t], batch.actions[t])[0]
             assert np.abs(recomputed - batch.log_prob_old[t]).max() < 1e-12
@@ -461,11 +494,10 @@ class TestRollout:
     def test_actions_come_from_the_policy_sampler(self):
         # one rollout step draws exactly what the serial sampler draws
         cfg = cfg_4a1s()
-        env = FanetEnv(cfg)
         rng = np.random.default_rng(17)
         actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
-        batch, _ = collect_rollout(env, actor, critic, 3, np.random.default_rng(18), 0, 0, TrainerConfig())
+        batch, _ = collect_rollout(None, cfg, actor, critic, 3, np.random.default_rng(18), 0, 0, TrainerConfig())
         sample_rng = np.random.default_rng(18)
         for t in range(3):
             action, log_prob, mu = sample_action(actor, batch.obs[t], sample_rng)
@@ -479,20 +511,30 @@ class TestRollout:
         actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         with pytest.raises(ContractViolation, match="steps"):
-            collect_rollout(FanetEnv(cfg), actor, critic, 0, rng, 0, 0, TrainerConfig())
+            collect_rollout(None, cfg, actor, critic, 0, rng, 0, 0, TrainerConfig())
+
+    def test_rejects_a_run_step_off_the_carried_world(self):
+        cfg = cfg_4a1s()
+        rng = np.random.default_rng(23)
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
+        _, world = collect_rollout(None, cfg, actor, critic, 30, rng, 0, 0, TrainerConfig())
+        assert world.t == 30
+        for carried, start in ((world, 0), (world, 31), (None, 30)):
+            with pytest.raises(ContractViolation, match="run step"):
+                collect_rollout(carried, cfg, actor, critic, 5, rng, 0, start, TrainerConfig())
 
     def test_batch_requires_advantages_and_returns(self):
         z = np.zeros(1)
         with pytest.raises(TypeError):
-            RolloutBatch(z, z, z, z, z, z, z, z, z)  # advantages and returns missing
+            RolloutBatch(z, z, z, z, z, z, z, z)  # advantages and returns missing
 
     def test_global_observation_dimensions(self):
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.637)
-        env = FanetEnv(cfg)
         rng = np.random.default_rng(7)
         actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
-        batch, _ = collect_rollout(env, actor, critic, 10, rng, 0, 0, TrainerConfig())
+        batch, _ = collect_rollout(None, cfg, actor, critic, 10, rng, 0, 0, TrainerConfig())
         assert batch.global_obs.shape[1] == 95
 
     def test_advantages_normalize_in_update(self):
@@ -500,8 +542,8 @@ class TestRollout:
         rng = np.random.default_rng(8)
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=100, minibatch_size=64), seed=0)
-        batch, trainer.episode_counter = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 0, 0, trainer.cfg
+        batch, _ = collect_rollout(
+            None, cfg, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 0, 0, trainer.cfg
         )
         adv = batch.advantages
         normalized = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -517,7 +559,7 @@ class TestUpdateMechanics:
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50), seed=1)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 1, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 1, 0, trainer.cfg
         )
         lp_new = trainer.actor.log_prob_cached(
             batch.obs.reshape(-1, cfg.obs_dim), batch.actions.reshape(-1, cfg.action_dim)
@@ -532,7 +574,7 @@ class TestUpdateMechanics:
         tcfg = TrainerConfig(rollout_steps=50, epochs=1, minibatch_size=200)
         trainer = Trainer(cfg, critic, tcfg, seed=2)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 2, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 2, 0, trainer.cfg
         )
         batch.advantages[:] = 0.0
         mean_before = [w.copy() for w in trainer.actor.mean_net.weights]
@@ -552,7 +594,7 @@ class TestUpdateMechanics:
         tcfg = TrainerConfig(rollout_steps=100, epochs=1, minibatch_size=100, lr=3e-3)
         trainer = Trainer(cfg, critic, tcfg, seed=3)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 3, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 3, 0, trainer.cfg
         )
         first = critic_loss(critic, batch.global_obs, batch.returns, batch.values, tcfg)
         for _ in range(50):
@@ -567,7 +609,7 @@ class TestUpdateMechanics:
         tcfg = TrainerConfig(rollout_steps=50, epochs=1, minibatch_size=50)
         trainer = Trainer(cfg, critic, tcfg, seed=4)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 4, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 4, 0, trainer.cfg
         )
         critic.circuit_evaluations = 0
         trainer.update(batch)
@@ -599,7 +641,7 @@ class TestUpdateMechanics:
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, rng)
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=1, minibatch_size=50), seed=5)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 5, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 5, 0, trainer.cfg
         )
         batch.returns[:] = np.nan  # poisons the critic loss
         before_actor = [p.copy() for p in trainer.actor.params()]
@@ -629,7 +671,7 @@ class TestUpdateMechanics:
         critic = QuantumCritic.create(cfg.global_obs_dim, 1, "arctan", np.random.default_rng(13))
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=5)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 5, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 5, 0, trainer.cfg
         )
         if warm:  # a clean update first, so the optimizers hold state that is not all zeros
             assert not trainer.update(batch).aborted
@@ -655,7 +697,7 @@ class TestUpdateMechanics:
         critic = QuantumCritic.create(cfg.global_obs_dim, 1, "arctan", np.random.default_rng(14))
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=6)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 6, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 6, 0, trainer.cfg
         )
         before = self.optimizer_state(trainer)
         with pytest.warns(RuntimeWarning):
@@ -680,7 +722,7 @@ class TestUpdateMechanics:
         tcfg = TrainerConfig(rollout_steps=100, epochs=3, minibatch_size=64, lr=3e-3)
         trainer = Trainer(cfg, critic, tcfg, seed=6)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 6, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 100, trainer.rollout_rng, 6, 0, trainer.cfg
         )
         stats = trainer.update(batch)
         assert len(seen) == 3 * 7  # 400 rows in minibatches of 64, three epochs
@@ -694,7 +736,7 @@ class TestUpdateMechanics:
         critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(19))
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=1, minibatch_size=200), seed=7)
         batch, _ = collect_rollout(
-            trainer.env, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 7, 0, trainer.cfg
+            None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 7, 0, trainer.cfg
         )
         assert trainer.update(batch).clip_frac == 0.0
 
@@ -715,7 +757,7 @@ class TestUpdateMechanics:
         critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(3), spsa_seed=3)
         trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=50), seed=3)
         assert_owned(trainer.actor, critic)
-        batch, _ = collect_rollout(trainer.env, trainer.actor, critic, 50, trainer.rollout_rng, 3, 0, trainer.cfg)
+        batch, _ = collect_rollout(None, cfg, trainer.actor, critic, 50, trainer.rollout_rng, 3, 0, trainer.cfg)
         adv = np.repeat(batch.advantages, cfg.n_aircraft)
         obs, acts = batch.obs.reshape(200, -1), batch.actions.reshape(200, -1)
         lp, mu = batch.log_prob_old.reshape(200), batch.mu_old.reshape(200, -1)
@@ -892,7 +934,7 @@ def test_update_equals_the_pre_change_reference(solution, steps, minibatch_size,
     trainer, oracle = make_trainer(), make_trainer()
     actor_opt = AdamReference(oracle.actor.params(), lr=lr)
     critic_opt = AdamReference(oracle.critic.params(), lr=lr)
-    batch, _ = collect_rollout(trainer.env, trainer.actor, trainer.critic, steps, trainer.rollout_rng, seed, 0, tcfg)
+    batch, _ = collect_rollout(None, cfg, trainer.actor, trainer.critic, steps, trainer.rollout_rng, seed, 0, tcfg)
     for _ in range(n_updates):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

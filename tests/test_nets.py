@@ -374,7 +374,7 @@ class TestGaussianHead:
         assert np.array_equal(head.mean(obs), clone.mean(obs))
         assert np.array_equal(head.log_std, clone.log_std)
 
-    @pytest.mark.parametrize("version", [None, 0, 99, "1"])
+    @pytest.mark.parametrize("version", [None, 0, 99, "1", True, 1.0])
     def test_checkpoint_version_checked_on_load(self, version):
         d = GaussianPolicyHead.create(3, 2, (4,), np.random.default_rng(17)).to_dict()
         assert d["version"] == CHECKPOINT_VERSION
