@@ -199,12 +199,12 @@ def _top_k(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
     return (-scores).argsort(axis=axis, kind="stable").argsort(axis=axis) < k
 
 
-def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+def resolve_links(in_range: np.ndarray, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Resolve per-aircraft desirability vectors into the (..., N, N) link matrix.
 
-    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in
-    ascending id order; its leading axes match the world's.  Each aircraft
-    nominates its top ``max_links`` entities, ties to the lower id.
+    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in ascending id order; its leading
+    axes, episodes or steps, match those of ``in_range`` (..., n_aircraft, N), the step's mask (see _geometry).
+    Each aircraft nominates its top ``max_links`` entities, ties to the lower id.
     Aircraft-aircraft edges need both sides to nominate each other and the
     pair to be in range (distance <= comm_range).  Ground stations are not
     agents: each accepts its in-range nominators in decreasing desirability
@@ -213,17 +213,17 @@ def resolve_links(world: WorldState, proposals: np.ndarray, cfg: ScenarioConfig)
     """
     proposals = np.asarray(proposals, dtype=float)
     n_a, n = cfg.n_aircraft, cfg.n_entities
-    batch = world.pos.shape[:-2]
-    if proposals.shape != batch + (n_a, n - 1):
+    batch = in_range.shape[:-2]
+    if in_range.shape[-2:] != (n_a, n) or proposals.shape != batch + (n_a, n - 1):
         raise ContractViolation(f"proposals must have shape {batch + (n_a, n - 1)}, got {proposals.shape}")
     if np.isnan(proposals).any():
         raise ContractViolation("proposals contain NaN, which has no desirability rank")
     not_self = _not_self(n_a, n)
     desir = np.full(batch + (n_a, n), -np.inf)
-    desir[..., not_self] = clamp_actions(proposals).reshape(batch + (-1,))
+    desir[..., not_self] = clamp_actions(proposals).reshape(batch + (n_a * (n - 1),))  # -1 fails on an empty batch
 
     # with fewer than max_links candidates the -inf self slot is picked; not_self drops it
-    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & _geometry(world, cfg)[0]
+    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & in_range
 
     bids = np.where(asks[..., n_a:], desir[..., n_a:], -np.inf)
     accepted = _top_k(bids, cfg.max_links, axis=-2) & asks[..., n_a:]
@@ -349,7 +349,7 @@ def env_step(
     t = world.t + 1
     new = WorldState(t=t, pos=world.at(t), vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
     new.lk_table = world.lk_table
-    new.links = resolve_links(new, joint_action, cfg)
+    new.links = resolve_links(_geometry(new, cfg)[0], joint_action, cfg)
     obs = observe_all(new, cfg)
     done = new.t >= cfg.horizon
     return new, obs, reward(obs[..., 0]), done
@@ -415,6 +415,17 @@ def step_episodes(
     for s in range(steps):
         world, obs, rewards[..., s], _ = env_step(world, policy(obs, world.t), cfg)
     return world, obs, rewards
+
+
+def open_loop_rewards(world: WorldState, actions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """(..., steps) rewards of the rest of a world's episode, steps = horizon - t, under fixed actions (..., steps,
+    n_aircraft, N-1), as step_episodes gives them to a policy that returns actions[..., s, :, :] at step s.  A step's
+    links read only its actions and in-range mask, so one resolve_links call takes rows t+1 .. horizon of the
+    world's table, and no observation is built."""
+    _geometry(world, cfg)  # builds the world's table under cfg if it has none
+    _, t0, in_range, _ = world.lk_table
+    rows = np.moveaxis(in_range[world.t - t0 + 1 : cfg.horizon - t0 + 1], 0, world.pos.ndim - 2)  # steps after episodes
+    return reward(path_to_ground(resolve_links(rows, actions, cfg), world)[..., : cfg.n_aircraft])
 
 
 def run_episodes(cfg: ScenarioConfig, seeds, policy) -> np.ndarray:

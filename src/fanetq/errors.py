@@ -1,6 +1,7 @@
 """Shared exception types, and the JSON readers that map unreadable or ill-shaped input to them."""
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,14 @@ class CalibrationError(RuntimeError):
     def __init__(self, message: str, sweep: list | None = None):
         super().__init__(message)
         self.sweep = sweep or []
+
+
+def check_int(value, name: str, low: int) -> None:
+    """ContractViolation unless ``value`` is an integer, not a bool, of at least ``low``: 1 (positive) or 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ContractViolation(f"{name} must be {'positive' if low else 'non-negative'}")
 
 
 def read_json(path) -> object:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .critics import SolutionId, build_critic, save_critic
-from .env import ScenarioConfig, run_episodes
-from .errors import CalibrationError, ConfigError, ContractViolation
+from .env import EPISODE_BLOCK, ScenarioConfig, init_world, open_loop_rewards, stack_worlds
+from .errors import CalibrationError, ConfigError, ContractViolation, check_int
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import entanglement_capability, expressibility, sample_states
 from .qsim import VqcSpec
@@ -82,20 +82,17 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
 
 
 def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo mean/std of episode CR under uniform-random actions."""
-    if episodes < 1:
-        raise ContractViolation("episodes must be positive")
+    """Monte-Carlo mean/std of episode CR under uniform-random actions; each episode block is one open-loop pass."""
+    check_int(episodes, "episodes", 1)
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed + 10_000_019)
-    actions = np.empty(0)
-
-    def policy(obs: np.ndarray, t: int) -> np.ndarray:
+    seeds, crs = range(seed, seed + episodes), np.empty(episodes)
+    for start in range(0, episodes, EPISODE_BLOCK):
+        world = stack_worlds([init_world(cfg, s) for s in seeds[start : start + EPISODE_BLOCK]])
         # one draw per block, episode-major: the stream reads as one (n_aircraft, action_dim) draw per step
-        nonlocal actions
-        if t == 0:
-            actions = rng.uniform(0.0, 1.0, size=(len(obs), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
-        return actions[:, t]
-
-    crs = run_episodes(cfg, range(seed, seed + episodes), policy)
+        actions = rng.uniform(0.0, 1.0, size=(len(world.pos), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
+        rewards = open_loop_rewards(world, actions, cfg)  # the policy reads no observation, so none is built
+        crs[start : start + len(rewards)] = np.cumsum(rewards * cfg.n_aircraft, axis=-1)[:, -1]  # as run_episodes sums
     return float(crs.mean()), float(crs.std())
 
 

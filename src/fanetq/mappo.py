@@ -19,7 +19,7 @@ import numpy as np
 
 from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world
 from .env import run_episodes, stack_worlds, step_episodes
-from .errors import ContractViolation, TrainingError
+from .errors import ContractViolation, TrainingError, check_int
 from .nets import Adam, GaussianPolicyHead
 
 ACTOR_HIDDEN = (64, 64)
@@ -43,9 +43,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         for name in ("rollout_steps", "epochs", "minibatch_size", "eval_interval", "eval_episodes"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
+            check_int(getattr(self, name), name, 1)
         for name in ("gamma", "gae_lambda", "clip_eps", "entropy_coeff", "kl_coeff", "lr"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
@@ -250,8 +248,7 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     the result is a list with one (mean, std) per seed, each equal to its
     own call.
     """
-    if n_episodes < 1:
-        raise ContractViolation("n_episodes must be positive")
+    check_int(n_episodes, "n_episodes", 1)
     seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
     episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]
     # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order

@@ -47,6 +47,8 @@ WRAPPED = [
 ]
 
 ENV_WORKLOADS = {"train-nn4", "train-vqc1a", "baseline-5a2s"}
+# the random baseline resolves whole episodes open-loop: it links and connects, but neither steps nor observes
+STEPPING_WORKLOADS = {"train-nn4", "train-vqc1a"}
 CIRCUIT_WORKLOADS = {"train-vqc1a", "characterize"}
 
 
@@ -68,5 +70,8 @@ def test_one_probed_operation_checks_clean_and_uninstall_restores_every_attribut
         assert now.keys() == attrs.keys(), owner
         assert all(now[k] is v for k, v in attrs.items()), owner
     layers = worker.layer_metrics(tracer, built)
-    assert (layers["env.step.calls"] > 0) == (name in ENV_WORKLOADS)
+    assert (layers["env.step.calls"] > 0) == (name in STEPPING_WORKLOADS)
+    assert (layers["env.observe_all.busy_s"] > 0) == (name in STEPPING_WORKLOADS)
+    assert (layers["env.resolve_links.busy_s"] > 0) == (name in ENV_WORKLOADS)
+    assert (layers["env.path_to_ground.busy_s"] > 0) == (name in ENV_WORKLOADS)
     assert (layers["qsim.circuit.calls"] > 0) == (name in CIRCUIT_WORKLOADS)

@@ -19,11 +19,13 @@ from fanetq.env import (
     env_step,
     init_world,
     observe_all,
+    open_loop_rewards,
     path_to_ground,
     resolve_links,
     reward,
     run_episodes,
     stack_worlds,
+    step_episodes,
 )
 from fanetq.errors import ConfigError, ContractViolation
 from tests.oracles import lk_rows_per_step
@@ -248,7 +250,7 @@ class TestInitWorld:
 def links_1a1s(positions, comm_range):
     """Whether the lone aircraft of a 1a1s world links to its ground station."""
     cfg = ScenarioConfig(n_aircraft=1, n_ground=1, comm_range=comm_range)
-    return bool(resolve_links(make_world(positions, n_aircraft=1), np.array([[0.5]]), cfg)[0, 1])
+    return bool(resolve_links(_geometry(make_world(positions, n_aircraft=1), cfg)[0], np.array([[0.5]]), cfg)[0, 1])
 
 
 class TestInRange:
@@ -444,18 +446,20 @@ class TestCarriedLkTable:
         self, batch, n_aircraft, n_ground, horizon, scale, nudge, seed
     ):
         # the mask comes from the table, the finished world's at t = horizon too; a fresh world builds it in
-        # resolve_links, and a world read under a second config (one ulp shorter a range) takes that config's
+        # _geometry, and a world read under a second config (one ulp shorter a range) takes that config's
         rng, cfg, world = world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed)
         shorter = dataclasses.replace(cfg, comm_range=float(np.nextafter(cfg.comm_range, 0.0)))
         for c in (cfg, shorter, cfg):
             actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
-            assert_links_follow_the_in_range_oracle(world, actions, resolve_links(world, actions, c), c)
+            links = resolve_links(_geometry(world, c)[0], actions, c)
+            assert_links_follow_the_in_range_oracle(world, actions, links, c)
         while world.t < horizon:
             actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
             world, *_ = env_step(world, actions, cfg)
             assert_links_follow_the_in_range_oracle(world, actions, world.links, cfg)
         actions = rng.uniform(0.0, 1.0, batch + (n_aircraft, cfg.action_dim))
-        assert_links_follow_the_in_range_oracle(world, actions, resolve_links(world, actions, shorter), shorter)
+        links = resolve_links(_geometry(world, shorter)[0], actions, shorter)
+        assert_links_follow_the_in_range_oracle(world, actions, links, shorter)
 
     def test_a_world_read_under_another_config_counts_anew(self):
         # the pair starts 0.3 apart and closes in by 0.01 a step: always in range of 0.35, not now of 0.25
@@ -515,14 +519,14 @@ class TestResolveLinks:
         w = make_world([[0.1, 0.1], [0.2, 0.1], [0.9, 0.9]], n_aircraft=2)
         # each aircraft ranks the other highest (ground is far anyway)
         proposals = np.array([[0.9, 0.1], [0.9, 0.1]])
-        links = resolve_links(w, proposals, cfg)
+        links = resolve_links(_geometry(w, cfg)[0], proposals, cfg)
         assert links[0, 1] and links[1, 0]
 
     def test_mutual_but_out_of_range(self):
         cfg = ScenarioConfig(n_aircraft=2, n_ground=1, comm_range=0.05)
         w = make_world([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]], n_aircraft=2)
         proposals = np.array([[0.9, 0.1], [0.9, 0.1]])
-        assert not resolve_links(w, proposals, cfg)[0, 1]
+        assert not resolve_links(_geometry(w, cfg)[0], proposals, cfg)[0, 1]
 
     def test_ground_capacity_by_desirability(self):
         # three aircraft court one ground station: 0.9 and 0.8 win, 0.7 loses
@@ -536,7 +540,7 @@ class TestResolveLinks:
                 [0.01, 0.02, 0.7],
             ]
         )
-        links = resolve_links(w, proposals, cfg)
+        links = resolve_links(_geometry(w, cfg)[0], proposals, cfg)
         assert links[0, 3] and links[1, 3]
         assert not links[2, 3]
         assert links[3].sum() == 2
@@ -545,7 +549,7 @@ class TestResolveLinks:
         cfg = cfg_4a1s()
         w = init_world(cfg, 0)
         with pytest.raises(ContractViolation):
-            resolve_links(w, np.zeros((4, 5)), cfg)
+            resolve_links(_geometry(w, cfg)[0], np.zeros((4, 5)), cfg)
 
     def test_nan_proposal_rejected(self):
         cfg = cfg_4a1s()
@@ -553,14 +557,14 @@ class TestResolveLinks:
         proposals = np.full((4, 4), 0.5)
         proposals[2, 1] = np.nan
         with pytest.raises(ContractViolation, match="NaN"):
-            resolve_links(w, proposals, cfg)
+            resolve_links(_geometry(w, cfg)[0], proposals, cfg)
 
     def test_infinite_proposals_are_clamped(self):
         cfg = ScenarioConfig(n_aircraft=3, n_ground=1, comm_range=1.5)
         w = make_world([[0.1, 0.1], [0.2, 0.1], [0.3, 0.1], [0.2, 0.2]], n_aircraft=3)
         proposals = np.array([[np.inf, -np.inf, 0.5], [np.inf, 0.2, -np.inf], [0.3, np.inf, 0.1]])
-        got = resolve_links(w, proposals, cfg)
-        assert np.array_equal(got, resolve_links(w, clamp_actions(proposals), cfg))
+        got = resolve_links(_geometry(w, cfg)[0], proposals, cfg)
+        assert np.array_equal(got, resolve_links(_geometry(w, cfg)[0], clamp_actions(proposals), cfg))
         assert edge_set(got) == {(0, 1), (1, 2), (0, 3)}
 
     def test_nomination_tie_breaks_to_lower_id(self):
@@ -569,7 +573,7 @@ class TestResolveLinks:
         # a0 ties over {a1, a2, g3} and must pick a1, a2; a1 and a2 rank a0 first
         w = make_world([[0.1, 0.1], [0.2, 0.1], [0.3, 0.1], [0.2, 0.2]], n_aircraft=3)
         proposals = np.array([[0.5, 0.5, 0.5], [0.9, 0.1, 0.1], [0.9, 0.1, 0.1]])
-        assert edge_set(resolve_links(w, proposals, cfg)) == {(0, 1), (0, 2), (1, 2)}
+        assert edge_set(resolve_links(_geometry(w, cfg)[0], proposals, cfg)) == {(0, 1), (0, 2), (1, 2)}
 
     def _brute_force_resolver(self, world, proposals, cfg):
         """Independent O(N^2) re-derivation of the link rules."""
@@ -604,7 +608,7 @@ class TestResolveLinks:
         for _ in range(200):
             w = make_world(rng.uniform(0, 1, size=(7, 2)), n_aircraft=5)
             proposals = rng.uniform(0, 1, size=(5, 6))
-            got = resolve_links(w, proposals, cfg)
+            got = resolve_links(_geometry(w, cfg)[0], proposals, cfg)
             assert np.array_equal(got, got.T) and not got.diagonal().any()
             assert edge_set(got) == self._brute_force_resolver(w, proposals, cfg)
 
@@ -615,7 +619,7 @@ class TestResolveLinks:
         seed = data.draw(st.integers(0, 2**31 - 1))
         rng = np.random.default_rng(seed)
         w = make_world(rng.uniform(0, 1, size=(6, 2)), n_aircraft=4)
-        links = resolve_links(w, rng.uniform(0, 1, size=(4, 5)), cfg)
+        links = resolve_links(_geometry(w, cfg)[0], rng.uniform(0, 1, size=(4, 5)), cfg)
         assert np.all(links.sum(axis=0) <= cfg.max_links)
 
     def test_degree_bound_ten_thousand_proposal_sets(self):
@@ -625,7 +629,7 @@ class TestResolveLinks:
         for k in range(10_000):
             if k % 500 == 0:
                 w = make_world(rng.uniform(0, 1, size=(7, 2)), n_aircraft=5)
-            links = resolve_links(w, rng.uniform(0, 1, size=(5, 6)), cfg)
+            links = resolve_links(_geometry(w, cfg)[0], rng.uniform(0, 1, size=(5, 6)), cfg)
             assert np.all(links.sum(axis=0) <= cfg.max_links)
 
 
@@ -862,13 +866,13 @@ def test_batched_proposals_must_match_the_batch():
     cfg = cfg_4a1s()
     world = stacked_world(cfg, [0, 1, 2])
     with pytest.raises(ContractViolation, match="shape"):
-        resolve_links(world, np.full((4, 4), 0.5), cfg)
+        resolve_links(_geometry(world, cfg)[0], np.full((4, 4), 0.5), cfg)
     with pytest.raises(ContractViolation, match="shape"):
         env_step(world, np.full((2, 4, 4), 0.5), cfg)
     proposals = np.full((3, 4, 4), 0.5)
     proposals[1, 2, 3] = np.nan
     with pytest.raises(ContractViolation, match="NaN"):
-        resolve_links(world, proposals, cfg)
+        resolve_links(_geometry(world, cfg)[0], proposals, cfg)
 
 
 def episode_cr_alone(cfg, seed, action_fn):
@@ -908,6 +912,89 @@ class TestRunEpisodes:
         run_episodes(cfg, range(EPISODE_BLOCK + 2), policy)
         block, rest = (EPISODE_BLOCK, 2, cfg.obs_dim), (2, 2, cfg.obs_dim)
         assert calls == [(block, t) for t in range(3)] + [(rest, t) for t in range(3)]
+
+
+def tied_actions(rng, shape):
+    """Actions to one decimal place, outside (0, 1) too, so desirability ties are common."""
+    return np.round(rng.uniform(-0.2, 1.2, size=shape), 1)
+
+
+def tied_policy(rng, cfg):
+    """A policy of tied_actions that reads only the shape of its observations."""
+    return lambda obs, t: tied_actions(rng, obs.shape[:-1] + (cfg.action_dim,))
+
+
+def fixed_actions(rng, world, cfg):
+    """Joint actions for the rest of the world's episode, (..., horizon - t, n_aircraft, action_dim)."""
+    return tied_actions(rng, world.pos.shape[:-2] + (cfg.horizon - world.t, cfg.n_aircraft, cfg.action_dim))
+
+
+class TestOpenLoopRewards:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        episodes=st.sampled_from([None, 1, 2, 5]),  # None: one world with no episode axis
+        n_aircraft=st.integers(1, 5),
+        n_ground=st.integers(1, 3),
+        horizon=st.integers(1, 12),
+        comm_range=st.floats(1e-6, 2.0),  # 2 is past the diagonal of the unit world
+        start=st.integers(0, 12),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_equals_stepping_under_a_policy_of_the_same_actions(
+        self, episodes, n_aircraft, n_ground, horizon, comm_range, start, seed
+    ):
+        cfg = ScenarioConfig(n_aircraft=n_aircraft, n_ground=n_ground, comm_range=comm_range, horizon=horizon)
+        start = min(start, horizon)
+
+        def world_at_start():
+            # the same episodes, stepped to t = start by the same actions
+            rng = np.random.default_rng(seed)
+            seeds = [seed + k for k in range(episodes or 1)]
+            world = init_world(cfg, seed) if episodes is None else stack_worlds([init_world(cfg, s) for s in seeds])
+            return step_episodes(world, start, cfg, tied_policy(rng, cfg))[0]
+
+        actions = fixed_actions(np.random.default_rng([seed, 1]), world_at_start(), cfg)
+        _, _, stepped = step_episodes(world_at_start(), horizon - start, cfg, lambda obs, t: actions[..., t - start, :, :])
+        got = open_loop_rewards(world_at_start(), actions, cfg)
+        assert got.shape == stepped.shape == actions.shape[:-2]
+        assert got.tobytes() == stepped.tobytes()
+
+    def test_a_world_at_a_later_step_reads_the_table_it_carries(self, monkeypatch):
+        import fanetq.env as env
+
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3, horizon=10)
+        rng = np.random.default_rng(3)
+        world = stack_worlds([init_world(cfg, seed) for seed in range(4)])
+        world, _, _ = step_episodes(world, 4, cfg, tied_policy(rng, cfg))
+        assert world.t == 4 and world.lk_table[1] == 0  # built at t = 0, carried on
+        table, builds = world.lk_table, []
+        monkeypatch.setattr(env, "_lk_table", lambda w, c: builds.append(w.t) or _lk_table(w, c))
+        actions = fixed_actions(rng, world, cfg)
+        got = open_loop_rewards(world, actions, cfg)
+        assert builds == [] and world.lk_table is table
+        _, _, stepped = step_episodes(world, cfg.horizon - world.t, cfg, lambda obs, t: actions[:, t - 4])
+        assert builds == []
+        assert got.shape == (4, 6) and got.tobytes() == stepped.tobytes()
+
+    @pytest.mark.parametrize(
+        "case, shape",
+        [
+            ("past the horizon", (3, 6, 3, 4)),
+            ("short of the horizon", (3, 4, 3, 4)),
+            ("no episode axis", (5, 3, 4)),
+            ("wrong action_dim", (3, 5, 3, 5)),
+            ("NaN", (3, 5, 3, 4)),
+        ],
+    )
+    def test_bad_actions_are_contract_violations(self, case, shape):
+        # t = 1 of a 6-step episode: each episode has 5 steps left
+        cfg = ScenarioConfig(n_aircraft=3, n_ground=2, comm_range=0.4, horizon=6)
+        world, *_ = env_step(stack_worlds([init_world(cfg, s) for s in range(3)]), np.full((3, 3, 4), 0.5), cfg)
+        actions = np.full(shape, 0.5)
+        if case == "NaN":
+            actions[1, 2, 0, 3] = np.nan
+        with pytest.raises(ContractViolation, match="NaN" if case == "NaN" else "shape"):
+            open_loop_rewards(world, actions, cfg)
 
 
 class TestObserve:

@@ -152,6 +152,15 @@ class TestRandomBaseline:
         # the value every version of the env core has produced for this seed
         assert random_baseline_cr(load_scenario("5a2s"), 2000, seed=0) == (83.367, 24.228584585154785)
 
+    @pytest.mark.parametrize(
+        "episodes, seed, name",
+        [(2.5, 0, "episodes"), (True, 0, "episodes"), (4, 1.5, "seed"), (4, -1, "seed"), (4, True, "seed")],
+    )
+    def test_counts_and_seeds_must_be_integers_in_range(self, episodes, seed, name):
+        # a bool is no count: True would run one episode
+        with pytest.raises(ContractViolation, match=f"^{name} must be"):
+            random_baseline_cr(load_scenario("4a1s"), episodes, seed)
+
 
 class TestRunRecords:
     def test_csv_roundtrip_and_header(self, tmp_path):

@@ -1048,6 +1048,13 @@ class TestEvaluate:
         with pytest.raises(ContractViolation, match="n_episodes"):
             evaluate(actor, cfg, n_episodes=n_episodes, seed=0)
 
+    @pytest.mark.parametrize("n_episodes", [2.5, True])
+    def test_rejects_an_episode_count_that_is_no_integer(self, n_episodes):
+        cfg = cfg_4a1s()
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (4,), np.random.default_rng(20))
+        with pytest.raises(ContractViolation, match="n_episodes must be an integer"):
+            evaluate(actor, cfg, n_episodes=n_episodes, seed=0)
+
     def test_reproducible_training_curve(self):
         cfg = cfg_4a1s()
 
