@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, json_fields, read_json
+from .errors import ConfigError, ContractViolation, check_seeds, json_fields, read_json
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
@@ -158,17 +158,21 @@ class WorldState:
         return self.anchor[1] + (t - self.anchor[0]) * self.vel
 
 
-def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
+def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     """Fresh world at t = 0: uniform positions, constant aircraft velocities.
 
-    Identical (cfg, seed) pairs produce bit-identical worlds.
+    Identical (cfg, seed) pairs produce bit-identical worlds.  For a sequence of seeds the world's leading axis
+    holds the world of each seed in order, each drawn from its own default_rng(seed) stream as if alone.
     """
-    rng = np.random.default_rng(seed)
-    n = cfg.n_entities
-    pos = rng.uniform(0.0, cfg.world_side, size=(n, 2))
-    vel = np.zeros((n, 2))
-    vel[: cfg.n_aircraft] = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.n_aircraft, 2))
-    return WorldState(t=0, pos=pos, vel=vel, n_aircraft=cfg.n_aircraft)
+    seeds, n, n_a = check_seeds(seed), cfg.n_entities, cfg.n_aircraft
+    pos, vel = np.empty((len(seeds), n, 2)), np.zeros((len(seeds), n, 2))
+    for b, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        pos[b] = rng.uniform(0.0, cfg.world_side, size=(n, 2))
+        vel[b, :n_a] = rng.uniform(-cfg.v_max, cfg.v_max, size=(n_a, 2))
+    if isinstance(seed, numbers.Integral):
+        pos, vel = pos[0], vel[0]
+    return WorldState(t=0, pos=pos, vel=vel, n_aircraft=n_a)
 
 
 def clamp_actions(desirability: np.ndarray) -> np.ndarray:
@@ -183,55 +187,49 @@ def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _not_self(n_aircraft: int, n_entities: int) -> np.ndarray:
-    """Read-only (n_aircraft, N) mask, False where an aircraft row meets its own entity column."""
-    mask = ~np.eye(n_aircraft, n_entities, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def _top_k(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Mask of the k highest scores along ``axis``; ties go to the lower index.
-
-    An entry's rank is its position in the stable descending sort, read off
-    by inverting that permutation.
-    """
-    return (-scores).argsort(axis=axis, kind="stable").argsort(axis=axis) < k
+def _proposal_columns(n_aircraft: int, n_entities: int) -> np.ndarray:
+    """Read-only (n_aircraft, N) column of entity j in aircraft i's proposal row, j - (j > i), and -1 at i itself."""
+    ids, own = np.arange(n_entities), np.arange(n_aircraft)[:, None]
+    columns = np.where(ids == own, -1, ids - (ids > own))
+    columns.flags.writeable = False
+    return columns
 
 
 def resolve_links(in_range: np.ndarray, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Resolve per-aircraft desirability vectors into the (..., N, N) link matrix.
 
-    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in ascending id order; its leading
-    axes, episodes or steps, match those of ``in_range`` (..., n_aircraft, N), the step's mask (see _geometry).
-    Each aircraft nominates its top ``max_links`` entities, ties to the lower id.
+    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in ascending id order, so column c
+    is entity c + (c >= a); its leading axes, episodes or steps, match those of ``in_range`` (..., n_aircraft, N),
+    the step's mask (see _geometry).  Each aircraft nominates its top ``max_links`` entities, ties to the lower id.
     Aircraft-aircraft edges need both sides to nominate each other and the
     pair to be in range (distance <= comm_range).  Ground stations are not
     agents: each accepts its in-range nominators in decreasing desirability
     order (ties to the lower aircraft id) up to ``max_links``.  NaN has no
-    rank and is rejected; +-inf is clamped.
+    rank and is rejected; +-inf is clamped.  Each ranking is one stable argsort.
     """
     proposals = np.asarray(proposals, dtype=float)
-    n_a, n = cfg.n_aircraft, cfg.n_entities
+    n_a, n, k = cfg.n_aircraft, cfg.n_entities, cfg.max_links
     batch = in_range.shape[:-2]
     if in_range.shape[-2:] != (n_a, n) or proposals.shape != batch + (n_a, n - 1):
         raise ContractViolation(f"proposals must have shape {batch + (n_a, n - 1)}, got {proposals.shape}")
     if np.isnan(proposals).any():
         raise ContractViolation("proposals contain NaN, which has no desirability rank")
-    not_self = _not_self(n_a, n)
-    desir = np.full(batch + (n_a, n), -np.inf)
-    desir[..., not_self] = clamp_actions(proposals).reshape(batch + (n_a * (n - 1),))  # -1 fails on an empty batch
+    rank = -clamp_actions(proposals)  # ascending rank is descending desirability
+    order, columns = rank.argsort(axis=-1, kind="stable"), _proposal_columns(n_a, n)
+    asks = functools.reduce(np.logical_or, (order[..., c, None] == columns for c in range(min(k, n - 1))))
+    asks &= in_range  # (..., n_a, N): the entities of each row's first max_links columns that are in range
 
-    # with fewer than max_links candidates the -inf self slot is picked; not_self drops it
-    asks = _top_k(desir, cfg.max_links, axis=-1) & not_self & in_range
+    # every ground station ranks its asks by their proposals for it, the aircraft that did not ask last
+    order = np.where(asks[..., n_a:], rank[..., n_a - 1 :], np.inf).argsort(axis=-2, kind="stable")
+    aircraft = np.arange(n_a)[:, None]
+    accepted = functools.reduce(np.logical_or, (order[..., c, None, :] == aircraft for c in range(min(k, n_a))))
+    accepted &= asks[..., n_a:]
 
-    bids = np.where(asks[..., n_a:], desir[..., n_a:], -np.inf)
-    accepted = _top_k(bids, cfg.max_links, axis=-2) & asks[..., n_a:]
-
-    links = np.zeros(batch + (n, n), dtype=bool)
-    links[..., :n_a, :n_a] = asks[..., :n_a] & np.swapaxes(asks[..., :n_a], -1, -2)
+    links = np.zeros(batch + (n, n), dtype=bool)  # written symmetric
+    np.logical_and(asks[..., :n_a], np.swapaxes(asks[..., :n_a], -1, -2), out=links[..., :n_a, :n_a])
     links[..., :n_a, n_a:] = accepted
-    return links | np.swapaxes(links, -1, -2)
+    links[..., n_a:, :n_a] = np.swapaxes(accepted, -1, -2)
+    return links
 
 
 def path_to_ground(links: np.ndarray, world: WorldState) -> np.ndarray:
@@ -254,11 +252,10 @@ def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
     return np.asarray(ptg_aircraft).mean(axis=-1)
 
 
-def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
-    """(cfg, t0, in_range, lk) for the world's remaining episode, t0 its step; see _geometry.
+def _in_range(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
+    """(horizon - t + 1, ..., n_aircraft, N) planes of hypot(x, y) <= comm_range at each tau in {t, ..., horizon},
+    (x, y) the offsets of the positions world.at(tau), for the world's remaining episode from its step t.
 
-    in_range (horizon - t0 + 1, ..., n_aircraft, N) is hypot(x, y) <= comm_range at each tau in {t0, ..., horizon},
-    (x, y) the offsets of the positions world.at(tau); lk[k] is the lk row at t0 + k; both are read-only.
     x*x + y*y decides every entry beyond a relative 1e-12 of r*r, which its few roundings cannot cross, and
     hypot decides the entries within it, or all of them when r*r so widened is not a normal float.
     """
@@ -278,12 +275,17 @@ def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
     if near.any():  # their offsets, taken anew from the positions as _aircraft_offsets takes them
         i, j, *rest = np.nonzero(near)
         within[near] = np.hypot(*(pos[(slice(None), i, *rest)] - pos[(slice(None), j, *rest)])) <= r
-    del x, y, sq  # the offsets go before the suffix sums
-    in_range = np.ascontiguousarray(np.moveaxis(within, (0, 1), (-2, -1)))
+    return np.ascontiguousarray(np.moveaxis(within, (0, 1), (-2, -1)))
+
+
+def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
+    """(cfg, t0, in_range, lk) for the world's remaining episode, t0 its step; see _geometry.  in_range is
+    _in_range's planes and lk[k] the lk row at t0 + k, both read-only."""
+    in_range = _in_range(world, cfg)
     counts = np.zeros(in_range.shape, dtype=int)
     for k in range(len(counts) - 2, -1, -1):  # suffix sums, counts[k] from t0 + k to horizon - 1, one row add each
         np.add(counts[k + 1], in_range[k], out=counts[k])
-    lk = np.where(in_range, counts / h, -1.0)
+    lk = np.where(in_range, counts / cfg.horizon, -1.0)
     for a in (in_range, lk):
         a.flags.writeable = False
     return cfg, world.t, in_range, lk
@@ -307,7 +309,7 @@ def _geometry(world: WorldState, cfg: ScenarioConfig) -> tuple[np.ndarray, np.nd
 def _obs_index(n_aircraft: int, n_entities: int) -> np.ndarray:
     """Read-only flat index of the observations in the rows [own ptg, then (ptg, lk, oc) per entity] of observe_all."""
     ids = np.arange(n_aircraft * (1 + 3 * n_entities)).reshape(n_aircraft, -1)
-    others = ids[:, 1:].reshape(n_aircraft, n_entities, 3)[_not_self(n_aircraft, n_entities)]
+    others = ids[:, 1:].reshape(n_aircraft, n_entities, 3)[_proposal_columns(n_aircraft, n_entities) >= 0]
     index = np.concatenate([ids[:, :1], others.reshape(n_aircraft, -1)], axis=1).ravel()
     index.flags.writeable = False
     return index
@@ -387,20 +389,6 @@ class FanetEnv:
 EPISODE_BLOCK = 64  # episodes stepped together; bounds the (steps, block, n_aircraft, N) lk temporaries
 
 
-def stack_worlds(worlds: list[WorldState]) -> WorldState:
-    """One world whose leading axis holds ``worlds`` in order; they must share t and their anchor step."""
-    if len(steps := {(w.t, w.anchor[0]) for w in worlds}) != 1:
-        raise ContractViolation(f"stack_worlds needs worlds at one (t, anchor step), got {sorted(steps)}")
-    return WorldState(
-        t=worlds[0].t,
-        pos=np.stack([w.pos for w in worlds]),
-        vel=np.stack([w.vel for w in worlds]),
-        n_aircraft=worlds[0].n_aircraft,
-        links=np.stack([w.links for w in worlds]),
-        anchor=(worlds[0].anchor[0], np.stack([w.anchor[1] for w in worlds])),
-    )
-
-
 def step_episodes(
     world: WorldState, steps: int, cfg: ScenarioConfig, policy
 ) -> tuple[WorldState, np.ndarray, np.ndarray]:
@@ -420,11 +408,12 @@ def step_episodes(
 def open_loop_rewards(world: WorldState, actions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """(..., steps) rewards of the rest of a world's episode, steps = horizon - t, under fixed actions (..., steps,
     n_aircraft, N-1), as step_episodes gives them to a policy that returns actions[..., s, :, :] at step s.  A step's
-    links read only its actions and in-range mask, so one resolve_links call takes rows t+1 .. horizon of the
-    world's table, and no observation is built."""
-    _geometry(world, cfg)  # builds the world's table under cfg if it has none
-    _, t0, in_range, _ = world.lk_table
-    rows = np.moveaxis(in_range[world.t - t0 + 1 : cfg.horizon - t0 + 1], 0, world.pos.ndim - 2)  # steps after episodes
+    links read only its actions and in-range mask, so one resolve_links call takes the in-range planes of steps
+    t+1 .. horizon, and no observation is built.  The planes come from the world's table under cfg if it carries
+    one; otherwise only they are computed, with no lk rows, and the world is left without a table."""
+    carried = world.lk_table is not None and world.lk_table[0] == cfg
+    t0, in_range = world.lk_table[1:3] if carried else (world.t, _in_range(world, cfg))
+    rows = np.moveaxis(in_range[world.t - t0 + 1 :], 0, world.pos.ndim - 2)  # steps after episodes
     return reward(path_to_ground(resolve_links(rows, actions, cfg), world)[..., : cfg.n_aircraft])
 
 
@@ -437,7 +426,7 @@ def run_episodes(cfg: ScenarioConfig, seeds, policy) -> np.ndarray:
     seeds = list(seeds)
     crs = np.empty(len(seeds))
     for start in range(0, len(seeds), EPISODE_BLOCK):
-        world = stack_worlds([init_world(cfg, seed) for seed in seeds[start : start + EPISODE_BLOCK]])
+        world = init_world(cfg, seeds[start : start + EPISODE_BLOCK])
         _, _, rewards = step_episodes(world, cfg.horizon, cfg, policy)
         # a running sum adds the steps in order, as a step-by-step total does
         crs[start : start + len(rewards)] = np.cumsum(rewards * cfg.n_aircraft, axis=-1)[:, -1]

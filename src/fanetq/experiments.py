@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .critics import SolutionId, build_critic, save_critic
-from .env import EPISODE_BLOCK, ScenarioConfig, init_world, open_loop_rewards, stack_worlds
+from .env import EPISODE_BLOCK, ScenarioConfig, init_world, open_loop_rewards
 from .errors import CalibrationError, ConfigError, ContractViolation, check_int
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import entanglement_capability, expressibility, sample_states
@@ -88,7 +88,7 @@ def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tup
     rng = np.random.default_rng(seed + 10_000_019)
     seeds, crs = range(seed, seed + episodes), np.empty(episodes)
     for start in range(0, episodes, EPISODE_BLOCK):
-        world = stack_worlds([init_world(cfg, s) for s in seeds[start : start + EPISODE_BLOCK]])
+        world = init_world(cfg, seeds[start : start + EPISODE_BLOCK])
         # one draw per block, episode-major: the stream reads as one (n_aircraft, action_dim) draw per step
         actions = rng.uniform(0.0, 1.0, size=(len(world.pos), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
         rewards = open_loop_rewards(world, actions, cfg)  # the policy reads no observation, so none is built
@@ -233,6 +233,8 @@ def run_training(
     scenario does not define leaves no files behind.
     """
     SolutionId.parse(solution)
+    for seed in seeds:
+        check_int(seed, "seed", 0)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")
     tcfg = trainer_cfg or TrainerConfig()

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world
-from .env import run_episodes, stack_worlds, step_episodes
-from .errors import ContractViolation, TrainingError, check_int
+from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world, run_episodes, step_episodes
+from .errors import ContractViolation, TrainingError, check_int, check_seeds
 from .nets import Adam, GaussianPolicyHead
 
 ACTOR_HIDDEN = (64, 64)
@@ -139,11 +138,10 @@ def collect_rollout(
         start, steps = start + plan[0][1], steps - plan[0][1]
     whole, tail = divmod(steps, horizon)
     seeds = [base_seed + EPISODE_SEED_STRIDE * (start // horizon + i) for i in range(whole + (tail > 0))]
-    worlds = [init_world(scenario, seed) for seed in seeds]
     for lo in range(0, whole, EPISODE_BLOCK):
-        plan.append((stack_worlds(worlds[lo : min(lo + EPISODE_BLOCK, whole)]), horizon))
+        plan.append((init_world(scenario, seeds[lo : min(lo + EPISODE_BLOCK, whole)]), horizon))
     if tail:
-        plan.append((stack_worlds(worlds[-1:]), tail))
+        plan.append((init_world(scenario, seeds[-1:]), tail))
     parts = []
     for block, k in plan:
         world, part = _rollout_block(block, k, scenario, actor, critic, rng, cfg)
@@ -249,7 +247,7 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     own call.
     """
     check_int(n_episodes, "n_episodes", 1)
-    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    seeds = check_seeds(seed)
     episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]
     # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order
     crs = run_episodes(cfg, episode_seeds, lambda obs, t: actor.mean(obs)).reshape(len(seeds), n_episodes)
@@ -280,6 +278,7 @@ class Trainer:
         cfg: TrainerConfig | None = None,
         seed: int = 0,
     ):
+        check_int(seed, "seed", 0)
         self.scenario_cfg = scenario_cfg
         self.cfg = cfg or TrainerConfig()
         self.seed = seed

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from fanetq.env import ScenarioConfig, WorldState
+from fanetq.errors import ContractViolation
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
 from fanetq.nets import GaussianPolicyHead, views
 from fanetq.qmetrics import meyer_wallach_batch
@@ -98,3 +99,21 @@ def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
         within[near] = np.hypot(x[near], y[near]) <= r
     dp = world.pos[..., :n_a, None, :] - world.pos[..., None, :, :]
     return np.where(np.hypot(dp[..., 0], dp[..., 1]) <= r, within.sum(axis=0) / cfg.horizon, -1.0)
+
+
+def stack_worlds(worlds: list[WorldState]) -> WorldState:
+    """One world whose leading axis holds ``worlds`` in order; they must share t and their anchor step.
+
+    The list form of ``init_world`` over a sequence of seeds, which fills one
+    stacked world directly; this one also stacks worlds stepped past t = 0.
+    """
+    if len(steps := {(w.t, w.anchor[0]) for w in worlds}) != 1:
+        raise ContractViolation(f"stack_worlds needs worlds at one (t, anchor step), got {sorted(steps)}")
+    return WorldState(
+        t=worlds[0].t,
+        pos=np.stack([w.pos for w in worlds]),
+        vel=np.stack([w.vel for w in worlds]),
+        n_aircraft=worlds[0].n_aircraft,
+        links=np.stack([w.links for w in worlds]),
+        anchor=(worlds[0].anchor[0], np.stack([w.anchor[1] for w in worlds])),
+    )

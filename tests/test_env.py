@@ -24,11 +24,10 @@ from fanetq.env import (
     resolve_links,
     reward,
     run_episodes,
-    stack_worlds,
     step_episodes,
 )
 from fanetq.errors import ConfigError, ContractViolation
-from tests.oracles import lk_rows_per_step
+from tests.oracles import lk_rows_per_step, stack_worlds
 
 
 def cfg_4a1s(comm_range=0.3, **kw):
@@ -245,6 +244,26 @@ class TestInitWorld:
             w = init_world(cfg, s)
             assert np.all(np.abs(w.vel[: cfg.n_aircraft]) <= cfg.v_max)
             assert np.all(w.vel[cfg.n_aircraft :] == 0.0)
+
+    @pytest.mark.parametrize("cfg", [cfg_4a1s(), ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)])
+    @pytest.mark.parametrize("n_seeds", [1, 2, EPISODE_BLOCK])
+    def test_a_sequence_of_seeds_equals_their_worlds_stacked(self, cfg, n_seeds):
+        seeds = [7 + 3 * k for k in range(n_seeds)]
+        want = stack_worlds([init_world(cfg, s) for s in seeds])
+        for got in (init_world(cfg, seeds), init_world(cfg, range(7, 7 + 3 * n_seeds, 3))):
+            assert got.t == want.t == 0 and got.anchor[0] == want.anchor[0] == 0
+            for name in ("pos", "vel", "links"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape == (n_seeds,) + b.shape[1:] and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), name
+            assert got.anchor[1].tobytes() == want.anchor[1].tobytes()
+        assert init_world(cfg, seeds[0]).pos.shape == (cfg.n_entities, 2)  # one seed: no leading axis
+
+    @pytest.mark.parametrize("seed", [2.0, 1.5, True, -1, "3", None, [], range(0), [0, 1.5], [0, True], [3, -1]])
+    def test_a_seed_that_is_no_integer_in_range_is_a_contract_violation(self, seed):
+        # refused here, not as a bare TypeError or numpy's ValueError, and True is not seed 1
+        with pytest.raises(ContractViolation, match="^seed must be"):
+            init_world(cfg_4a1s(), seed)
 
 
 def links_1a1s(positions, comm_range):
@@ -612,6 +631,32 @@ class TestResolveLinks:
             assert np.array_equal(got, got.T) and not got.diagonal().any()
             assert edge_set(got) == self._brute_force_resolver(w, proposals, cfg)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_aircraft=st.integers(1, 5),
+        n_ground=st.integers(1, 3),
+        batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),  # none, episodes, or (episodes, steps)
+        # a few distinct values, outside (0, 1) and infinite too, so that the clamped proposals tie often
+        values=st.lists(st.sampled_from([-np.inf, -0.5, 0.0, 0.2, 0.5, 0.9, 1.0, 2.0, np.inf]), min_size=1, max_size=3),
+        comm_range=st.sampled_from([0.2, 0.5, 1.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n_aircraft=1, n_ground=1, batch=(), values=[0.5], comm_range=1.5, seed=0)  # 1a1s: one proposal column
+    @example(n_aircraft=5, n_ground=2, batch=(2, 3), values=[np.inf, -np.inf], comm_range=1.5, seed=1)
+    def test_batched_links_match_the_brute_force_resolver_entry_by_entry(
+        self, n_aircraft, n_ground, batch, values, comm_range, seed
+    ):
+        cfg = ScenarioConfig(n_aircraft=n_aircraft, n_ground=n_ground, comm_range=comm_range)
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 1, size=batch + (cfg.n_entities, 2))
+        proposals = rng.choice(values, size=batch + (n_aircraft, cfg.action_dim))
+        got = resolve_links(in_range_oracle(make_world(pos, n_aircraft), cfg), proposals, cfg)
+        assert got.shape == batch + (cfg.n_entities, cfg.n_entities) and got.dtype == bool
+        for i in np.ndindex(batch):
+            # the resolver ranks the clamped proposals, so +-inf ties with the other values clamped to its bound
+            edges = self._brute_force_resolver(make_world(pos[i], n_aircraft), clamp_actions(proposals[i]), cfg)
+            assert np.array_equal(got[i], adjacency(cfg.n_entities, edges)), i
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_degree_bound_property(self, data):
@@ -975,6 +1020,25 @@ class TestOpenLoopRewards:
         _, _, stepped = step_episodes(world, cfg.horizon - world.t, cfg, lambda obs, t: actions[:, t - 4])
         assert builds == []
         assert got.shape == (4, 6) and got.tobytes() == stepped.tobytes()
+
+    @pytest.mark.parametrize("episodes", [None, 3])
+    def test_a_world_resolved_open_loop_then_stepped_equals_a_fresh_one(self, episodes):
+        # open_loop_rewards computes only the in-range planes of a world with no table; the world must still
+        # build its whole table, lk rows too, when it is observed and stepped
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3, horizon=10)
+        seeds = 11 if episodes is None else range(11, 11 + episodes)
+        used, fresh = init_world(cfg, seeds), init_world(cfg, seeds)
+        rng = np.random.default_rng(6)
+        open_loop_rewards(used, fixed_actions(rng, used, cfg), cfg)
+        assert np.array_equal(observe_all(used, cfg), observe_all(fresh, cfg))
+        while fresh.t < cfg.horizon:
+            actions = tied_actions(rng, fresh.pos.shape[:-2] + (cfg.n_aircraft, cfg.action_dim))
+            used, obs, r, _ = env_step(used, actions, cfg)
+            fresh, want_obs, want_r, _ = env_step(fresh, actions, cfg)
+            assert np.array_equal(_geometry(used, cfg)[1], _geometry(fresh, cfg)[1]), fresh.t
+            assert np.array_equal(_geometry(used, cfg)[1], lk_rows_per_step(used, cfg)), fresh.t
+            assert np.array_equal(used.links, fresh.links) and np.array_equal(obs, want_obs), fresh.t
+            assert np.asarray(r).tobytes() == np.asarray(want_r).tobytes(), fresh.t
 
     @pytest.mark.parametrize(
         "case, shape",

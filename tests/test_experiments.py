@@ -152,6 +152,17 @@ class TestRandomBaseline:
         # the value every version of the env core has produced for this seed
         assert random_baseline_cr(load_scenario("5a2s"), 2000, seed=0) == (83.367, 24.228584585154785)
 
+    def test_computes_the_in_range_planes_once_per_block_and_no_lk_rows(self, monkeypatch):
+        # the open-loop pass reads only whether each pair is in range at each step
+        import fanetq.env as env
+
+        tables, planes = [], []
+        lk_table, in_range = env._lk_table, env._in_range
+        monkeypatch.setattr(env, "_lk_table", lambda world, cfg: tables.append(world.t) or lk_table(world, cfg))
+        monkeypatch.setattr(env, "_in_range", lambda world, cfg: planes.append(world.pos.shape[:-2]) or in_range(world, cfg))
+        random_baseline_cr(load_scenario("5a2s"), 2 * EPISODE_BLOCK + 2, seed=9)
+        assert tables == [] and planes == [(EPISODE_BLOCK,), (EPISODE_BLOCK,), (2,)]
+
     @pytest.mark.parametrize(
         "episodes, seed, name",
         [(2.5, 0, "episodes"), (True, 0, "episodes"), (4, 1.5, "seed"), (4, -1, "seed"), (4, True, "seed")],
@@ -200,6 +211,13 @@ class TestRunRecords:
             run_training("NN-4", "4a1s", [0], total_steps, tmp_path, trainer_cfg=tcfg)
         assert not any(tmp_path.iterdir())
         assert len(run_training("NN-4", "4a1s", [0], eval_interval, tmp_path, trainer_cfg=tcfg)[0].curve) == 1
+
+    @pytest.mark.parametrize("seeds", [[True], [1.5], [-1], [0, "1"]])
+    def test_a_seed_that_is_no_integer_in_range_is_rejected_before_any_file(self, tmp_path, seeds):
+        # a bool seed would train as seed 1 under the name seedTrue
+        with pytest.raises(ContractViolation, match="^seed must be"):
+            run_training("NN-4", "4a1s", seeds, 1000, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_rows_are_on_disk_before_the_run_ends(self, tmp_path, monkeypatch):
         import fanetq.mappo as mappo

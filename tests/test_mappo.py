@@ -1055,6 +1055,22 @@ class TestEvaluate:
         with pytest.raises(ContractViolation, match="n_episodes must be an integer"):
             evaluate(actor, cfg, n_episodes=n_episodes, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, [], [3, True], [3, -1]])
+    def test_rejects_a_seed_that_is_no_integer_in_range(self, seed):
+        # refused here, not as numpy's ValueError or a bare TypeError, and True is not seed 1
+        cfg = cfg_4a1s()
+        actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (4,), np.random.default_rng(20))
+        with pytest.raises(ContractViolation, match="^seed must be"):
+            evaluate(actor, cfg, 2, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_trainer_rejects_a_seed_that_is_no_integer_in_range(self, seed):
+        # True would train as seed 1
+        cfg = cfg_4a1s()
+        critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
+        with pytest.raises(ContractViolation, match="^seed must be"):
+            Trainer(cfg, critic, seed=seed)
+
     def test_reproducible_training_curve(self):
         cfg = cfg_4a1s()
 
