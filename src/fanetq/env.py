@@ -164,13 +164,13 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     Identical (cfg, seed) pairs produce bit-identical worlds.  For a sequence of seeds the world's leading axis
     holds the world of each seed in order, each drawn from its own default_rng(seed) stream as if alone.
     """
-    seeds, n, n_a = check_seeds(seed), cfg.n_entities, cfg.n_aircraft
+    (seeds, single), n, n_a = check_seeds(seed), cfg.n_entities, cfg.n_aircraft
     pos, vel = np.empty((len(seeds), n, 2)), np.zeros((len(seeds), n, 2))
     for b, s in enumerate(seeds):
         rng = np.random.default_rng(s)
         pos[b] = rng.uniform(0.0, cfg.world_side, size=(n, 2))
         vel[b, :n_a] = rng.uniform(-cfg.v_max, cfg.v_max, size=(n_a, 2))
-    if isinstance(seed, numbers.Integral):
+    if single:
         pos, vel = pos[0], vel[0]
     return WorldState(t=0, pos=pos, vel=vel, n_aircraft=n_a)
 
@@ -409,11 +409,9 @@ def open_loop_rewards(world: WorldState, actions: np.ndarray, cfg: ScenarioConfi
     """(..., steps) rewards of the rest of a world's episode, steps = horizon - t, under fixed actions (..., steps,
     n_aircraft, N-1), as step_episodes gives them to a policy that returns actions[..., s, :, :] at step s.  A step's
     links read only its actions and in-range mask, so one resolve_links call takes the in-range planes of steps
-    t+1 .. horizon, and no observation is built.  The planes come from the world's table under cfg if it carries
-    one; otherwise only they are computed, with no lk rows, and the world is left without a table."""
-    carried = world.lk_table is not None and world.lk_table[0] == cfg
-    t0, in_range = world.lk_table[1:3] if carried else (world.t, _in_range(world, cfg))
-    rows = np.moveaxis(in_range[world.t - t0 + 1 :], 0, world.pos.ndim - 2)  # steps after episodes
+    t+1 .. horizon, and no observation is built.  Only those planes are computed, in closed form from the world's
+    anchor, with no lk rows, and the world's table, if it carries one, is left as it is."""
+    rows = np.moveaxis(_in_range(world, cfg)[1:], 0, world.pos.ndim - 2)  # steps after episodes
     return reward(path_to_ground(resolve_links(rows, actions, cfg), world)[..., : cfg.n_aircraft])
 
 

@@ -35,12 +35,14 @@ def check_int(value, name: str, low: int) -> None:
         raise ContractViolation(f"{name} must be {'positive' if low else 'non-negative'}")
 
 
-def check_seeds(seed) -> list:
-    """The seeds of ``seed``, one seed or a non-empty sequence of them, each checked by check_int(s, "seed", 0)."""
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+def check_seeds(seed) -> tuple[list, bool]:
+    """The seeds of ``seed``, one seed or a non-empty sequence of them, each checked by check_int(s, "seed", 0), and
+    whether ``seed`` was one seed."""
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
     for s in seeds or [seed]:  # an empty sequence is checked as a seed itself, and is no integer
         check_int(s, "seed", 0)
-    return seeds
+    return seeds, single
 
 
 def read_json(path) -> object:

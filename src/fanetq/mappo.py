@@ -247,12 +247,12 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     own call.
     """
     check_int(n_episodes, "n_episodes", 1)
-    seeds = check_seeds(seed)
+    seeds, single = check_seeds(seed)
     episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]
     # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order
     crs = run_episodes(cfg, episode_seeds, lambda obs, t: actor.mean(obs)).reshape(len(seeds), n_episodes)
     stats = [(float(row.mean()), float(row.std())) for row in crs]
-    return stats[0] if isinstance(seed, numbers.Integral) else stats
+    return stats[0] if single else stats
 
 
 @dataclass

@@ -1004,7 +1004,7 @@ class TestOpenLoopRewards:
         assert got.shape == stepped.shape == actions.shape[:-2]
         assert got.tobytes() == stepped.tobytes()
 
-    def test_a_world_at_a_later_step_reads_the_table_it_carries(self, monkeypatch):
+    def test_a_world_at_a_later_step_keeps_its_table_and_equals_stepping(self, monkeypatch):
         import fanetq.env as env
 
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3, horizon=10)
