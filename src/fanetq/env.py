@@ -69,6 +69,8 @@ class ScenarioConfig:
             raise ConfigError("world_side must be positive")
         if self.v_max < 0:
             raise ConfigError("v_max must be non-negative")
+        if not math.isfinite(2.0 * self.v_max):  # the range v_max - (-v_max) of the velocity draw
+            raise ConfigError(f"v_max must be at most half the largest float, got {self.v_max!r}")
         if self.max_links != 2:
             raise ConfigError("max_links is fixed at 2")
 
@@ -163,13 +165,15 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
 
     Identical (cfg, seed) pairs produce bit-identical worlds.  For a sequence of seeds the world's leading axis
     holds the world of each seed in order, each drawn from its own default_rng(seed) stream as if alone.
+    One random() draw u per seed gives its positions, then its aircraft velocities, as uniform: low + (high - low) * u.
     """
     (seeds, single), n, n_a = check_seeds(seed), cfg.n_entities, cfg.n_aircraft
-    pos, vel = np.empty((len(seeds), n, 2)), np.zeros((len(seeds), n, 2))
-    for b, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        pos[b] = rng.uniform(0.0, cfg.world_side, size=(n, 2))
-        vel[b, :n_a] = rng.uniform(-cfg.v_max, cfg.v_max, size=(n_a, 2))
+    u = np.empty((len(seeds), 2 * (n + n_a)))
+    for row, s in zip(u, seeds):
+        np.random.default_rng(s).random(out=row)
+    side, v_max = float(cfg.world_side), float(cfg.v_max)
+    pos, vel = side * u[:, : 2 * n].reshape(-1, n, 2), np.zeros((len(seeds), n, 2))  # 0 + side * u is side * u
+    vel[:, :n_a] = -v_max + 2 * v_max * u[:, 2 * n :].reshape(-1, n_a, 2)
     if single:
         pos, vel = pos[0], vel[0]
     return WorldState(t=0, pos=pos, vel=vel, n_aircraft=n_a)
@@ -237,14 +241,16 @@ def path_to_ground(links: np.ndarray, world: WorldState) -> np.ndarray:
 
     Boolean propagation seeded with every ground station.  A shortest path
     to ground visits each aircraft at most once, so n_aircraft rounds reach
-    every connected entity.
+    every connected entity.  Each round is a few vector ops over the links'
+    entity-major (N, N, B) planes, all B instances at once.
     """
-    # a (..., 1, N) row: reach @ links propagates one hop, as links are symmetric
-    reach = np.zeros(links.shape[:-2] + (1, world.n_entities), dtype=bool)
-    reach[..., world.n_aircraft :] = True
-    for _ in range(world.n_aircraft):
-        reach |= reach @ links
-    return reach[..., 0, :].astype(int)
+    n = world.n_entities
+    planes = links.reshape((-1, n, n)).transpose(1, 2, 0).copy()  # planes[i, j] is link i-j of every instance
+    reach = np.zeros(planes.shape[1:], dtype=bool)  # (N, B)
+    reach[world.n_aircraft :] = True
+    for _ in range(world.n_aircraft):  # one hop: i reaches ground if it links to some j that does
+        reach |= np.logical_or.reduce(planes & reach, axis=1)
+    return reach.T.reshape(links.shape[:-1]).astype(int)
 
 
 def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:

@@ -38,7 +38,10 @@ def check_int(value, name: str, low: int) -> None:
 def check_seeds(seed) -> tuple[list, bool]:
     """The seeds of ``seed``, one seed or a non-empty sequence of them, each checked by check_int(s, "seed", 0), and
     whether ``seed`` was one seed."""
-    single = np.ndim(seed) == 0
+    try:
+        single = np.ndim(seed) == 0
+    except ValueError:  # a ragged nesting, which numpy gives no shape: a sequence whose entries are checked below
+        single = False
     seeds = [seed] if single else list(seed)
     for s in seeds or [seed]:  # an empty sequence is checked as a seed itself, and is no integer
         check_int(s, "seed", 0)

@@ -101,6 +101,19 @@ def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     return np.where(np.hypot(dp[..., 0], dp[..., 1]) <= r, within.sum(axis=0) / cfg.horizon, -1.0)
 
 
+def init_world(cfg: ScenarioConfig, seed) -> WorldState:
+    """The per-seed form of ``fanetq.env.init_world``: one default_rng(seed) per seed, drawing the (N, 2) positions
+    with rng.uniform(0, world_side), then the aircraft velocities with rng.uniform(-v_max, v_max); a sequence of
+    seeds stacks their worlds in order."""
+    if not isinstance(seed, int):
+        return stack_worlds([init_world(cfg, s) for s in seed])
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, cfg.world_side, size=(cfg.n_entities, 2))
+    vel = np.zeros((cfg.n_entities, 2))
+    vel[: cfg.n_aircraft] = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.n_aircraft, 2))
+    return WorldState(t=0, pos=pos, vel=vel, n_aircraft=cfg.n_aircraft)
+
+
 def stack_worlds(worlds: list[WorldState]) -> WorldState:
     """One world whose leading axis holds ``worlds`` in order; they must share t and their anchor step.
 

@@ -27,7 +27,11 @@ from fanetq.env import (
     step_episodes,
 )
 from fanetq.errors import ConfigError, ContractViolation
-from tests.oracles import lk_rows_per_step, stack_worlds
+from fanetq.experiments import load_scenario
+from tests.oracles import init_world as oracle_init_world, lk_rows_per_step, stack_worlds
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def cfg_4a1s(comm_range=0.3, **kw):
@@ -191,6 +195,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**kw)
 
+    @pytest.mark.parametrize("v_max", [1e308, _FLOAT_MAX, math.nextafter(_FLOAT_MAX / 2, math.inf)])
+    def test_rejects_a_v_max_whose_draw_range_overflows(self, v_max):
+        # init_world draws velocities over the range v_max - (-v_max), which must be a finite float
+        with pytest.raises(ConfigError, match="v_max"):
+            cfg_4a1s(v_max=v_max)
+        assert np.isfinite(init_world(cfg_4a1s(v_max=_FLOAT_MAX / 2), range(8)).vel).all()
+
     def test_accepts_and_saves_numpy_numbers(self, tmp_path):
         cfg = ScenarioConfig(n_aircraft=np.int64(4), n_ground=np.int32(1), comm_range=np.float64(0.3))
         assert cfg.obs_dim == 13
@@ -259,7 +270,33 @@ class TestInitWorld:
             assert got.anchor[1].tobytes() == want.anchor[1].tobytes()
         assert init_world(cfg, seeds[0]).pos.shape == (cfg.n_entities, 2)  # one seed: no leading axis
 
-    @pytest.mark.parametrize("seed", [2.0, 1.5, True, -1, "3", None, [], range(0), [0, 1.5], [0, True], [3, -1]])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            load_scenario("4a1s"),
+            load_scenario("5a2s"),
+            cfg_4a1s(world_side=1e-300),
+            cfg_4a1s(world_side=1e300),
+            cfg_4a1s(v_max=0),
+            cfg_4a1s(v_max=0.0),
+            cfg_4a1s(v_max=1e300),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [5, [5], [7, 10], list(range(7, 7 + 3 * EPISODE_BLOCK, 3))])
+    def test_draws_the_worlds_of_the_per_seed_uniform_oracle_bit_for_bit(self, cfg, seed):
+        got, want = init_world(cfg, seed), oracle_init_world(cfg, seed)
+        assert got.t == want.t == 0 and got.anchor[0] == want.anchor[0] == 0
+        for name, a, b in [
+            ("pos", got.pos, want.pos),
+            ("vel", got.vel, want.vel),
+            ("links", got.links, want.links),
+            ("anchor", got.anchor[1], want.anchor[1]),
+        ]:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "seed", [2.0, 1.5, True, -1, "3", None, [], range(0), [0, 1.5], [0, True], [3, -1], [1, [2, 3]]]
+    )
     def test_a_seed_that_is_no_integer_in_range_is_a_contract_violation(self, seed):
         # refused here, not as a bare TypeError or numpy's ValueError, and True is not seed 1
         with pytest.raises(ContractViolation, match="^seed must be"):
@@ -697,6 +734,38 @@ class TestPathToGround:
         w = make_world(np.zeros((5, 2)), n_aircraft=4)
         links = adjacency(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert path_to_ground(links, w).tolist() == [1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("n_ground", [1, 3])
+    @pytest.mark.parametrize("n_aircraft", range(1, 7))
+    def test_a_chain_from_ground_takes_every_round(self, n_aircraft, n_ground):
+        # ground - a(n-1) - ... - a0: a0 is n_aircraft hops from ground, the longest shortest path there is
+        n = n_aircraft + n_ground
+        chain = adjacency(n, [(a, a + 1) for a in range(n_aircraft)])
+        links = np.stack([chain, np.zeros_like(chain), chain])
+        ptg = path_to_ground(links, make_world(np.zeros((3, n, 2)), n_aircraft))
+        assert ptg.tolist() == [[1] * n, [0] * n_aircraft + [1] * n_ground, [1] * n]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_aircraft=st.integers(1, 6),
+        n_ground=st.integers(1, 3),
+        batch=st.lists(st.integers(0, 3), max_size=2).map(tuple),
+        density=st.sampled_from([0.1, 0.3, 0.6, 1.0]),  # the denser graphs have degrees the resolver never makes
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n_aircraft=4, n_ground=1, batch=(0,), density=0.3, seed=0)
+    @example(n_aircraft=5, n_ground=2, batch=(3, 0), density=0.3, seed=0)
+    @example(n_aircraft=5, n_ground=2, batch=(50, 50), density=0.3, seed=1)  # an open-loop (episodes, steps) block
+    def test_batched_reach_matches_the_breadth_first_oracle_instance_by_instance(
+        self, n_aircraft, n_ground, batch, density, seed
+    ):
+        n = n_aircraft + n_ground
+        upper = np.triu(np.random.default_rng(seed).random(batch + (n, n)) < density, 1)
+        links = upper | np.swapaxes(upper, -1, -2)  # symmetric, no self-links, ground-ground links too
+        got = path_to_ground(links, make_world(np.zeros(batch + (n, 2)), n_aircraft))
+        assert got.shape == batch + (n,) and got.dtype == int
+        for i in np.ndindex(batch):
+            assert got[i].tolist() == oracle_path_to_ground(edge_set(links[i]), n, n_aircraft).tolist(), i
 
     def test_matches_brute_force_reachability(self):
         rng = np.random.default_rng(5)
