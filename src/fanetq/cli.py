@@ -12,6 +12,7 @@ import numpy as np
 from .critics import ALL_SOLUTIONS, SolutionId, parity_report
 from .errors import CalibrationError, ConfigError, ContractViolation
 from .experiments import (
+    CS_FACTOR,
     SCENARIO_BASELINES,
     calibrate,
     derive_metrics,
@@ -60,21 +61,16 @@ def cmd_calibrate(args) -> int:
     if target is None:
         raise ConfigError("--target required for non-registry scenarios")
     try:
-        cfg, sweep = calibrate(
-            base,
-            target,
-            tolerance,
-            episodes_coarse=args.episodes,
-            episodes_refine=max(args.episodes, 2000),
-            seed=args.seed,
-        )
+        cfg, sweep = calibrate(base, target, tolerance, episodes=args.episodes, seed=args.seed)
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         for row in exc.sweep:
-            print(f"  comm_range={row['comm_range']:.4f} episodes={row['episodes']} cr={row['cr_mean']:.2f}", file=sys.stderr)
+            print(f"  comm_range={row['comm_range']:.6f} episodes={row['episodes']} cr={row['cr_mean']:.2f}", file=sys.stderr)
         return 1
+    row = next(row for row in sweep if row["comm_range"] == cfg.comm_range)
     print(f"calibrated comm_range = {cfg.comm_range}")
-    print(f"measured random CR    = {sweep[-1]['cr_mean']:.2f} (target {target} +/- {tolerance})")
+    print(f"measured random CR    = {row['cr_mean']:.2f} +/- {row['cr_se']:.2f} SE (target {target} +/- {tolerance})")
+    print("final bracket         = [{:.6f}, {:.6f}]".format(*sweep[-1]["bracket"]))
     if args.write:
         out = Path(args.out or f"{args.scenario}_calibrated.json")
         cfg.save(out)
@@ -110,7 +106,7 @@ def cmd_eval(args) -> int:
 def cmd_metrics(args) -> int:
     cr_rand = SCENARIO_BASELINES[args.scenario]["target_cr_rand"]
     found = load_records(args.run_dir, args.scenario, _parse_solutions(args.solution))
-    print(f"scenario {args.scenario}: CS threshold = {1.25 * cr_rand:.2f}")
+    print(f"scenario {args.scenario}: CS threshold = {CS_FACTOR * cr_rand:.2f}")
     for sol, records in found.items():
         m = derive_metrics(records, cr_rand)
         cs = "not reached" if m["cs"] is None else f"{m['cs']:.0f}k"
@@ -168,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--scenario", required=True)
     c.add_argument("--target", type=float, default=None)
     c.add_argument("--tolerance", type=float, default=None)
-    c.add_argument("--episodes", type=int, default=300)
+    c.add_argument("--episodes", type=int, default=2000, help="episodes in the bank every probe measures")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--write", action="store_true", help="write the calibrated scenario file")
     c.add_argument("--out", default=None)

@@ -57,7 +57,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("comm_range", "world_side", "v_max"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            # an exact comparison, where math.isfinite would overflow on an int beyond the float range
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= float(_FLOAT.max):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_aircraft < 1 or self.n_ground < 1:
             raise ConfigError("need at least one aircraft and one ground station")

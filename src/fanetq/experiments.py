@@ -2,8 +2,10 @@
 
 Scenario geometry carries no physical units; the communication range is
 calibrated so uniform-random agents reproduce the published baseline episode
-rewards (60.20 on 4A1S, 84.88 on 5A2S).  Calibrated configs are frozen as
-packaged scenario files; `calibrate` re-derives them from scratch.
+rewards (60.20 on 4A1S, 84.88 on 5A2S).  The packaged scenario files freeze
+the ranges an earlier search found (0.6406, 0.637); `calibrate` bisects the
+range on one fixed bank of episodes and, at its defaults, lands near them
+(0.6417, 0.6453) but not on them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -47,6 +49,7 @@ SCENARIO_BASELINES = {
 SEED_CSV = re.compile(r"seed(0|[1-9][0-9]*)\.csv")
 CCR_WINDOW_START = 1_000_000
 CS_FACTOR = 1.25
+CALIBRATION_WIDTH = 1e-3  # bisection stops below this bracket width, in units of world_side
 
 
 @contextmanager
@@ -97,91 +100,46 @@ def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tup
 
 
 def calibrate(
-    base_cfg: ScenarioConfig,
-    target_cr: float,
-    tolerance: float,
-    grid: tuple[float, float] = (0.1, 1.2),
-    coarse_step: float = 0.05,
-    episodes_coarse: int = 300,
-    episodes_refine: int = 3000,
-    seed: int = 0,
+    base_cfg: ScenarioConfig, target_cr: float, tolerance: float, episodes: int = 2000, seed: int = 0
 ) -> tuple[ScenarioConfig, list[dict]]:
-    """Find the comm_range at which random agents hit the target CR.
+    """Find the comm_range at which random agents hit the target CR, by bisection on one bank of episodes.
 
-    Grid-searches the (monotone) CR-vs-range curve for a bracket, bisects it,
-    then secant-refines at higher episode counts.  Raises CalibrationError
-    with the sweep table attached when no candidate lands within tolerance.
+    Every probe is ``random_baseline_cr`` at the same (episodes, seed), so every probe scores the same
+    episodes and the CR does not fall as the range grows.  The bracket runs from 0, where no link forms,
+    to a distance no two entities ever exceed, past which no range scores more; it is halved until it is
+    narrower than CALIBRATION_WIDTH * world_side.  Each probe adds a sweep row: its range, CR, the CR's
+    standard error and the bracket after it.  Returns the probed end of the final bracket whose CR is
+    closer to the target; raises CalibrationError with the sweep attached when that CR is outside the
+    tolerance, which is also where an unreachable target ends.
     """
     if not (target_cr > 0 and math.isfinite(target_cr)):
         raise ContractViolation(f"target CR must be positive and finite, got {target_cr}")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
-    sweep: list[dict] = []
-
-    def measure(rc: float, episodes: int, salt: int) -> float:
-        cfg = _with_range(base_cfg, rc)
-        mean, _ = random_baseline_cr(cfg, episodes, seed + salt)
-        sweep.append({"comm_range": round(rc, 6), "episodes": episodes, "cr_mean": mean})
-        return mean
-
-    lo, hi = grid
-    levels = np.arange(lo, hi + 1e-9, coarse_step)
-    prev_rc = None
-    bracket = None
-    for k, rc in enumerate(levels):
-        cr = measure(float(rc), episodes_coarse, k)
-        if cr >= target_cr:
-            if prev_rc is None:
-                bracket = (float(rc), float(rc))
-            else:
-                bracket = (prev_rc, float(rc))
-            break
-        prev_rc = float(rc)
-    if bracket is None:
+    # each coordinate gap starts within world_side and grows by at most 2 v_max a step
+    low, high = 0.0, math.sqrt(2) * (base_cfg.world_side + 2 * base_cfg.v_max * base_cfg.horizon)
+    sweep, ends = [], {}  # ends[True] is the probed low end, below the target; ends[False] the high end
+    while high - low >= CALIBRATION_WIDTH * base_cfg.world_side:
+        rc = 0.5 * (low + high)
+        mean, std = random_baseline_cr(replace(base_cfg, comm_range=rc), episodes, seed)
+        below = mean < target_cr
+        low, high = (rc, high) if below else (low, rc)
+        ends[below] = {
+            "comm_range": rc,
+            "episodes": episodes,
+            "cr_mean": mean,
+            "cr_se": std / math.sqrt(episodes),
+            "bracket": (low, high),
+        }
+        sweep.append(ends[below])
+    best = min(ends.values(), key=lambda row: abs(row["cr_mean"] - target_cr))
+    if abs(best["cr_mean"] - target_cr) > tolerance:
         raise CalibrationError(
-            f"target CR {target_cr} not reached anywhere on the grid {grid}", sweep
-        )
-
-    rc_lo, rc_hi = bracket
-    for k in range(10):
-        if rc_hi - rc_lo < 1e-4:
-            break
-        mid = 0.5 * (rc_lo + rc_hi)
-        cr = measure(mid, episodes_coarse * 2, 100 + k)
-        if cr < target_cr:
-            rc_lo = mid
-        else:
-            rc_hi = mid
-
-    rc_a, rc_b = max(rc_lo - 0.005, lo), min(rc_hi + 0.005, hi)
-    cr_a = measure(rc_a, episodes_refine, 200)
-    cr_b = measure(rc_b, episodes_refine, 201)
-    for k in range(3):
-        slope = (cr_b - cr_a) / (rc_b - rc_a)
-        if slope <= 0:
-            break
-        rc = float(np.clip(rc_b + (target_cr - cr_b) / slope, lo, hi))
-        cr = measure(rc, episodes_refine, 210 + k)
-        rc_a, cr_a, rc_b, cr_b = rc_b, cr_b, rc, cr
-
-    refined = [row for row in sweep if row["episodes"] >= episodes_refine]
-    best = min(refined, key=lambda row: abs(row["cr_mean"] - target_cr))
-    final_cfg = _with_range(base_cfg, best["comm_range"])
-    final_cr, _ = random_baseline_cr(final_cfg, episodes_refine, seed + 999)
-    sweep.append({"comm_range": best["comm_range"], "episodes": episodes_refine, "cr_mean": final_cr})
-    if abs(final_cr - target_cr) > tolerance:
-        raise CalibrationError(
-            f"best candidate comm_range={best['comm_range']} measured CR {final_cr:.2f}, "
-            f"outside {target_cr} +/- {tolerance}",
+            f"closest comm_range={best['comm_range']:.6f} in the final bracket [{low:.6f}, {high:.6f}] "
+            f"measured CR {best['cr_mean']:.2f}, outside {target_cr} +/- {tolerance}",
             sweep,
         )
-    return final_cfg, sweep
-
-
-def _with_range(cfg: ScenarioConfig, comm_range: float) -> ScenarioConfig:
-    d = cfg.to_dict()
-    d["comm_range"] = float(comm_range)
-    return ScenarioConfig.from_dict(d)
+    return replace(base_cfg, comm_range=best["comm_range"]), sweep
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,10 @@ class TestConfig:
             ("comm_range", "0.3"),
             ("world_side", math.inf),
             ("v_max", math.nan),
+            # integers beyond the float range, which math.isfinite cannot convert
+            pytest.param("comm_range", 10**400, id="comm_range-10**400"),
+            pytest.param("world_side", 10**400, id="world_side-10**400"),
+            pytest.param("v_max", 10**400, id="v_max-10**400"),
             ("n_aircraft", 4.5),
             ("n_ground", True),
             ("horizon", 50.0),

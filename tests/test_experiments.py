@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +94,7 @@ class TestCalibration:
                 base,
                 target_cr=500.0,  # above the T*N_A = 200 bound
                 tolerance=2.0,
-                grid=(0.1, 0.4),
-                coarse_step=0.15,
-                episodes_coarse=20,
-                episodes_refine=20,
+                episodes=20,
             )
         assert len(exc.value.sweep) >= 2
 
@@ -106,15 +104,40 @@ class TestCalibration:
             base,
             target_cr=25.0,
             tolerance=6.0,
-            grid=(0.1, 0.8),
-            coarse_step=0.1,
-            episodes_coarse=60,
-            episodes_refine=200,
+            episodes=200,
             seed=3,
         )
         measured, _ = random_baseline_cr(cfg, 400, seed=101)
         assert abs(measured - 25.0) < 6.0
         assert sweep  # table attached
+
+    def test_bisection_on_one_bank_is_reproducible_and_monotone(self):
+        base = load_scenario("4a1s")
+        cfg, sweep = calibrate(base, 60.20, 2.0, episodes=500)
+        assert calibrate(base, 60.20, 2.0, episodes=500) == (cfg, sweep)
+        (row,) = [row for row in sweep if row["comm_range"] == cfg.comm_range]
+        assert random_baseline_cr(cfg, 500, 0)[0] == row["cr_mean"]  # every probe reads the same bank
+        crs = [row["cr_mean"] for row in sorted(sweep, key=lambda row: row["comm_range"])]
+        assert crs == sorted(crs)
+
+    def test_a_world_scaled_tenfold_calibrates_to_tenfold_the_range(self):
+        # the bracket comes from the scenario, so a world whose side is not 1 calibrates too
+        base = load_scenario("4a1s")
+        cfg, sweep = calibrate(base, 60.20, 2.0, episodes=500)
+        big = replace(base, world_side=10.0, v_max=0.2, comm_range=10 * base.comm_range)
+        cfg10, sweep10 = calibrate(big, 60.20, 2.0, episodes=500)
+        assert cfg10.comm_range == pytest.approx(10 * cfg.comm_range, abs=10 * 1e-3)
+        (row,) = [row for row in sweep if row["comm_range"] == cfg.comm_range]
+        (row10,) = [row for row in sweep10 if row["comm_range"] == cfg10.comm_range]
+        assert row10["cr_mean"] == pytest.approx(row["cr_mean"], abs=row["cr_se"])
+
+    @pytest.mark.parametrize("name", ["4a1s", "5a2s"])
+    def test_the_bank_mean_rises_with_the_range_around_the_packaged_range(self, name):
+        # the property bisection rests on: one bank's mean CR never falls as the range grows
+        base = load_scenario(name)
+        grid = [base.comm_range * (1 + 0.005 * k) for k in range(-4, 5)]  # +/- 2%
+        crs = [random_baseline_cr(replace(base, comm_range=rc), 2000, 0)[0] for rc in grid]
+        assert crs == sorted(crs)
 
     def test_frozen_scenarios_reproduce_baselines(self):
         # the shipped calibrated configs hit the published random-agent CRs
