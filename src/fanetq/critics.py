@@ -1,9 +1,10 @@
 """Centralized critics: classical pre/core/post stacks and the quantum-core variant.
 
-Both kinds expose ``value`` over global observations, their Adam-trained
+Both kinds share ``value`` over global observations and the weight counts
+split into classical/quantum (``_Critic``); each keeps its Adam-trained
 parameters in one flat vector ``flat`` (``params()`` returns views of it),
-a ``backward`` that writes their gradients into ``grad`` (see
-``fanetq.nets``), and weight bookkeeping split into classical/quantum counts.
+its own ``value_cached``, and a ``backward`` that writes its gradients into
+``grad`` (see ``fanetq.nets``).
 The quantum critic routes gradients per the hybrid scheme: exact backprop
 through the post block, a three-evaluation simultaneous-perturbation
 estimate for the circuit weights, and the same two perturbed evaluations
@@ -32,7 +33,24 @@ def _post_sizes(in_dim: int, hidden: int) -> tuple[list[int], list[str]]:
     return [in_dim, hidden, 1], ["tanh", "identity"]
 
 
-class ClassicalCritic:
+class _Critic:
+    """What both kinds share: ``value`` by way of the kind's ``value_cached``, and the weight counts."""
+
+    quantum_weights = 0
+
+    def value(self, global_obs: np.ndarray) -> np.ndarray:
+        return self.value_cached(global_obs)[0]
+
+    @property
+    def classical_weights(self) -> int:
+        return self.flat.size
+
+    @property
+    def total_weights(self) -> int:
+        return self.classical_weights + self.quantum_weights
+
+
+class ClassicalCritic(_Critic):
     """pre (|O| -> X, tanh), core (X -> X, tanh), post (X -> 1)."""
 
     kind = "classical"
@@ -52,24 +70,8 @@ class ClassicalCritic:
         post = DenseNet.create(*_post_sizes(width, post_hidden), rng)
         return cls(pre, core, post)
 
-    @property
-    def classical_weights(self) -> int:
-        return self.flat.size
-
-    @property
-    def quantum_weights(self) -> int:
-        return 0
-
-    @property
-    def total_weights(self) -> int:
-        return self.classical_weights
-
     def params(self) -> list[np.ndarray]:
         return self.pre.params() + self.core.params() + self.post.params()
-
-    def value(self, global_obs: np.ndarray) -> np.ndarray:
-        v, _ = self.value_cached(global_obs)
-        return v
 
     def value_cached(self, global_obs: np.ndarray):
         h1, c1 = self.pre.forward_cached(global_obs)
@@ -99,7 +101,7 @@ class ClassicalCritic:
         return cls(*(DenseNet.from_dict(net) for net in json_fields(d, "pre", "core", "post")))
 
 
-class QuantumCritic:
+class QuantumCritic(_Critic):
     """pre (|O| -> 4L, tanh), data-reuploading circuit core, post (4 -> 1).
 
     ``spec.theta`` are the quantum weights (SPSA-updated); ``spec.xi`` and
@@ -140,16 +142,8 @@ class QuantumCritic:
         return cls(pre, spec, post, SpsaState.matched_to_lr(lr, seed=spsa_seed))
 
     @property
-    def classical_weights(self) -> int:
-        return self.flat.size
-
-    @property
     def quantum_weights(self) -> int:
         return self.spec.theta.size
-
-    @property
-    def total_weights(self) -> int:
-        return self.classical_weights + self.quantum_weights
 
     def params(self) -> list[np.ndarray]:
         return self.pre.params() + [self.spec.xi] + self.post.params()
@@ -159,10 +153,6 @@ class QuantumCritic:
         self.circuit_evaluations += 1
         eval_spec = VqcSpec(n_layers=self.spec.n_layers, scaling_fn="identity", theta=theta)
         return vqc_forward(eval_spec, angles)
-
-    def value(self, global_obs: np.ndarray) -> np.ndarray:
-        v, _ = self.value_cached(global_obs)
-        return v
 
     def value_cached(self, global_obs: np.ndarray):
         features, pre_cache = self.pre.forward_cached(global_obs)

@@ -110,7 +110,7 @@ def calibrate(
     narrower than CALIBRATION_WIDTH * world_side.  Each probe adds a sweep row: its range, CR, the CR's
     standard error and the bracket after it.  Returns the probed end of the final bracket whose CR is
     closer to the target; raises CalibrationError with the sweep attached when that CR is outside the
-    tolerance, which is also where an unreachable target ends.
+    tolerance, which is also where an unreachable target ends, and ConfigError when the high end overflows.
     """
     if not (target_cr > 0 and math.isfinite(target_cr)):
         raise ContractViolation(f"target CR must be positive and finite, got {target_cr}")
@@ -118,6 +118,9 @@ def calibrate(
         raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     # each coordinate gap starts within world_side and grows by at most 2 v_max a step
     low, high = 0.0, math.sqrt(2) * (base_cfg.world_side + 2 * base_cfg.v_max * base_cfg.horizon)
+    if not math.isfinite(high):
+        raise ConfigError(f"calibration bracket sqrt(2) * (world_side + 2 * v_max * horizon) overflows at "
+                          f"world_side={base_cfg.world_side!r}, v_max={base_cfg.v_max!r}, horizon={base_cfg.horizon}")
     sweep, ends = [], {}  # ends[True] is the probed low end, below the target; ends[False] the high end
     while high - low >= CALIBRATION_WIDTH * base_cfg.world_side:
         rc = 0.5 * (low + high)
@@ -201,27 +204,15 @@ def run_training(
     cfg = load_scenario(scenario)
     records = []
     for seed in seeds:
-        critic = build_critic(
-            solution,
-            scenario,
-            cfg.global_obs_dim,
-            np.random.default_rng([seed, 2]),
-            lr=tcfg.lr,
-            spsa_seed=seed,
-        )
+        rng = np.random.default_rng([seed, 2])
+        critic = build_critic(solution, scenario, cfg.global_obs_dim, rng, lr=tcfg.lr, spsa_seed=seed)
         csv_path = run_path(out_dir, scenario, solution, seed)
-        record = RunRecord(solution=solution, scenario=scenario, seed=seed)
         with csv_rows(csv_path, CURVE_HEADER) as write:
             trainer = Trainer(cfg, critic, tcfg, seed=seed)
-
-            def on_eval(point: dict) -> None:
-                record.curve.append(point)
-                write(point)
-
-            trainer.train(total_steps, on_eval=on_eval)  # a run that dies leaves its rows so far on disk
+            curve = trainer.train(total_steps, on_eval=write)  # a run that dies leaves its rows so far on disk
         trainer.actor.save(csv_path.with_name(f"seed{seed}_actor.json"))
         save_critic(critic, csv_path.with_name(f"seed{seed}_critic.json"))
-        records.append(record)
+        records.append(RunRecord(solution=solution, scenario=scenario, seed=seed, curve=curve))
     return records
 
 
@@ -358,19 +349,7 @@ def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) 
     for name in solutions:
         sol = SolutionId.parse(name)
         if sol.kind == "classical":
-            rows.append(
-                {
-                    "circuit_id": name,
-                    "L": "",
-                    "scaling_fn": "",
-                    "ent_mean": "not applicable",
-                    "ent_std": "",
-                    "expr_mean": "",
-                    "expr_std": "",
-                    "n_samples": "",
-                    "seed": "",
-                }
-            )
+            rows.append({**dict.fromkeys(QMETRICS_HEADER, ""), "circuit_id": name, "ent_mean": "not applicable"})
             continue
         spec = VqcSpec(n_layers=sol.n_layers, scaling_fn=sol.scaling_fn)
         batches = sample_states(spec, n_samples, seed)

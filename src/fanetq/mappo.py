@@ -190,12 +190,11 @@ def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old,
     ratio = np.exp(lp_new - log_prob_old)
     if not np.isfinite(ratio).all():
         return None  # caller skips this minibatch
-    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     unclipped_term = ratio * advantages
-    clipped_term = np.minimum(np.maximum(ratio, lo), hi)
+    clipped_term = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
     clipped_term *= advantages
     surr = np.minimum(unclipped_term, clipped_term)
-    active = (unclipped_term <= clipped_term) | ((ratio > lo) & (ratio < hi))
+    active = unclipped_term <= clipped_term  # a ratio inside the clip range clips to itself, so the terms tie
     d_lp = -(active * ratio * advantages) / m
 
     kl, d_mu_kl, d_log_std_kl = actor.kl_divergence(mu_old, log_std_old, mu_new, cache[2], cfg.kl_coeff / m)
@@ -216,7 +215,12 @@ def _value_objective(v: np.ndarray, returns: np.ndarray, values_old: np.ndarray,
 
 
 def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg) -> float:
-    """The clipped value objective; its gradients go into ``critic.grad``."""
+    """The clipped value objective; its gradients go into ``critic.grad``.
+
+    One mask gives dLoss/dV: the unclipped error where it is the larger one, else 0, since a clipped value
+    outside the range does not move with V.  Inside the range np.clip returns V itself, so the two errors tie
+    and the mask already takes the unclipped one.
+    """
     m = global_obs.shape[0]
     v, cache = critic.value_cached(global_obs)
 
@@ -225,13 +229,7 @@ def _critic_loss_and_grads(critic, global_obs, returns, values_old, cfg) -> floa
 
     loss = loss_fn(v)
     clipped = np.clip(v, values_old - cfg.clip_eps, values_old + cfg.clip_eps)
-    take_unclipped = (v - returns) ** 2 >= (clipped - returns) ** 2
-    inside = (v > values_old - cfg.clip_eps) & (v < values_old + cfg.clip_eps)
-    d_v = np.where(
-        take_unclipped,
-        2.0 * (v - returns),
-        np.where(inside, 2.0 * (clipped - returns), 0.0),
-    ) / m
+    d_v = np.where((v - returns) ** 2 >= (clipped - returns) ** 2, 2.0 * (v - returns), 0.0) / m
     critic.backward(cache, d_v, loss_fn, loss)
     return loss
 
@@ -255,8 +253,25 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     return stats[0] if single else stats
 
 
+def _column_means(records: list[tuple], width: int) -> list[float]:
+    """Per-column means of minibatch records, 0.0 for none; each column sums left to right from 0.0.
+
+    That is the order of ``+=``; ``sum`` compensates float sums from Python 3.12 on.
+    """
+    totals = [0.0] * width
+    for record in records:
+        totals = [total + x for total, x in zip(totals, record)]
+    return [total / len(records) for total in totals] if records else totals
+
+
 @dataclass
 class UpdateStats:
+    """The means over the stepped minibatches of one update; ``entropy`` is the last actor minibatch's.
+
+    An aborted update was rolled back, so every float field is NaN; ``skipped_minibatches`` counts the actor
+    minibatches skipped for a non-finite ratio, before the abort where there was one.
+    """
+
     actor_loss: float
     critic_loss: float
     kl: float
@@ -300,7 +315,7 @@ class Trainer:
         Advantages are normalized once per update.  Non-finite ratios skip a
         minibatch with a warning; a non-finite loss aborts the whole update
         and restores the pre-update parameters, Adam moments and steps, and
-        SPSA step count.  The RNG streams keep their advance.
+        SPSA step count; its stats are NaN.  The RNG streams keep their advance.
         """
         cfg = self.cfg
         adv = batch.advantages
@@ -323,9 +338,8 @@ class Trainer:
             (self.critic.spec.theta.copy(), self.critic.spsa.k) if self.critic.kind == "quantum" else None
         )
 
-        stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        n_actor_mb = 0
-        n_critic_mb = 0
+        actor_records, critic_records = [], []  # one per stepped minibatch
+        skipped, entropy = 0, 0.0
         try:
             for _ in range(cfg.epochs):
                 # one gather per epoch; each minibatch is a contiguous slice of the shuffled rows
@@ -337,18 +351,15 @@ class Trainer:
                         self.actor, obs[mb], act[mb], lp[mb], adv_rows[mb], mu[mb], batch.log_std_old, cfg
                     )
                     if res is None:
-                        stats.skipped_minibatches += 1
+                        skipped += 1
                         warnings.warn("skipped actor minibatch: non-finite ratio", RuntimeWarning)
                         continue
                     loss, mb_stats = res
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite actor loss")
-                    stats.actor_grad_norm += self.actor_opt.step(self.actor.flat, self.actor.grad)
-                    stats.actor_loss += loss
-                    stats.kl += mb_stats["kl"]
-                    stats.clip_frac += mb_stats["clip_frac"]
-                    stats.entropy = mb_stats["entropy"]
-                    n_actor_mb += 1
+                    grad_norm = self.actor_opt.step(self.actor.flat, self.actor.grad)
+                    actor_records.append((loss, mb_stats["kl"], mb_stats["clip_frac"], grad_norm))
+                    entropy = mb_stats["entropy"]
 
                 step_order = self.shuffle_rng.permutation(S)
                 global_obs, returns, values = (np.take(rows, step_order, axis=0) for rows in critic_rows)
@@ -357,9 +368,7 @@ class Trainer:
                     loss = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
-                    stats.critic_grad_norm += self.critic_opt.step(self.critic.flat, self.critic.grad)
-                    stats.critic_loss += loss
-                    n_critic_mb += 1
+                    critic_records.append((loss, self.critic_opt.step(self.critic.flat, self.critic.grad)))
         except TrainingError as exc:
             self.actor.flat[...] = actor_snapshot
             self.critic.flat[...] = critic_snapshot
@@ -368,18 +377,11 @@ class Trainer:
             if circuit_snapshot is not None:
                 self.critic.spec.theta, self.critic.spsa.k = circuit_snapshot
             warnings.warn(f"update aborted, parameters and optimizers restored: {exc}", RuntimeWarning)
-            stats.aborted = True
-            return stats
+            return UpdateStats(*[math.nan] * 7, skipped_minibatches=skipped, aborted=True)
 
-        if n_actor_mb:
-            stats.actor_loss /= n_actor_mb
-            stats.kl /= n_actor_mb
-            stats.clip_frac /= n_actor_mb
-            stats.actor_grad_norm /= n_actor_mb
-        if n_critic_mb:
-            stats.critic_loss /= n_critic_mb
-            stats.critic_grad_norm /= n_critic_mb
-        return stats
+        actor_loss, kl, clip_frac, actor_grad_norm = _column_means(actor_records, 4)
+        critic_loss, critic_grad_norm = _column_means(critic_records, 2)
+        return UpdateStats(actor_loss, critic_loss, kl, clip_frac, entropy, actor_grad_norm, critic_grad_norm, skipped)
 
     def train(self, total_steps: int, on_eval=None) -> list[dict]:
         """Run rollout/update cycles for ``total_steps`` env steps.
@@ -387,7 +389,8 @@ class Trainer:
         Evaluates the deterministic policy every ``eval_interval`` env steps
         (one evaluation per crossed boundary; the boundaries one update
         crosses share one ``evaluate`` call) and returns the curve as a
-        list of {env_steps, cr_mean, cr_std, actor_loss, critic_loss} dicts.
+        list of {env_steps, cr_mean, cr_std, actor_loss, critic_loss} dicts;
+        the losses are those of the update just run, NaN if it aborted.
         ``on_eval(point)`` is called after each point's evaluation.  A
         later call continues from ``env_steps`` and returns only the points
         it crosses.

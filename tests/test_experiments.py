@@ -98,6 +98,15 @@ class TestCalibration:
             )
         assert len(exc.value.sweep) >= 2
 
+    @pytest.mark.parametrize("world_side, v_max", [(1.5e308, 0.0), (1.0, 1e307)])
+    def test_a_bracket_that_overflows_names_the_scenario_fields(self, world_side, v_max):
+        # a valid scenario whose farthest distance overflows, refused before any probe; the range it would
+        # have probed, inf, is no input of the user's
+        base = ScenarioConfig(n_aircraft=4, n_ground=1, comm_range=0.3, world_side=world_side, v_max=v_max)
+        with pytest.raises(ConfigError, match="world_side.*v_max.*horizon") as exc:
+            calibrate(base, target_cr=60.0, tolerance=2.0, episodes=5)
+        assert "comm_range" not in str(exc.value)
+
     def test_calibrates_to_loose_target(self):
         base = ScenarioConfig(n_aircraft=4, n_ground=1, comm_range=0.3)
         cfg, sweep = calibrate(
@@ -422,9 +431,25 @@ class TestEmaAndExport:
 
 
 class TestQmetricsReport:
-    def test_classical_not_applicable(self):
+    def test_classical_not_applicable(self, tmp_path):
         rows = qmetrics_report(["NN-4"], n_samples=200, seed=0)
         assert rows[0]["ent_mean"] == "not applicable"
+        assert list(rows[0].items()) == [
+            ("circuit_id", "NN-4"),
+            ("L", ""),
+            ("scaling_fn", ""),
+            ("ent_mean", "not applicable"),
+            ("ent_std", ""),
+            ("expr_mean", ""),
+            ("expr_std", ""),
+            ("n_samples", ""),
+            ("seed", ""),
+        ]
+        write_qmetrics_csv(rows, tmp_path / "q.csv")
+        assert (tmp_path / "q.csv").read_bytes() == (
+            b"circuit_id,L,scaling_fn,ent_mean,ent_std,expr_mean,expr_std,n_samples,seed\n"
+            b"NN-4,,,not applicable,,,,,\n"
+        )
 
     def test_quantum_rows_and_csv(self, tmp_path):
         rows = qmetrics_report(["VQC-1N"], n_samples=500, seed=0)

@@ -240,6 +240,33 @@ class TestActorLoss:
         v = critic.value(O)
         assert got_v == pytest.approx(float(np.mean((v - returns) ** 2)), abs=1e-12)
 
+    def test_one_mask_equals_the_reference_on_the_clip_boundaries(self):
+        # ratios exactly on 1 - eps and 1 + eps, and inside the range, where the reference also masks by
+        # ``inside``; random draws do not land on a boundary, so log_prob_old is nudged until they do
+        m = 64
+        obs, acts = self.rng.standard_normal((3 * m, 5)), self.rng.standard_normal((3 * m, 3))
+        adv = self.rng.standard_normal(3 * m)
+        lo, hi = 1.0 - self.cfg.clip_eps, 1.0 + self.cfg.clip_eps
+        targets = np.repeat([lo, hi, 1.0 + 0.5 * self.cfg.clip_eps], m)
+        lp_new = self.actor.log_prob_cached(obs, acts)[0]
+        lp_old = lp_new - np.log(targets)
+        for _ in range(4):
+            ratio = np.exp(lp_new - lp_old)
+            up, down = np.nextafter(lp_old, np.inf), np.nextafter(lp_old, -np.inf)
+            lp_old = np.where(ratio > targets, up, np.where(ratio < targets, down, lp_old))
+        ratio = np.exp(self.actor.log_prob_cached(obs, acts)[0] - lp_old)
+        assert (ratio == lo).any() and (ratio == hi).any()  # landed on each boundary
+        assert ((ratio > lo) & (ratio < hi)).sum() >= m
+        mu_old = self.actor.mean(obs) + 0.1 * self.rng.standard_normal((3 * m, 3))
+        ls_old = self.actor.log_std + 0.05
+        loss, stats = _actor_loss_and_grads(self.actor, obs, acts, lp_old, adv, mu_old, ls_old, self.cfg)
+        got = self.actor.grad.copy()
+        want_loss, want_grads, want_stats = actor_loss_and_grads_reference(
+            self.actor, obs, acts, lp_old, adv, mu_old, ls_old, self.cfg
+        )
+        assert loss == want_loss and stats == want_stats
+        assert np.array_equal(got, np.concatenate([g.ravel() for g in want_grads]))
+
 
 class TestCriticLoss:
     def setup_method(self):
@@ -284,6 +311,41 @@ class TestCriticLoss:
 
         _critic_loss_and_grads(self.critic, self.O, returns, v_old, self.cfg)
         finite_difference_check(loss, self.critic.params(), grad_views(self.critic), self.rng, n_coords=5)
+
+    def test_one_mask_equals_the_reference_on_the_clip_boundaries(self):
+        # values exactly on values_old -/+ eps, inside the range and outside it, where the reference also
+        # masks by ``inside``; the stub critic returns the chosen values and keeps the dLoss/dV it is given
+        class StubCritic:
+            grad = np.empty(0)
+
+            def __init__(self, v):
+                self.v, self.d_v = v, []
+
+            def params(self):
+                return []
+
+            def value_cached(self, global_obs):
+                return self.v.copy(), None
+
+            def backward(self, cache, d_value, loss_fn, loss_center):
+                self.d_v.append(d_value.copy())
+
+        eps, m = self.cfg.clip_eps, 16
+        values_old = self.rng.standard_normal(5 * m)
+        offsets = np.repeat([-eps, eps, 0.0, 0.5 * eps, -0.5 * eps], m)
+        v = values_old + offsets
+        v[2 * m : 3 * m] = values_old[2 * m : 3 * m]
+        v[4 * m :] = values_old[4 * m :] + self.rng.choice([-3.0, 3.0], m) * eps  # outside the range
+        lower, upper = values_old - eps, values_old + eps
+        assert np.array_equal(v[:m], lower[:m]) and np.array_equal(v[m : 2 * m], upper[m : 2 * m])
+        assert ((v[2 * m : 4 * m] > lower[2 * m : 4 * m]) & (v[2 * m : 4 * m] < upper[2 * m : 4 * m])).all()
+        returns = values_old + self.rng.standard_normal(5 * m)
+        got, want, global_obs = StubCritic(v), StubCritic(v), np.zeros((5 * m, 1))
+        loss = _critic_loss_and_grads(got, global_obs, returns, values_old, self.cfg)
+        want_loss, _ = critic_loss_and_grads_reference(want, global_obs, returns, values_old, self.cfg)
+        assert loss == want_loss
+        assert np.array_equal(got.d_v[0], want.d_v[0])
+        assert (got.d_v[0][4 * m :] == 0.0).any()  # some outside values take the clipped error
 
 
 def collect_rollout_serial(env, actor, critic, steps, rng, base_seed, episode_counter, cfg):
@@ -704,6 +766,43 @@ class TestUpdateMechanics:
             assert trainer.update(batch).aborted
         assert len(calls) == 2  # epoch 1's critic step ran, epoch 2's aborted
         self.assert_optimizer_state(trainer, before)
+
+    def test_an_aborted_update_reports_nan_stats(self, monkeypatch):
+        # epoch 1 stepped both nets before epoch 2's critic loss aborted; the rolled-back update has no
+        # losses to report, so no partial sums of epoch 1 leak out
+        import fanetq.mappo as mappo
+
+        inner, calls = mappo._critic_loss_and_grads, []
+
+        def nan_in_epoch_2(*args):
+            calls.append(None)
+            return np.nan if len(calls) > 1 else inner(*args)
+
+        monkeypatch.setattr(mappo, "_critic_loss_and_grads", nan_in_epoch_2)
+        cfg = cfg_4a1s()
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(15))
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=64), seed=6)
+        batch, _ = collect_rollout(None, cfg, trainer.actor, critic, 50, trainer.rollout_rng, 6, 0, trainer.cfg)
+        with pytest.warns(RuntimeWarning, match="^update aborted"):
+            stats = trainer.update(batch)
+        assert stats.aborted and stats.skipped_minibatches == 0 and len(calls) == 2
+        floats = [field.name for field in dataclasses.fields(UpdateStats) if field.type == "float"]
+        assert len(floats) == 7 and all(np.isnan(getattr(stats, name)) for name in floats)
+
+    def test_the_curve_of_an_aborted_update_has_nan_losses(self, monkeypatch):
+        import fanetq.mappo as mappo
+
+        monkeypatch.setattr(mappo, "_critic_loss_and_grads", lambda *args: np.nan)
+        cfg = cfg_4a1s()
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(17))
+        tcfg = TrainerConfig(rollout_steps=100, eval_interval=100, eval_episodes=2)
+        trainer = Trainer(cfg, critic, tcfg, seed=8)
+        with pytest.warns(RuntimeWarning, match="^update aborted"):
+            curve = trainer.train(200)
+        assert [point["env_steps"] for point in curve] == [100, 200]
+        for point in curve:
+            assert np.isnan(point["actor_loss"]) and np.isnan(point["critic_loss"])
+            assert np.isfinite(point["cr_mean"])
 
     def test_clip_frac_is_the_mean_over_actor_minibatches(self, monkeypatch):
         import fanetq.mappo as mappo
