@@ -4,8 +4,10 @@ Sweeps the six circuit architectures (1-3 reuploading layers, identity or
 arctan input scaling) and prints the characterization table.  Identity
 scaling keeps the encoding angles spread over full periods (entanglement
 above the Haar average of ~0.823 at L=1); arctan squashes them (below).
-Each circuit's states are sampled once and both metrics score that
-ensemble; the time column covers the sample and both scores.
+Each circuit's states are sampled once, in one circuit call over all its
+batches, and both metrics score that ensemble: Ent in one Meyer-Wallach call
+over the pooled states, Expr over the pooled pairs and each batch's pairs.
+The time column covers the sample and both scores.
 """
 
 import time

@@ -105,7 +105,8 @@ def calibrate(
     """Find the comm_range at which random agents hit the target CR, by bisection on one bank of episodes.
 
     Every probe is ``random_baseline_cr`` at the same (episodes, seed), so every probe scores the same
-    episodes and the CR does not fall as the range grows.  The bracket runs from 0, where no link forms,
+    episodes and the CR should not fall as the range grows; CalibrationError, with the sweep attached, is
+    raised where the probes, ordered by range, show it falling.  The bracket runs from 0, where no link forms,
     to a distance no two entities ever exceed, past which no range scores more; it is halved until it is
     narrower than CALIBRATION_WIDTH * world_side.  Each probe adds a sweep row: its range, CR, the CR's
     standard error and the bracket after it.  Returns the probed end of the final bracket whose CR is
@@ -135,6 +136,14 @@ def calibrate(
             "bracket": (low, high),
         }
         sweep.append(ends[below])
+    by_range = sorted(sweep, key=lambda row: row["comm_range"])
+    for a, b in zip(by_range, by_range[1:]):
+        if b["cr_mean"] < a["cr_mean"]:
+            raise CalibrationError(
+                f"the bank is not monotone: CR falls from {a['cr_mean']:.4f} at comm_range={a['comm_range']:.6f} "
+                f"to {b['cr_mean']:.4f} at comm_range={b['comm_range']:.6f}",
+                sweep,
+            )
     best = min(ends.values(), key=lambda row: abs(row["cr_mean"] - target_cr))
     if abs(best["cr_mean"] - target_cr) > tolerance:
         raise CalibrationError(

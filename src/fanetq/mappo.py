@@ -254,22 +254,24 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
 
 
 def _column_means(records: list[tuple], width: int) -> list[float]:
-    """Per-column means of minibatch records, 0.0 for none; each column sums left to right from 0.0.
+    """Per-column means of minibatch records, NaN for none; each column sums left to right from 0.0.
 
     That is the order of ``+=``; ``sum`` compensates float sums from Python 3.12 on.
     """
     totals = [0.0] * width
     for record in records:
         totals = [total + x for total, x in zip(totals, record)]
-    return [total / len(records) for total in totals] if records else totals
+    return [total / len(records) for total in totals] if records else [math.nan] * width
 
 
 @dataclass
 class UpdateStats:
     """The means over the stepped minibatches of one update; ``entropy`` is the last actor minibatch's.
 
-    An aborted update was rolled back, so every float field is NaN; ``skipped_minibatches`` counts the actor
-    minibatches skipped for a non-finite ratio, before the abort where there was one.
+    An aborted update was rolled back, so every float field is NaN.  An update that stepped no actor minibatch
+    has NaN actor fields (``actor_loss``, ``kl``, ``clip_frac``, ``entropy``, ``actor_grad_norm``) beside its
+    critic means.  ``skipped_minibatches`` counts the actor minibatches skipped for a non-finite ratio, before
+    the abort where there was one.
     """
 
     actor_loss: float
@@ -339,7 +341,7 @@ class Trainer:
         )
 
         actor_records, critic_records = [], []  # one per stepped minibatch
-        skipped, entropy = 0, 0.0
+        skipped, entropy = 0, math.nan
         try:
             for _ in range(cfg.epochs):
                 # one gather per epoch; each minibatch is a contiguous slice of the shuffled rows

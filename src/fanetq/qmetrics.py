@@ -25,12 +25,19 @@ DEFAULT_BINS = 75
 N_BATCHES = 10
 MIN_SAMPLES = 100
 EPS_EMPTY_BIN = 1e-12
+GRAM_ROWS = 128  # rows of the pair Gram per product in fidelity_histogram
 
 
 @dataclass(frozen=True)
 class MetricEstimate:
     mean: float
     std: float
+
+
+def _parameter_draw(eval_spec: VqcSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Raw data inputs (n, 4L), then ansatz angles (n, 12L), drawn in that order from ``rng``."""
+    feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, eval_spec.n_features))
+    return feats, rng.uniform(THETA_LOW, THETA_HIGH, size=(n, eval_spec.theta.size))
 
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
@@ -40,35 +47,35 @@ def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator],
     shape (4L,) and ansatz angles of shape (12L,).
     """
     eval_spec = VqcSpec(n_layers=spec.n_layers, scaling_fn=spec.scaling_fn)
-
-    def sample(n: int, rng: np.random.Generator) -> np.ndarray:
-        feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, eval_spec.n_features))
-        thetas = rng.uniform(THETA_LOW, THETA_HIGH, size=(n, eval_spec.theta.size))
-        return vqc_state(eval_spec, feats, theta=thetas)
-
-    return sample
+    return lambda n, rng: vqc_state(eval_spec, *_parameter_draw(eval_spec, n, rng))
 
 
 def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[np.ndarray]:
     """``N_BATCHES`` equal batches of output states drawn from one stream; both metrics score them.
 
-    ``n_samples`` must be a multiple of ``N_BATCHES`` and at least
-    ``MIN_SAMPLES``, so every requested state is drawn and scored.
+    Each batch draws as one ``circuit_state_sampler`` call would, in turn from
+    one generator; the draws are stacked and run as one circuit call, whose
+    rows the batches are.  ``n_samples`` must be a multiple of ``N_BATCHES``
+    and at least ``MIN_SAMPLES``, so every requested state is drawn and scored.
     """
     if n_samples < MIN_SAMPLES or n_samples % N_BATCHES:
         raise ContractViolation(
             f"n_samples must be a multiple of {N_BATCHES} and at least {MIN_SAMPLES}, got {n_samples}"
         )
-    sampler = circuit_state_sampler(spec)
+    eval_spec = VqcSpec(n_layers=spec.n_layers, scaling_fn=spec.scaling_fn)
     rng = np.random.default_rng(seed)
-    return [sampler(n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
+    draws = [_parameter_draw(eval_spec, n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
+    feats, thetas = (np.concatenate(parts) for parts in zip(*draws))
+    return np.split(vqc_state(eval_spec, feats, thetas), N_BATCHES)
 
 
 def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
-    """Vectorized Meyer-Wallach measure over a (batch, 2^n) stack."""
+    """Vectorized Meyer-Wallach measure over a (batch, 2^n) stack, n >= 1."""
     states = np.asarray(states, dtype=complex)
-    n = int(np.log2(states.shape[-1]))
-    batch = states.shape[0]
+    batch, width = states.shape if states.ndim == 2 else (0, 0)
+    if width < 2 or width & (width - 1):
+        raise ContractViolation(f"states must be a (batch, 2^n) stack with n >= 1, got shape {states.shape}")
+    n = width.bit_length() - 1
     purities = np.empty((batch, n))
     for k in range(n):
         psi = states.reshape(batch, 2**k, 2, 2 ** (n - k - 1))
@@ -80,11 +87,13 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
 def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
     """Mean Meyer-Wallach measure over a sampled state ensemble.
 
-    The mean is taken over all states; the reported spread is the standard
-    deviation of the per-batch means.
+    The pooled states are scored in one call.  The mean is taken over all
+    states; the reported spread is the standard deviation of the per-batch
+    means, each over its batch's slice of the pooled values.
     """
-    values = [meyer_wallach_batch(states) for states in batches]
-    return MetricEstimate(mean=float(np.concatenate(values).mean()), std=float(np.std([q.mean() for q in values])))
+    values = meyer_wallach_batch(np.concatenate(batches))
+    per_batch = np.split(values, np.cumsum([len(states) for states in batches[:-1]]))
+    return MetricEstimate(mean=float(values.mean()), std=float(np.std([q.mean() for q in per_batch])))
 
 
 def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:
@@ -99,18 +108,22 @@ def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:
 
 
 def fidelity_histogram(states: np.ndarray, n_bins: int) -> np.ndarray:
-    """Counts of all-pairs fidelities |<psi_i|psi_j>|^2, i < j."""
+    """Counts of all-pairs fidelities |<psi_i|psi_j>|^2, i < j.
+
+    Rows go in chunks of ``GRAM_ROWS``; each chunk is multiplied only by the
+    columns from its own first row on, and only its i < j entries are binned.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
-    chunk = 512
     n = states.shape[0]
     conj_t = states.conj().T
-    cols = np.arange(n)
-    for start in range(0, n, chunk):
-        block = states[start : start + chunk]
-        gram = np.abs(block @ conj_t) ** 2
-        upper = cols[None, :] > np.arange(start, start + block.shape[0])[:, None]
-        idx = np.minimum((gram[upper] * n_bins).astype(int), n_bins - 1)
-        counts += np.bincount(idx, minlength=n_bins)
+    upper = np.arange(n)[None, :] > np.arange(min(GRAM_ROWS, n))[:, None]  # local column > local row
+    for start in range(0, n, GRAM_ROWS):
+        block = states[start : start + GRAM_ROWS]
+        fid = np.abs((block @ conj_t[:, start:])[upper[: len(block), : n - start]])
+        fid *= fid
+        fid *= n_bins
+        idx = fid.astype(int)
+        counts += np.bincount(np.minimum(idx, n_bins - 1, out=idx), minlength=n_bins)
     return counts
 
 

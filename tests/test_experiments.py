@@ -129,6 +129,24 @@ class TestCalibration:
         crs = [row["cr_mean"] for row in sorted(sweep, key=lambda row: row["comm_range"])]
         assert crs == sorted(crs)
 
+    def test_a_bank_whose_cr_falls_as_the_range_grows_fails_loudly(self, monkeypatch):
+        # the probes at 0.375 and 0.4375 of the bracket land in the dip, below the probe at 0.25; bisection
+        # alone would still close in on the target at 0.5, within the tolerance
+        import fanetq.experiments as experiments
+
+        base = ScenarioConfig(n_aircraft=4, n_ground=1, comm_range=0.3)
+        high = math.sqrt(2) * (base.world_side + 2 * base.v_max * base.horizon)
+
+        def dipping_cr(cfg, episodes, seed):
+            x = cfg.comm_range / high
+            return (10.0 if 0.3 < x < 0.45 else 100.0 * x), 1.0
+
+        monkeypatch.setattr(experiments, "random_baseline_cr", dipping_cr)
+        with pytest.raises(CalibrationError, match="not monotone: CR falls from 25.0000") as exc:
+            calibrate(base, target_cr=50.0, tolerance=2.0, episodes=10)
+        probes = [row["comm_range"] / high for row in exc.value.sweep]
+        assert probes[:4] == [0.5, 0.25, 0.375, 0.4375] and len(probes) > 4
+
     def test_a_world_scaled_tenfold_calibrates_to_tenfold_the_range(self):
         # the bracket comes from the scenario, so a world whose side is not 1 calibrates too
         base = load_scenario("4a1s")

@@ -789,6 +789,20 @@ class TestUpdateMechanics:
         floats = [field.name for field in dataclasses.fields(UpdateStats) if field.type == "float"]
         assert len(floats) == 7 and all(np.isnan(getattr(stats, name)) for name in floats)
 
+    def test_an_update_that_skipped_every_actor_minibatch_reports_nan_actor_stats(self):
+        # no actor minibatch stepped, so there is no actor loss or entropy to report, not a 0.0
+        cfg = cfg_4a1s()
+        critic = ClassicalCritic.create(cfg.global_obs_dim, 4, np.random.default_rng(18))
+        trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=50, epochs=2, minibatch_size=64), seed=7)
+        batch, _ = collect_rollout(None, cfg, trainer.actor, critic, 50, trainer.rollout_rng, 7, 0, trainer.cfg)
+        batch.log_prob_old[:] = -np.inf  # every ratio is infinite
+        with pytest.warns(RuntimeWarning, match="^skipped actor minibatch"):
+            stats = trainer.update(batch)
+        assert not stats.aborted and stats.skipped_minibatches == 2 * 4  # 200 rows in minibatches of 64
+        actor_fields = ("actor_loss", "kl", "clip_frac", "entropy", "actor_grad_norm")
+        assert all(np.isnan(getattr(stats, name)) for name in actor_fields)
+        assert np.isfinite(stats.critic_loss) and np.isfinite(stats.critic_grad_norm)
+
     def test_the_curve_of_an_aborted_update_has_nan_losses(self, monkeypatch):
         import fanetq.mappo as mappo
 

@@ -122,6 +122,11 @@ class TestMeyerWallach:
         for i in range(8):
             assert batch[i] == pytest.approx(meyer_wallach(states[i]), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16,), (3, 12), (3, 1), (2, 4, 4), ()])
+    def test_batch_rejects_anything_but_a_stack_of_qubit_states(self, shape):
+        with pytest.raises(ContractViolation, match=r"\(batch, 2\^n\)"):
+            meyer_wallach_batch(np.ones(shape))
+
 
 def product_state_batches(n, seed=0):
     """Random single-qubit rotations only: zero entanglement by construction."""
@@ -238,7 +243,7 @@ class TestExpressibility:
         counts = fidelity_histogram(states, 10)
         assert counts.sum() == 40 * 39 // 2
 
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1300])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 511, 512, 513, 1300])
     def test_fidelity_histogram_matches_per_row_binning(self, n):
         rng = np.random.default_rng(n)
         states = circuit_state_sampler(VqcSpec(n_layers=1, scaling_fn="arctan"))(n, rng)
@@ -269,6 +274,23 @@ class TestSamplerProperties:
 
 
 class TestOneEnsemble:
+    def test_sample_states_makes_one_circuit_call_per_ensemble(self, monkeypatch):
+        import fanetq.qmetrics as qmetrics
+
+        rows, vqc_state = [], qmetrics.vqc_state
+        monkeypatch.setattr(qmetrics, "vqc_state", lambda *args: rows.append(len(args[1])) or vqc_state(*args))
+        sample_states(VqcSpec(n_layers=2, scaling_fn="arctan"), 500, 3)
+        assert rows == [500]
+
+    def test_entanglement_capability_makes_one_meyer_wallach_call_per_ensemble(self, monkeypatch):
+        import fanetq.qmetrics as qmetrics
+
+        batches = sample_states(VqcSpec(n_layers=2, scaling_fn="arctan"), 500, 3)
+        rows, meyer_wallach_batch = [], qmetrics.meyer_wallach_batch
+        monkeypatch.setattr(qmetrics, "meyer_wallach_batch", lambda s: rows.append(len(s)) or meyer_wallach_batch(s))
+        entanglement_capability(batches)
+        assert rows == [500]
+
     def test_sample_states_draws_equal_batches_from_one_stream(self):
         spec = VqcSpec(n_layers=2, scaling_fn="arctan")
         batches = sample_states(spec, 300, 7)
