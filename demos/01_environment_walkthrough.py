@@ -1,12 +1,15 @@
 """Walk through one FANET episode step by step.
 
 Shows the world state, the mutual-consent link resolution, path-to-ground
-computation, and the global reward, then dumps a JSON-lines trajectory.
+computation, and the global reward, then writes a second episode of the same
+world to trajectory_4a1s.jsonl, one {t, positions, links, ptg, reward} per step.
 """
+
+import json
 
 import numpy as np
 
-from fanetq.env import dump_trajectory, env_step, init_world, path_to_ground
+from fanetq.env import env_step, init_world, path_to_ground
 from fanetq.experiments import load_scenario
 
 cfg = load_scenario("4a1s")
@@ -34,6 +37,11 @@ for t in range(cfg.horizon):
         print(f"  path-to-ground={ptg.tolist()}  reward={r:.3f}")
 print(f"\nepisode cumulative reward (CR): {total:.1f} of max {cfg.horizon * cfg.n_aircraft}")
 
-dump_trajectory("trajectory_4a1s.jsonl", cfg, seed=42,
-                action_fn=lambda obs, t: rng.uniform(0, 1, size=(cfg.n_aircraft, cfg.action_dim)))
+world = init_world(cfg, seed=42)
+with open("trajectory_4a1s.jsonl", "w", encoding="utf-8") as fh:
+    while world.t < cfg.horizon:
+        world, _, r, _ = env_step(world, rng.uniform(0, 1, size=(cfg.n_aircraft, cfg.action_dim)), cfg)
+        links, ptg = np.argwhere(np.triu(world.links)).tolist(), path_to_ground(world.links, world).tolist()
+        rec = {"t": world.t, "positions": world.pos.tolist(), "links": links, "ptg": ptg, "reward": r}
+        fh.write(json.dumps(rec) + "\n")
 print("wrote trajectory_4a1s.jsonl (one JSON record per step)")

@@ -1,11 +1,12 @@
 """Seeded FANET simulation: one array core for link resolution, connectivity and observations.
 
 Aircraft and ground stations live in a square world; positions advance by
-constant per-episode velocities.  Each step every aircraft proposes a
-desirability score for every other entity, the top-2 proposals are resolved
-into links (mutual consent between aircraft, capacity-limited acceptance at
-ground stations), and the global reward is the fraction of aircraft with a
-multi-hop path to ground.
+constant per-episode velocities, in closed form from each world's anchor.
+Each step every aircraft proposes a desirability score for every other
+entity, the top-2 proposals are resolved into links (mutual consent between
+aircraft, capacity-limited acceptance at ground stations), and the global
+reward is the fraction of aircraft with a multi-hop path to ground;
+run_episodes sums it into every episode CR.
 
 Entity ids: aircraft occupy 0 .. n_aircraft-1, ground stations follow.  The
 link graph is a symmetric (N, N) boolean adjacency matrix over those ids.
@@ -127,34 +128,35 @@ class ScenarioConfig:
 
 @dataclass
 class WorldState:
-    """Positions/velocities of all entities plus the active link graph.
+    """Velocities and the position anchor of all entities, plus the active link graph.
 
-    ``pos`` and ``vel`` are (..., N, 2); leading axes, if any, index episodes
-    that step together and share ``t``.  Positions are closed-form in the
-    step: ``at(t)`` = pos_a + (t - t_a) * vel from ``anchor`` (t_a, pos_a),
-    which defaults to (t, pos), and ``pos`` is ``at(t)``.  ``links`` is a
-    symmetric (..., N, N) boolean adjacency matrix; it is all False until
-    the first step resolves links.  ``lk_table`` is the remaining episode's
-    geometry (see _geometry).
+    ``vel`` is (..., N, 2); leading axes, if any, index episodes that step
+    together and share ``t``.  Positions are closed-form in the step and
+    stored once, in ``anchor`` (t_a, pos_a): ``at(t)`` = pos_a + (t - t_a) * vel,
+    and ``pos`` is ``at(t)``.  ``links`` is a symmetric (..., N, N) boolean
+    adjacency matrix; it is all False until the first step resolves links.
+    ``lk_table`` is the remaining episode's geometry (see _geometry).
     """
 
     t: int
-    pos: np.ndarray  # (..., N, 2)
     vel: np.ndarray  # (..., N, 2)
     n_aircraft: int
+    anchor: tuple  # (t_a, pos_a), pos_a (..., N, 2)
     links: np.ndarray | None = None  # (..., N, N) bool
-    anchor: tuple | None = None  # (t_a, pos_a)
     lk_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None:
-            self.links = np.zeros(self.pos.shape[:-1] + (self.n_entities,), dtype=bool)
-        if self.anchor is None:
-            self.anchor = (self.t, self.pos)
+            self.links = np.zeros(self.vel.shape[:-1] + (self.n_entities,), dtype=bool)
 
     @property
     def n_entities(self) -> int:
-        return self.pos.shape[-2]
+        return self.vel.shape[-2]
+
+    @property
+    def pos(self) -> np.ndarray:
+        """(..., N, 2) positions at step t; at the anchor step they are pos_a itself, as vel is finite."""
+        return self.at(self.t)
 
     def at(self, t: int) -> np.ndarray:
         """(..., N, 2) positions at step t, pos_a + (t - t_a) * vel."""
@@ -177,7 +179,7 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     vel[:, :n_a] = -v_max + 2 * v_max * u[:, 2 * n :].reshape(-1, n_a, 2)
     if single:
         pos, vel = pos[0], vel[0]
-    return WorldState(t=0, pos=pos, vel=vel, n_aircraft=n_a)
+    return WorldState(t=0, vel=vel, n_aircraft=n_a, anchor=(0, pos))
 
 
 def clamp_actions(desirability: np.ndarray) -> np.ndarray:
@@ -331,7 +333,7 @@ def observe_all(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     Each aircraft's row is written once and read out with one np.take (see _obs_index).
     """
     n_a, n = cfg.n_aircraft, cfg.n_entities
-    batch = world.pos.shape[:-2]
+    batch = world.vel.shape[:-2]
     ptg = path_to_ground(world.links, world).astype(float)
     rows = np.empty(batch + (n_a, 1 + 3 * n))
     rows[..., 0] = ptg[..., :n_a]
@@ -348,15 +350,14 @@ def env_step(
 ) -> tuple[WorldState, np.ndarray, np.ndarray | float, bool]:
     """One environment step of one episode, or of a batch of episodes at the same t.
 
-    Order of effects: move to the positions at t + 1 (world.at), resolve links
-    from the joint action, then build the next observations on the new
-    graph; the reward is the mean of the aircraft's own path-to-ground
-    entries, one per episode.  Done when t reaches horizon.
+    Order of effects: move to step t + 1, whose in-range mask the world's lk
+    table holds, resolve links from the joint action, then build the next
+    observations on the new graph; the reward is the mean of the aircraft's
+    own path-to-ground entries, one per episode.  Done when t reaches horizon.
     """
     if world.t >= cfg.horizon:
         raise ContractViolation("cannot step a finished episode")
-    t = world.t + 1
-    new = WorldState(t=t, pos=world.at(t), vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
+    new = WorldState(t=world.t + 1, vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
     new.lk_table = world.lk_table
     new.links = resolve_links(_geometry(new, cfg)[0], joint_action, cfg)
     obs = observe_all(new, cfg)
@@ -406,7 +407,7 @@ def step_episodes(
     Returns the final world, its observations and the (..., steps) rewards.
     """
     obs = observe_all(world, cfg)
-    rewards = np.empty(world.pos.shape[:-2] + (steps,))
+    rewards = np.empty(world.vel.shape[:-2] + (steps,))
     for s in range(steps):
         world, obs, rewards[..., s], _ = env_step(world, policy(obs, world.t), cfg)
     return world, obs, rewards
@@ -418,42 +419,19 @@ def open_loop_rewards(world: WorldState, actions: np.ndarray, cfg: ScenarioConfi
     links read only its actions and in-range mask, so one resolve_links call takes the in-range planes of steps
     t+1 .. horizon, and no observation is built.  Only those planes are computed, in closed form from the world's
     anchor, with no lk rows, and the world's table, if it carries one, is left as it is."""
-    rows = np.moveaxis(_in_range(world, cfg)[1:], 0, world.pos.ndim - 2)  # steps after episodes
+    rows = np.moveaxis(_in_range(world, cfg)[1:], 0, world.vel.ndim - 2)  # steps after episodes
     return reward(path_to_ground(resolve_links(rows, actions, cfg), world)[..., : cfg.n_aircraft])
 
 
-def run_episodes(cfg: ScenarioConfig, seeds, policy) -> np.ndarray:
+def run_episodes(cfg: ScenarioConfig, seeds, rewards_of) -> np.ndarray:
     """Per-episode CR: connected-aircraft counts summed over the steps of each episode.
 
-    Episodes run in seed order, in blocks of up to EPISODE_BLOCK that step
-    together under ``policy``, as in ``step_episodes``.
+    The episodes of the sequence ``seeds`` run in order, in blocks of up to EPISODE_BLOCK fresh worlds (init_world);
+    ``rewards_of(world)`` returns a block's (block, horizon) rewards, e.g. step_episodes' or open_loop_rewards'.
     """
-    seeds = list(seeds)
     crs = np.empty(len(seeds))
     for start in range(0, len(seeds), EPISODE_BLOCK):
-        world = init_world(cfg, seeds[start : start + EPISODE_BLOCK])
-        _, _, rewards = step_episodes(world, cfg.horizon, cfg, policy)
+        rewards = rewards_of(init_world(cfg, seeds[start : start + EPISODE_BLOCK]))
         # a running sum adds the steps in order, as a step-by-step total does
         crs[start : start + len(rewards)] = np.cumsum(rewards * cfg.n_aircraft, axis=-1)[:, -1]
     return crs
-
-
-def dump_trajectory(path: str | Path, cfg: ScenarioConfig, seed: int, action_fn) -> None:
-    """Write a JSON-lines trajectory: one record per step.
-
-    ``action_fn(obs, t)`` must return the joint action array.  Each record
-    holds {t, positions, links, ptg, reward}.
-    """
-    world = init_world(cfg, seed)
-    obs = observe_all(world, cfg)
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in range(cfg.horizon):
-            world, obs, r, _ = env_step(world, action_fn(obs, t), cfg)
-            rec = {
-                "t": world.t,
-                "positions": world.pos.tolist(),
-                "links": np.argwhere(np.triu(world.links)).tolist(),
-                "ptg": path_to_ground(world.links, world).tolist(),
-                "reward": r,
-            }
-            fh.write(json.dumps(rec) + "\n")

@@ -27,11 +27,11 @@ class CalibrationError(RuntimeError):
         self.sweep = sweep or []
 
 
-def check_int(value, name: str, low: int) -> None:
-    """ContractViolation unless ``value`` is an integer, not a bool, of at least ``low``: 1 (positive) or 0."""
+def check_int(value, name: str, low: int | None) -> None:
+    """ContractViolation unless ``value`` is an integer, not a bool, of at least ``low``: 1, 0, or None for any."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ContractViolation(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ContractViolation(f"{name} must be {'positive' if low else 'non-negative'}")
 
 

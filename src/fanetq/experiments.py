@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .critics import SolutionId, build_critic, save_critic
-from .env import EPISODE_BLOCK, ScenarioConfig, init_world, open_loop_rewards
+from .env import ScenarioConfig, open_loop_rewards, run_episodes
 from .errors import CalibrationError, ConfigError, ContractViolation, check_int
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import entanglement_capability, expressibility, sample_states
@@ -85,17 +85,17 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
 
 
 def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo mean/std of episode CR under uniform-random actions; each episode block is one open-loop pass."""
+    """Monte-Carlo mean/std of episode CR under uniform-random actions, each run_episodes block one open-loop pass."""
     check_int(episodes, "episodes", 1)
     check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed + 10_000_019)
-    seeds, crs = range(seed, seed + episodes), np.empty(episodes)
-    for start in range(0, episodes, EPISODE_BLOCK):
-        world = init_world(cfg, seeds[start : start + EPISODE_BLOCK])
+
+    def rewards_of(world):
         # one draw per block, episode-major: the stream reads as one (n_aircraft, action_dim) draw per step
-        actions = rng.uniform(0.0, 1.0, size=(len(world.pos), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
-        rewards = open_loop_rewards(world, actions, cfg)  # the policy reads no observation, so none is built
-        crs[start : start + len(rewards)] = np.cumsum(rewards * cfg.n_aircraft, axis=-1)[:, -1]  # as run_episodes sums
+        actions = rng.uniform(0.0, 1.0, size=(len(world.vel), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
+        return open_loop_rewards(world, actions, cfg)  # the policy reads no observation, so none is built
+
+    crs = run_episodes(cfg, range(seed, seed + episodes), rewards_of)
     return float(crs.mean()), float(crs.std())
 
 
@@ -200,11 +200,12 @@ def run_training(
     """One RunRecord per seed; curves appended to disk as they grow, then the actor and critic checkpoints.
 
     The critic is built before anything is written, so a solution the
-    scenario does not define leaves no files behind.
+    scenario does not define, like a bad seed or step count, leaves no files behind.
     """
     SolutionId.parse(solution)
     for seed in seeds:
         check_int(seed, "seed", 0)
+    check_int(total_steps, "total_steps", None)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")
     tcfg = trainer_cfg or TrainerConfig()
@@ -354,9 +355,8 @@ def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) 
 
     Each circuit's states are sampled once, and both metrics score that ensemble.
     """
-    rows = []
-    for name in solutions:
-        sol = SolutionId.parse(name)
+    rows, parsed = [], [SolutionId.parse(name) for name in solutions]  # an unknown name stops the report unsampled
+    for name, sol in zip(solutions, parsed):
         if sol.kind == "classical":
             rows.append({**dict.fromkeys(QMETRICS_HEADER, ""), "circuit_id": name, "ent_mean": "not applicable"})
             continue

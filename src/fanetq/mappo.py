@@ -157,7 +157,7 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
 
     The action noise comes in one episode-major draw, the same stream as one draw per step.
     """
-    b, t0 = world.pos.shape[0], world.t
+    b, t0 = world.vel.shape[0], world.t
     noise = rng.standard_normal((b, k, scenario.n_aircraft, scenario.action_dim))
     obs = np.empty((b, k, scenario.n_aircraft, scenario.obs_dim))
     mu, actions, std = np.empty_like(noise), np.empty_like(noise), np.exp(actor.log_std)
@@ -248,7 +248,8 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     seeds, single = check_seeds(seed)
     episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]
     # one stacked pass; a folded (b * n_aircraft) batch would accumulate in another order
-    crs = run_episodes(cfg, episode_seeds, lambda obs, t: actor.mean(obs)).reshape(len(seeds), n_episodes)
+    crs = run_episodes(cfg, episode_seeds, lambda w: step_episodes(w, cfg.horizon, cfg, lambda o, t: actor.mean(o))[2])
+    crs = crs.reshape(len(seeds), n_episodes)
     stats = [(float(row.mean()), float(row.std())) for row in crs]
     return stats[0] if single else stats
 
@@ -397,6 +398,7 @@ class Trainer:
         later call continues from ``env_steps`` and returns only the points
         it crosses.
         """
+        check_int(total_steps, "total_steps", None)
         cfg = self.cfg
         curve: list[dict] = []
         while self.env_steps < total_steps:

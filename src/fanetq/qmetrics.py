@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_int
 from .qsim import N_QUBITS, VqcSpec, vqc_state
 
 DATA_ANGLE_LOW, DATA_ANGLE_HIGH = 0.0, 2.0 * np.pi
@@ -58,6 +58,8 @@ def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[n
     rows the batches are.  ``n_samples`` must be a multiple of ``N_BATCHES``
     and at least ``MIN_SAMPLES``, so every requested state is drawn and scored.
     """
+    check_int(seed, "seed", 0)
+    check_int(n_samples, "n_samples", None)
     if n_samples < MIN_SAMPLES or n_samples % N_BATCHES:
         raise ContractViolation(
             f"n_samples must be a multiple of {N_BATCHES} and at least {MIN_SAMPLES}, got {n_samples}"

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, json_fields, json_floats
+from .errors import ConfigError, ContractViolation, TrainingError, check_int, json_fields, json_floats
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -172,8 +172,7 @@ class VqcSpec:
     xi: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ContractViolation("n_layers must be >= 1")
+        check_int(self.n_layers, "n_layers", 1)
         if self.scaling_fn not in SCALING_FNS:
             raise ContractViolation(f"unknown scaling_fn {self.scaling_fn!r}")
         if self.theta is None:

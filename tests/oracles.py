@@ -111,7 +111,7 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     pos = rng.uniform(0.0, cfg.world_side, size=(cfg.n_entities, 2))
     vel = np.zeros((cfg.n_entities, 2))
     vel[: cfg.n_aircraft] = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.n_aircraft, 2))
-    return WorldState(t=0, pos=pos, vel=vel, n_aircraft=cfg.n_aircraft)
+    return WorldState(t=0, vel=vel, n_aircraft=cfg.n_aircraft, anchor=(0, pos))
 
 
 def stack_worlds(worlds: list[WorldState]) -> WorldState:
@@ -124,7 +124,6 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
         raise ContractViolation(f"stack_worlds needs worlds at one (t, anchor step), got {sorted(steps)}")
     return WorldState(
         t=worlds[0].t,
-        pos=np.stack([w.pos for w in worlds]),
         vel=np.stack([w.vel for w in worlds]),
         n_aircraft=worlds[0].n_aircraft,
         links=np.stack([w.links for w in worlds]),

@@ -1,5 +1,6 @@
 """Demos run end to end, so a name they import cannot silently disappear."""
 
+import json
 import runpy
 from pathlib import Path
 
@@ -22,3 +23,19 @@ def test_demo_runs(script, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # demos 01 and 05 write their outputs to the working directory
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_demo_01_writes_the_trajectory_schema(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "01_environment_walkthrough.py"), run_name="__main__")
+    lines = (tmp_path / "trajectory_4a1s.jsonl").read_text().splitlines()
+    assert len(lines) == 50  # one record per step of the 4a1s horizon
+    for k, line in enumerate(lines):
+        rec = json.loads(line)
+        assert set(rec) == {"t", "positions", "links", "ptg", "reward"}
+        assert rec["t"] == k + 1
+        assert len(rec["positions"]) == 5
+        assert len(rec["ptg"]) == 5
+        assert 0.0 <= rec["reward"] <= 1.0
+        for a, b in rec["links"]:
+            assert 0 <= a < b < 5

@@ -41,7 +41,7 @@ def cfg_4a1s(comm_range=0.3, **kw):
 def make_world(positions, n_aircraft, velocities=None, t=0):
     pos = np.asarray(positions, dtype=float)
     vel = np.zeros_like(pos) if velocities is None else np.asarray(velocities, dtype=float)
-    return WorldState(t=t, pos=pos, vel=vel, n_aircraft=n_aircraft)
+    return WorldState(t=t, vel=vel, n_aircraft=n_aircraft, anchor=(t, pos))
 
 
 def adjacency(n, edges):
@@ -156,9 +156,7 @@ def oracle_observe(world, aircraft_id, cfg, edges):
 
 def oracle_step(world, edges, joint_action, cfg):
     """One step of the scalar path: (world, edges, obs, reward, done)."""
-    t_a, pos_a = world.anchor
-    t = world.t + 1
-    new = WorldState(t=t, pos=pos_a + (t - t_a) * world.vel, vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
+    new = WorldState(t=world.t + 1, vel=world.vel, n_aircraft=world.n_aircraft, anchor=world.anchor)
     edges = oracle_resolve_links(new, joint_action, cfg)
     ptg = oracle_path_to_ground(edges, cfg.n_entities, cfg.n_aircraft)
     obs = np.stack([oracle_observe(new, a, cfg, edges) for a in range(cfg.n_aircraft)])
@@ -460,7 +458,7 @@ def world_on_a_range(batch, n_aircraft, n_ground, horizon, scale, nudge, seed):
         n_aircraft=n_aircraft, n_ground=n_ground, comm_range=float(d) * (1.0 + nudge), horizon=horizon,
         world_side=max(scale, 1.0),
     )
-    return rng, cfg, WorldState(t=t0, pos=pos, vel=vel, n_aircraft=n_aircraft)
+    return rng, cfg, WorldState(t=t0, vel=vel, n_aircraft=n_aircraft, anchor=(t0, pos))
 
 
 def in_range_oracle(world, cfg):
@@ -536,7 +534,8 @@ class TestCarriedLkTable:
         builds = []
         monkeypatch.setattr(env, "_lk_table", lambda world, cfg: builds.append(world.t) or _lk_table(world, cfg))
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
-        run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
+        half = lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5)
+        run_episodes(cfg, range(130), lambda w: step_episodes(w, cfg.horizon, cfg, half)[2])
         assert builds == [0, 0, 0]  # blocks of 64, 64 and 2 episodes
         builds.clear()
         fanet = FanetEnv(cfg)
@@ -553,7 +552,8 @@ class TestCarriedLkTable:
         offsets = env._aircraft_offsets
         monkeypatch.setattr(env, "_aircraft_offsets", lambda a, n_aircraft: reads.append(a.shape) or offsets(a, n_aircraft))
         cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.3)
-        run_episodes(cfg, range(130), lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5))
+        half = lambda obs, t: np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5)
+        run_episodes(cfg, range(130), lambda w: step_episodes(w, cfg.horizon, cfg, half)[2])
         # the (x and y, entity, tau, episode) positions of every step, once per table of the blocks of 64, 64 and 2
         assert reads == [(2, 7, 51, 64)] * 2 + [(2, 7, 51, 2)]
 
@@ -884,9 +884,9 @@ def stacked_world(cfg, seeds):
     worlds = [init_world(cfg, seed) for seed in seeds]
     return WorldState(
         t=0,
-        pos=np.stack([w.pos for w in worlds]),
         vel=np.stack([w.vel for w in worlds]),
         n_aircraft=cfg.n_aircraft,
+        anchor=(0, np.stack([w.pos for w in worlds])),
     )
 
 
@@ -946,7 +946,8 @@ def test_positions_are_closed_form_in_the_step(batch, n_aircraft, n_ground, hori
     worlds = [init_world(cfg, seed + k) for k in range(batch or 1)]
     world = worlds[0] if batch is None else stack_worlds(worlds)
     if rng.integers(0, 2):
-        world = WorldState(t=int(rng.integers(0, horizon)), pos=world.pos, vel=world.vel, n_aircraft=n_aircraft)
+        t = int(rng.integers(0, horizon))
+        world = WorldState(t=t, vel=world.vel, n_aircraft=n_aircraft, anchor=(t, world.pos))
     t_a, pos_a = world.anchor
     assert t_a == world.t and np.array_equal(pos_a, world.pos)
     while world.t < horizon:
@@ -977,7 +978,7 @@ class TestStackWorlds:
             stack_worlds([fresh, stepped])
         # one step, two anchor steps: a world anchored at t = 1 beside one anchored at t = 0
         with pytest.raises(ContractViolation, match=r"\(1, 0\), \(1, 1\)"):
-            stack_worlds([stepped, WorldState(t=1, pos=stepped.pos, vel=stepped.vel, n_aircraft=4)])
+            stack_worlds([stepped, WorldState(t=1, vel=stepped.vel, n_aircraft=4, anchor=(1, stepped.pos))])
 
 
 def test_batched_proposals_must_match_the_batch():
@@ -1014,7 +1015,7 @@ class TestRunEpisodes:
     def test_each_episode_equals_its_own_run(self, episodes):
         cfg = ScenarioConfig(n_aircraft=3, n_ground=2, comm_range=0.45, horizon=9)
         seeds = [5 + 3 * k for k in range(episodes)]
-        crs = run_episodes(cfg, seeds, self.policy)
+        crs = run_episodes(cfg, seeds, lambda w: step_episodes(w, cfg.horizon, cfg, self.policy)[2])
         assert crs.shape == (episodes,)
         alone = [episode_cr_alone(cfg, s, lambda obs, t: self.policy(obs[None], t)[0]) for s in seeds]
         assert crs.tolist() == alone
@@ -1027,7 +1028,7 @@ class TestRunEpisodes:
             calls.append((obs.shape, t))
             return np.full(obs.shape[:-1] + (cfg.action_dim,), 0.5)
 
-        run_episodes(cfg, range(EPISODE_BLOCK + 2), policy)
+        run_episodes(cfg, range(EPISODE_BLOCK + 2), lambda w: step_episodes(w, cfg.horizon, cfg, policy)[2])
         block, rest = (EPISODE_BLOCK, 2, cfg.obs_dim), (2, 2, cfg.obs_dim)
         assert calls == [(block, t) for t in range(3)] + [(rest, t) for t in range(3)]
 
@@ -1185,26 +1186,3 @@ class TestClamp:
         assert out[0] == pytest.approx(1e-6)
         assert out[1] == 0.5
         assert out[2] == pytest.approx(1.0 - 1e-6)
-
-
-class TestTrajectoryDump:
-    def test_jsonl_schema(self, tmp_path):
-        import json
-
-        from fanetq.env import dump_trajectory
-
-        cfg = cfg_4a1s(horizon=5)
-        rng = np.random.default_rng(0)
-        path = tmp_path / "traj.jsonl"
-        dump_trajectory(path, cfg, seed=3, action_fn=lambda obs, t: rng.uniform(0, 1, size=(4, 4)))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        for k, line in enumerate(lines):
-            rec = json.loads(line)
-            assert set(rec) == {"t", "positions", "links", "ptg", "reward"}
-            assert rec["t"] == k + 1
-            assert len(rec["positions"]) == 5
-            assert len(rec["ptg"]) == 5
-            assert 0.0 <= rec["reward"] <= 1.0
-            for a, b in rec["links"]:
-                assert 0 <= a < b < 5

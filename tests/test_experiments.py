@@ -213,6 +213,14 @@ class TestRandomBaseline:
         random_baseline_cr(load_scenario("5a2s"), 2 * EPISODE_BLOCK + 2, seed=9)
         assert tables == [] and planes == [(EPISODE_BLOCK,), (EPISODE_BLOCK,), (2,)]
 
+    def test_every_episode_cr_is_summed_by_one_run_episodes_call(self, monkeypatch):
+        import fanetq.experiments as experiments
+
+        calls, run_episodes = [], experiments.run_episodes
+        monkeypatch.setattr(experiments, "run_episodes", lambda *args: calls.append(list(args[1])) or run_episodes(*args))
+        random_baseline_cr(load_scenario("4a1s"), 2 * EPISODE_BLOCK + 2, seed=9)
+        assert calls == [list(range(9, 9 + 2 * EPISODE_BLOCK + 2))]
+
     @pytest.mark.parametrize(
         "episodes, seed, name",
         [(2.5, 0, "episodes"), (True, 0, "episodes"), (4, 1.5, "seed"), (4, -1, "seed"), (4, True, "seed")],
@@ -267,6 +275,13 @@ class TestRunRecords:
         # a bool seed would train as seed 1 under the name seedTrue
         with pytest.raises(ContractViolation, match="^seed must be"):
             run_training("NN-4", "4a1s", seeds, 1000, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("total_steps", [1500.5, 2000.0, True])
+    def test_a_step_count_that_is_no_integer_is_rejected_before_any_file(self, tmp_path, total_steps):
+        # 1500.5 left a header-only curve behind and then failed as a bare TypeError
+        with pytest.raises(ContractViolation, match="^total_steps must be an integer"):
+            run_training("NN-4", "4a1s", [0], total_steps, tmp_path)
         assert not any(tmp_path.iterdir())
 
     def test_rows_are_on_disk_before_the_run_ends(self, tmp_path, monkeypatch):
@@ -486,6 +501,25 @@ class TestQmetricsReport:
         a = qmetrics_report(["VQC-1A"], n_samples=300, seed=4)
         b = qmetrics_report(["VQC-1A"], n_samples=300, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n_samples, seed, message",
+        [(100, -1, "^seed must be non-negative"), (100, True, "^seed must be an integer"),
+         (100, 1.5, "^seed must be an integer"), (100.0, 0, "^n_samples must be an integer")],
+    )
+    def test_a_seed_or_sample_count_that_is_no_integer_in_range_is_rejected(self, n_samples, seed, message):
+        # numpy's ValueError, a silent seed 1 written as "seed": True, or a bare TypeError before
+        with pytest.raises(ContractViolation, match=message):
+            qmetrics_report(["VQC-1N"], n_samples, seed)
+
+    def test_every_name_is_parsed_before_any_circuit_is_sampled(self, monkeypatch):
+        import fanetq.experiments as experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "sample_states", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="unknown solution 'BAD'"):
+            qmetrics_report(["VQC-3A", "VQC-3N", "BAD"], 100, 0)
+        assert calls == []
 
     def test_vqc_1n_row_near_reference(self):
         row = qmetrics_report(["VQC-1N"], n_samples=2000, seed=1)[0]

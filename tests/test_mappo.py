@@ -1109,11 +1109,11 @@ class TestEvaluate:
         obs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(EPISODE_BLOCK, cfg.n_aircraft, cfg.obs_dim))
         actions = []
 
-        def spy(cfg, seeds, policy):
+        def spy(world, steps, cfg, policy):
             actions.append(policy(obs, 0))
-            return np.zeros(len(seeds))
+            return world, None, np.zeros(world.vel.shape[:-2] + (steps,))
 
-        monkeypatch.setattr(mappo, "run_episodes", spy)
+        monkeypatch.setattr(mappo, "step_episodes", spy)
         evaluate(actor, cfg, n_episodes=3, seed=0)
         assert np.array_equal(actions[0], np.stack([actor.mean(o) for o in obs]))
 
@@ -1183,6 +1183,16 @@ class TestEvaluate:
         critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
         with pytest.raises(ContractViolation, match="^seed must be"):
             Trainer(cfg, critic, seed=seed)
+
+    @pytest.mark.parametrize("total_steps", [1000.5, 1000.0, True])
+    def test_a_trainer_rejects_a_step_count_that_is_no_integer(self, total_steps):
+        # 1000.5 failed as a bare TypeError inside the rollout, and True trained one step
+        cfg = cfg_4a1s()
+        critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
+        trainer = Trainer(cfg, critic, seed=0)
+        with pytest.raises(ContractViolation, match="^total_steps must be an integer"):
+            trainer.train(total_steps)
+        assert trainer.env_steps == 0 and trainer.world is None
 
     def test_reproducible_training_curve(self):
         cfg = cfg_4a1s()

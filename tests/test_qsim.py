@@ -420,6 +420,9 @@ class TestVqcForward:
     def test_spec_validation(self):
         with pytest.raises(ContractViolation):
             VqcSpec(n_layers=0)
+        for n_layers in (1.5, True):  # a TypeError, and a spec whose exported "L": true its own from_dict rejects
+            with pytest.raises(ContractViolation, match="^n_layers must be an integer"):
+                VqcSpec(n_layers=n_layers)
         with pytest.raises(ContractViolation):
             VqcSpec(n_layers=1, scaling_fn="sigmoid")
         with pytest.raises(ContractViolation):
