@@ -294,7 +294,8 @@ def _lk_table(world: WorldState, cfg: ScenarioConfig) -> tuple:
     counts = np.zeros(in_range.shape, dtype=int)
     for k in range(len(counts) - 2, -1, -1):  # suffix sums, counts[k] from t0 + k to horizon - 1, one row add each
         np.add(counts[k + 1], in_range[k], out=counts[k])
-    lk = np.where(in_range, counts / cfg.horizon, -1.0)
+    lk = np.divide(counts, cfg.horizon)
+    lk[~in_range] = -1.0
     for a in (in_range, lk):
         a.flags.writeable = False
     return cfg, world.t, in_range, lk

@@ -25,7 +25,7 @@ from .critics import SolutionId, build_critic, save_critic
 from .env import ScenarioConfig, open_loop_rewards, run_episodes
 from .errors import CalibrationError, ConfigError, ContractViolation, check_int
 from .mappo import Trainer, TrainerConfig
-from .qmetrics import entanglement_capability, expressibility, sample_states
+from .qmetrics import check_sampling, entanglement_capability, expressibility, sample_states
 from .qsim import VqcSpec
 
 CURVE_HEADER = ["env_steps", "cr_mean", "cr_std", "actor_loss", "critic_loss"]
@@ -353,8 +353,10 @@ def export_records(
 def qmetrics_report(solutions: list[str], n_samples: int = 5000, seed: int = 0) -> list[dict]:
     """Ent/Expr rows per solution; classical names get a not-applicable row.
 
-    Each circuit's states are sampled once, and both metrics score that ensemble.
+    Each circuit's states are sampled once, and both metrics score that ensemble.  ``n_samples`` and ``seed`` are
+    checked first, whatever the names.
     """
+    check_sampling(n_samples, seed)
     rows, parsed = [], [SolutionId.parse(name) for name in solutions]  # an unknown name stops the report unsampled
     for name, sol in zip(solutions, parsed):
         if sol.kind == "classical":

@@ -125,13 +125,17 @@ def collect_rollout(
     ``world``, the episode the last rollout cut (a block of one), or None on an episode boundary, steps first, so
     its lk table carries on; then the whole episodes in blocks of up to EPISODE_BLOCK, then one cut tail.  Every
     field equals that of stepping one episode at a time.  A cut tail bootstraps with the critic value of its next
-    observation and is returned as the next world; otherwise None is.
+    observation and is returned as the next world; otherwise None is.  Each field is allocated once for the whole
+    rollout and every block writes its rows into it, in run order; ``global_obs`` is a view of ``obs``.
     """
     if steps < 1:
         raise ContractViolation("steps must be positive")
-    horizon = scenario.horizon
+    horizon, n, act_dim = scenario.horizon, scenario.n_aircraft, scenario.action_dim
     if (0 if world is None else world.t) != start % horizon:
         raise ContractViolation(f"run step {start} is not at the carried world's step")
+    row_shapes = dict(obs=(n, scenario.obs_dim), actions=(n, act_dim), log_prob_old=(n,), mu_old=(n, act_dim),
+                      rewards=(), values=(), advantages=(), returns=())
+    fields = {name: np.empty((steps,) + shape) for name, shape in row_shapes.items()}
     plan = []  # (block, steps) in run order
     if world is not None:
         plan.append((world, min(steps, horizon - world.t)))
@@ -142,25 +146,27 @@ def collect_rollout(
         plan.append((init_world(scenario, seeds[lo : min(lo + EPISODE_BLOCK, whole)]), horizon))
     if tail:
         plan.append((init_world(scenario, seeds[-1:]), tail))
-    parts = []
+    lo = 0
     for block, k in plan:
-        world, part = _rollout_block(block, k, scenario, actor, critic, rng, cfg)
-        parts.append(part)
-    fields = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    global_obs = fields["obs"].reshape(len(fields["obs"]), -1)
-    batch = RolloutBatch(global_obs=global_obs, log_std_old=actor.log_std.copy(), **fields)
+        hi = lo + block.vel.shape[0] * k
+        world = _rollout_block(block, k, scenario, actor, critic, rng, cfg, {f: a[lo:hi] for f, a in fields.items()})
+        lo = hi
+    batch = RolloutBatch(global_obs=fields["obs"].reshape(len(fields["obs"]), -1), log_std_old=actor.log_std.copy(), **fields)
     return batch, (world if world.t < horizon else None)
 
 
-def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldState, dict]:
-    """Step b episodes at the same t k steps; returns the end world and the (b * k, ...) batch fields.
+def _rollout_block(world, k, scenario, actor, critic, rng, cfg, out: dict) -> WorldState:
+    """Step b episodes at the same t k steps into ``out``, the (b * k, ...) rows of each batch field; returns the
+    end world.
 
-    The action noise comes in one episode-major draw, the same stream as one draw per step.
+    The rows are episode-major.  Obs, means and actions are written through the policy, step by step; the log
+    probs, rewards, values, advantages and returns after GAE.  The action noise comes in one episode-major draw,
+    the same stream as one draw per step.
     """
     b, t0 = world.vel.shape[0], world.t
     noise = rng.standard_normal((b, k, scenario.n_aircraft, scenario.action_dim))
-    obs = np.empty((b, k, scenario.n_aircraft, scenario.obs_dim))
-    mu, actions, std = np.empty_like(noise), np.empty_like(noise), np.exp(actor.log_std)
+    obs, mu, actions = (out[name].reshape((b, k) + out[name].shape[1:]) for name in ("obs", "mu_old", "actions"))
+    std = np.exp(actor.log_std)
 
     def policy(o, t):
         obs[:, t - t0], mu[:, t - t0] = o, actor.mean(o)  # one stacked actor pass per step
@@ -171,9 +177,10 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg) -> tuple[WorldSt
     values = critic.value(obs.reshape(b, k, -1))  # one stacked pass, equal to one pass per episode
     bootstrap = 0.0 if world.t == scenario.horizon else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
-    fields = dict(obs=obs, actions=actions, log_prob_old=actor.log_prob_of(actions - mu), mu_old=mu, rewards=rewards,
-                  values=values, advantages=advantages, returns=returns)
-    return world, {name: a.reshape((b * k,) + a.shape[2:]) for name, a in fields.items()}
+    out["log_prob_old"][...] = actor.log_prob_of(actions - mu).reshape(b * k, -1)
+    for name, a in (("rewards", rewards), ("values", values), ("advantages", advantages), ("returns", returns)):
+        out[name][...] = a.reshape(b * k)
+    return world
 
 
 def _actor_loss_and_grads(actor, obs, actions, log_prob_old, advantages, mu_old, log_std_old, cfg):
@@ -315,7 +322,9 @@ class Trainer:
     def update(self, batch: RolloutBatch) -> UpdateStats:
         """One MAPPO update: epochs of shuffled minibatches on both losses.
 
-        Advantages are normalized once per update.  Non-finite ratios skip a
+        Each minibatch gathers its own rows of the batch, one np.take per
+        array, so no shuffled copy of the whole batch is made.  Advantages
+        are normalized once per update.  Non-finite ratios skip a
         minibatch with a warning; a non-finite loss aborts the whole update
         and restores the pre-update parameters, Adam moments and steps, and
         SPSA step count; its stats are NaN.  The RNG streams keep their advance.
@@ -345,14 +354,11 @@ class Trainer:
         skipped, entropy = 0, math.nan
         try:
             for _ in range(cfg.epochs):
-                # one gather per epoch; each minibatch is a contiguous slice of the shuffled rows
                 order = self.shuffle_rng.permutation(S * n)
-                obs, act, lp, adv_rows, mu = (np.take(rows, order, axis=0) for rows in actor_rows)
                 for lo in range(0, S * n, cfg.minibatch_size):
-                    mb = slice(lo, lo + cfg.minibatch_size)
-                    res = _actor_loss_and_grads(
-                        self.actor, obs[mb], act[mb], lp[mb], adv_rows[mb], mu[mb], batch.log_std_old, cfg
-                    )
+                    mb = order[lo : lo + cfg.minibatch_size]
+                    obs, act, lp, adv_rows, mu = (np.take(rows, mb, axis=0) for rows in actor_rows)
+                    res = _actor_loss_and_grads(self.actor, obs, act, lp, adv_rows, mu, batch.log_std_old, cfg)
                     if res is None:
                         skipped += 1
                         warnings.warn("skipped actor minibatch: non-finite ratio", RuntimeWarning)
@@ -365,10 +371,10 @@ class Trainer:
                     entropy = mb_stats["entropy"]
 
                 step_order = self.shuffle_rng.permutation(S)
-                global_obs, returns, values = (np.take(rows, step_order, axis=0) for rows in critic_rows)
                 for lo in range(0, S, cfg.minibatch_size):
-                    mb = slice(lo, lo + cfg.minibatch_size)
-                    loss = _critic_loss_and_grads(self.critic, global_obs[mb], returns[mb], values[mb], cfg)
+                    mb = step_order[lo : lo + cfg.minibatch_size]
+                    global_obs, returns, values = (np.take(rows, mb, axis=0) for rows in critic_rows)
+                    loss = _critic_loss_and_grads(self.critic, global_obs, returns, values, cfg)
                     if not np.isfinite(loss):
                         raise TrainingError("non-finite critic loss")
                     critic_records.append((loss, self.critic_opt.step(self.critic.flat, self.critic.grad)))
@@ -396,7 +402,8 @@ class Trainer:
         the losses are those of the update just run, NaN if it aborted.
         ``on_eval(point)`` is called after each point's evaluation.  A
         later call continues from ``env_steps`` and returns only the points
-        it crosses.
+        it crosses.  Each batch is dropped once its update has run, so no
+        evaluation or next rollout is built beside it.
         """
         check_int(total_steps, "total_steps", None)
         cfg = self.cfg
@@ -410,6 +417,7 @@ class Trainer:
             first = (self.env_steps // cfg.eval_interval + 1) * cfg.eval_interval  # the next point not yet passed
             self.env_steps += steps
             stats = self.update(batch)
+            del batch
             due = range(first, self.env_steps + 1, cfg.eval_interval)  # the points this update crossed
             if not due:
                 continue

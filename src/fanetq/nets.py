@@ -31,6 +31,7 @@ CHECKPOINT_VERSION = 1
 LOG_2PI = np.log(2.0 * np.pi)
 INIT_LOG_STD = -0.5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ACTIVATIONS = ("tanh", "identity")
 
 
 def check_checkpoint_version(d: dict) -> None:
@@ -60,11 +61,9 @@ def pack(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[tupl
 
 
 def _act(x: np.ndarray, kind: str) -> None:
-    """Apply the activation to ``x`` in place."""
+    """Apply the activation, one of ACTIVATIONS, to ``x`` in place."""
     if kind == "tanh":
         np.tanh(x, out=x)
-    elif kind != "identity":
-        raise ContractViolation(f"unknown activation {kind!r}")
 
 
 class DenseNet:
@@ -79,6 +78,9 @@ class DenseNet:
         for w, b in zip(weights, biases):
             if b.shape != (w.shape[0],):
                 raise ContractViolation("bias shape must match layer output")
+        for act in activations:
+            if act not in ACTIVATIONS:
+                raise ContractViolation(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
         self.weights = weights
         self.biases = biases
         self.activations = activations
@@ -184,7 +186,10 @@ class DenseNet:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dense net weights do not fit their shapes {shapes}: {exc}") from exc
-        return cls(weights, biases, activations)
+        try:
+            return cls(weights, biases, activations)
+        except ContractViolation as exc:
+            raise ConfigError(f"dense net: {exc}") from exc
 
 
 class GaussianPolicyHead:
@@ -212,7 +217,10 @@ class GaussianPolicyHead:
     def log_prob_of(self, diff: np.ndarray) -> np.ndarray:
         """Log-density of the deviations ``diff`` = action - mu."""
         z = diff / np.exp(self.log_std)
-        return -0.5 * np.add.reduce(z * z + 2.0 * self.log_std + LOG_2PI, axis=-1)
+        z *= z  # z * z + 2 log_std + log 2 pi, built in place in that order
+        z += 2.0 * self.log_std
+        z += LOG_2PI
+        return -0.5 * np.add.reduce(z, axis=-1)
 
     def log_prob_cached(self, obs: np.ndarray, action: np.ndarray):
         """(log_prob, mu, cache) for a later backward pass; the cache holds action - mu and the variance."""

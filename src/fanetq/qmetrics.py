@@ -50,20 +50,25 @@ def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator],
     return lambda n, rng: vqc_state(eval_spec, *_parameter_draw(eval_spec, n, rng))
 
 
-def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[np.ndarray]:
-    """``N_BATCHES`` equal batches of output states drawn from one stream; both metrics score them.
-
-    Each batch draws as one ``circuit_state_sampler`` call would, in turn from
-    one generator; the draws are stacked and run as one circuit call, whose
-    rows the batches are.  ``n_samples`` must be a multiple of ``N_BATCHES``
-    and at least ``MIN_SAMPLES``, so every requested state is drawn and scored.
-    """
+def check_sampling(n_samples, seed) -> None:
+    """ContractViolation unless ``seed`` is a non-negative integer and ``n_samples`` an integer multiple of
+    ``N_BATCHES`` of at least ``MIN_SAMPLES``, so every requested state is drawn and scored."""
     check_int(seed, "seed", 0)
     check_int(n_samples, "n_samples", None)
     if n_samples < MIN_SAMPLES or n_samples % N_BATCHES:
         raise ContractViolation(
             f"n_samples must be a multiple of {N_BATCHES} and at least {MIN_SAMPLES}, got {n_samples}"
         )
+
+
+def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[np.ndarray]:
+    """``N_BATCHES`` equal batches of output states drawn from one stream; both metrics score them.
+
+    Each batch draws as one ``circuit_state_sampler`` call would, in turn from
+    one generator; the draws are stacked and run as one circuit call, whose
+    rows the batches are.  ``n_samples`` and ``seed`` must pass check_sampling.
+    """
+    check_sampling(n_samples, seed)
     eval_spec = VqcSpec(n_layers=spec.n_layers, scaling_fn=spec.scaling_fn)
     rng = np.random.default_rng(seed)
     draws = [_parameter_draw(eval_spec, n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]

@@ -173,6 +173,7 @@ class VqcSpec:
 
     def __post_init__(self):
         check_int(self.n_layers, "n_layers", 1)
+        self.n_layers = int(self.n_layers)  # a numpy integer would not export to JSON
         if self.scaling_fn not in SCALING_FNS:
             raise ContractViolation(f"unknown scaling_fn {self.scaling_fn!r}")
         if self.theta is None:

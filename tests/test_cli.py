@@ -92,6 +92,12 @@ def weights_off_their_shape() -> dict:
     return d
 
 
+def activation_unknown() -> dict:
+    d = actor_checkpoint()
+    d["mean_net"]["activations"][0] = "relu"
+    return d
+
+
 def actor_with_entry(key: str, value) -> dict:
     """An actor checkpoint whose log_std, or first layer's weights or biases, starts with ``value``."""
     d = actor_checkpoint()
@@ -114,6 +120,7 @@ NON_FINITE = {
         ({"version": 1, "mean_net": {}}, "checkpoint has no 'log_std'"),
         (actor_checkpoint(mean_net={"shapes": [[4, 13]]}), "dense net has no 'activations'"),
         (weights_off_their_shape(), "dense net weights do not fit their shapes [[4, 13], [4, 4]]"),
+        (activation_unknown(), "dense net: unknown activation 'relu'"),
         (actor_checkpoint(log_std=["wide"] * 4), "checkpoint log_std is not a list of numbers"),
         ([1, 2], "checkpoint is not a JSON object"),
     ]
@@ -122,7 +129,7 @@ NON_FINITE = {
         for key, name in (("weights", "dense net weights"), ("biases", "dense net biases"), ("log_std", "checkpoint log_std"))
         for value, message in NON_FINITE.values()
     ],
-    ids=["no-mean-net", "no-log-std", "no-activations", "bad-shape", "bad-log-std", "not-an-object"]
+    ids=["no-mean-net", "no-log-std", "no-activations", "bad-shape", "unknown-activation", "bad-log-std", "not-an-object"]
     + [f"{key}-{entry}" for key in ("weights", "biases", "log_std") for entry in NON_FINITE],
 )
 def test_checkpoint_missing_a_key_or_off_its_shape_is_a_one_line_error(tmp_path, capsys, checkpoint, message):

@@ -502,15 +502,18 @@ class TestQmetricsReport:
         b = qmetrics_report(["VQC-1A"], n_samples=300, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("names", [["VQC-1N"], ["NN-4", "NN-8"]], ids=["quantum", "classical-only"])
     @pytest.mark.parametrize(
         "n_samples, seed, message",
         [(100, -1, "^seed must be non-negative"), (100, True, "^seed must be an integer"),
-         (100, 1.5, "^seed must be an integer"), (100.0, 0, "^n_samples must be an integer")],
+         (100, 1.5, "^seed must be an integer"), (100.0, 0, "^n_samples must be an integer"),
+         (105, 0, "^n_samples must be a multiple of 10 and at least 100")],
     )
-    def test_a_seed_or_sample_count_that_is_no_integer_in_range_is_rejected(self, n_samples, seed, message):
-        # numpy's ValueError, a silent seed 1 written as "seed": True, or a bare TypeError before
+    def test_a_seed_or_sample_count_that_is_no_integer_in_range_is_rejected(self, n_samples, seed, message, names):
+        # numpy's ValueError, a silent seed 1 written as "seed": True, or a bare TypeError before; a report of
+        # classical names alone samples nothing, and took any seed or count
         with pytest.raises(ContractViolation, match=message):
-            qmetrics_report(["VQC-1N"], n_samples, seed)
+            qmetrics_report(names, n_samples, seed)
 
     def test_every_name_is_parsed_before_any_circuit_is_sampled(self, monkeypatch):
         import fanetq.experiments as experiments

@@ -1,12 +1,13 @@
 """Dense nets, policy head, Adam: exact gradients against finite differences."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fanetq import nets
-from fanetq.errors import ConfigError, ContractViolation, TrainingError
+from fanetq.errors import ConfigError, ContractViolation, TrainingError, read_json
 from fanetq.nets import CHECKPOINT_VERSION, Adam, DenseNet, GaussianPolicyHead, views
 
 from tests.oracles import grad_views, sample_action
@@ -189,6 +190,19 @@ class TestDenseNetForward:
         d = net.to_dict()
         recount = sum(len(w) for w in d["weights"]) + sum(len(b) for b in d["biases"])
         assert net.flat.size == recount == 7 * 5 + 5 + 5 * 2 + 2
+
+    def test_an_unknown_activation_is_refused_at_construction(self):
+        net = DenseNet.create([3, 4, 1], ["tanh", "identity"], np.random.default_rng(3))
+        with pytest.raises(ContractViolation, match="unknown activation 'relu'"):
+            DenseNet(net.weights, net.biases, ["relu", "identity"])
+
+    def test_a_checkpoint_with_an_unknown_activation_fails_on_load(self, tmp_path):
+        # it used to load, and fail only on its first forward pass
+        d = read_json(COMMITTED_ACTORS[0])
+        d["mean_net"]["activations"][0] = "relu"
+        (tmp_path / "actor.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="^dense net: unknown activation 'relu'"):
+            GaussianPolicyHead.load(tmp_path / "actor.json")
 
     def test_checkpoint_roundtrip(self):
         rng = np.random.default_rng(2)

@@ -409,6 +409,12 @@ class TestVqcForward:
         feats = rng.uniform(-1, 1, 12)
         assert np.array_equal(vqc_forward(spec, feats), vqc_forward(clone, feats))
 
+    def test_a_numpy_integer_layer_count_exports_as_json(self):
+        spec = VqcSpec(n_layers=np.int64(2))
+        assert type(spec.n_layers) is int
+        clone = VqcSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone.n_layers == 2 and np.array_equal(clone.theta, spec.theta) and np.array_equal(clone.xi, spec.xi)
+
     def test_export_names_four_qubits_and_rejects_any_other_count(self):
         d = VqcSpec(n_layers=1).to_dict()
         assert d["n_qubits"] == 4
