@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, json_fields, read_json
+from .errors import ConfigError, ContractViolation, config_errors, json_fields, read_json
 from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, pack
 from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
@@ -37,6 +37,15 @@ class _Critic:
     """What both kinds share: ``value`` by way of the kind's ``value_cached``, and the weight counts."""
 
     quantum_weights = 0
+
+    @staticmethod
+    def _check_blocks(pre: DenseNet, core_in: int, core_out: int, post: DenseNet) -> None:
+        """ContractViolation unless pre -> core -> post chain and post ends in one output."""
+        if (pre.out_dim, core_out, post.out_dim) != (core_in, post.in_dim, 1):
+            raise ContractViolation(
+                f"blocks do not chain: pre ends in {pre.out_dim}, core maps {core_in} -> {core_out}, "
+                f"post maps {post.in_dim} -> {post.out_dim} where it must end in 1"
+            )
 
     def value(self, global_obs: np.ndarray) -> np.ndarray:
         return self.value_cached(global_obs)[0]
@@ -56,6 +65,7 @@ class ClassicalCritic(_Critic):
     kind = "classical"
 
     def __init__(self, pre: DenseNet, core: DenseNet, post: DenseNet):
+        self._check_blocks(pre, core.in_dim, core.out_dim, post)
         self.pre = pre
         self.core = core
         self.post = post
@@ -98,7 +108,8 @@ class ClassicalCritic(_Critic):
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalCritic":
         check_checkpoint_version(d)
-        return cls(*(DenseNet.from_dict(net) for net in json_fields(d, "pre", "core", "post")))
+        with config_errors("critic checkpoint"):
+            return cls(*(DenseNet.from_dict(net) for net in json_fields(d, "pre", "core", "post")))
 
 
 class QuantumCritic(_Critic):
@@ -113,8 +124,7 @@ class QuantumCritic(_Critic):
     kind = "quantum"
 
     def __init__(self, pre: DenseNet, spec: VqcSpec, post: DenseNet, spsa: SpsaState):
-        if pre.out_dim != spec.n_features:
-            raise ContractViolation("pre block output must match the circuit feature count")
+        self._check_blocks(pre, spec.n_features, N_QUBITS, post)
         self.pre = pre
         self.spec = spec
         self.post = post
@@ -222,7 +232,10 @@ class QuantumCritic(_Critic):
             raise ConfigError(f"checkpoint spsa_k must be a non-negative integer, got {spsa_k!r}")
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
         spsa.k = spsa_k
-        return cls(DenseNet.from_dict(pre), VqcSpec.from_dict(circuit), DenseNet.from_dict(post), spsa)
+        with config_errors("checkpoint circuit"):
+            spec = VqcSpec.from_dict(circuit)
+        with config_errors("critic checkpoint"):
+            return cls(DenseNet.from_dict(pre), spec, DenseNet.from_dict(post), spsa)
 
 
 def save_critic(critic, path: str | Path) -> None:

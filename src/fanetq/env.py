@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, check_seeds, json_fields, read_json
+from .errors import ConfigError, ContractViolation, check_seeds, is_finite_number, json_fields, read_json
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
@@ -58,8 +58,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("comm_range", "world_side", "v_max"):
             value = getattr(self, name)
-            # an exact comparison, where math.isfinite would overflow on an int beyond the float range
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= float(_FLOAT.max):
+            if not is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_aircraft < 1 or self.n_ground < 1:
             raise ConfigError("need at least one aircraft and one ground station")

@@ -2,9 +2,12 @@
 
 import json
 import numbers
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class ConfigError(ValueError):
@@ -35,6 +38,12 @@ def check_int(value, name: str, low: int | None) -> None:
         raise ContractViolation(f"{name} must be {'positive' if low else 'non-negative'}")
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, of magnitude at most the largest float; an exact comparison,
+    where math.isfinite would overflow on an integer beyond the float range."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
 def check_seeds(seed) -> tuple[list, bool]:
     """The seeds of ``seed``, one seed or a non-empty sequence of them, each checked by check_int(s, "seed", 0), and
     whether ``seed`` was one seed."""
@@ -46,6 +55,15 @@ def check_seeds(seed) -> tuple[list, bool]:
     for s in seeds or [seed]:  # an empty sequence is checked as a seed itself, and is no integer
         check_int(s, "seed", 0)
     return seeds, single
+
+
+@contextmanager
+def config_errors(what: str):
+    """Turn a ContractViolation raised inside the block into a ConfigError prefixed with ``what``."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def read_json(path) -> object:

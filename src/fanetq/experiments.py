@@ -23,7 +23,7 @@ import numpy as np
 
 from .critics import SolutionId, build_critic, save_critic
 from .env import ScenarioConfig, open_loop_rewards, run_episodes
-from .errors import CalibrationError, ConfigError, ContractViolation, check_int
+from .errors import CalibrationError, ConfigError, ContractViolation, check_int, is_finite_number
 from .mappo import Trainer, TrainerConfig
 from .qmetrics import check_sampling, entanglement_capability, expressibility, sample_states
 from .qsim import VqcSpec
@@ -113,9 +113,9 @@ def calibrate(
     closer to the target; raises CalibrationError with the sweep attached when that CR is outside the
     tolerance, which is also where an unreachable target ends, and ConfigError when the high end overflows.
     """
-    if not (target_cr > 0 and math.isfinite(target_cr)):
+    if not (is_finite_number(target_cr) and target_cr > 0):
         raise ContractViolation(f"target CR must be positive and finite, got {target_cr}")
-    if not (tolerance > 0 and math.isfinite(tolerance)):
+    if not (is_finite_number(tolerance) and tolerance > 0):
         raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     # each coordinate gap starts within world_side and grows by at most 2 v_max a step
     low, high = 0.0, math.sqrt(2) * (base_cfg.world_side + 2 * base_cfg.v_max * base_cfg.horizon)
@@ -285,7 +285,7 @@ def derive_metrics(records: list[RunRecord], cr_rand: float) -> dict:
 
 def ema_smooth(series: np.ndarray, factor: float) -> np.ndarray:
     """Exponential moving average; factor 0 returns the raw series."""
-    if not 0.0 <= factor < 1.0:
+    if not (is_finite_number(factor) and 0.0 <= factor < 1.0):
         raise ContractViolation("EMA factor must be in [0, 1)")
     out = np.empty_like(np.asarray(series, dtype=float))
     acc = None

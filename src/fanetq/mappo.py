@@ -11,14 +11,13 @@ classical, the SPSA rule inside the quantum critic for circuit weights).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world, run_episodes, step_episodes
-from .errors import ContractViolation, TrainingError, check_int, check_seeds
+from .errors import ContractViolation, TrainingError, check_int, check_seeds, is_finite_number
 from .nets import Adam, GaussianPolicyHead
 
 ACTOR_HIDDEN = (64, 64)
@@ -45,7 +44,7 @@ class TrainerConfig:
             check_int(getattr(self, name), name, 1)
         for name in ("gamma", "gae_lambda", "clip_eps", "entropy_coeff", "kl_coeff", "lr"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ContractViolation(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ContractViolation("clip_eps must be in (0, 1)")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, json_fields, json_floats, read_json
+from .errors import ConfigError, ContractViolation, TrainingError, config_errors, json_fields, json_floats, read_json
 
 CHECKPOINT_VERSION = 1
 
@@ -186,10 +186,8 @@ class DenseNet:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dense net weights do not fit their shapes {shapes}: {exc}") from exc
-        try:
+        with config_errors("dense net"):
             return cls(weights, biases, activations)
-        except ContractViolation as exc:
-            raise ConfigError(f"dense net: {exc}") from exc
 
 
 class GaussianPolicyHead:
@@ -272,7 +270,8 @@ class GaussianPolicyHead:
     def from_dict(cls, d: dict) -> "GaussianPolicyHead":
         check_checkpoint_version(d)
         mean_net, log_std = json_fields(d, "mean_net", "log_std")
-        return cls(DenseNet.from_dict(mean_net), json_floats(log_std, "checkpoint log_std"))
+        with config_errors("checkpoint log_std"):
+            return cls(DenseNet.from_dict(mean_net), json_floats(log_std, "checkpoint log_std"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()))

@@ -9,6 +9,7 @@ is the most significant bit of the amplitude index.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,40 +38,34 @@ def rz_matrix(lam: float) -> np.ndarray:
 
 def zero_state(n_qubits: int, batch: int | None = None) -> np.ndarray:
     """|0...0> as a (2^n,) vector, or a (batch, 2^n) stack of copies."""
-    dim = 2**n_qubits
-    if batch is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-        return state
-    state = np.zeros((batch, dim), dtype=complex)
+    state = np.zeros((1 if batch is None else batch, 2**n_qubits), dtype=complex)
     state[:, 0] = 1.0
-    return state
+    return state[0] if batch is None else state
 
 
-def _as_batch(state: np.ndarray) -> tuple[np.ndarray, bool]:
-    if state.ndim == 1:
-        return state[None, :], True
-    return state, False
+def _on_qubits(state: np.ndarray, qubits: tuple[int, ...], op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply ``op`` to a (2^n,) or (batch, 2^n) state viewed with the named qubits as one last axis.
 
-
-def _n_qubits_of(state: np.ndarray) -> int:
-    n = int(np.log2(state.shape[-1]))
-    if 2**n != state.shape[-1]:
-        raise ContractViolation(f"amplitude axis of length {state.shape[-1]} is not a power of two")
-    return n
+    That axis has 2^k entries, the first-named qubit most significant; the
+    batch (1 for a single state) and the other qubits sit in front.  ``op``
+    returns a new array of the view's shape.  ContractViolation unless the
+    amplitude axis is a power of two >= 2 and the qubits are distinct and in range.
+    """
+    dim, k = state.shape[-1], len(qubits)
+    n = dim.bit_length() - 1
+    if dim < 2 or dim != 2**n:
+        raise ContractViolation(f"amplitude axis of length {dim} is not a power of two >= 2")
+    if len(set(qubits)) < k or not all(isinstance(q, numbers.Integral) and 0 <= q < n for q in qubits):
+        raise ContractViolation(f"qubits {qubits} must be distinct and in range for {n} qubits")
+    axes, last = [1 + q for q in qubits], range(n + 1 - k, n + 1)
+    s = np.moveaxis(state.reshape((-1,) + (2,) * n), axes, last)
+    s = op(s.reshape(s.shape[:-k] + (2**k,)))
+    return np.moveaxis(s.reshape(s.shape[:-1] + (2,) * k), last, axes).reshape(state.shape)
 
 
 def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 unitary to one qubit of a (batch, 2^n) or (2^n,) state."""
-    batched, squeeze = _as_batch(state)
-    n = _n_qubits_of(batched)
-    if not 0 <= qubit < n:
-        raise ContractViolation(f"qubit {qubit} out of range for {n} qubits")
-    s = batched.reshape((-1,) + (2,) * n)
-    s = np.moveaxis(s, 1 + qubit, -1)
-    s = s @ matrix.T
-    s = np.moveaxis(s, -1, 1 + qubit).reshape(batched.shape)
-    return s[0] if squeeze else s
+    return _on_qubits(state, (qubit,), lambda s: s @ matrix.T)
 
 
 def apply_diag_1q(state: np.ndarray, phases: np.ndarray, qubit: int) -> np.ndarray:
@@ -79,49 +74,20 @@ def apply_diag_1q(state: np.ndarray, phases: np.ndarray, qubit: int) -> np.ndarr
     ``phases`` has shape (2,) for a shared gate or (batch, 2) for per-sample
     angles; the diagonal structure is what makes batched encoding cheap.
     """
-    batched, squeeze = _as_batch(state)
-    n = _n_qubits_of(batched)
-    s = batched.reshape((-1,) + (2,) * n)
-    shape = [1] * (n + 1)
-    shape[1 + qubit] = 2
-    if phases.ndim == 2:
-        shape[0] = phases.shape[0]
-    s = s * phases.reshape(shape)
-    s = s.reshape(batched.shape)
-    return s[0] if squeeze else s
+    return _on_qubits(state, (qubit,), lambda s: s * phases.reshape((-1,) + (1,) * (s.ndim - 2) + (2,)))
 
 
 def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    if control == target:
-        raise ContractViolation("CNOT control and target must differ")
-    batched, squeeze = _as_batch(state)
-    n = _n_qubits_of(batched)
-    s = batched.reshape((-1,) + (2,) * n).copy()
-    idx0 = [slice(None)] * (n + 1)
-    idx1 = [slice(None)] * (n + 1)
-    idx0[1 + control] = 1
-    idx1[1 + control] = 1
-    idx0[1 + target] = 0
-    idx1[1 + target] = 1
-    tmp = s[tuple(idx0)].copy()
-    s[tuple(idx0)] = s[tuple(idx1)]
-    s[tuple(idx1)] = tmp
-    s = s.reshape(batched.shape)
-    return s[0] if squeeze else s
+    return _on_qubits(state, (control, target), lambda s: s[..., [0, 1, 3, 2]])
 
 
 def apply_cphase(state: np.ndarray, lam: float, control: int, target: int) -> np.ndarray:
-    if control == target:
-        raise ContractViolation("CPHASE control and target must differ")
-    batched, squeeze = _as_batch(state)
-    n = _n_qubits_of(batched)
-    s = batched.reshape((-1,) + (2,) * n).copy()
-    idx = [slice(None)] * (n + 1)
-    idx[1 + control] = 1
-    idx[1 + target] = 1
-    s[tuple(idx)] = s[tuple(idx)] * np.exp(1j * lam)
-    s = s.reshape(batched.shape)
-    return s[0] if squeeze else s
+    def phase(s: np.ndarray) -> np.ndarray:
+        s = s.copy()
+        s[..., 3] = s[..., 3] * np.exp(1j * lam)  # out of place: an in-place product rounds differently
+        return s
+
+    return _on_qubits(state, (control, target), phase)
 
 
 def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: float | None = None) -> np.ndarray:
@@ -174,7 +140,7 @@ class VqcSpec:
     def __post_init__(self):
         check_int(self.n_layers, "n_layers", 1)
         self.n_layers = int(self.n_layers)  # a numpy integer would not export to JSON
-        if self.scaling_fn not in SCALING_FNS:
+        if not isinstance(self.scaling_fn, str) or self.scaling_fn not in SCALING_FNS:
             raise ContractViolation(f"unknown scaling_fn {self.scaling_fn!r}")
         if self.theta is None:
             self.theta = np.zeros(PARAMS_PER_ROTATION_LAYER * self.n_layers)

@@ -22,9 +22,9 @@ from fanetq.critics import (
     save_critic,
     tuned_post_hidden,
 )
-from fanetq.errors import ConfigError
+from fanetq.errors import ConfigError, ContractViolation
 from fanetq.nets import DenseNet, GaussianPolicyHead
-from fanetq.qsim import VqcSpec, vqc_forward
+from fanetq.qsim import SpsaState, VqcSpec, vqc_forward
 
 from tests.oracles import grad_views
 from tests.test_nets import finite_difference_check
@@ -361,6 +361,12 @@ class TestCheckpointChecks:
             ("xi", [1.0, 1.0, 1.0, True], "xi is not a list of numbers"),
             ("xi", [1.0, math.nan, 1.0, 1.0], "xi holds a NaN or infinite number"),
             ("xi", [1.0, 1.0, math.inf, 1.0], "xi holds a NaN or infinite number"),
+            ("theta", [0.0] * 11, "^checkpoint circuit: theta must have 12 entries"),
+            ("xi", [1.0] * 3, "^checkpoint circuit: xi must have 4 entries"),
+            ("scaling_fn", "tanh", "^checkpoint circuit: unknown scaling_fn 'tanh'"),
+            ("scaling_fn", ["arctan"], r"^checkpoint circuit: unknown scaling_fn \['arctan'\]"),
+            ("L", 0, "^checkpoint circuit: n_layers must be positive"),
+            ("L", 2, "^checkpoint circuit: theta must have 24 entries"),
         ],
     )
     def test_malformed_circuit_is_a_config_error(self, tmp_path, key, value, message):
@@ -369,6 +375,33 @@ class TestCheckpointChecks:
         (tmp_path / "c.json").write_text(json.dumps(d))
         with pytest.raises(ConfigError, match=message):
             load_critic(tmp_path / "c.json")
+
+    @pytest.mark.parametrize(
+        "kind, part, sizes",
+        [
+            ("classical", "post", [4, 3]),
+            ("classical", "core", [5, 4]),
+            ("classical", "pre", [16, 3]),
+            ("quantum", "post", [4, 2]),
+            ("quantum", "post", [3, 1]),
+            ("quantum", "pre", [16, 5]),
+        ],
+    )
+    def test_blocks_that_do_not_chain_fail_on_load(self, tmp_path, kind, part, sizes):
+        # before the check, a post with several outputs loaded and value returned output 0
+        d = self.critic_dicts()[kind == "quantum"]
+        d[part] = DenseNet.create(sizes, ["identity"], np.random.default_rng(31)).to_dict()
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="^critic checkpoint: blocks do not chain"):
+            load_critic(tmp_path / "c.json")
+
+    def test_blocks_that_do_not_chain_are_refused_at_construction(self):
+        rng = np.random.default_rng(32)
+        with pytest.raises(ContractViolation, match="post maps 4 -> 3 where it must end in 1"):
+            ClassicalCritic(*(DenseNet.create(sizes, ["tanh"], rng) for sizes in ([16, 4], [4, 4], [4, 3])))
+        with pytest.raises(ContractViolation, match="core maps 4 -> 4"):
+            pre, post = DenseNet.create([16, 4], ["tanh"], rng), DenseNet.create([4, 2], ["identity"], rng)
+            QuantumCritic(pre, VqcSpec(1), post, SpsaState(a=0.1))
 
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
     def test_committed_checkpoints_load(self, solution):

@@ -107,6 +107,19 @@ class TestCalibration:
             calibrate(base, target_cr=60.0, tolerance=2.0, episodes=5)
         assert "comm_range" not in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["target CR", "tolerance"])
+    @pytest.mark.parametrize("value", [pytest.param(10**400, id="10**400"), "60", None, True])
+    def test_a_target_or_tolerance_that_is_no_positive_finite_number_is_refused(self, monkeypatch, name, value):
+        import fanetq.experiments as experiments
+
+        def no_measurement(*args, **kwargs):
+            raise AssertionError("calibrate measured a comm_range before checking its input")
+
+        monkeypatch.setattr(experiments, "random_baseline_cr", no_measurement)
+        kw = {"target_cr": 60.0, "tolerance": 2.0, "target_cr" if name == "target CR" else "tolerance": value}
+        with pytest.raises(ContractViolation, match=f"^{name} must be positive and finite, got "):
+            calibrate(load_scenario("4a1s"), **kw)
+
     def test_calibrates_to_loose_target(self):
         base = ScenarioConfig(n_aircraft=4, n_ground=1, comm_range=0.3)
         cfg, sweep = calibrate(
@@ -443,6 +456,11 @@ class TestEmaAndExport:
     def test_ema_validates_factor(self):
         with pytest.raises(ContractViolation):
             ema_smooth(np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("factor", ["0.5", None, [0.5], np.array([0.5])], ids=["str", "None", "list", "array"])
+    def test_an_ema_factor_that_is_no_number_in_range_is_refused(self, factor):
+        with pytest.raises(ContractViolation, match=r"^EMA factor must be in \[0, 1\)$"):
+            ema_smooth(np.ones(3), factor)
 
     def test_export_csv_schema_and_se(self, tmp_path):
         recs = [synthetic_record("NN-4", s, [10.0 * (s + 1), 20.0 * (s + 1)]) for s in range(3)]

@@ -67,7 +67,20 @@ class TestTrainerConfig:
             TrainerConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["gamma", "gae_lambda", "clip_eps", "entropy_coeff", "kl_coeff", "lr"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.1", None, True])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            "0.1",
+            None,
+            True,
+            # integers beyond the float range, which math.isfinite cannot convert
+            pytest.param(10**400, id="10**400"),
+            pytest.param(-(10**400), id="-10**400"),
+        ],
+    )
     def test_rates_must_be_finite_numbers(self, name, value):
         with pytest.raises(ContractViolation, match=name):
             TrainerConfig(**{name: value})

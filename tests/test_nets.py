@@ -399,6 +399,14 @@ class TestGaussianHead:
         with pytest.raises(ConfigError, match="version"):
             GaussianPolicyHead.from_dict(d)
 
+    @pytest.mark.parametrize("cut", [slice(None, -1), slice(None, 0)], ids=["one-short", "empty"])
+    def test_a_log_std_that_does_not_fit_the_actions_fails_on_load(self, tmp_path, cut):
+        d = GaussianPolicyHead.create(3, 2, (4,), np.random.default_rng(18)).to_dict()
+        d["log_std"] = d["log_std"][cut]
+        (tmp_path / "actor.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="^checkpoint log_std: log_std must match the action dimension"):
+            GaussianPolicyHead.load(tmp_path / "actor.json")
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):

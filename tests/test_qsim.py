@@ -238,6 +238,42 @@ class TestGates:
         with pytest.raises(ContractViolation):
             apply_cphase(zero_state(2), 0.3, 0, 0)
 
+    GATE_CALLS = {
+        "1q": lambda state, qubits: apply_1q(state, H_MATRIX, *qubits),
+        "diag_1q": lambda state, qubits: apply_diag_1q(state, np.array([1.0, -1.0], dtype=complex), *qubits),
+        "cnot": lambda state, qubits: apply_cnot(state, *qubits),
+        "cphase": lambda state, qubits: apply_cphase(state, 0.3, *qubits),
+    }
+
+    @pytest.mark.parametrize("batch", [None, 2], ids=["single", "batch"])
+    @pytest.mark.parametrize(
+        "gate, qubits",
+        [
+            ("1q", (3,)),
+            ("1q", (-1,)),
+            ("diag_1q", (3,)),
+            ("diag_1q", (-1,)),
+            ("cnot", (0, 5)),
+            ("cnot", (-1, 0)),
+            ("cnot", (2, 2)),
+            ("cphase", (0, 3)),
+            ("cphase", (1, -2)),
+            ("cphase", (1, 1)),
+        ],
+    )
+    def test_a_qubit_out_of_range_negative_or_repeated_is_refused(self, gate, qubits, batch):
+        state = zero_state(3, batch)
+        with pytest.raises(ContractViolation, match="must be distinct and in range for 3 qubits"):
+            self.GATE_CALLS[gate](state, qubits)
+
+    @pytest.mark.parametrize("gate", sorted(GATE_CALLS))
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_an_amplitude_axis_that_is_no_power_of_two_of_at_least_two_is_refused(self, gate, dim):
+        qubits = (0,) if gate in ("1q", "diag_1q") else (0, 1)
+        for state in (np.ones(dim, dtype=complex), np.ones((2, dim), dtype=complex)):
+            with pytest.raises(ContractViolation, match=f"length {dim} is not a power of two >= 2"):
+                self.GATE_CALLS[gate](state, qubits)
+
     def test_norm_preserved_long_circuit(self):
         rng = np.random.default_rng(1)
         state = zero_state(4)
@@ -433,6 +469,13 @@ class TestVqcForward:
             VqcSpec(n_layers=1, scaling_fn="sigmoid")
         with pytest.raises(ContractViolation):
             VqcSpec(n_layers=1, theta=np.zeros(13))
+
+    @pytest.mark.parametrize(
+        "scaling_fn", [["identity"], {"arctan": 1}, np.array(["identity"])], ids=["list", "dict", "array"]
+    )
+    def test_a_scaling_fn_that_is_no_string_is_refused(self, scaling_fn):
+        with pytest.raises(ContractViolation, match="^unknown scaling_fn"):
+            VqcSpec(n_layers=1, scaling_fn=scaling_fn)
 
 
 class TestSpsa:
