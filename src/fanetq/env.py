@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, check_seeds, is_finite_number, json_fields, read_json
+from .errors import ConfigError, ContractViolation, check_int, check_seeds, is_finite_number, json_fields, read_json
 
 ACTION_CLAMP_LOW = 1e-6
 ACTION_CLAMP_HIGH = 1.0 - 1e-6
@@ -406,6 +406,7 @@ def step_episodes(
     before step t to the (..., n_aircraft, action_dim) joint actions.
     Returns the final world, its observations and the (..., steps) rewards.
     """
+    check_int(steps, "steps", 0)
     obs = observe_all(world, cfg)
     rewards = np.empty(world.vel.shape[:-2] + (steps,))
     for s in range(steps):

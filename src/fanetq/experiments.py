@@ -200,11 +200,13 @@ def run_training(
     """One RunRecord per seed; curves appended to disk as they grow, then the actor and critic checkpoints.
 
     The critic is built before anything is written, so a solution the
-    scenario does not define, like a bad seed or step count, leaves no files behind.
+    scenario does not define, like a bad or repeated seed or step count, leaves no files behind.
     """
     SolutionId.parse(solution)
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         check_int(seed, "seed", 0)
+        if seed in seeds[:i]:  # its second run would overwrite the first one's files
+            raise ContractViolation(f"seed must be listed once, got {seed} more than once")
     check_int(total_steps, "total_steps", None)
     if total_steps < 1:
         raise ContractViolation(f"total_steps must be positive, got {total_steps}")

@@ -125,7 +125,9 @@ def collect_rollout(
     its lk table carries on; then the whole episodes in blocks of up to EPISODE_BLOCK, then one cut tail.  Every
     field equals that of stepping one episode at a time.  A cut tail bootstraps with the critic value of its next
     observation and is returned as the next world; otherwise None is.  Each field is allocated once for the whole
-    rollout and every block writes its rows into it, in run order; ``global_obs`` is a view of ``obs``.
+    rollout and every block writes its rows into it, in run order; ``global_obs`` is a view of ``obs``.  The critic
+    values each block in groups of max(1, minibatch_size // k) episodes of k steps, so no critic pass of a rollout
+    covers more rows than a minibatch does (or than one episode, where that is longer).
     """
     if steps < 1:
         raise ContractViolation("steps must be positive")
@@ -160,7 +162,8 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg, out: dict) -> Wo
 
     The rows are episode-major.  Obs, means and actions are written through the policy, step by step; the log
     probs, rewards, values, advantages and returns after GAE.  The action noise comes in one episode-major draw,
-    the same stream as one draw per step.
+    the same stream as one draw per step.  The values come from one stacked critic pass per group of
+    max(1, cfg.minibatch_size // k) episodes, each equal to one pass per episode.
     """
     b, t0 = world.vel.shape[0], world.t
     noise = rng.standard_normal((b, k, scenario.n_aircraft, scenario.action_dim))
@@ -173,7 +176,10 @@ def _rollout_block(world, k, scenario, actor, critic, rng, cfg, out: dict) -> Wo
         return actions[:, t - t0]
 
     world, last_obs, rewards = step_episodes(world, k, scenario, policy)
-    values = critic.value(obs.reshape(b, k, -1))  # one stacked pass, equal to one pass per episode
+    global_obs, values = obs.reshape(b, k, -1), np.empty((b, k))
+    group = max(1, cfg.minibatch_size // k)
+    for lo in range(0, b, group):  # each stacked pass equals one pass per episode
+        values[lo : lo + group] = critic.value(global_obs[lo : lo + group])
     bootstrap = 0.0 if world.t == scenario.horizon else critic.value(last_obs.reshape(b, -1))
     advantages, returns = gae(rewards, values, bootstrap, cfg.gamma, cfg.gae_lambda)
     out["log_prob_old"][...] = actor.log_prob_of(actions - mu).reshape(b * k, -1)

@@ -91,6 +91,11 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - purities.mean(axis=1))
 
 
+def _check_batches(batches) -> None:
+    if len(batches) == 0:  # np.concatenate's own error names no metric
+        raise ContractViolation("need at least one batch of states")
+
+
 def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
     """Mean Meyer-Wallach measure over a sampled state ensemble.
 
@@ -98,6 +103,7 @@ def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
     states; the reported spread is the standard deviation of the per-batch
     means, each over its batch's slice of the pooled values.
     """
+    _check_batches(batches)
     values = meyer_wallach_batch(np.concatenate(batches))
     per_batch = np.split(values, np.cumsum([len(states) for states in batches[:-1]]))
     return MetricEstimate(mean=float(values.mean()), std=float(np.std([q.mean() for q in per_batch])))
@@ -120,6 +126,7 @@ def fidelity_histogram(states: np.ndarray, n_bins: int) -> np.ndarray:
     Rows go in chunks of ``GRAM_ROWS``; each chunk is multiplied only by the
     columns from its own first row on, and only its i < j entries are binned.
     """
+    check_int(n_bins, "n_bins", 1)
     counts = np.zeros(n_bins, dtype=np.int64)
     n = states.shape[0]
     conj_t = states.conj().T
@@ -151,6 +158,7 @@ def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> Met
     """
     if n_bins < 10:
         raise ContractViolation("need at least 10 bins")
+    _check_batches(batches)
     haar = haar_bin_probabilities(n_bins)
     batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
     total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, check_int, json_fields, json_floats
+from .errors import ConfigError, ContractViolation, TrainingError, check_int, is_finite_number, json_fields, json_floats
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -65,6 +65,8 @@ def _on_qubits(state: np.ndarray, qubits: tuple[int, ...], op: Callable[[np.ndar
 
 def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 unitary to one qubit of a (batch, 2^n) or (2^n,) state."""
+    if np.shape(matrix) != (2, 2):
+        raise ContractViolation(f"a one-qubit gate needs a 2x2 matrix, got shape {np.shape(matrix)}")
     return _on_qubits(state, (qubit,), lambda s: s @ matrix.T)
 
 
@@ -74,6 +76,8 @@ def apply_diag_1q(state: np.ndarray, phases: np.ndarray, qubit: int) -> np.ndarr
     ``phases`` has shape (2,) for a shared gate or (batch, 2) for per-sample
     angles; the diagonal structure is what makes batched encoding cheap.
     """
+    if np.shape(phases) not in ((2,), state.shape[:-1] + (2,)):
+        raise ContractViolation(f"phases of shape {np.shape(phases)} do not fit a state of shape {state.shape}")
     return _on_qubits(state, (qubit,), lambda s: s * phases.reshape((-1,) + (1,) * (s.ndim - 2) + (2,)))
 
 
@@ -90,9 +94,26 @@ def apply_cphase(state: np.ndarray, lam: float, control: int, target: int) -> np
     return _on_qubits(state, (control, target), phase)
 
 
+# the target count of each named gate, and whether it takes an angle
+_GATE_SIGNATURES = {
+    "H": (1, False), "RX": (1, True), "RY": (1, True), "RZ": (1, True), "CNOT": (2, False), "CPHASE": (2, True)
+}
+
+
 def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: float | None = None) -> np.ndarray:
-    """Named-gate dispatcher for {H, RX, RY, RZ, CNOT, CPHASE}."""
+    """Named-gate dispatcher for {H, RX, RY, RZ, CNOT, CPHASE}.
+
+    ContractViolation unless the gate is one of these, ``targets`` is a tuple or list of one qubit (two for CNOT
+    and CPHASE), and RX, RY, RZ and CPHASE get a finite real ``param``.
+    """
+    if not isinstance(gate, str) or gate.upper() not in _GATE_SIGNATURES:
+        raise ContractViolation(f"unknown gate {gate!r}")
     gate = gate.upper()
+    n_targets, takes_param = _GATE_SIGNATURES[gate]
+    if not isinstance(targets, (tuple, list)) or len(targets) != n_targets:
+        raise ContractViolation(f"{gate} takes {n_targets} target qubit(s), got {targets!r}")
+    if takes_param and not is_finite_number(param):  # NaN and inf are no finite numbers either
+        raise ContractViolation(f"{gate} needs a finite real param, got {param!r}")
     if gate == "H":
         return apply_1q(state, H_MATRIX, targets[0])
     if gate == "RX":
@@ -103,9 +124,7 @@ def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: fl
         return apply_1q(state, rz_matrix(param), targets[0])
     if gate == "CNOT":
         return apply_cnot(state, targets[0], targets[1])
-    if gate == "CPHASE":
-        return apply_cphase(state, param, targets[0], targets[1])
-    raise ContractViolation(f"unknown gate {gate!r}")
+    return apply_cphase(state, param, targets[0], targets[1])
 
 
 # ---------------------------------------------------------------------------

@@ -981,6 +981,14 @@ class TestStackWorlds:
             stack_worlds([stepped, WorldState(t=1, vel=stepped.vel, n_aircraft=4, anchor=(1, stepped.pos))])
 
 
+@pytest.mark.parametrize("steps, message", [(-1, "^steps must be non-negative$"), (2.0, "^steps must be an integer")])
+def test_step_episodes_refuses_a_step_count_that_is_no_non_negative_integer(steps, message):
+    # -1 was numpy's bare "negative dimensions are not allowed"
+    cfg = cfg_4a1s()
+    with pytest.raises(ContractViolation, match=message):
+        step_episodes(init_world(cfg, 0), steps, cfg, lambda obs, t: np.full((4, 4), 0.5))
+
+
 def test_batched_proposals_must_match_the_batch():
     cfg = cfg_4a1s()
     world = stacked_world(cfg, [0, 1, 2])

@@ -283,9 +283,10 @@ class TestRunRecords:
         assert not any(tmp_path.iterdir())
         assert len(run_training("NN-4", "4a1s", [0], eval_interval, tmp_path, trainer_cfg=tcfg)[0].curve) == 1
 
-    @pytest.mark.parametrize("seeds", [[True], [1.5], [-1], [0, "1"]])
+    @pytest.mark.parametrize("seeds", [[True], [1.5], [-1], [0, "1"], [0, 0], [3, 1, 2, 1]])
     def test_a_seed_that_is_no_integer_in_range_is_rejected_before_any_file(self, tmp_path, seeds):
-        # a bool seed would train as seed 1 under the name seedTrue
+        # a bool seed would train as seed 1 under the name seedTrue; [0, 0] trained seed 0 twice, and the second
+        # run overwrote the first one's curve and checkpoints
         with pytest.raises(ContractViolation, match="^seed must be"):
             run_training("NN-4", "4a1s", seeds, 1000, tmp_path)
         assert not any(tmp_path.iterdir())

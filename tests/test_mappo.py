@@ -541,12 +541,14 @@ def test_a_trainer_builds_each_lk_table_at_its_episode_start(monkeypatch):
     assert built == [0] * 16
 
 
-def test_a_training_cycle_holds_its_rollout_once():
+@pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
+def test_a_training_cycle_holds_its_rollout_once(solution):
     # minibatches gather their own rows, blocks write into the batch and a batch is gone before the next rollout:
     # the traced peak was 3.8 batches with per-epoch shuffled copies, per-block concatenation and the finished
-    # batch alive through the next rollout, and 2.9 with the batch alone kept alive
+    # batch alive through the next rollout, and 2.9 with the batch alone kept alive; VQC-1A's was 2.6 while the
+    # critic valued a whole rollout block in one circuit pass, and 1.9 in minibatch-sized episode groups
     cfg = cfg_4a1s()
-    critic = build_critic("NN-4", "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
+    critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
     trainer = Trainer(cfg, critic, seed=0)
     batch, _ = collect_rollout(
         None, cfg, trainer.actor, critic, trainer.cfg.rollout_steps, np.random.default_rng(1), 0, 0, trainer.cfg
@@ -565,6 +567,48 @@ def test_a_training_cycle_holds_its_rollout_once():
         if not tracing:
             tracemalloc.stop()
     assert peak <= 2.25 * batch_bytes, f"traced peak {peak / batch_bytes:.2f} rollout batches"
+
+
+@pytest.mark.parametrize("rollout_steps, cycles", [(2000, 1), (777, 2)])
+@pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
+def test_no_critic_pass_of_a_training_cycle_covers_more_rows_than_a_minibatch(
+    solution, rollout_steps, cycles, monkeypatch
+):
+    # a rollout valued each 40-episode block in one pass of 2000 rows; 777 steps carry a cut episode into the
+    # second cycle and end in a cut tail
+    import fanetq.critics as critics
+
+    cfg = cfg_4a1s()
+    critic = build_critic(solution, "4a1s", cfg.global_obs_dim, np.random.default_rng(0))
+    rows = []
+
+    def counted(inner):
+        def spy(*args):
+            rows.append(int(np.prod(args[-1].shape[:-1])))
+            return inner(*args)
+
+        return spy
+
+    monkeypatch.setattr(type(critic), "value_cached", counted(type(critic).value_cached))
+    if critic.kind == "quantum":
+        monkeypatch.setattr(critics, "vqc_forward", counted(critics.vqc_forward))
+    trainer = Trainer(cfg, critic, TrainerConfig(rollout_steps=rollout_steps), seed=0)
+    trainer.train(cycles * rollout_steps)
+    assert rows and max(rows) <= trainer.cfg.minibatch_size, max(rows)
+
+
+def test_a_rollout_values_each_episode_as_one_critic_pass_does():
+    # a 40-episode block in minibatch-sized groups, then a cut tail: each episode's values equal one
+    # critic.value call on its rows alone, bit for bit
+    cfg = cfg_4a1s()
+    rng = np.random.default_rng(6)
+    actor = GaussianPolicyHead.create(cfg.obs_dim, cfg.action_dim, (8,), rng)
+    critic = build_critic("VQC-1A", "4a1s", cfg.global_obs_dim, rng)
+    batch, world = collect_rollout(None, cfg, actor, critic, 40 * cfg.horizon + 30, rng, 0, 0, TrainerConfig())
+    assert world.t == 30
+    bounds = list(range(0, 40 * cfg.horizon + 1, cfg.horizon)) + [batch.n_steps]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert np.array_equal(batch.values[lo:hi], critic.value(batch.global_obs[lo:hi])), (lo, hi)
 
 
 class TestRollout:

@@ -255,6 +255,12 @@ class TestExpressibility:
             sample_states(VqcSpec(n_layers=1), n_samples=10, seed=0)
         with pytest.raises(ContractViolation):
             expressibility(sample_states(VqcSpec(n_layers=1), n_samples=500, seed=0), n_bins=5)
+        # each was a bare numpy ValueError: an empty concatenate, a bincount of negative length
+        for metric in (entanglement_capability, expressibility):
+            with pytest.raises(ContractViolation, match="^need at least one batch of states$"):
+                metric([])
+        with pytest.raises(ContractViolation, match="^n_bins must be positive$"):
+            fidelity_histogram(idle_batches(20)[0], 0)
 
 
 class TestSamplerProperties:

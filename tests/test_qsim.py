@@ -266,6 +266,44 @@ class TestGates:
         with pytest.raises(ContractViolation, match="must be distinct and in range for 3 qubits"):
             self.GATE_CALLS[gate](state, qubits)
 
+    @pytest.mark.parametrize(
+        "gate, targets, param, message",
+        [
+            ("RX", (0,), None, "RX needs a finite real param, got None"),  # was a bare TypeError
+            ("RY", (1,), float("nan"), "RY needs a finite real param, got nan"),
+            ("RZ", (0,), float("inf"), "RZ needs a finite real param, got inf"),
+            ("CPHASE", (0, 1), 1j, r"CPHASE needs a finite real param, got 1j"),
+            ("CPHASE", (0, 1), True, "CPHASE needs a finite real param, got True"),
+            ("CNOT", (0,), None, r"CNOT takes 2 target qubit\(s\), got \(0,\)"),  # was an IndexError
+            ("CPHASE", (0, 1, 2), 0.3, r"CPHASE takes 2 target qubit\(s\)"),
+            ("H", (0, 1), None, r"H takes 1 target qubit\(s\)"),
+            ("RX", (), 0.3, r"RX takes 1 target qubit\(s\)"),
+            ("RY", 0, 0.3, r"RY takes 1 target qubit\(s\), got 0"),
+            ("SWAP", (0, 1), None, "unknown gate 'SWAP'"),
+            (None, (0,), None, "unknown gate None"),
+        ],
+        ids=["rx-none", "ry-nan", "rz-inf", "cphase-complex", "cphase-bool", "cnot-one-target", "cphase-three-targets",
+             "h-two-targets", "rx-no-target", "ry-int-target", "unknown-name", "no-name"],
+    )
+    def test_apply_gate_refuses_a_bad_param_or_target_count(self, gate, targets, param, message):
+        with pytest.raises(ContractViolation, match=f"^{message}"):
+            apply_gate(zero_state(2), gate, targets, param)
+
+    @pytest.mark.parametrize(
+        "apply, operand, batch",
+        [
+            (apply_1q, np.eye(4), None),  # each was a bare ValueError from a matmul, a broadcast or a reshape
+            (apply_1q, np.ones(2), 2),
+            (apply_diag_1q, np.ones((3, 2)), 2),
+            (apply_diag_1q, np.ones((2, 2)), None),
+            (apply_diag_1q, np.ones(4), 2),
+        ],
+        ids=["1q-4x4", "1q-vector", "diag-batch-mismatch", "diag-batch-on-single", "diag-four-phases"],
+    )
+    def test_a_gate_operand_of_the_wrong_shape_is_refused(self, apply, operand, batch):
+        with pytest.raises(ContractViolation, match="2x2 matrix, got shape|do not fit a state of shape"):
+            apply(zero_state(2, batch), operand, 0)
+
     @pytest.mark.parametrize("gate", sorted(GATE_CALLS))
     @pytest.mark.parametrize("dim", [1, 6])
     def test_an_amplitude_axis_that_is_no_power_of_two_of_at_least_two_is_refused(self, gate, dim):
