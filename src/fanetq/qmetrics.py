@@ -12,6 +12,7 @@ arctan-scaled single-layer circuits land on their reference values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -76,24 +77,58 @@ def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[n
     return np.split(vqc_state(eval_spec, feats, thetas), N_BATCHES)
 
 
+@cache
+def _qubit_pairs(n: int) -> np.ndarray:
+    """(2, 2^(n-1), n) basis indices: [0, j, k] reads 0 on qubit k, [1, j, k] is the same index with qubit k at 1,
+    and j runs over the other qubits' values in ascending order.  Qubit 0 is the most significant bit."""
+    index, bits = np.arange(2**n), 1 << np.arange(n - 1, -1, -1)
+    zero = np.stack([index[index & bit == 0] for bit in bits], axis=1)
+    pairs = np.stack((zero, zero | bits))
+    pairs.flags.writeable = False  # every call shares the cached table
+    return pairs
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ..., one leading slice at a time, so each entry rounds as it would on its own."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
-    """Vectorized Meyer-Wallach measure over a (batch, 2^n) stack, n >= 1."""
+    """Vectorized Meyer-Wallach measure 2 (1 - mean_k Tr rho_k^2) over a (batch, 2^n) stack, n >= 1.
+
+    Each qubit's purity is taken in closed form, Tr rho_k^2 = p0^2 + p1^2 + 2 |c|^2, with p0 and p1 the
+    probabilities that qubit k reads 0 and 1 and c = sum psi_{..0..} conj(psi_{..1..}) over the amplitude pairs
+    that differ in qubit k alone.  Products are real and sums go term by term, so a row's value does not depend
+    on the rows that share the call.
+    """
     states = np.asarray(states, dtype=complex)
-    batch, width = states.shape if states.ndim == 2 else (0, 0)
+    width = states.shape[1] if states.ndim == 2 else 0
     if width < 2 or width & (width - 1):
         raise ContractViolation(f"states must be a (batch, 2^n) stack with n >= 1, got shape {states.shape}")
     n = width.bit_length() - 1
-    purities = np.empty((batch, n))
-    for k in range(n):
-        psi = states.reshape(batch, 2**k, 2, 2 ** (n - k - 1))
-        rho = np.einsum("nial,nibl->nab", psi, psi.conj())
-        purities[:, k] = np.einsum("nab,nba->n", rho, rho).real
-    return 2.0 * (1.0 - purities.mean(axis=1))
+    pairs = _qubit_pairs(n)
+    real, imag = (np.ascontiguousarray(part.T) for part in (states.real, states.imag))  # (2^n, batch)
+    (re0, re1), (im0, im1) = np.take(real, pairs, axis=0), np.take(imag, pairs, axis=0)  # (2^(n-1), n, batch) each
+    # per pair: |psi_0|^2, |psi_1|^2, Re and Im of psi_0 conj(psi_1), stacked as (2^(n-1), 4, n, batch)
+    terms = np.stack((re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, im0 * re1 - re0 * im1), 1)
+    p0, p1, c_re, c_im = _sum_in_order(terms)
+    purities = p0 * p0 + p1 * p1 + 2.0 * (c_re * c_re + c_im * c_im)  # (n, batch)
+    return 2.0 * (1.0 - _sum_in_order(purities) / n)
 
 
-def _check_batches(batches) -> None:
+def _check_batches(batches, min_rows: int) -> None:
+    """ContractViolation unless ``batches`` holds at least one (rows, width) stack, all of one width and each of at
+    least ``min_rows`` rows."""
     if len(batches) == 0:  # np.concatenate's own error names no metric
         raise ContractViolation("need at least one batch of states")
+    shapes = [np.shape(states) for states in batches]
+    if any(len(shape) != 2 or shape[0] < min_rows for shape in shapes) or len({shape[1] for shape in shapes}) > 1:
+        raise ContractViolation(
+            f"batches must be (rows, width) stacks of one width with rows >= {min_rows}, got shapes {shapes}"
+        )
 
 
 def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
@@ -103,7 +138,7 @@ def entanglement_capability(batches: list[np.ndarray]) -> MetricEstimate:
     states; the reported spread is the standard deviation of the per-batch
     means, each over its batch's slice of the pooled values.
     """
-    _check_batches(batches)
+    _check_batches(batches, 1)
     values = meyer_wallach_batch(np.concatenate(batches))
     per_batch = np.split(values, np.cumsum([len(states) for states in batches[:-1]]))
     return MetricEstimate(mean=float(values.mean()), std=float(np.std([q.mean() for q in per_batch])))
@@ -127,6 +162,8 @@ def fidelity_histogram(states: np.ndarray, n_bins: int) -> np.ndarray:
     columns from its own first row on, and only its i < j entries are binned.
     """
     check_int(n_bins, "n_bins", 1)
+    if np.ndim(states) != 2:
+        raise ContractViolation(f"states must be a (batch, dim) stack, got shape {np.shape(states)}")
     counts = np.zeros(n_bins, dtype=np.int64)
     n = states.shape[0]
     conj_t = states.conj().T
@@ -156,9 +193,10 @@ def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> Met
     of them for n states).  The mean uses every pair; the spread is the
     standard deviation over per-batch estimates.
     """
+    check_int(n_bins, "n_bins", None)
     if n_bins < 10:
         raise ContractViolation("need at least 10 bins")
-    _check_batches(batches)
+    _check_batches(batches, 2)
     haar = haar_bin_probabilities(n_bins)
     batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
     total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)

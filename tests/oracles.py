@@ -15,7 +15,6 @@ from fanetq.env import ScenarioConfig, WorldState
 from fanetq.errors import ContractViolation
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
 from fanetq.nets import GaussianPolicyHead, views
-from fanetq.qmetrics import meyer_wallach_batch
 from fanetq.qsim import N_QUBITS, SpsaState, spsa_gradient
 
 
@@ -36,8 +35,26 @@ def spsa_minimize(
 
 
 def meyer_wallach(state: np.ndarray) -> float:
-    """Global entanglement Q = 2 (1 - mean_k Tr rho_k^2) of one pure state."""
-    return float(meyer_wallach_batch(np.asarray(state, dtype=complex)[None, :])[0])
+    """Global entanglement Q = 2 (1 - mean_k Tr rho_k^2) of one pure state, from explicit 2x2 partial traces.
+
+    Each reduced density matrix is summed entry by entry over the amplitude index with qubit k's bit woven in
+    (qubit 0 the most significant bit), then squared as a matrix.
+    """
+    state = np.asarray(state, dtype=complex)
+    n = state.size.bit_length() - 1
+    purities = []
+    for k in range(n):
+        rho = np.zeros((2, 2), dtype=complex)
+        for a in (0, 1):
+            for b in (0, 1):
+                for rest in range(2 ** (n - 1)):
+                    hi = rest >> (n - 1 - k)
+                    lo = rest & ((1 << (n - 1 - k)) - 1)
+                    ia = (hi << (n - k)) | (a << (n - 1 - k)) | lo
+                    ib = (hi << (n - k)) | (b << (n - 1 - k)) | lo
+                    rho[a, b] += state[ia] * np.conj(state[ib])
+        purities.append(float(np.real(np.trace(rho @ rho))))
+    return 2.0 * (1.0 - np.mean(purities))
 
 
 def haar_fidelity_pdf(fidelity: np.ndarray | float, dim: int = 2**N_QUBITS) -> np.ndarray | float:

@@ -22,27 +22,6 @@ from fanetq.qsim import VqcSpec, apply_1q, ry_matrix, rz_matrix, zero_state
 from tests.oracles import haar_fidelity_pdf, meyer_wallach
 
 
-def brute_force_meyer_wallach(state):
-    """Explicit 2x2 partial traces via amplitude index grouping."""
-    n = int(np.log2(state.size))
-    purities = []
-    for k in range(n):
-        rho = np.zeros((2, 2), dtype=complex)
-        for a in (0, 1):
-            for b in (0, 1):
-                acc = 0.0 + 0.0j
-                for rest in range(2 ** (n - 1)):
-                    # weave bit value into position k of the index
-                    hi = rest >> (n - 1 - k)
-                    lo = rest & ((1 << (n - 1 - k)) - 1)
-                    ia = (hi << (n - k)) | (a << (n - 1 - k)) | lo
-                    ib = (hi << (n - k)) | (b << (n - 1 - k)) | lo
-                    acc += state[ia] * np.conj(state[ib])
-                rho[a, b] = acc
-        purities.append(float(np.real(np.trace(rho @ rho))))
-    return 2.0 * (1.0 - np.mean(purities))
-
-
 def per_row_fidelity_histogram(states, n_bins):
     """Reference binning: one upper-triangle row of the Gram matrix at a time."""
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -80,6 +59,12 @@ def two_pass_reference(spec, n_samples, seed, n_bins=DEFAULT_BINS):
     return ent, expr
 
 
+def random_states(rng, rows, width):
+    """``rows`` normalized complex states of ``width`` amplitudes with Gaussian entries."""
+    states = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
 class TestMeyerWallach:
     def test_product_state_zero(self):
         state = np.zeros(16, dtype=complex)
@@ -96,12 +81,13 @@ class TestMeyerWallach:
         ghz[0] = ghz[15] = 1 / np.sqrt(2)
         assert meyer_wallach(ghz) == pytest.approx(1.0, abs=1e-10)
 
-    def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            state /= np.linalg.norm(state)
-            assert meyer_wallach(state) == pytest.approx(brute_force_meyer_wallach(state), abs=1e-10)
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_oracle(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        states = random_states(rng, 25, 2**n_qubits)
+        batch = meyer_wallach_batch(states)
+        for i in range(len(states)):
+            assert batch[i] == pytest.approx(meyer_wallach(states[i]), abs=1e-12)
 
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(1)
@@ -114,13 +100,15 @@ class TestMeyerWallach:
                 rotated = apply_1q(rotated, ry_matrix(rng.uniform(-np.pi, np.pi)), q)
             assert meyer_wallach(rotated) == pytest.approx(meyer_wallach(state), abs=1e-8)
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(2)
-        states = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        batch = meyer_wallach_batch(states)
-        for i in range(8):
-            assert batch[i] == pytest.approx(meyer_wallach(states[i]), abs=1e-12)
+    @pytest.mark.parametrize("size", [1, 3, 7, 50])
+    def test_each_row_of_a_pooled_call_equals_the_call_on_its_own_slice(self, size):
+        rng = np.random.default_rng(size)
+        for n_qubits in (1, 4, 5):
+            states = random_states(rng, 121, 2**n_qubits)
+            pooled = meyer_wallach_batch(states)
+            for offset in (0, 1, 3, 9, 17, 71):
+                rows = slice(offset, offset + size)
+                assert np.array_equal(meyer_wallach_batch(states[rows]), pooled[rows])
 
     @pytest.mark.parametrize("shape", [(16,), (3, 12), (3, 1), (2, 4, 4), ()])
     def test_batch_rejects_anything_but_a_stack_of_qubit_states(self, shape):
@@ -237,10 +225,7 @@ class TestExpressibility:
         assert vals["arctan"] > vals["identity"]
 
     def test_fidelity_histogram_counts_all_pairs(self):
-        rng = np.random.default_rng(3)
-        states = rng.standard_normal((40, 16)) + 1j * rng.standard_normal((40, 16))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        counts = fidelity_histogram(states, 10)
+        counts = fidelity_histogram(random_states(np.random.default_rng(3), 40, 16), 10)
         assert counts.sum() == 40 * 39 // 2
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 511, 512, 513, 1300])
@@ -261,6 +246,42 @@ class TestExpressibility:
                 metric([])
         with pytest.raises(ContractViolation, match="^n_bins must be positive$"):
             fidelity_histogram(idle_batches(20)[0], 0)
+
+
+class TestIllShapedInput:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: fidelity_histogram(np.ones(16), 10), r"\(batch, dim\) stack, got shape \(16,\)"),
+            (lambda: fidelity_histogram(np.ones((2, 4, 4)), 10), r"\(batch, dim\) stack, got shape \(2, 4, 4\)"),
+            (lambda: expressibility(idle_batches(20), n_bins=None), "^n_bins must be an integer, got None$"),
+            (lambda: expressibility(idle_batches(20), n_bins=12.0), "^n_bins must be an integer, got 12.0$"),
+            (lambda: expressibility(idle_batches(10)), "rows >= 2"),
+            (lambda: expressibility([*idle_batches(20), np.ones((1, 16))]), "rows >= 2"),
+            (lambda: expressibility([np.ones((2, 16)), np.ones((2, 8))]), "of one width"),
+            (lambda: entanglement_capability([np.ones((0, 16))]), "rows >= 1"),
+            (lambda: entanglement_capability([np.ones((2, 16)), np.ones((0, 16))]), "rows >= 1"),
+            (lambda: entanglement_capability([np.ones((2, 16)), np.ones((2, 8))]), "of one width"),
+            (lambda: entanglement_capability([np.ones(16)]), r"\(rows, width\) stacks"),
+        ],
+        ids=[
+            "histogram-1d",
+            "histogram-3d",
+            "n_bins-None",
+            "n_bins-float",
+            "one-state-batches",
+            "one-one-state-batch",
+            "expr-mixed-widths",
+            "ent-empty-batch",
+            "ent-one-empty-batch",
+            "ent-mixed-widths",
+            "ent-1d-batch",
+        ],
+    )
+    def test_is_refused(self, call, message):
+        # each was a bare IndexError, ValueError or TypeError, or a NaN spread with a RuntimeWarning
+        with pytest.raises(ContractViolation, match=message):
+            call()
 
 
 class TestSamplerProperties:
@@ -320,3 +341,19 @@ class TestOneEnsemble:
                 assert (row["ent_mean"], row["ent_std"]) == (round(ent, 6), round(ent_sd, 6))
                 assert (row["expr_mean"], row["expr_std"]) == (round(expr, 8), round(expr_sd, 8))
                 assert (row["n_samples"], row["seed"]) == (n_samples, seed)
+
+
+REPORT_500_SEED0 = [  # (circuit_id, L, scaling_fn, ent_mean, ent_std, expr_mean, expr_std)
+    ("VQC-1N", 1, "identity", 0.855661, 0.014573, 0.0001711, 0.00316069),
+    ("VQC-1A", 1, "arctan", 0.806709, 0.017072, 0.00144251, 0.00531108),
+    ("VQC-2N", 2, "identity", 0.817953, 0.010552, 0.00020513, 0.00382478),
+    ("VQC-2A", 2, "arctan", 0.817088, 0.009865, 0.00017206, 0.00315331),
+    ("VQC-3N", 3, "identity", 0.820137, 0.011018, 0.00023682, 0.00223125),
+    ("VQC-3A", 3, "arctan", 0.826706, 0.01448, 0.00016388, 0.003645),
+]
+
+
+def test_report_keeps_its_rows():
+    rows = qmetrics_report([row[0] for row in REPORT_500_SEED0], 500, 0)
+    keys = ("circuit_id", "L", "scaling_fn", "ent_mean", "ent_std", "expr_mean", "expr_std", "n_samples", "seed")
+    assert [tuple(row[k] for k in keys) for row in rows] == [(*row, 500, 0) for row in REPORT_500_SEED0]
