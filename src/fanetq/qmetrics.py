@@ -88,21 +88,13 @@ def _qubit_pairs(n: int) -> np.ndarray:
     return pairs
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ..., one leading slice at a time, so each entry rounds as it would on its own."""
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
 def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     """Vectorized Meyer-Wallach measure 2 (1 - mean_k Tr rho_k^2) over a (batch, 2^n) stack, n >= 1.
 
     Each qubit's purity is taken in closed form, Tr rho_k^2 = p0^2 + p1^2 + 2 |c|^2, with p0 and p1 the
     probabilities that qubit k reads 0 and 1 and c = sum psi_{..0..} conj(psi_{..1..}) over the amplitude pairs
-    that differ in qubit k alone.  Products are real and sums go term by term, so a row's value does not depend
-    on the rows that share the call.
+    that differ in qubit k alone.  Products are real and every sum runs over a leading axis, which numpy adds one
+    whole slice at a time, so a row's value does not depend on the rows that share the call.
     """
     states = np.asarray(states, dtype=complex)
     width = states.shape[1] if states.ndim == 2 else 0
@@ -114,9 +106,9 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     (re0, re1), (im0, im1) = np.take(real, pairs, axis=0), np.take(imag, pairs, axis=0)  # (2^(n-1), n, batch) each
     # per pair: |psi_0|^2, |psi_1|^2, Re and Im of psi_0 conj(psi_1), stacked as (2^(n-1), 4, n, batch)
     terms = np.stack((re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, im0 * re1 - re0 * im1), 1)
-    p0, p1, c_re, c_im = _sum_in_order(terms)
+    p0, p1, c_re, c_im = terms.sum(axis=0)
     purities = p0 * p0 + p1 * p1 + 2.0 * (c_re * c_re + c_im * c_im)  # (n, batch)
-    return 2.0 * (1.0 - _sum_in_order(purities) / n)
+    return 2.0 * (1.0 - purities.mean(axis=0))
 
 
 def _check_batches(batches, min_rows: int) -> None:

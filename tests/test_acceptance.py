@@ -21,10 +21,10 @@ from fanetq.experiments import (
 )
 from fanetq.mappo import TrainerConfig, gae
 from fanetq.nets import DenseNet, GaussianPolicyHead
-from fanetq.qmetrics import entanglement_capability, expressibility, sample_states
+from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach_batch, sample_states
 from fanetq.qsim import SpsaState, VqcSpec, spsa_gradient, vqc_forward, vqc_state
 
-from tests.oracles import grad_views, meyer_wallach, spsa_minimize
+from tests.oracles import grad_views, spsa_minimize
 from tests.test_nets import finite_difference_check
 from tests.test_qsim import dense_vqc_state
 
@@ -83,7 +83,7 @@ def test_criterion_3_analytic_entanglement_oracles():
     bell[0] = bell[3] = 1 / np.sqrt(2)
     ghz = np.zeros(16, dtype=complex)
     ghz[0] = ghz[15] = 1 / np.sqrt(2)
-    vals = (meyer_wallach(product), meyer_wallach(bell), meyer_wallach(ghz))
+    vals = tuple(meyer_wallach_batch(state[None])[0] for state in (product, bell, ghz))
     ok = abs(vals[0]) < 1e-10 and abs(vals[1] - 1) < 1e-10 and abs(vals[2] - 1) < 1e-10
     report(3, "Meyer-Wallach oracles", ok, f"product={vals[0]:.2e} bell={vals[1]:.12f} ghz4={vals[2]:.12f}")
     assert abs(vals[0]) < 1e-10

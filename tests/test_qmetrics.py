@@ -69,17 +69,17 @@ class TestMeyerWallach:
     def test_product_state_zero(self):
         state = np.zeros(16, dtype=complex)
         state[0b0101] = 1.0
-        assert meyer_wallach(state) == pytest.approx(0.0, abs=1e-12)
+        assert meyer_wallach_batch(state[None])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state_one(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
-        assert meyer_wallach(bell) == pytest.approx(1.0, abs=1e-10)
+        assert meyer_wallach_batch(bell[None])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_ghz4_one(self):
         ghz = np.zeros(16, dtype=complex)
         ghz[0] = ghz[15] = 1 / np.sqrt(2)
-        assert meyer_wallach(ghz) == pytest.approx(1.0, abs=1e-10)
+        assert meyer_wallach_batch(ghz[None])[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
     def test_matches_brute_force_oracle(self, n_qubits):
@@ -91,14 +91,13 @@ class TestMeyerWallach:
 
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            state /= np.linalg.norm(state)
-            rotated = state
+        states = random_states(rng, 100, 16)
+        rotated = states.copy()
+        for i in range(len(rotated)):
             for q in range(4):
-                rotated = apply_1q(rotated, rz_matrix(rng.uniform(-np.pi, np.pi)), q)
-                rotated = apply_1q(rotated, ry_matrix(rng.uniform(-np.pi, np.pi)), q)
-            assert meyer_wallach(rotated) == pytest.approx(meyer_wallach(state), abs=1e-8)
+                rotated[i] = apply_1q(rotated[i], rz_matrix(rng.uniform(-np.pi, np.pi)), q)
+                rotated[i] = apply_1q(rotated[i], ry_matrix(rng.uniform(-np.pi, np.pi)), q)
+        assert np.allclose(meyer_wallach_batch(rotated), meyer_wallach_batch(states), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("size", [1, 3, 7, 50])
     def test_each_row_of_a_pooled_call_equals_the_call_on_its_own_slice(self, size):
@@ -235,23 +234,15 @@ class TestExpressibility:
         for n_bins in (10, DEFAULT_BINS):
             assert np.array_equal(fidelity_histogram(states, n_bins), per_row_fidelity_histogram(states, n_bins))
 
-    def test_requires_minimums(self):
-        with pytest.raises(ContractViolation):
-            sample_states(VqcSpec(n_layers=1), n_samples=10, seed=0)
-        with pytest.raises(ContractViolation):
-            expressibility(sample_states(VqcSpec(n_layers=1), n_samples=500, seed=0), n_bins=5)
-        # each was a bare numpy ValueError: an empty concatenate, a bincount of negative length
-        for metric in (entanglement_capability, expressibility):
-            with pytest.raises(ContractViolation, match="^need at least one batch of states$"):
-                metric([])
-        with pytest.raises(ContractViolation, match="^n_bins must be positive$"):
-            fidelity_histogram(idle_batches(20)[0], 0)
 
-
-class TestIllShapedInput:
+class TestRefusedInput:
     @pytest.mark.parametrize(
         "call, message",
         [
+            (lambda: entanglement_capability([]), "^need at least one batch of states$"),
+            (lambda: expressibility([]), "^need at least one batch of states$"),
+            (lambda: expressibility(idle_batches(20), n_bins=5), "^need at least 10 bins$"),
+            (lambda: fidelity_histogram(idle_batches(20)[0], 0), "^n_bins must be positive$"),
             (lambda: fidelity_histogram(np.ones(16), 10), r"\(batch, dim\) stack, got shape \(16,\)"),
             (lambda: fidelity_histogram(np.ones((2, 4, 4)), 10), r"\(batch, dim\) stack, got shape \(2, 4, 4\)"),
             (lambda: expressibility(idle_batches(20), n_bins=None), "^n_bins must be an integer, got None$"),
@@ -265,6 +256,10 @@ class TestIllShapedInput:
             (lambda: entanglement_capability([np.ones(16)]), r"\(rows, width\) stacks"),
         ],
         ids=[
+            "ent-no-batches",
+            "expr-no-batches",
+            "too-few-bins",
+            "histogram-no-bins",
             "histogram-1d",
             "histogram-3d",
             "n_bins-None",
@@ -279,7 +274,7 @@ class TestIllShapedInput:
         ],
     )
     def test_is_refused(self, call, message):
-        # each was a bare IndexError, ValueError or TypeError, or a NaN spread with a RuntimeWarning
+        # a one-line refusal, never a bare numpy IndexError, ValueError or TypeError, or a NaN spread
         with pytest.raises(ContractViolation, match=message):
             call()
 
