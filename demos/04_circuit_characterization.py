@@ -6,7 +6,8 @@ scaling keeps the encoding angles spread over full periods (entanglement
 above the Haar average of ~0.823 at L=1); arctan squashes them (below).
 Each circuit's states are sampled once, in one circuit call over all its
 batches, and both metrics score that ensemble: Ent in one Meyer-Wallach call
-over the pooled states, Expr over the pooled pairs and each batch's pairs.
+over the pooled states, Expr in one sweep of real-arithmetic pair fidelities
+that bins each batch's pairs and the pooled pairs together.
 The time column covers the sample and both scores.
 """
 

@@ -147,26 +147,47 @@ def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:
     return tail[:-1] - tail[1:]
 
 
-def fidelity_histogram(states: np.ndarray, n_bins: int) -> np.ndarray:
-    """Counts of all-pairs fidelities |<psi_i|psi_j>|^2, i < j.
+def _binned(fid: np.ndarray, n_bins: int) -> np.ndarray:
+    """Counts of fidelities in [0, 1] over ``n_bins`` equal-width bins, with 1 itself in the top bin."""
+    fid *= n_bins
+    idx = fid.astype(int)
+    return np.bincount(np.minimum(idx, n_bins - 1, out=idx).ravel(), minlength=n_bins)
 
-    Rows go in chunks of ``GRAM_ROWS``; each chunk is multiplied only by the
-    columns from its own first row on, and only its i < j entries are binned.
+
+def fidelity_histogram(batches: list[np.ndarray], n_bins: int) -> np.ndarray:
+    """Counts of pair fidelities |<psi_i|psi_j>|^2, i < j, as a (len(batches) + 1, n_bins) int64 array.
+
+    Row b counts the pairs within batch b, and the last row every pair of the pooled states.  One sweep makes
+    them all: row chunks of at most ``GRAM_ROWS`` stay inside one batch, and each is multiplied only by the
+    columns from its own first row on.  A chunk's columns inside its batch (local column > local row) count
+    toward its batch's row, and those past its batch toward a cross-batch tally, which the pooled row adds
+    to the per-batch rows.  With A = [Re psi, Im psi], Re<i|j> = A_i . A_j and Im<i|j> = [-Im psi_i, Re psi_i] . A_j,
+    so each chunk takes two real products against one transposed copy of A and no square root.
     """
     check_int(n_bins, "n_bins", 1)
-    if np.ndim(states) != 2:
-        raise ContractViolation(f"states must be a (batch, dim) stack, got shape {np.shape(states)}")
-    counts = np.zeros(n_bins, dtype=np.int64)
-    n = states.shape[0]
-    conj_t = states.conj().T
-    upper = np.arange(n)[None, :] > np.arange(min(GRAM_ROWS, n))[:, None]  # local column > local row
-    for start in range(0, n, GRAM_ROWS):
-        block = states[start : start + GRAM_ROWS]
-        fid = np.abs((block @ conj_t[:, start:])[upper[: len(block), : n - start]])
-        fid *= fid
-        fid *= n_bins
-        idx = fid.astype(int)
-        counts += np.bincount(np.minimum(idx, n_bins - 1, out=idx), minlength=n_bins)
+    for states in batches:
+        if np.ndim(states) != 2:
+            raise ContractViolation(f"states must be a (batch, dim) stack, got shape {np.shape(states)}")
+    _check_batches(batches, 0)
+    states = np.concatenate(batches)
+    dim = states.shape[1]
+    a_t = np.concatenate((states.real.T, states.imag.T))  # (2 dim, n)
+    sizes = [len(s) for s in batches]
+    counts = np.zeros((len(batches) + 1, n_bins), dtype=np.int64)
+    upper = np.arange(max(sizes))[None, :] > np.arange(GRAM_ROWS)[:, None]  # local column > local row
+    bounds = np.cumsum([0, *sizes])
+    for b, (low, high) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for start in range(low, high, GRAM_ROWS):
+            rows, cols = a_t[:, start : min(start + GRAM_ROWS, high)], a_t[:, start:]
+            fid = rows.T @ cols  # Re<i|j>
+            fid *= fid
+            im = np.concatenate((-rows[dim:], rows[:dim])).T @ cols  # Im<i|j>
+            im *= im
+            fid += im
+            within = high - start
+            counts[b] += _binned(fid[:, :within][upper[: len(fid), :within]], n_bins)
+            counts[-1] += _binned(fid[:, within:], n_bins)
+    counts[-1] += counts[:-1].sum(axis=0)
     return counts
 
 
@@ -182,14 +203,16 @@ def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> Met
     """KL divergence between the fidelity distribution of an ensemble and Haar.
 
     Bins all unordered pair fidelities of the pooled states (n (n - 1) / 2
-    of them for n states).  The mean uses every pair; the spread is the
-    standard deviation over per-batch estimates.
+    of them for n states) and of each batch, in one fidelity_histogram call,
+    and scores them against the Haar distribution of the states' width.  The
+    mean uses every pair; the spread is the standard deviation over
+    per-batch estimates.
     """
     check_int(n_bins, "n_bins", None)
     if n_bins < 10:
         raise ContractViolation("need at least 10 bins")
     _check_batches(batches, 2)
-    haar = haar_bin_probabilities(n_bins)
-    batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
-    total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)
+    haar = haar_bin_probabilities(n_bins, np.shape(batches[0])[1])
+    *batch_counts, total_counts = fidelity_histogram(batches, n_bins)
+    batch_kls = [_kl_from_counts(counts, haar) for counts in batch_counts]
     return MetricEstimate(mean=_kl_from_counts(total_counts, haar), std=float(np.std(batch_kls)))

@@ -53,8 +53,8 @@ def two_pass_reference(spec, n_samples, seed, n_bins=DEFAULT_BINS):
     rng = np.random.default_rng(seed)
     haar = haar_bin_probabilities(n_bins)
     batches = [sampler(per_batch, rng) for _ in range(N_BATCHES)]
-    batch_kls = [_kl_from_counts(fidelity_histogram(s, n_bins), haar) for s in batches]
-    total_counts = fidelity_histogram(np.concatenate(batches, axis=0), n_bins)
+    batch_kls = [_kl_from_counts(fidelity_histogram([s], n_bins)[0], haar) for s in batches]
+    total_counts = fidelity_histogram([np.concatenate(batches, axis=0)], n_bins)[0]
     expr = (_kl_from_counts(total_counts, haar), float(np.std(batch_kls)))
     return ent, expr
 
@@ -193,10 +193,11 @@ class TestExpressibility:
         probs = haar_bin_probabilities(DEFAULT_BINS)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         edges = np.linspace(0, 1, DEFAULT_BINS + 1)
-        quad = [
-            np.trapezoid(haar_fidelity_pdf(np.linspace(a, b, 3000)), np.linspace(a, b, 3000))
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
+        quad = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            grid = np.linspace(a, b, 3000)
+            pdf = haar_fidelity_pdf(grid)
+            quad.append(np.sum((pdf[1:] + pdf[:-1]) * np.diff(grid)) / 2.0)  # trapezoid rule
         assert np.abs(probs[:10] - np.array(quad[:10])).max() < 1e-6
 
     def test_idle_circuit_large_kl(self):
@@ -223,16 +224,38 @@ class TestExpressibility:
             vals[scaling] = est.mean
         assert vals["arctan"] > vals["identity"]
 
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_haar_random_states_score_near_zero_at_their_own_width(self, width):
+        rng = np.random.default_rng(width)
+        est = expressibility(np.split(random_states(rng, 2000, width), N_BATCHES))
+        assert est.mean < 1e-3
+
     def test_fidelity_histogram_counts_all_pairs(self):
-        counts = fidelity_histogram(random_states(np.random.default_rng(3), 40, 16), 10)
-        assert counts.sum() == 40 * 39 // 2
+        counts = fidelity_histogram([random_states(np.random.default_rng(3), 40, 16)], 10)
+        assert counts.shape == (2, 10)
+        assert counts[0].sum() == counts[1].sum() == 40 * 39 // 2
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 511, 512, 513, 1300])
     def test_fidelity_histogram_matches_per_row_binning(self, n):
         rng = np.random.default_rng(n)
         states = circuit_state_sampler(VqcSpec(n_layers=1, scaling_fn="arctan"))(n, rng)
         for n_bins in (10, DEFAULT_BINS):
-            assert np.array_equal(fidelity_histogram(states, n_bins), per_row_fidelity_histogram(states, n_bins))
+            reference = per_row_fidelity_histogram(states, n_bins)
+            assert np.array_equal(fidelity_histogram([states], n_bins), [reference, reference])
+
+    @pytest.mark.parametrize("sizes", [[50] * 10, [130, 7, 300], [2, 1, 129]], ids=["10x50", "130-7-300", "2-1-129"])
+    @pytest.mark.parametrize("n_bins", [10, DEFAULT_BINS])
+    def test_fidelity_histogram_rows_match_per_row_binning_of_each_batch_and_the_pool(self, sizes, n_bins):
+        rng = np.random.default_rng(len(sizes))
+        states = circuit_state_sampler(VqcSpec(n_layers=1, scaling_fn="arctan"))(sum(sizes), rng)
+        batches = np.split(states, np.cumsum(sizes[:-1]))
+        counts = fidelity_histogram(batches, n_bins)
+        assert counts.shape == (len(sizes) + 1, n_bins) and counts.dtype == np.int64
+        for row, batch in zip(counts, batches):
+            assert np.array_equal(row, per_row_fidelity_histogram(batch, n_bins))
+            assert row.sum() == len(batch) * (len(batch) - 1) // 2
+        assert np.array_equal(counts[-1], per_row_fidelity_histogram(states, n_bins))
+        assert counts[-1].sum() == len(states) * (len(states) - 1) // 2
 
 
 class TestRefusedInput:
@@ -242,9 +265,11 @@ class TestRefusedInput:
             (lambda: entanglement_capability([]), "^need at least one batch of states$"),
             (lambda: expressibility([]), "^need at least one batch of states$"),
             (lambda: expressibility(idle_batches(20), n_bins=5), "^need at least 10 bins$"),
-            (lambda: fidelity_histogram(idle_batches(20)[0], 0), "^n_bins must be positive$"),
-            (lambda: fidelity_histogram(np.ones(16), 10), r"\(batch, dim\) stack, got shape \(16,\)"),
-            (lambda: fidelity_histogram(np.ones((2, 4, 4)), 10), r"\(batch, dim\) stack, got shape \(2, 4, 4\)"),
+            (lambda: fidelity_histogram(idle_batches(20), 0), "^n_bins must be positive$"),
+            (lambda: fidelity_histogram([np.ones(16)], 10), r"\(batch, dim\) stack, got shape \(16,\)"),
+            (lambda: fidelity_histogram([np.ones((2, 4, 4))], 10), r"\(batch, dim\) stack, got shape \(2, 4, 4\)"),
+            (lambda: fidelity_histogram([], 10), "^need at least one batch of states$"),
+            (lambda: fidelity_histogram([np.ones((2, 16)), np.ones((2, 8))], 10), "of one width"),
             (lambda: expressibility(idle_batches(20), n_bins=None), "^n_bins must be an integer, got None$"),
             (lambda: expressibility(idle_batches(20), n_bins=12.0), "^n_bins must be an integer, got 12.0$"),
             (lambda: expressibility(idle_batches(10)), "rows >= 2"),
@@ -262,6 +287,8 @@ class TestRefusedInput:
             "histogram-no-bins",
             "histogram-1d",
             "histogram-3d",
+            "histogram-no-batches",
+            "histogram-mixed-widths",
             "n_bins-None",
             "n_bins-float",
             "one-state-batches",
@@ -313,6 +340,15 @@ class TestOneEnsemble:
         entanglement_capability(batches)
         assert rows == [500]
 
+    def test_expressibility_makes_one_fidelity_histogram_call_per_ensemble(self, monkeypatch):
+        import fanetq.qmetrics as qmetrics
+
+        batches = sample_states(VqcSpec(n_layers=2, scaling_fn="arctan"), 500, 3)
+        calls, histogram = [], qmetrics.fidelity_histogram
+        monkeypatch.setattr(qmetrics, "fidelity_histogram", lambda b, n: calls.append(len(b)) or histogram(b, n))
+        expressibility(batches)
+        assert calls == [N_BATCHES]
+
     def test_sample_states_draws_equal_batches_from_one_stream(self):
         spec = VqcSpec(n_layers=2, scaling_fn="arctan")
         batches = sample_states(spec, 300, 7)
@@ -338,17 +374,25 @@ class TestOneEnsemble:
                 assert (row["n_samples"], row["seed"]) == (n_samples, seed)
 
 
-REPORT_500_SEED0 = [  # (circuit_id, L, scaling_fn, ent_mean, ent_std, expr_mean, expr_std)
-    ("VQC-1N", 1, "identity", 0.855661, 0.014573, 0.0001711, 0.00316069),
-    ("VQC-1A", 1, "arctan", 0.806709, 0.017072, 0.00144251, 0.00531108),
-    ("VQC-2N", 2, "identity", 0.817953, 0.010552, 0.00020513, 0.00382478),
-    ("VQC-2A", 2, "arctan", 0.817088, 0.009865, 0.00017206, 0.00315331),
-    ("VQC-3N", 3, "identity", 0.820137, 0.011018, 0.00023682, 0.00223125),
-    ("VQC-3A", 3, "arctan", 0.826706, 0.01448, 0.00016388, 0.003645),
-]
+REPORT_SEED0 = {  # n_samples -> (circuit_id, L, scaling_fn, ent_mean, ent_std, expr_mean, expr_std)
+    500: [
+        ("VQC-1N", 1, "identity", 0.855661, 0.014573, 0.0001711, 0.00316069),
+        ("VQC-1A", 1, "arctan", 0.806709, 0.017072, 0.00144251, 0.00531108),
+        ("VQC-2N", 2, "identity", 0.817953, 0.010552, 0.00020513, 0.00382478),
+        ("VQC-2A", 2, "arctan", 0.817088, 0.009865, 0.00017206, 0.00315331),
+        ("VQC-3N", 3, "identity", 0.820137, 0.011018, 0.00023682, 0.00223125),
+        ("VQC-3A", 3, "arctan", 0.826706, 0.01448, 0.00016388, 0.003645),
+    ],
+    5000: [  # 12.5M pairs per circuit: where a pair changing bins would most likely show
+        ("VQC-1N", 1, "identity", 0.859435, 0.002675, 1.346e-05, 3.199e-05),
+        ("VQC-1A", 1, "arctan", 0.804546, 0.00777, 0.00122041, 0.00050841),
+    ],
+}
 
 
-def test_report_keeps_its_rows():
-    rows = qmetrics_report([row[0] for row in REPORT_500_SEED0], 500, 0)
+@pytest.mark.parametrize("n_samples", sorted(REPORT_SEED0))
+def test_report_keeps_its_rows(n_samples):
+    expected = REPORT_SEED0[n_samples]
+    rows = qmetrics_report([row[0] for row in expected], n_samples, 0)
     keys = ("circuit_id", "L", "scaling_fn", "ent_mean", "ent_std", "expr_mean", "expr_std", "n_samples", "seed")
-    assert [tuple(row[k] for k in keys) for row in rows] == [(*row, 500, 0) for row in REPORT_500_SEED0]
+    assert [tuple(row[k] for k in keys) for row in rows] == [(*row, n_samples, 0) for row in expected]
