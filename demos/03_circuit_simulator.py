@@ -23,14 +23,14 @@ state = apply_gate(state, "H", (0,))
 state = apply_gate(state, "CNOT", (0, 1))
 print("Bell state amplitudes:", np.round(state, 4))
 
-# layered circuit: 4L pre-features in, four <Z> expectations out
+# layered circuit: 4L pre-features, scaled to input angles, in; four <Z> expectations out
 rng = np.random.default_rng(0)
 for L in (1, 2, 3):
     spec = VqcSpec(n_layers=L, scaling_fn="arctan",
                    theta=rng.uniform(-np.pi, np.pi, 12 * L),
                    xi=rng.uniform(0.5, 1.5, 4 * L))
     feats = rng.uniform(-1, 1, 4 * L)
-    z = vqc_forward(spec, feats)
+    z = vqc_forward(spec, spec.scaled_angles(feats))
     print(f"L={L}: {12*L} circuit weights, <Z> = {np.round(z, 4)}")
 
 print("\ncircuit description export:", json.dumps(VqcSpec(n_layers=1).to_dict())[:80], "...")

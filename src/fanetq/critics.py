@@ -161,8 +161,7 @@ class QuantumCritic(_Critic):
     def _run_circuit(self, angles: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """One batched evaluation of the circuit on explicit angles."""
         self.circuit_evaluations += 1
-        eval_spec = VqcSpec(n_layers=self.spec.n_layers, scaling_fn="identity", theta=theta)
-        return vqc_forward(eval_spec, angles)
+        return vqc_forward(self.spec, angles, theta)
 
     def value_cached(self, global_obs: np.ndarray):
         features, pre_cache = self.pre.forward_cached(global_obs)

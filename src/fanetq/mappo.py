@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EPISODE_BLOCK, ScenarioConfig, WorldState, init_world, run_episodes, step_episodes
-from .errors import ContractViolation, TrainingError, check_int, check_seeds, is_finite_number
+from .errors import ConfigError, ContractViolation, TrainingError, check_int, check_seeds, is_finite_number
 from .nets import Adam, GaussianPolicyHead
 
 ACTOR_HIDDEN = (64, 64)
@@ -254,8 +254,11 @@ def evaluate(actor: GaussianPolicyHead, cfg: ScenarioConfig, n_episodes: int, se
     episode is the sum over steps of connected-aircraft counts.  For a
     sequence of seeds, the episodes of all of them run as one block and
     the result is a list with one (mean, std) per seed, each equal to its
-    own call.
+    own call.  An actor whose sizes are not the scenario's is a ConfigError.
     """
+    if (sizes := (actor.mean_net.in_dim, actor.mean_net.out_dim)) != (cfg.obs_dim, cfg.action_dim):
+        raise ConfigError(f"the actor maps {sizes[0]} observations to {sizes[1]} actions, "
+                          f"the scenario has {cfg.obs_dim} and {cfg.action_dim}")
     check_int(n_episodes, "n_episodes", 1)
     seeds, single = check_seeds(seed)
     episode_seeds = [s + EVAL_SEED_STRIDE * ep for s in seeds for ep in range(n_episodes)]

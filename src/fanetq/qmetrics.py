@@ -2,10 +2,10 @@
 
 Both metrics characterize a circuit over random parameter draws: raw data
 inputs are sampled uniformly over a full angle period [0, 2pi), ansatz
-angles over [0, pi), input scalings are held at one, and the scaling
-function of the spec is applied to the sampled data inputs.  The estimates
-are therefore a property of the architecture alone, independent of any
-trained weights; the domains were calibrated so the identity- and
+angles over [0, pi), and the circuit's input angles are the spec's scaling
+function of the sampled data inputs, with no input scalings xi.  The
+estimates are therefore a property of the architecture alone, independent of
+any trained weights; the domains were calibrated so the identity- and
 arctan-scaled single-layer circuits land on their reference values.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolation, check_int
-from .qsim import N_QUBITS, VqcSpec, vqc_state
+from .qsim import N_QUBITS, SCALING_FNS, VqcSpec, vqc_state
 
 DATA_ANGLE_LOW, DATA_ANGLE_HIGH = 0.0, 2.0 * np.pi
 THETA_LOW, THETA_HIGH = 0.0, np.pi
@@ -35,20 +35,19 @@ class MetricEstimate:
     std: float
 
 
-def _parameter_draw(eval_spec: VqcSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Raw data inputs (n, 4L), then ansatz angles (n, 12L), drawn in that order from ``rng``."""
-    feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, eval_spec.n_features))
-    return feats, rng.uniform(THETA_LOW, THETA_HIGH, size=(n, eval_spec.theta.size))
+def _parameter_draw(spec: VqcSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The spec's scaling of raw data draws (n, 4L), then ansatz angles (n, 12L), drawn in that order from ``rng``."""
+    feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, spec.n_features))
+    return SCALING_FNS[spec.scaling_fn][0](feats), rng.uniform(THETA_LOW, THETA_HIGH, size=(n, spec.theta.size))
 
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
     """Sampler of output states for uniformly drawn data inputs and angles.
 
-    Every sample gets its own full parameter vector: raw data inputs of
-    shape (4L,) and ansatz angles of shape (12L,).
+    Every sample gets its own full parameter vector: input angles of shape
+    (4L,), scaled from a raw data draw, and ansatz angles of shape (12L,).
     """
-    eval_spec = VqcSpec(n_layers=spec.n_layers, scaling_fn=spec.scaling_fn)
-    return lambda n, rng: vqc_state(eval_spec, *_parameter_draw(eval_spec, n, rng))
+    return lambda n, rng: vqc_state(spec, *_parameter_draw(spec, n, rng))
 
 
 def check_sampling(n_samples, seed) -> None:
@@ -70,11 +69,10 @@ def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[n
     rows the batches are.  ``n_samples`` and ``seed`` must pass check_sampling.
     """
     check_sampling(n_samples, seed)
-    eval_spec = VqcSpec(n_layers=spec.n_layers, scaling_fn=spec.scaling_fn)
     rng = np.random.default_rng(seed)
-    draws = [_parameter_draw(eval_spec, n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
-    feats, thetas = (np.concatenate(parts) for parts in zip(*draws))
-    return np.split(vqc_state(eval_spec, feats, thetas), N_BATCHES)
+    draws = [_parameter_draw(spec, n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
+    angles, thetas = (np.concatenate(parts) for parts in zip(*draws))
+    return np.split(vqc_state(spec, angles, thetas), N_BATCHES)
 
 
 @cache
@@ -191,12 +189,12 @@ def fidelity_histogram(batches: list[np.ndarray], n_bins: int) -> np.ndarray:
     return counts
 
 
-def _kl_from_counts(counts: np.ndarray, haar: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts / total
+def _kl_from_counts(counts: np.ndarray, haar: np.ndarray) -> np.ndarray:
+    """KL(p || haar) per row of ``counts``; every sum runs along the last axis, so a row gets its own call's bits."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
     p = np.where(p == 0.0, EPS_EMPTY_BIN, p)
-    p = p / p.sum()
-    return float(np.sum(p * np.log(p / haar)))
+    p = p / p.sum(axis=-1, keepdims=True)
+    return np.sum(p * np.log(p / haar), axis=-1)
 
 
 def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> MetricEstimate:
@@ -204,15 +202,14 @@ def expressibility(batches: list[np.ndarray], n_bins: int = DEFAULT_BINS) -> Met
 
     Bins all unordered pair fidelities of the pooled states (n (n - 1) / 2
     of them for n states) and of each batch, in one fidelity_histogram call,
-    and scores them against the Haar distribution of the states' width.  The
-    mean uses every pair; the spread is the standard deviation over
-    per-batch estimates.
+    and scores every row of counts against the Haar distribution of the
+    states' width in one pass.  The mean uses every pair; the spread is the
+    standard deviation over per-batch estimates.
     """
     check_int(n_bins, "n_bins", None)
     if n_bins < 10:
         raise ContractViolation("need at least 10 bins")
     _check_batches(batches, 2)
     haar = haar_bin_probabilities(n_bins, np.shape(batches[0])[1])
-    *batch_counts, total_counts = fidelity_histogram(batches, n_bins)
-    batch_kls = [_kl_from_counts(counts, haar) for counts in batch_counts]
-    return MetricEstimate(mean=_kl_from_counts(total_counts, haar), std=float(np.std(batch_kls)))
+    *batch_kls, total_kl = _kl_from_counts(fidelity_histogram(batches, n_bins), haar)
+    return MetricEstimate(mean=float(total_kl), std=float(np.std(batch_kls)))

@@ -241,7 +241,7 @@ def z_expectations(state: np.ndarray) -> np.ndarray:
 def _encoding_phases(x: np.ndarray) -> np.ndarray:
     """exp(-i (sum_q x_q s_q + sum_{i<j} (pi - x_i)(pi - x_j) s_i s_j)) per basis state.
 
-    ``x`` holds one layer's scaled angles, shape (..., 4); returns (..., 16).
+    ``x`` holds one layer's input angles, shape (..., 4); returns (..., 16).
     """
     px = np.pi - x
     # np.take returns C-contiguous rows, so a (b, 1, 4) batch takes the same matmul loop as (1, 4)
@@ -274,8 +274,8 @@ def _rotation_matrix(theta_layer: np.ndarray) -> np.ndarray:
     )
 
 
-def vqc_state(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-    """Output statevector for raw pre-features of shape (4L,) or (batch, 4L).
+def vqc_state(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+    """Output statevector for input angles x of shape (4L,) or (batch, 4L), which enter the circuit as they are.
 
     ``theta`` defaults to ``spec.theta``.  It may be (12L,), shared across
     the batch, or (batch, 12L), one vector per sample.  Layer l maps
@@ -284,15 +284,12 @@ def vqc_state(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = No
     a layer's entangler and the next layer's encoding; that order is what
     reproduces the reference entanglement-capability values for L = 1..3.
     """
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != spec.n_features:
-        raise ContractViolation(
-            f"expected {spec.n_features} pre-features for L={spec.n_layers}, got {features.shape[-1]}"
-        )
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != spec.n_features:
+        raise ContractViolation(f"expected {spec.n_features} input angles for L={spec.n_layers}, got {x.shape[-1]}")
     theta = spec.theta if theta is None else np.asarray(theta, dtype=float)
-    if theta.shape not in ((spec.theta.size,), features.shape[:-1] + (spec.theta.size,)):
-        raise ContractViolation(f"theta of shape {theta.shape} does not fit features of shape {features.shape}")
-    x = spec.scaled_angles(features)
+    if theta.shape not in ((spec.theta.size,), x.shape[:-1] + (spec.theta.size,)):
+        raise ContractViolation(f"theta of shape {theta.shape} does not fit angles of shape {x.shape}")
     state = None
     for layer in range(spec.n_layers):
         phases = _encoding_phases(x[..., N_QUBITS * layer : N_QUBITS * (layer + 1)])
@@ -306,9 +303,9 @@ def vqc_state(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = No
     return state
 
 
-def vqc_forward(spec: VqcSpec, features: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-    """<Z_q> outputs, each in [-1, 1]; batched when ``features`` is 2-D."""
-    return z_expectations(vqc_state(spec, features, theta))
+def vqc_forward(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+    """<Z_q> outputs, each in [-1, 1], for input angles x; batched when ``x`` is 2-D."""
+    return z_expectations(vqc_state(spec, x, theta))
 
 
 # ---------------------------------------------------------------------------

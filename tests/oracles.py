@@ -62,6 +62,15 @@ def haar_fidelity_pdf(fidelity: np.ndarray | float, dim: int = 2**N_QUBITS) -> n
     return (dim - 1) * (1.0 - np.asarray(fidelity)) ** (dim - 2)
 
 
+def kl_from_counts(counts: np.ndarray, haar: np.ndarray) -> float:
+    """KL(p || haar) of one row of bin counts, empty bins at 1e-12 before p is renormalized."""
+    total = counts.sum()
+    p = counts / total
+    p = np.where(p == 0.0, 1e-12, p)
+    p = p / p.sum()
+    return float(np.sum(p * np.log(p / haar)))
+
+
 def sample_action(head: GaussianPolicyHead, obs: np.ndarray, rng: np.random.Generator):
     """(action, log density, mean) for action ~ Normal(mean(obs), exp(log_std)^2).
 

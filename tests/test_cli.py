@@ -360,6 +360,14 @@ def test_eval_with_checkpoint_rejects_zero_episodes(tmp_path, capsys):
     assert capsys.readouterr().err == "fanetq: error: n_episodes must be positive\n"
 
 
+def test_eval_refuses_an_actor_checkpoint_of_another_scenario(capsys):
+    ckpt = Path(__file__).resolve().parent.parent / "runs" / "4a1s" / "NN-4" / "seed0_actor.json"
+    assert main(["eval", "--scenario", "5a2s", "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        "fanetq: error: the actor maps 13 observations to 4 actions, the scenario has 19 and 6\n"
+    )
+
+
 def test_qmetrics_command(tmp_path, capsys):
     out_csv = str(tmp_path / "q.csv")
     rc = main(

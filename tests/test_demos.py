@@ -1,12 +1,20 @@
-"""Demos run end to end, so a name they import cannot silently disappear."""
+"""Demos run end to end and print the output committed under ``tests/demo_outputs``, so a name they import cannot
+silently disappear and a number they print cannot silently change."""
 
 import json
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
+
+
+def masked(script, text):
+    """``text`` with demo 04's time column, the one output that differs from run to run, replaced by a marker."""
+    return re.sub(r"\d+\.\ds$", "<time>", text, flags=re.M) if script.startswith("04_") else text
 
 
 @pytest.mark.parametrize(
@@ -22,7 +30,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_demo_runs(script, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # demos 01 and 05 write their outputs to the working directory
     runpy.run_path(str(DEMOS / script), run_name="__main__")
-    assert capsys.readouterr().out
+    expected = (OUTPUTS / script).with_suffix(".out").read_text()
+    assert masked(script, capsys.readouterr().out) == masked(script, expected)
 
 
 def test_demo_01_writes_the_trajectory_schema(monkeypatch, tmp_path):

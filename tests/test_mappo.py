@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fanetq.critics import ClassicalCritic, QuantumCritic, build_critic
 from fanetq.env import EPISODE_BLOCK, FanetEnv, ScenarioConfig, init_world, observe_all
-from fanetq.errors import ContractViolation, TrainingError
+from fanetq.errors import ConfigError, ContractViolation, TrainingError
 from fanetq.mappo import (
     EPISODE_SEED_STRIDE,
     EVAL_SEED_STRIDE,
@@ -1267,6 +1267,20 @@ class TestEvaluate:
         trainer = Trainer(cfg, critic, tcfg, seed=32)
         for total_steps, points in calls:
             assert [point["env_steps"] for point in trainer.train(total_steps)] == points
+
+    @pytest.mark.parametrize(
+        "obs_dim, action_dim, message",
+        [
+            (13, 4, "^the actor maps 13 observations to 4 actions, the scenario has 19 and 6$"),
+            (19, 4, "^the actor maps 19 observations to 4 actions, the scenario has 19 and 6$"),
+        ],
+    )
+    def test_refuses_an_actor_sized_for_another_scenario_naming_both(self, obs_dim, action_dim, message):
+        # before any episode runs, not as the dense net's input-dim error or a broadcast failure
+        cfg = ScenarioConfig(n_aircraft=5, n_ground=2, comm_range=0.637)
+        actor = GaussianPolicyHead.create(obs_dim, action_dim, (4,), np.random.default_rng(20))
+        with pytest.raises(ConfigError, match=message):
+            evaluate(actor, cfg, 2, 0)
 
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_rejects_fewer_than_one_episode(self, n_episodes):

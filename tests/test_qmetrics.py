@@ -19,7 +19,7 @@ from fanetq.qmetrics import (
 )
 from fanetq.qsim import VqcSpec, apply_1q, ry_matrix, rz_matrix, zero_state
 
-from tests.oracles import haar_fidelity_pdf, meyer_wallach
+from tests.oracles import haar_fidelity_pdf, kl_from_counts, meyer_wallach
 
 
 def per_row_fidelity_histogram(states, n_bins):
@@ -53,9 +53,9 @@ def two_pass_reference(spec, n_samples, seed, n_bins=DEFAULT_BINS):
     rng = np.random.default_rng(seed)
     haar = haar_bin_probabilities(n_bins)
     batches = [sampler(per_batch, rng) for _ in range(N_BATCHES)]
-    batch_kls = [_kl_from_counts(fidelity_histogram([s], n_bins)[0], haar) for s in batches]
+    batch_kls = [kl_from_counts(fidelity_histogram([s], n_bins)[0], haar) for s in batches]
     total_counts = fidelity_histogram([np.concatenate(batches, axis=0)], n_bins)[0]
-    expr = (_kl_from_counts(total_counts, haar), float(np.std(batch_kls)))
+    expr = (kl_from_counts(total_counts, haar), float(np.std(batch_kls)))
     return ent, expr
 
 
@@ -216,6 +216,15 @@ class TestExpressibility:
         assert _kl_from_counts(counts, probs) == pytest.approx(0.0, abs=1e-6)
         shifted = np.roll(counts, 1)
         assert _kl_from_counts(shifted, probs) > 0.01
+
+    @pytest.mark.parametrize("n_bins", [10, 75])
+    def test_kl_rows_equal_one_call_per_row(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        counts = rng.integers(0, 50, size=(N_BATCHES + 1, n_bins))
+        counts[:, rng.integers(0, n_bins, size=3)] = 0  # empty bins take the 1e-12 floor
+        haar = haar_bin_probabilities(n_bins)
+        expected = [kl_from_counts(row, haar) for row in counts]
+        assert _kl_from_counts(counts, haar).tolist() == expected
 
     def test_ordering_arctan_above_identity(self):
         vals = {}

@@ -98,8 +98,9 @@ def dense_ansatz_layer(theta):
     return u
 
 
-def dense_vqc_state(spec, features):
-    x = spec.scaled_angles(np.asarray(features, dtype=float))
+def dense_vqc_state(spec, x):
+    """The layered circuit as a product of dense layer unitaries, for input angles x of shape (4L,)."""
+    x = np.asarray(x, dtype=float)
     state = np.zeros(16, dtype=complex)
     state[0] = 1.0
     for layer in range(spec.n_layers):
@@ -154,11 +155,10 @@ def ansatz_layer(state, theta_layer):
     return state
 
 
-def gate_vqc_state(spec, features):
-    """The layered circuit gate by gate; ``features`` of shape (4L,) or (batch, 4L)."""
-    features = np.asarray(features, dtype=float)
-    x = spec.scaled_angles(features)
-    state = zero_state(N_QUBITS, None if features.ndim == 1 else features.shape[0])
+def gate_vqc_state(spec, x):
+    """The layered circuit gate by gate, for input angles x of shape (4L,) or (batch, 4L)."""
+    x = np.asarray(x, dtype=float)
+    state = zero_state(N_QUBITS, None if x.ndim == 1 else x.shape[0])
     for layer in range(spec.n_layers):
         state = encode_layer(state, x[..., 4 * layer : 4 * layer + 4])
         state = ansatz_layer(state, spec.theta[12 * layer : 12 * layer + 12])
@@ -415,11 +415,11 @@ class TestVqcForward:
                 theta=rng.uniform(-np.pi, np.pi, 12 * n_layers),
                 xi=rng.uniform(-2, 2, 4 * n_layers),
             )
-            feats = rng.uniform(-np.pi, np.pi, size=4 * n_layers)
-            got_state = vqc_state(spec, feats)
-            expected_state = dense_vqc_state(spec, feats)
+            x = spec.scaled_angles(rng.uniform(-np.pi, np.pi, size=4 * n_layers))
+            got_state = vqc_state(spec, x)
+            expected_state = dense_vqc_state(spec, x)
             assert np.abs(got_state - expected_state).max() < 1e-10
-            assert np.abs(vqc_forward(spec, feats) - z_expectations(expected_state)).max() < 1e-10
+            assert np.abs(vqc_forward(spec, x) - z_expectations(expected_state)).max() < 1e-10
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_batch_matches_gate_level_and_dense_oracles(self, n_layers):
@@ -431,11 +431,11 @@ class TestVqcForward:
                 theta=rng.uniform(-np.pi, np.pi, 12 * n_layers),
                 xi=rng.uniform(-2, 2, 4 * n_layers),
             )
-            feats = rng.uniform(-np.pi, np.pi, size=(64, 4 * n_layers))
-            got = vqc_state(spec, feats)
-            assert np.abs(got - gate_vqc_state(spec, feats)).max() < 1e-10
+            x = spec.scaled_angles(rng.uniform(-np.pi, np.pi, size=(64, 4 * n_layers)))
+            got = vqc_state(spec, x)
+            assert np.abs(got - gate_vqc_state(spec, x)).max() < 1e-10
             for i in range(0, 64, 8):
-                assert np.abs(got[i] - dense_vqc_state(spec, feats[i])).max() < 1e-10
+                assert np.abs(got[i] - dense_vqc_state(spec, x[i])).max() < 1e-10
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_per_sample_theta_matches_loop(self, n_layers):
@@ -475,13 +475,39 @@ class TestVqcForward:
         for i in range(17):
             assert np.abs(batched[i] - vqc_forward(spec, feats[i])).max() < 1e-12
 
+    def test_one_layer_is_a_linear_readout_over_241_trigonometric_features(self):
+        # after the Hadamards each basis state b carries the phase
+        # phi_b = -(sum_q x_q s_q(b) + sum_{i<j} (pi - x_i)(pi - x_j) s_i(b) s_j(b)), so every <Z_q> of L = 1 is linear
+        # in 1, cos(phi_b - phi_c) and sin(phi_b - phi_c) over the 120 pairs b < c (Schuld, Sweke and Meyer 2021)
+        rng = np.random.default_rng(41)
+        spec = VqcSpec(n_layers=1, theta=rng.uniform(0, np.pi, 12))
+        signs = np.array([[1.0 - 2.0 * ((b >> (3 - q)) & 1) for q in range(4)] for b in range(16)])  # (16, 4)
+        b, c = np.triu_indices(16, k=1)
+
+        def features(x):
+            px = np.pi - x
+            pairs = sum(np.outer(px[:, i] * px[:, j], signs[:, i] * signs[:, j]) for i, j in QUBIT_PAIRS)
+            phi = -(x @ signs.T + pairs)
+            diff = phi[:, b] - phi[:, c]
+            return np.hstack([np.ones((len(x), 1)), np.cos(diff), np.sin(diff)])
+
+        fit_x, held_x = rng.uniform(0, 2 * np.pi, (4000, 4)), rng.uniform(0, 2 * np.pi, (2000, 4))
+        assert features(fit_x).shape == (4000, 241)
+        readout = np.linalg.lstsq(features(fit_x), vqc_forward(spec, fit_x), rcond=None)[0]
+        assert np.abs(features(held_x) @ readout - vqc_forward(spec, held_x)).max() < 1e-12
+        # a half-frequency function lies outside the class, so the same fit misses it by far
+        readout = np.linalg.lstsq(features(fit_x), np.sin(fit_x[:, 0] / 2), rcond=None)[0]
+        assert np.abs(features(held_x) @ readout - np.sin(held_x[:, 0] / 2)).max() > 0.1
+
     def test_export_roundtrip(self):
         rng = np.random.default_rng(8)
         spec = VqcSpec(n_layers=3, scaling_fn="arctan", theta=rng.uniform(-1, 1, 36), xi=rng.uniform(-1, 1, 12))
         clone = VqcSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone.n_layers == 3 and clone.scaling_fn == "arctan"
         feats = rng.uniform(-1, 1, 12)
-        assert np.array_equal(vqc_forward(spec, feats), vqc_forward(clone, feats))
+        x = spec.scaled_angles(feats)
+        assert np.array_equal(clone.scaled_angles(feats), x)
+        assert np.array_equal(vqc_forward(spec, x), vqc_forward(clone, x))
 
     def test_a_numpy_integer_layer_count_exports_as_json(self):
         spec = VqcSpec(n_layers=np.int64(2))
