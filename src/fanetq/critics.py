@@ -1,11 +1,11 @@
-"""Centralized critics: classical pre/core/post stacks and the quantum-core variant.
+"""Centralized critics: pre (|O| -> X, tanh) -> core -> post (-> 1), with a dense or a circuit core.
 
-Both kinds share ``value`` over global observations and the weight counts
-split into classical/quantum (``_Critic``); each keeps its Adam-trained
-parameters in one flat vector ``flat`` (``params()`` returns views of it),
-its own ``value_cached``, and a ``backward`` that writes its gradients into
-``grad`` (see ``fanetq.nets``).
-The quantum critic routes gradients per the hybrid scheme: exact backprop
+``_Critic`` holds what both kinds share: the chain check, one flat vector
+``flat`` of the Adam-trained parameters (``params()`` returns views of it)
+and its gradients ``grad`` (see ``fanetq.nets``), ``value_cached``, the exact
+reverse pass and the checkpoint layout.  The quantum critic's core is a
+``CircuitCore``, the data-reuploading circuit with its input scalings ``xi``
+as parameters; it routes gradients per the hybrid scheme: exact backprop
 through the post block, a three-evaluation simultaneous-perturbation
 estimate for the circuit weights, and the same two perturbed evaluations
 reused (via a joint perturbation of the circuit's input angles) to push an
@@ -33,22 +33,74 @@ def _post_sizes(in_dim: int, hidden: int) -> tuple[list[int], list[str]]:
     return [in_dim, hidden, 1], ["tanh", "identity"]
 
 
+class CircuitCore:
+    """The circuit as a critic core: angles x = f(u * xi) for the 4L pre features u, then the 4 <Z> readouts.
+
+    ``flat`` is ``spec.xi``; the critic steps ``spec.theta`` by SPSA.  ``evaluations`` counts batched circuit passes.
+    """
+
+    out_dim = N_QUBITS
+
+    def __init__(self, spec: VqcSpec):
+        self.spec = spec
+        self.in_dim = spec.n_features
+        self.flat = spec.xi
+        self.evaluations = 0
+
+    def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        self.flat = self.spec.xi = flat
+        self.grad = grad
+
+    def params(self) -> list[np.ndarray]:
+        return [self.spec.xi]
+
+    def run(self, angles: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """One batched evaluation of the circuit on explicit angles."""
+        self.evaluations += 1
+        return vqc_forward(self.spec, angles, theta)
+
+    def forward_cached(self, u: np.ndarray):
+        angles = self.spec.scaled_angles(u)
+        return self.run(angles, self.spec.theta), (u, angles)
+
+    def to_dict(self) -> dict:
+        return self.spec.to_dict()
+
+
 class _Critic:
-    """What both kinds share: ``value`` by way of the kind's ``value_cached``, and the weight counts."""
+    """pre -> core -> post; ``core_key`` names the core in checkpoints."""
 
     quantum_weights = 0
 
-    @staticmethod
-    def _check_blocks(pre: DenseNet, core_in: int, core_out: int, post: DenseNet) -> None:
-        """ContractViolation unless pre -> core -> post chain and post ends in one output."""
-        if (pre.out_dim, core_out, post.out_dim) != (core_in, post.in_dim, 1):
+    def __init__(self, pre: DenseNet, core: DenseNet | CircuitCore, post: DenseNet):
+        if (pre.out_dim, core.out_dim, post.out_dim) != (core.in_dim, post.in_dim, 1):
             raise ContractViolation(
-                f"blocks do not chain: pre ends in {pre.out_dim}, core maps {core_in} -> {core_out}, "
+                f"blocks do not chain: pre ends in {pre.out_dim}, core maps {core.in_dim} -> {core.out_dim}, "
                 f"post maps {post.in_dim} -> {post.out_dim} where it must end in 1"
             )
+        self.pre, self.core, self.post = pre, core, post
+        self.flat, self.grad, parts = pack([pre.flat, core.flat, post.flat])
+        for block, part in zip((pre, core, post), parts):
+            block.bind(*part)
+
+    def params(self) -> list[np.ndarray]:
+        return self.pre.params() + self.core.params() + self.post.params()
 
     def value(self, global_obs: np.ndarray) -> np.ndarray:
         return self.value_cached(global_obs)[0]
+
+    def value_cached(self, global_obs: np.ndarray):
+        h_pre, c_pre = self.pre.forward_cached(global_obs)
+        h_core, c_core = self.core.forward_cached(h_pre)
+        v, c_post = self.post.forward_cached(h_core)
+        return v[..., 0], (c_pre, c_core, c_post)
+
+    def backward(self, cache, d_value: np.ndarray, _loss_fn=None, _loss_center=None) -> None:
+        """Writes the exact gradients for upstream dLoss/dV into ``grad``."""
+        c_pre, c_core, c_post = cache
+        d_core = self.post.backward(c_post, np.asarray(d_value)[..., None])
+        d_pre = self.core.backward(c_core, d_core)
+        self.pre.backward(c_pre, d_pre, input_grad=False)
 
     @property
     def classical_weights(self) -> int:
@@ -58,20 +110,21 @@ class _Critic:
     def total_weights(self) -> int:
         return self.classical_weights + self.quantum_weights
 
+    def to_dict(self) -> dict:
+        return {
+            "version": CHECKPOINT_VERSION,
+            "kind": self.kind,
+            "pre": self.pre.to_dict(),
+            self.core_key: self.core.to_dict(),
+            "post": self.post.to_dict(),
+        }
+
 
 class ClassicalCritic(_Critic):
     """pre (|O| -> X, tanh), core (X -> X, tanh), post (X -> 1)."""
 
     kind = "classical"
-
-    def __init__(self, pre: DenseNet, core: DenseNet, post: DenseNet):
-        self._check_blocks(pre, core.in_dim, core.out_dim, post)
-        self.pre = pre
-        self.core = core
-        self.post = post
-        self.flat, self.grad, parts = pack([pre.flat, core.flat, post.flat])
-        for net, part in zip((pre, core, post), parts):
-            net.bind(*part)
+    core_key = "core"
 
     @classmethod
     def create(cls, global_obs_dim: int, width: int, rng: np.random.Generator, post_hidden: int = 0) -> "ClassicalCritic":
@@ -79,31 +132,6 @@ class ClassicalCritic(_Critic):
         core = DenseNet.create([width, width], ["tanh"], rng)
         post = DenseNet.create(*_post_sizes(width, post_hidden), rng)
         return cls(pre, core, post)
-
-    def params(self) -> list[np.ndarray]:
-        return self.pre.params() + self.core.params() + self.post.params()
-
-    def value_cached(self, global_obs: np.ndarray):
-        h1, c1 = self.pre.forward_cached(global_obs)
-        h2, c2 = self.core.forward_cached(h1)
-        v, c3 = self.post.forward_cached(h2)
-        return v[..., 0], (c1, c2, c3)
-
-    def backward(self, cache, d_value: np.ndarray, _loss_fn=None, _loss_center=None) -> None:
-        """Writes the gradients for upstream dLoss/dV into ``grad``."""
-        c1, c2, c3 = cache
-        d_h2 = self.post.backward(c3, np.asarray(d_value)[..., None])
-        d_h1 = self.core.backward(c2, d_h2)
-        self.pre.backward(c1, d_h1, input_grad=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "kind": self.kind,
-            "pre": self.pre.to_dict(),
-            "core": self.core.to_dict(),
-            "post": self.post.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalCritic":
@@ -115,24 +143,16 @@ class ClassicalCritic(_Critic):
 class QuantumCritic(_Critic):
     """pre (|O| -> 4L, tanh), data-reuploading circuit core, post (4 -> 1).
 
-    ``spec.theta`` are the quantum weights (SPSA-updated); ``spec.xi`` and
-    the pre/post blocks train through Adam.  ``circuit_evaluations`` counts
-    batched circuit passes; one critic-loss gradient estimate issues exactly
-    three.
+    ``spec.theta`` are the quantum weights (SPSA-updated); ``spec.xi`` and the pre/post blocks train through Adam.
+    ``circuit_evaluations`` counts batched circuit passes; one critic-loss gradient estimate issues exactly three.
     """
 
     kind = "quantum"
+    core_key = "circuit"
 
     def __init__(self, pre: DenseNet, spec: VqcSpec, post: DenseNet, spsa: SpsaState):
-        self._check_blocks(pre, spec.n_features, N_QUBITS, post)
-        self.pre = pre
-        self.spec = spec
-        self.post = post
+        super().__init__(pre, CircuitCore(spec), post)
         self.spsa = spsa
-        self.circuit_evaluations = 0
-        self.flat, self.grad, (pre_part, (spec.xi, self._xi_grad), post_part) = pack([pre.flat, spec.xi, post.flat])
-        pre.bind(*pre_part)
-        post.bind(*post_part)
 
     @classmethod
     def create(
@@ -152,31 +172,18 @@ class QuantumCritic(_Critic):
         return cls(pre, spec, post, SpsaState.matched_to_lr(lr, seed=spsa_seed))
 
     @property
+    def spec(self) -> VqcSpec:
+        return self.core.spec
+
+    @property
     def quantum_weights(self) -> int:
         return self.spec.theta.size
 
-    def params(self) -> list[np.ndarray]:
-        return self.pre.params() + [self.spec.xi] + self.post.params()
+    @property
+    def circuit_evaluations(self) -> int:
+        return self.core.evaluations
 
-    def _run_circuit(self, angles: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """One batched evaluation of the circuit on explicit angles."""
-        self.circuit_evaluations += 1
-        return vqc_forward(self.spec, angles, theta)
-
-    def value_cached(self, global_obs: np.ndarray):
-        features, pre_cache = self.pre.forward_cached(global_obs)
-        angles = self.spec.scaled_angles(features)
-        z = self._run_circuit(angles, self.spec.theta)
-        v, post_cache = self.post.forward_cached(z)
-        return v[..., 0], (pre_cache, features, angles, post_cache)
-
-    def backward(
-        self,
-        cache,
-        d_value: np.ndarray,
-        loss_fn: Callable[[np.ndarray], float],
-        loss_center: float,
-    ) -> None:
+    def backward(self, cache, d_value: np.ndarray, loss_fn: Callable[[np.ndarray], float], loss_center: float) -> None:
         """Writes the hybrid gradients into ``grad``; updates theta via SPSA.
 
         ``loss_fn(values)`` must return the scalar minibatch loss that the
@@ -185,43 +192,29 @@ class QuantumCritic(_Critic):
         circuit's input angles) and reuses ``loss_center`` as its center, so
         each estimate costs two more circuit evaluations, three in total.
         """
-        pre_cache, features, angles, post_cache = cache
-        d_value = np.asarray(d_value)
-        batch = angles.shape[0] if angles.ndim == 2 else 1
+        pre_cache, (features, angles), post_cache = cache
         n_theta = self.spec.theta.size
-
-        self.post.backward(post_cache, d_value[..., None], input_grad=False)
+        self.post.backward(post_cache, np.asarray(d_value)[..., None], input_grad=False)
 
         def joint_loss(params: np.ndarray) -> float:
-            z_p = self._run_circuit(angles + params[n_theta:], params[:n_theta])
+            z_p = self.core.run(angles + params[n_theta:], params[:n_theta])
             return float(loss_fn(self.post.forward(z_p)[..., 0]))
 
         ak = self.spsa.step_size()
         center = np.concatenate([self.spec.theta, np.zeros(self.spec.n_features)])
         grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_center)
-        grad_theta, grad_angles = grad[:n_theta], grad[n_theta:]
-        self.spec.theta = self.spec.theta - ak * grad_theta
+        self.spec.theta = self.spec.theta - ak * grad[:n_theta]
 
-        # chain the common-shift angle gradient into xi and the pre block;
-        # x = f(u * xi) with u the pre output
-        u = features if features.ndim == 2 else features[None, :]
+        # chain the common-shift angle gradient into xi and the pre block; x = f(u * xi) with u the pre output
+        u = np.atleast_2d(features)
         dx_ds = SCALING_FNS[self.spec.scaling_fn][1](u * self.spec.xi)
-        upstream_x = np.broadcast_to(grad_angles / batch, u.shape)
-        (upstream_x * dx_ds * u).sum(axis=0, out=self._xi_grad)
+        upstream_x = np.broadcast_to(grad[n_theta:] / len(u), u.shape)
+        (upstream_x * dx_ds * u).sum(axis=0, out=self.core.grad)
         d_features = upstream_x * dx_ds * self.spec.xi
-        if features.ndim == 1:
-            d_features = d_features[0]
-        self.pre.backward(pre_cache, d_features, input_grad=False)
+        self.pre.backward(pre_cache, d_features.reshape(features.shape), input_grad=False)
 
     def to_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "kind": self.kind,
-            "pre": self.pre.to_dict(),
-            "circuit": self.spec.to_dict(),
-            "post": self.post.to_dict(),
-            "spsa_k": self.spsa.k,
-        }
+        return {**super().to_dict(), "spsa_k": self.spsa.k}
 
     @classmethod
     def from_dict(cls, d: dict, lr: float = 1e-4, spsa_seed: int = 0) -> "QuantumCritic":

@@ -75,3 +75,6 @@ def test_one_probed_operation_checks_clean_and_uninstall_restores_every_attribut
     assert (layers["env.resolve_links.busy_s"] > 0) == (name in ENV_WORKLOADS)
     assert (layers["env.path_to_ground.busy_s"] > 0) == (name in ENV_WORKLOADS)
     assert (layers["qsim.circuit.calls"] > 0) == (name in CIRCUIT_WORKLOADS)
+    # perfbench reads both with a getattr default of 0, so a critic that lost them would read 0 here
+    assert (layers["critics.circuit_evaluations"] > 0) == (name == "train-vqc1a")
+    assert (layers["critics.spsa_k"] > 0) == (name == "train-vqc1a")

@@ -159,7 +159,7 @@ class TestQuantumCritic:
         critic = QuantumCritic.create(20, 1, "arctan", rng)
         O = rng.standard_normal((9, 20))
         targets = rng.standard_normal(9)
-        critic.circuit_evaluations = 0
+        critic.core.evaluations = 0
         v, cache = critic.value_cached(O)
         assert critic.circuit_evaluations == 1
 
@@ -194,7 +194,7 @@ class TestQuantumCritic:
 
         delta_theta = draws.integers(0, 2, size=12) * 2.0 - 1.0
         delta_x = draws.integers(0, 2, size=4) * 2.0 - 1.0
-        angles = cache[2]
+        _, angles = cache[1]
 
         def loss_at(sign):
             spec = VqcSpec(n_layers=1, theta=theta0 + sign * ck * delta_theta)
@@ -394,6 +394,19 @@ class TestCheckpointChecks:
         (tmp_path / "c.json").write_text(json.dumps(d))
         with pytest.raises(ConfigError, match="^critic checkpoint: blocks do not chain"):
             load_critic(tmp_path / "c.json")
+
+    def test_committed_checkpoints_come_back_byte_for_byte(self):
+        # pins the checkpoint format, key order included, that every critic kind writes
+        paths = sorted((Path(__file__).resolve().parent.parent / "runs" / "4a1s").glob("*/seed*_critic.json"))
+        assert len(paths) == 6
+        for path in paths:
+            assert json.dumps(load_critic(path).to_dict()) == path.read_text(), path
+
+    @pytest.mark.parametrize("solution", [nn_name for nn_name, _ in PAIRINGS["4a1s"]] + list(QUANTUM_SOLUTIONS))
+    def test_fresh_critics_round_trip_through_save_and_load(self, tmp_path, solution):
+        critic = build_critic(solution, "4a1s", OBS_DIMS["4a1s"], np.random.default_rng(33))
+        save_critic(critic, tmp_path / "c.json")
+        assert load_critic(tmp_path / "c.json").to_dict() == critic.to_dict()
 
     def test_blocks_that_do_not_chain_are_refused_at_construction(self):
         rng = np.random.default_rng(32)

@@ -787,7 +787,7 @@ class TestUpdateMechanics:
         batch, _ = collect_rollout(
             None, cfg, trainer.actor, trainer.critic, 50, trainer.rollout_rng, 4, 0, trainer.cfg
         )
-        critic.circuit_evaluations = 0
+        critic.core.evaluations = 0
         trainer.update(batch)
         # one critic minibatch -> one estimate -> exactly 3 batched passes
         assert critic.circuit_evaluations == 3

@@ -499,6 +499,20 @@ class TestVqcForward:
         readout = np.linalg.lstsq(features(fit_x), np.sin(fit_x[:, 0] / 2), rcond=None)[0]
         assert np.abs(features(held_x) @ readout - np.sin(held_x[:, 0] / 2)).max() > 0.1
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_the_last_layers_final_rz_weights_do_not_reach_the_outputs(self, n_layers):
+        # the last layer's final RZ on each qubit commutes with the Z readout, so 12 L - 4 weights move <Z>
+        rng = np.random.default_rng(0)
+        spec = VqcSpec(n_layers=n_layers, theta=rng.uniform(0, np.pi, 12 * n_layers))
+        x = rng.uniform(-np.pi, np.pi, (200, 4 * n_layers))
+        z = vqc_forward(spec, x)
+        dead = {12 * (n_layers - 1) + k for k in (2, 5, 8, 11)}
+        for i in range(12 * n_layers):
+            theta = spec.theta.copy()
+            theta[i] += rng.standard_normal()
+            moved = np.abs(vqc_forward(spec, x, theta) - z).max()
+            assert moved <= 1e-12 if i in dead else moved > 1e-3, (i, moved)
+
     def test_export_roundtrip(self):
         rng = np.random.default_rng(8)
         spec = VqcSpec(n_layers=3, scaling_fn="arctan", theta=rng.uniform(-1, 1, 36), xi=rng.uniform(-1, 1, 12))
