@@ -181,10 +181,10 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     return WorldState(t=0, vel=vel, n_aircraft=n_a, anchor=(0, pos))
 
 
-def clamp_actions(desirability: np.ndarray) -> np.ndarray:
-    """Map arbitrary reals into the open interval (0, 1) used by the env."""
+def clamp_actions(desirability: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map arbitrary reals, as float64, into the open interval (0, 1) used by the env, written into ``out`` if given."""
     # equal to np.clip, which costs twice as much on arrays this small
-    return np.minimum(np.maximum(desirability, ACTION_CLAMP_LOW), ACTION_CLAMP_HIGH)
+    return np.minimum(np.maximum(desirability, ACTION_CLAMP_LOW, out=out, dtype=float), ACTION_CLAMP_HIGH, out=out)
 
 
 def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
@@ -193,66 +193,89 @@ def _aircraft_offsets(a: np.ndarray, n_aircraft: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _proposal_columns(n_aircraft: int, n_entities: int) -> np.ndarray:
-    """Read-only (n_aircraft, N) column of entity j in aircraft i's proposal row, j - (j > i), and -1 at i itself."""
-    ids, own = np.arange(n_entities), np.arange(n_aircraft)[:, None]
-    columns = np.where(ids == own, -1, ids - (ids > own))
-    columns.flags.writeable = False
-    return columns
+def _nomination_rows(n_aircraft: int, n_entities: int) -> np.ndarray:
+    """Read-only (N, n_aircraft) row c * n_aircraft + a of aircraft a's column c = j - (j > a), any row at j = a."""
+    ids, own = np.arange(n_entities)[:, None], np.arange(n_aircraft)
+    rows = np.maximum(ids - (ids >= own), 0) * n_aircraft + own
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _top_plan(length: int, count: int, ndim: int) -> tuple:
+    """Read-only int8 (length, length, 1, ...) mask of the pairs i < j and (length, 1, ...) bound of _top."""
+    upper = np.triu(np.ones((length, length), np.int8), 1).reshape((length, length) + (1,) * (ndim - 1))
+    bound = (np.arange(length) + count - length).astype(np.min_scalar_type(-length)).reshape(upper.shape[1:])
+    upper.flags.writeable = bound.flags.writeable = False
+    return upper, bound
+
+
+def _top(keys: np.ndarray, count: int) -> np.ndarray:
+    """Boolean mask of the ``count`` largest keys along axis 0, ties to the lower index: the first ``count`` places of
+    a stable argsort of -keys.  Entry j is marked when fewer than ``count`` entries beat it, i beating j when
+    k_i > k_j, or k_i == k_j and i < j.  One (length, length, ...) comparison and whole-plane sums, no sort."""
+    upper, bound = _top_plan(len(keys), count, keys.ndim)
+    beats = (keys[:, None] >= keys).view(np.int8)  # beats[i, j]: k_i >= k_j, for i < j i beating j
+    beats &= upper  # keep i < j; int8, as numpy's bool loop is not vectorized against a broadcast mask
+    # the n-1-j later i beat j unless k_j >= k_i: j is beaten sum_i beats[i, j] - beats[j, i] + n-1-j times
+    return np.add.reduce(beats - beats.swapaxes(0, 1), axis=0, dtype=bound.dtype) <= bound
 
 
 def resolve_links(in_range: np.ndarray, proposals: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Resolve per-aircraft desirability vectors into the (..., N, N) link matrix.
 
-    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in ascending id order, so column c
-    is entity c + (c >= a); its leading axes, episodes or steps, match those of ``in_range`` (..., n_aircraft, N),
-    the step's mask (see _geometry).  Each aircraft nominates its top ``max_links`` entities, ties to the lower id.
-    Aircraft-aircraft edges need both sides to nominate each other and the
-    pair to be in range (distance <= comm_range).  Ground stations are not
-    agents: each accepts its in-range nominators in decreasing desirability
-    order (ties to the lower aircraft id) up to ``max_links``.  NaN has no
-    rank and is rejected; +-inf is clamped.  Each ranking is one stable argsort.
+    Row a of ``proposals`` (..., n_aircraft, N-1) scores every other entity in ascending id order, so column c is
+    entity c + (c >= a); its leading axes, episodes or steps, match those of the boolean ``in_range`` (..., n_aircraft,
+    N), the step's mask (see _geometry).  Each aircraft nominates its top ``max_links`` entities, ties to the lower
+    id.  Aircraft-aircraft edges need both sides to nominate each other and the pair to be in range (distance <=
+    comm_range).  Ground stations are not agents: each accepts its in-range nominators in decreasing desirability
+    order (ties to the lower aircraft id) up to ``max_links``.  Proposals must be real; NaN has no rank and is
+    rejected, +-inf is clamped.  Both rankings are _top over entity-major planes, batch axes last and reversed (.T):
+    the clamped (N-1, n_aircraft, ...) proposals along the column axis, whose nominations one np.take moves to
+    (N, n_aircraft, ...) entity planes, then each ground station's plane along the aircraft axis.  The links are
+    written as (N, N, ...) planes; their .T view is the link matrix, as the graph is symmetric.
     """
-    proposals = np.asarray(proposals, dtype=float)
+    if not isinstance(in_range, np.ndarray) or in_range.dtype != bool:
+        raise ContractViolation(f"in_range must be a boolean array, got {getattr(in_range, 'dtype', type(in_range))}")
+    proposals = np.asarray(proposals)
+    if proposals.dtype.kind not in "iuf":
+        raise ContractViolation(f"proposals must be real numbers, got dtype {proposals.dtype}")
     n_a, n, k = cfg.n_aircraft, cfg.n_entities, cfg.max_links
     batch = in_range.shape[:-2]
     if in_range.shape[-2:] != (n_a, n) or proposals.shape != batch + (n_a, n - 1):
         raise ContractViolation(f"proposals must have shape {batch + (n_a, n - 1)}, got {proposals.shape}")
-    if np.isnan(proposals).any():
+    desire = clamp_actions(proposals.T, out=np.empty(proposals.shape[::-1]))  # [c, a]: aircraft a's column c
+    if math.isnan(desire.sum()):  # the clamped proposals are finite, so their sum is NaN exactly where one is
         raise ContractViolation("proposals contain NaN, which has no desirability rank")
-    rank = -clamp_actions(proposals)  # ascending rank is descending desirability
-    order, columns = rank.argsort(axis=-1, kind="stable"), _proposal_columns(n_a, n)
-    asks = functools.reduce(np.logical_or, (order[..., c, None] == columns for c in range(min(k, n - 1))))
-    asks &= in_range  # (..., n_a, N): the entities of each row's first max_links columns that are in range
+    rev = batch[::-1]
+    nominated = _top(desire, min(k, n - 1)).reshape(((n - 1) * n_a,) + rev)
+    asks = nominated.take(_nomination_rows(n_a, n), axis=0)  # asks[j, a]: aircraft a nominates entity j
+    asks[:n_a].reshape((n_a * n_a,) + rev)[:: n_a + 1] = False  # not its own entity
+    asks &= in_range.T
 
-    # every ground station ranks its asks by their proposals for it, the aircraft that did not ask last
-    order = np.where(asks[..., n_a:], rank[..., n_a - 1 :], np.inf).argsort(axis=-2, kind="stable")
-    aircraft = np.arange(n_a)[:, None]
-    accepted = functools.reduce(np.logical_or, (order[..., c, None, :] == aircraft for c in range(min(k, n_a))))
-    accepted &= asks[..., n_a:]
-
-    links = np.zeros(batch + (n, n), dtype=bool)  # written symmetric
-    np.logical_and(asks[..., :n_a], np.swapaxes(asks[..., :n_a], -1, -2), out=links[..., :n_a, :n_a])
-    links[..., :n_a, n_a:] = accepted
-    links[..., n_a:, :n_a] = np.swapaxes(accepted, -1, -2)
-    return links
+    ground = desire[n_a - 1 :]  # (n_ground, n_aircraft, ...): the aircraft that did not ask a station rank last, at 0
+    ground *= asks[n_a:]
+    links = np.zeros((n, n) + rev, dtype=bool)  # written symmetric
+    np.logical_and(asks[:n_a], asks[:n_a].swapaxes(0, 1), out=links[:n_a, :n_a])
+    accepted = np.logical_and(_top(ground.swapaxes(0, 1), k), asks[n_a:].swapaxes(0, 1), out=links[:n_a, n_a:])
+    links[n_a:, :n_a] = accepted.swapaxes(0, 1)
+    return links.T
 
 
 def path_to_ground(links: np.ndarray, world: WorldState) -> np.ndarray:
     """Per-entity indicator (..., N): 1 if the entity is a ground station or reaches one.
 
-    Boolean propagation seeded with every ground station.  A shortest path
-    to ground visits each aircraft at most once, so n_aircraft rounds reach
-    every connected entity.  Each round is a few vector ops over the links'
-    entity-major (N, N, B) planes, all B instances at once.
+    Boolean propagation seeded with every ground station.  A shortest path to ground visits each aircraft at most
+    once, so n_aircraft rounds reach every connected entity.  Each round is a few vector ops over the links'
+    entity-major (N, N, B) planes links.T, all B instances at once, which resolve_links' links are without a copy.
     """
     n = world.n_entities
-    planes = links.reshape((-1, n, n)).transpose(1, 2, 0).copy()  # planes[i, j] is link i-j of every instance
+    planes = links.T.reshape((n, n, -1)).swapaxes(0, 1)  # planes[i, j] is link i-j of every instance
     reach = np.zeros(planes.shape[1:], dtype=bool)  # (N, B)
     reach[world.n_aircraft :] = True
     for _ in range(world.n_aircraft):  # one hop: i reaches ground if it links to some j that does
         reach |= np.logical_or.reduce(planes & reach, axis=1)
-    return reach.T.reshape(links.shape[:-1]).astype(int)
+    return reach.reshape((n,) + links.shape[-3::-1]).T.astype(int, order="C")
 
 
 def reward(ptg_aircraft: np.ndarray) -> np.ndarray | float:
@@ -318,7 +341,7 @@ def _geometry(world: WorldState, cfg: ScenarioConfig) -> tuple[np.ndarray, np.nd
 def _obs_index(n_aircraft: int, n_entities: int) -> np.ndarray:
     """Read-only flat index of the observations in the rows [own ptg, then (ptg, lk, oc) per entity] of observe_all."""
     ids = np.arange(n_aircraft * (1 + 3 * n_entities)).reshape(n_aircraft, -1)
-    others = ids[:, 1:].reshape(n_aircraft, n_entities, 3)[_proposal_columns(n_aircraft, n_entities) >= 0]
+    others = ids[:, 1:].reshape(n_aircraft, n_entities, 3)[np.arange(n_entities) != np.arange(n_aircraft)[:, None]]
     index = np.concatenate([ids[:, :1], others.reshape(n_aircraft, -1)], axis=1).ravel()
     index.flags.writeable = False
     return index

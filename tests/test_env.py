@@ -9,12 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanetq.env import (
+    ACTION_CLAMP_LOW,
     EPISODE_BLOCK,
     FanetEnv,
     ScenarioConfig,
     WorldState,
     _geometry,
+    _in_range,
     _lk_table,
+    _top,
     clamp_actions,
     env_step,
     init_world,
@@ -635,6 +638,53 @@ class TestResolveLinks:
         proposals = np.array([[0.5, 0.5, 0.5], [0.9, 0.1, 0.1], [0.9, 0.1, 0.1]])
         assert edge_set(resolve_links(_geometry(w, cfg)[0], proposals, cfg)) == {(0, 1), (0, 2), (1, 2)}
 
+    @pytest.mark.parametrize(
+        "in_range, got",
+        [(lambda mask: mask.astype(int), "int64"), (lambda mask: mask.astype(float), "float64"), (np.ndarray.tolist, "list")],
+        ids=["int mask", "float mask", "list"],
+    )
+    def test_an_in_range_that_is_no_boolean_array_is_refused(self, in_range, got):
+        # numpy's UFuncTypeError, a TypeError and an AttributeError before
+        cfg = cfg_4a1s()
+        mask = _geometry(init_world(cfg, 0), cfg)[0]
+        with pytest.raises(ContractViolation, match=f"^in_range must be a boolean array, got .*{got}"):
+            resolve_links(in_range(mask), np.full((4, 4), 0.5), cfg)
+
+    @pytest.mark.parametrize("value", [0.5 + 0.5j, "0.5", True], ids=["complex", "str", "bool"])
+    def test_proposals_that_are_no_real_numbers_are_refused(self, value):
+        # complex proposals lost their imaginary part with a ComplexWarning, strings raised a bare ValueError
+        cfg = cfg_4a1s()
+        proposals = np.full((4, 4), value)
+        with pytest.raises(ContractViolation, match=f"^proposals must be real numbers, got dtype {proposals.dtype}$"):
+            resolve_links(_geometry(init_world(cfg, 0), cfg)[0], proposals, cfg)
+
+    def test_proposals_are_ranked_as_float64(self):
+        # float16 has no value at ACTION_CLAMP_LOW: the nearest is above it and the next one down below it, so the
+        # two clamp apart as float64 and would tie, both clamped up to the nearest, in float16 arithmetic
+        cfg = ScenarioConfig(n_aircraft=3, n_ground=1, comm_range=1.5)
+        low = np.float16(ACTION_CLAMP_LOW)
+        below = np.nextafter(low, np.float16(0))
+        assert float(below) < ACTION_CLAMP_LOW < float(low)
+        proposals = np.array([[below, below, low], [0.5] * 3, [0.5] * 3], np.float16)
+        in_range = _geometry(init_world(cfg, 0), cfg)[0]
+        got = resolve_links(in_range, proposals, cfg)
+        assert np.array_equal(got, resolve_links(in_range, proposals.astype(float), cfg)) and got[0, 3] and not got[0, 2]
+
+    @pytest.mark.parametrize("scenario, episodes", [("5a2s", 50), ("4a1s", 64)])
+    def test_the_open_loop_shapes_equal_the_contiguous_and_the_unbatched_calls(self, scenario, episodes):
+        # the (episodes, horizon) instances a random_baseline_cr block resolves at once, the in-range mask being
+        # open_loop_rewards' np.moveaxis view of the (steps, episodes, ...) planes, and the proposals tied often
+        cfg = load_scenario(scenario)
+        in_range = np.moveaxis(_in_range(init_world(cfg, list(range(episodes))), cfg)[1:], 0, 1)
+        assert in_range.shape[:2] == (episodes, cfg.horizon) and not in_range.flags.c_contiguous
+        values = [-np.inf, 0.0, 0.3, 0.7, 1.0, np.inf]
+        proposals = np.random.default_rng(episodes).choice(values, size=in_range.shape[:-1] + (cfg.action_dim,))
+        got = resolve_links(in_range, proposals, cfg)
+        assert got.shape == in_range.shape[:2] + (cfg.n_entities, cfg.n_entities)
+        assert np.array_equal(got, resolve_links(np.ascontiguousarray(in_range), proposals, cfg))
+        for i in np.ndindex(in_range.shape[:2]):
+            assert np.array_equal(got[i], resolve_links(in_range[i], proposals[i], cfg)), i
+
     def _brute_force_resolver(self, world, proposals, cfg):
         """Independent O(N^2) re-derivation of the link rules."""
         n_a, n = cfg.n_aircraft, cfg.n_entities
@@ -717,6 +767,44 @@ class TestResolveLinks:
                 w = make_world(rng.uniform(0, 1, size=(7, 2)), n_aircraft=5)
             links = resolve_links(_geometry(w, cfg)[0], rng.uniform(0, 1, size=(5, 6)), cfg)
             assert np.all(links.sum(axis=0) <= cfg.max_links)
+
+
+def stable_top_oracle(keys, count):
+    """The entries in the first ``count`` places of a stable argsort of -keys along axis 0."""
+    marks = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(marks, np.argsort(-keys, axis=0, kind="stable")[:count], True, axis=0)
+    return marks
+
+
+class TestTop:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(5,), (6, 4), (7, 3, 5), (2, 9), (3, 2, 2)])
+    def test_marks_the_first_places_of_a_stable_argsort(self, shape, count):
+        # a few distinct values, infinite too, so that the keys tie often
+        rng = np.random.default_rng([count, *shape])
+        for _ in range(20):
+            keys = rng.choice([-np.inf, -1.0, 0.0, 0.25, 0.5, np.inf], size=shape)
+            assert np.array_equal(_top(keys, count), stable_top_oracle(keys, count))
+
+    def test_ranks_a_view_along_its_first_axis(self):
+        # resolve_links ranks each ground station's plane through a swapaxes view
+        keys = np.random.default_rng(1).choice([0.1, 0.2, 0.3], size=(4, 5, 6)).swapaxes(0, 1)
+        assert np.array_equal(_top(keys, 2), stable_top_oracle(keys, 2))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (1, 2, 2)])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_an_axis_of_length_one_marks_its_entry(self, shape, count):
+        # one proposal column: the 1-aircraft, 1-station case
+        keys = np.random.default_rng(0).uniform(size=shape)
+        assert _top(keys, count).all() and np.array_equal(_top(keys, count), stable_top_oracle(keys, count))
+
+    @pytest.mark.parametrize("pad", [-np.inf, np.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_a_single_finite_key_among_infinite_ones(self, pad, where):
+        keys = np.full((5, 2), pad)
+        keys[where] = 0.5
+        for count in (1, 2):
+            assert np.array_equal(_top(keys, count), stable_top_oracle(keys, count)), count
 
 
 class TestPathToGround:
