@@ -162,17 +162,85 @@ class WorldState:
         return self.anchor[1] + (t - self.anchor[0]) * self.vel
 
 
+# numpy's SeedSequence constants (INIT_A, MULT_A), (INIT_B, MULT_B), MIX_MULT_L and MIX_MULT_R, and PCG64's multiplier
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R, _PCG_MULT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
+_OTHERS = np.array([[dst for dst in range(4) if dst != src] for src in range(4)])  # the pool words src mixes into
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """Read-only (count + 1, 1) uint32 column init * mult**i mod 2**32: hashmix call i takes rows i and i + 1."""
+    consts = np.array([init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(count + 1)], np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 ``values``, its calls along axis 0 under (consts[i], consts[i + 1])."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ mixed >> 16
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(k: int) -> tuple:
+    """Read-only uint64 (hi, lo, lo's 32-bit halves), each (2, 1, k), of M**(j+1) and 1 + M + ... + M**(j+1), j <= k."""
+    powers = [pow(_PCG_MULT, j, 1 << 128) for j in range(k + 2)]
+    c = np.array([powers[2:], np.cumsum(powers, dtype=object)[2:] % (1 << 128)], dtype=object)[:, None]
+    jumps = tuple(a.astype(np.uint64) for a in (c >> 64, c & (1 << 64) - 1, c & 0xFFFFFFFF, c >> 32 & 0xFFFFFFFF))
+    for a in jumps:
+        a.flags.writeable = False
+    return jumps
+
+
+def _seeded_uniforms(seeds: list, k: int) -> np.ndarray:
+    """(len(seeds), k) doubles, row i bit for bit np.random.default_rng(seeds[i]).random(k), in one uint64 pass.
+
+    SeedSequence hashmixes a seed's first 4 little-endian 32-bit words, zero-padded, into a pool, each pool word in
+    turn into the other 3, then each later word into all 4.  generate_state(4, uint64) gives PCG64's 128-bit seed s
+    and stream inc = 2 i + 1; seeding steps the LCG x -> M x + inc from 0 to (inc + s) M + inc, j more steps give
+    M**(j+1) s + (1 + M + ... + M**(j+1)) inc mod 2**128, and draw j is its XSL-RR output as (x >> 11) * 2**-53.
+    """
+    ints = np.array(list(map(int, seeds)), dtype=object)
+    n_words = -(-int(ints.max()).bit_length() // 32)
+    words, rest = np.zeros((max(n_words, 4), len(ints)), np.uint32), ints
+    for w in range(n_words):
+        words[w], rest = rest & 0xFFFFFFFF, rest >> 32
+    consts = _hash_consts(*_HASH_A, 4 * len(words))
+    pool = _hashmix(words[:4], consts[:5])
+    for src, others in enumerate(_OTHERS):  # hashmix calls 4 + 3 src .. 6 + 3 src
+        pool[others] = _mix(pool[others], _hashmix(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+    for w in range(4, n_words):  # hashmix calls 4 w .. 4 w + 3
+        pool = np.where(ints >= 1 << 32 * w, _mix(pool, _hashmix(words[w], consts[4 * w : 4 * w + 5])), pool)
+    state = _hashmix(np.concatenate([pool, pool]), _hash_consts(*_HASH_B, 8)).astype(np.uint64)
+    x = (state[0::2] | state[1::2] << 32)[:, :, None]  # (4, n, 1) uint64 words s_hi, s_lo, i_hi, i_lo
+    x[2], x[3] = x[2] << 1 | x[3] >> 63, x[3] << 1 | 1  # i to inc
+    # s and inc, each (2, n, 1), times their (2, 1, k) jump constants mod 2**128 as (hi, lo) words, then summed
+    (x_hi, x_lo), (c_hi, c_lo, c0, c1) = (x[0::2], x[1::2]), _jumps(k)
+    x0, x1 = x_lo & 0xFFFFFFFF, x_lo >> 32
+    lo, u = c_lo * x_lo, c1 * x0 + (c0 * x0 >> 32)
+    v = c0 * x1 + (u & 0xFFFFFFFF)
+    hi = c1 * x1 + (u >> 32) + (v >> 32) + c_hi * x_lo + c_lo * x_hi  # c_lo * x_lo's high word, then the cross terms
+    total = lo[0] + lo[1]
+    hi = hi[0] + hi[1] + (total < lo[0])
+    out, rot = hi ^ total, hi >> 58
+    return ((out >> rot | out << (64 - rot & 63)) >> 11) * 2.0**-53
+
+
 def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     """Fresh world at t = 0: uniform positions, constant aircraft velocities.
 
     Identical (cfg, seed) pairs produce bit-identical worlds.  For a sequence of seeds the world's leading axis
-    holds the world of each seed in order, each drawn from its own default_rng(seed) stream as if alone.
+    holds the world of each seed in order, each as default_rng(seed) draws it alone; one uint64 pass seeds the block.
     One random() draw u per seed gives its positions, then its aircraft velocities, as uniform: low + (high - low) * u.
     """
     (seeds, single), n, n_a = check_seeds(seed), cfg.n_entities, cfg.n_aircraft
-    u = np.empty((len(seeds), 2 * (n + n_a)))
-    for row, s in zip(u, seeds):
-        np.random.default_rng(s).random(out=row)
+    u = _seeded_uniforms(seeds, 2 * (n + n_a))
     side, v_max = float(cfg.world_side), float(cfg.v_max)
     pos, vel = side * u[:, : 2 * n].reshape(-1, n, 2), np.zeros((len(seeds), n, 2))  # 0 + side * u is side * u
     vel[:, :n_a] = -v_max + 2 * v_max * u[:, 2 * n :].reshape(-1, n_a, 2)
@@ -237,7 +305,10 @@ def resolve_links(in_range: np.ndarray, proposals: np.ndarray, cfg: ScenarioConf
     """
     if not isinstance(in_range, np.ndarray) or in_range.dtype != bool:
         raise ContractViolation(f"in_range must be a boolean array, got {getattr(in_range, 'dtype', type(in_range))}")
-    proposals = np.asarray(proposals)
+    try:
+        proposals = np.asarray(proposals)
+    except ValueError:  # a ragged nesting, which numpy gives no shape
+        raise ContractViolation("proposals must be a rectangular array, got a ragged nesting") from None
     if proposals.dtype.kind not in "iuf":
         raise ContractViolation(f"proposals must be real numbers, got dtype {proposals.dtype}")
     n_a, n, k = cfg.n_aircraft, cfg.n_entities, cfg.max_links

@@ -92,7 +92,7 @@ def random_baseline_cr(cfg: ScenarioConfig, episodes: int, seed: int = 0) -> tup
 
     def rewards_of(world):
         # one draw per block, episode-major: the stream reads as one (n_aircraft, action_dim) draw per step
-        actions = rng.uniform(0.0, 1.0, size=(len(world.vel), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
+        actions = rng.random((len(world.vel), cfg.horizon, cfg.n_aircraft, cfg.action_dim))
         return open_loop_rewards(world, actions, cfg)  # the policy reads no observation, so none is built
 
     crs = run_episodes(cfg, range(seed, seed + episodes), rewards_of)

@@ -6,6 +6,7 @@ faster or more specialized way, so tests can compare the two.
 
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
 from typing import Callable
 
@@ -127,11 +128,19 @@ def lk_rows_per_step(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     return np.where(np.hypot(dp[..., 0], dp[..., 1]) <= r, within.sum(axis=0) / cfg.horizon, -1.0)
 
 
+def seeded_uniforms(seeds, k: int) -> np.ndarray:
+    """The per-seed form of ``fanetq.env._seeded_uniforms``: row i is np.random.default_rng(seeds[i]).random(k)."""
+    rows = np.empty((len(seeds), k))
+    for row, s in zip(rows, seeds):
+        np.random.default_rng(s).random(out=row)
+    return rows
+
+
 def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     """The per-seed form of ``fanetq.env.init_world``: one default_rng(seed) per seed, drawing the (N, 2) positions
     with rng.uniform(0, world_side), then the aircraft velocities with rng.uniform(-v_max, v_max); a sequence of
     seeds stacks their worlds in order."""
-    if not isinstance(seed, int):
+    if not isinstance(seed, numbers.Integral):
         return stack_worlds([init_world(cfg, s) for s in seed])
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, cfg.world_side, size=(cfg.n_entities, 2))

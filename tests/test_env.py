@@ -17,6 +17,7 @@ from fanetq.env import (
     _geometry,
     _in_range,
     _lk_table,
+    _seeded_uniforms,
     _top,
     clamp_actions,
     env_step,
@@ -31,7 +32,7 @@ from fanetq.env import (
 )
 from fanetq.errors import ConfigError, ContractViolation
 from fanetq.experiments import load_scenario
-from tests.oracles import init_world as oracle_init_world, lk_rows_per_step, stack_worlds
+from tests.oracles import init_world as oracle_init_world, lk_rows_per_step, seeded_uniforms, stack_worlds
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -287,7 +288,11 @@ class TestInitWorld:
             cfg_4a1s(v_max=1e300),
         ],
     )
-    @pytest.mark.parametrize("seed", [5, [5], [7, 10], list(range(7, 7 + 3 * EPISODE_BLOCK, 3))])
+    @pytest.mark.parametrize(
+        "seed",
+        [5, [5], [7, 10], list(range(7, 7 + 3 * EPISODE_BLOCK, 3)), np.uint64(2**63 + 5), [2**160 + 7, 3]],
+        ids=["5", "[5]", "[7, 10]", "3 blocks", "np.uint64 2**63 + 5", "[2**160 + 7, 3]"],
+    )
     def test_draws_the_worlds_of_the_per_seed_uniform_oracle_bit_for_bit(self, cfg, seed):
         got, want = init_world(cfg, seed), oracle_init_world(cfg, seed)
         assert got.t == want.t == 0 and got.anchor[0] == want.anchor[0] == 0
@@ -306,6 +311,37 @@ class TestInitWorld:
         # refused here, not as a bare TypeError or numpy's ValueError, and True is not seed 1
         with pytest.raises(ContractViolation, match="^seed must be"):
             init_world(cfg_4a1s(), seed)
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 7, 2**300 + 1]
+
+
+class TestSeededUniforms:
+    """The one-pass block kernel against a default_rng(seed).random(k) per seed, compared as uint64 bits."""
+
+    @staticmethod
+    def assert_bits_equal(seeds, k):
+        got, want = _seeded_uniforms(seeds, k), seeded_uniforms(seeds, k)
+        assert got.shape == want.shape == (len(seeds), k) and got.dtype == want.dtype == np.float64
+        bad = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+        assert not bad.size, f"rows of seeds {[seeds[i] for i in bad[:5]]} differ"
+
+    @pytest.mark.parametrize("k", [1, 2, 18, 24, 28])  # 18 and 24 are the 4a1s and 5a2s draws
+    def test_edge_seeds_bit_for_bit(self, k):
+        # the 32-bit word boundaries, 4 and 5 pool words, and words past the pool that SeedSequence mixes in last
+        self.assert_bits_equal(EDGE_SEEDS + [1, 5, 2**96 + 3], k)
+        for seed in EDGE_SEEDS:  # each alone, so that no longer seed in the block sets its word count
+            self.assert_bits_equal([seed], k)
+
+    @pytest.mark.parametrize("k", [1, 24, 28])
+    def test_5000_random_seeds_bit_for_bit(self, k):
+        seeds = np.random.default_rng(k).integers(0, 2**63, 5000).tolist()
+        self.assert_bits_equal(seeds, k)
+
+    def test_numpy_integer_seeds_bit_for_bit(self):
+        seeds = [np.int64(0), np.int64(7), np.int64(2**63 - 1), np.uint64(2**63), np.uint64(2**64 - 1), 12, 2**200]
+        self.assert_bits_equal(seeds, 24)
+        self.assert_bits_equal([np.uint64(2**63 + 2**33 * i) for i in range(128)], 18)
 
 
 def links_1a1s(positions, comm_range):
@@ -658,6 +694,13 @@ class TestResolveLinks:
         with pytest.raises(ContractViolation, match=f"^proposals must be real numbers, got dtype {proposals.dtype}$"):
             resolve_links(_geometry(init_world(cfg, 0), cfg)[0], proposals, cfg)
 
+    def test_ragged_proposals_are_refused(self):
+        # numpy's bare ValueError "setting an array element with a sequence" before
+        cfg = cfg_4a1s()
+        mask = _geometry(init_world(cfg, 0), cfg)[0]
+        with pytest.raises(ContractViolation, match="^proposals must be a rectangular array, got a ragged nesting$"):
+            resolve_links(mask, [[0.5] * 4] * 3 + [[0.5] * 3], cfg)
+
     def test_proposals_are_ranked_as_float64(self):
         # float16 has no value at ACTION_CLAMP_LOW: the nearest is above it and the next one down below it, so the
         # two clamp apart as float64 and would tie, both clamped up to the nearest, in float16 arithmetic
@@ -914,6 +957,11 @@ class TestEnvStep:
         assert done
         with pytest.raises(ContractViolation):
             env_step(w, np.array([[0.5]]), cfg)
+
+    def test_ragged_actions_raise(self):
+        cfg = cfg_4a1s()
+        with pytest.raises(ContractViolation, match="^proposals must be a rectangular array"):
+            env_step(init_world(cfg, 0), [[0.5] * 4] * 3 + [[0.5] * 3], cfg)
 
     def test_nan_actions_raise(self):
         env = FanetEnv(cfg_4a1s())
@@ -1229,6 +1277,12 @@ class TestOpenLoopRewards:
             actions[1, 2, 0, 3] = np.nan
         with pytest.raises(ContractViolation, match="NaN" if case == "NaN" else "shape"):
             open_loop_rewards(world, actions, cfg)
+
+    def test_ragged_actions_are_contract_violations(self):
+        cfg = cfg_4a1s(horizon=2)
+        actions = [[[[0.5] * 4] * 4, [[0.5] * 4] * 3 + [[0.5] * 3]]] * 2  # 2 episodes, step 2 ragged
+        with pytest.raises(ContractViolation, match="^proposals must be a rectangular array"):
+            open_loop_rewards(init_world(cfg, [0, 1]), actions, cfg)
 
 
 class TestObserve:
