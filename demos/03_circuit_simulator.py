@@ -8,7 +8,9 @@ import json
 
 import numpy as np
 
+from fanetq.critics import CircuitCore
 from fanetq.qsim import (
+    SCALING_FNS,
     SpsaState,
     VqcSpec,
     apply_gate,
@@ -26,14 +28,14 @@ print("Bell state amplitudes:", np.round(state, 4))
 # layered circuit: 4L pre-features, scaled to input angles, in; four <Z> expectations out
 rng = np.random.default_rng(0)
 for L in (1, 2, 3):
-    spec = VqcSpec(n_layers=L, scaling_fn="arctan",
-                   theta=rng.uniform(-np.pi, np.pi, 12 * L),
-                   xi=rng.uniform(0.5, 1.5, 4 * L))
-    feats = rng.uniform(-1, 1, 4 * L)
-    z = vqc_forward(spec, spec.scaled_angles(feats))
+    spec = VqcSpec(n_layers=L, scaling_fn="arctan")
+    theta = rng.uniform(-np.pi, np.pi, spec.n_theta)
+    xi = rng.uniform(0.5, 1.5, spec.n_features)
+    feats = rng.uniform(-1, 1, spec.n_features)
+    z = vqc_forward(spec, SCALING_FNS[spec.scaling_fn][0](feats * xi), theta)
     print(f"L={L}: {12*L} circuit weights, <Z> = {np.round(z, 4)}")
 
-print("\ncircuit description export:", json.dumps(VqcSpec(n_layers=1).to_dict())[:80], "...")
+print("\ncircuit description export:", json.dumps(CircuitCore(VqcSpec(1), np.zeros(12)).to_dict())[:80], "...")
 
 # SPSA: three loss evaluations per gradient estimate, then a step of size a_k
 target = rng.uniform(-1, 1, 12)

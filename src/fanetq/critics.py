@@ -4,12 +4,12 @@
 ``flat`` of the Adam-trained parameters (``params()`` returns views of it)
 and its gradients ``grad`` (see ``fanetq.nets``), ``value_cached``, the exact
 reverse pass and the checkpoint layout.  The quantum critic's core is a
-``CircuitCore``, the data-reuploading circuit with its input scalings ``xi``
-as parameters; it routes gradients per the hybrid scheme: exact backprop
-through the post block, a three-evaluation simultaneous-perturbation
-estimate for the circuit weights, and the same two perturbed evaluations
-reused (via a joint perturbation of the circuit's input angles) to push an
-estimated gradient into the input scalings and the pre block.
+``CircuitCore``, the data-reuploading circuit that owns its weights theta and
+input scalings ``xi``; it routes gradients per the hybrid scheme: exact
+backprop through the post block, a three-evaluation simultaneous-perturbation
+estimate for theta, and the same two perturbed evaluations reused (via a joint
+perturbation of the circuit's input angles) to push an estimated gradient into
+xi and the pre block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, config_errors, json_fields, read_json
+from .errors import ConfigError, ContractViolation, config_errors, json_fields, json_floats, read_json
 from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, pack
 from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
@@ -36,23 +36,30 @@ def _post_sizes(in_dim: int, hidden: int) -> tuple[list[int], list[str]]:
 class CircuitCore:
     """The circuit as a critic core: angles x = f(u * xi) for the 4L pre features u, then the 4 <Z> readouts.
 
-    ``flat`` is ``spec.xi``; the critic steps ``spec.theta`` by SPSA.  ``evaluations`` counts batched circuit passes.
+    It owns the weights: ``theta`` (12L), which the critic steps by SPSA, and the input scalings ``xi`` (4L, ones by
+    default), its ``flat``, which train with the classical weights.  ``evaluations`` counts batched circuit passes.
     """
 
     out_dim = N_QUBITS
 
-    def __init__(self, spec: VqcSpec):
-        self.spec = spec
-        self.in_dim = spec.n_features
-        self.flat = spec.xi
-        self.evaluations = 0
+    def __init__(self, spec: VqcSpec, theta: np.ndarray, xi: np.ndarray | None = None):
+        self.spec, self.in_dim, self.evaluations = spec, spec.n_features, 0
+        self.theta = np.array(theta, dtype=float)
+        self.xi = np.ones(spec.n_features) if xi is None else np.array(xi, dtype=float)
+        if self.theta.shape != (spec.n_theta,):
+            raise ContractViolation(f"theta must have {spec.n_theta} entries")
+        if self.xi.shape != (spec.n_features,):
+            raise ContractViolation(f"xi must have {spec.n_features} entries")
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.xi
 
     def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        self.flat = self.spec.xi = flat
-        self.grad = grad
+        self.xi, self.grad = flat, grad
 
     def params(self) -> list[np.ndarray]:
-        return [self.spec.xi]
+        return [self.xi]
 
     def run(self, angles: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """One batched evaluation of the circuit on explicit angles."""
@@ -60,11 +67,27 @@ class CircuitCore:
         return vqc_forward(self.spec, angles, theta)
 
     def forward_cached(self, u: np.ndarray):
-        angles = self.spec.scaled_angles(u)
-        return self.run(angles, self.spec.theta), (u, angles)
+        angles = SCALING_FNS[self.spec.scaling_fn][0](u * self.xi)
+        return self.run(angles, self.theta), (u, angles)
 
     def to_dict(self) -> dict:
-        return self.spec.to_dict()
+        return {
+            "n_qubits": N_QUBITS,
+            "L": self.spec.n_layers,
+            "scaling_fn": self.spec.scaling_fn,
+            "theta": self.theta.tolist(),
+            "xi": self.xi.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CircuitCore":
+        n_layers, scaling_fn, theta, xi = json_fields(d, "L", "scaling_fn", "theta", "xi", what="circuit")
+        if d.get("n_qubits", N_QUBITS) != N_QUBITS:
+            raise ContractViolation("the critic core circuit is fixed at 4 qubits")
+        if not isinstance(n_layers, int) or isinstance(n_layers, bool):
+            raise ConfigError(f"circuit L must be an integer, got {n_layers!r}")
+        theta, xi = json_floats(theta, "circuit theta"), json_floats(xi, "circuit xi")
+        return cls(VqcSpec(n_layers, scaling_fn), theta, xi)
 
 
 class _Critic:
@@ -143,15 +166,15 @@ class ClassicalCritic(_Critic):
 class QuantumCritic(_Critic):
     """pre (|O| -> 4L, tanh), data-reuploading circuit core, post (4 -> 1).
 
-    ``spec.theta`` are the quantum weights (SPSA-updated); ``spec.xi`` and the pre/post blocks train through Adam.
+    ``core.theta`` are the quantum weights (SPSA-updated); ``core.xi`` and the pre/post blocks train through Adam.
     ``circuit_evaluations`` counts batched circuit passes; one critic-loss gradient estimate issues exactly three.
     """
 
     kind = "quantum"
     core_key = "circuit"
 
-    def __init__(self, pre: DenseNet, spec: VqcSpec, post: DenseNet, spsa: SpsaState):
-        super().__init__(pre, CircuitCore(spec), post)
+    def __init__(self, pre: DenseNet, core: CircuitCore, post: DenseNet, spsa: SpsaState):
+        super().__init__(pre, core, post)
         self.spsa = spsa
 
     @classmethod
@@ -166,18 +189,13 @@ class QuantumCritic(_Critic):
         spsa_seed: int = 0,
     ) -> "QuantumCritic":
         pre = DenseNet.create([global_obs_dim, N_QUBITS * n_layers], ["tanh"], rng)
-        theta0 = rng.uniform(0.0, np.pi, size=12 * n_layers)
-        spec = VqcSpec(n_layers=n_layers, scaling_fn=scaling_fn, theta=theta0)
+        core = CircuitCore(VqcSpec(n_layers, scaling_fn), rng.uniform(0.0, np.pi, size=12 * n_layers))
         post = DenseNet.create(*_post_sizes(N_QUBITS, post_hidden), rng)
-        return cls(pre, spec, post, SpsaState.matched_to_lr(lr, seed=spsa_seed))
-
-    @property
-    def spec(self) -> VqcSpec:
-        return self.core.spec
+        return cls(pre, core, post, SpsaState.matched_to_lr(lr, seed=spsa_seed))
 
     @property
     def quantum_weights(self) -> int:
-        return self.spec.theta.size
+        return self.core.theta.size
 
     @property
     def circuit_evaluations(self) -> int:
@@ -193,7 +211,7 @@ class QuantumCritic(_Critic):
         each estimate costs two more circuit evaluations, three in total.
         """
         pre_cache, (features, angles), post_cache = cache
-        n_theta = self.spec.theta.size
+        n_theta = self.core.theta.size
         self.post.backward(post_cache, np.asarray(d_value)[..., None], input_grad=False)
 
         def joint_loss(params: np.ndarray) -> float:
@@ -201,16 +219,16 @@ class QuantumCritic(_Critic):
             return float(loss_fn(self.post.forward(z_p)[..., 0]))
 
         ak = self.spsa.step_size()
-        center = np.concatenate([self.spec.theta, np.zeros(self.spec.n_features)])
+        center = np.concatenate([self.core.theta, np.zeros(self.core.in_dim)])
         grad, _ = spsa_gradient(joint_loss, center, self.spsa, loss_center=loss_center)
-        self.spec.theta = self.spec.theta - ak * grad[:n_theta]
+        self.core.theta = self.core.theta - ak * grad[:n_theta]
 
         # chain the common-shift angle gradient into xi and the pre block; x = f(u * xi) with u the pre output
         u = np.atleast_2d(features)
-        dx_ds = SCALING_FNS[self.spec.scaling_fn][1](u * self.spec.xi)
+        dx_ds = SCALING_FNS[self.core.spec.scaling_fn][1](u * self.core.xi)
         upstream_x = np.broadcast_to(grad[n_theta:] / len(u), u.shape)
         (upstream_x * dx_ds * u).sum(axis=0, out=self.core.grad)
-        d_features = upstream_x * dx_ds * self.spec.xi
+        d_features = upstream_x * dx_ds * self.core.xi
         self.pre.backward(pre_cache, d_features.reshape(features.shape), input_grad=False)
 
     def to_dict(self) -> dict:
@@ -225,9 +243,9 @@ class QuantumCritic(_Critic):
         spsa = SpsaState.matched_to_lr(lr, seed=spsa_seed)
         spsa.k = spsa_k
         with config_errors("checkpoint circuit"):
-            spec = VqcSpec.from_dict(circuit)
+            core = CircuitCore.from_dict(circuit)
         with config_errors("critic checkpoint"):
-            return cls(DenseNet.from_dict(pre), spec, DenseNet.from_dict(post), spsa)
+            return cls(DenseNet.from_dict(pre), core, DenseNet.from_dict(post), spsa)
 
 
 def save_critic(critic, path: str | Path) -> None:

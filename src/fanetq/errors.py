@@ -32,7 +32,8 @@ class CalibrationError(RuntimeError):
 
 def check_int(value, name: str, low: int | None) -> None:
     """ContractViolation unless ``value`` is an integer, not a bool, of at least ``low``: 1, 0, or None for any."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # the exact-type test first: it spares a plain int the numbers.Integral ABC check, and type(True) is bool
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ContractViolation(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ContractViolation(f"{name} must be {'positive' if low else 'non-negative'}")

@@ -355,7 +355,7 @@ class Trainer:
         opts = (self.actor_opt, self.critic_opt)
         opt_snapshot = [(opt.m.copy(), opt.v.copy(), opt.t) for opt in opts]
         circuit_snapshot = (
-            (self.critic.spec.theta.copy(), self.critic.spsa.k) if self.critic.kind == "quantum" else None
+            (self.critic.core.theta.copy(), self.critic.spsa.k) if self.critic.kind == "quantum" else None
         )
 
         actor_records, critic_records = [], []  # one per stepped minibatch
@@ -392,7 +392,7 @@ class Trainer:
             for opt, (m, v, t) in zip(opts, opt_snapshot):
                 opt.m, opt.v, opt.t = m, v, t
             if circuit_snapshot is not None:
-                self.critic.spec.theta, self.critic.spsa.k = circuit_snapshot
+                self.critic.core.theta, self.critic.spsa.k = circuit_snapshot
             warnings.warn(f"update aborted, parameters and optimizers restored: {exc}", RuntimeWarning)
             return UpdateStats(*[math.nan] * 7, skipped_minibatches=skipped, aborted=True)
 

@@ -38,7 +38,7 @@ class MetricEstimate:
 def _parameter_draw(spec: VqcSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The spec's scaling of raw data draws (n, 4L), then ansatz angles (n, 12L), drawn in that order from ``rng``."""
     feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, spec.n_features))
-    return SCALING_FNS[spec.scaling_fn][0](feats), rng.uniform(THETA_LOW, THETA_HIGH, size=(n, spec.theta.size))
+    return SCALING_FNS[spec.scaling_fn][0](feats), rng.uniform(THETA_LOW, THETA_HIGH, size=(n, spec.n_theta))
 
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:

@@ -2,9 +2,10 @@
 
 The layered circuit is evaluated in closed form: per layer, one phase vector
 for the (diagonal) encoding and one 16x16 matrix for the ansatz, with a batch
-axis in front so a whole minibatch goes through at once.  The gate functions
-(``apply_gate`` and friends) build small circuits one gate at a time.  Qubit 0
-is the most significant bit of the amplitude index.
+axis in front so a whole minibatch goes through at once.  ``VqcSpec`` is the
+architecture; ``vqc_state`` takes the input angles and weights theta.  The gate
+functions (``apply_gate`` and friends) build small circuits one gate at a time.
+Qubit 0 is the most significant bit of the amplitude index.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError, check_int, is_finite_number, json_fields, json_floats
+from .errors import ContractViolation, TrainingError, check_int, is_finite_number
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -142,64 +143,27 @@ PARAMS_PER_ROTATION_LAYER = 3 * N_QUBITS  # RZ-RY-RZ per qubit
 QUBIT_PAIRS = [(i, j) for i in range(N_QUBITS) for j in range(i + 1, N_QUBITS)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VqcSpec:
-    """Layered data-reuploading circuit description.
-
-    ``theta`` are the quantum weights (12 per layer, updated by SPSA),
-    ``xi`` the per-feature input scalings (4 per layer, trained with the
-    classical optimizer and counted as classical weights).
-    """
+    """Layered data-reuploading circuit architecture: L layers of 4 input angles and 12 weights theta each, and the
+    scaling f of its input angles.  It holds no weights; a critic's ``CircuitCore`` holds theta and the scalings xi."""
 
     n_layers: int
     scaling_fn: str = "identity"
-    theta: np.ndarray = field(default=None)  # type: ignore[assignment]
-    xi: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         check_int(self.n_layers, "n_layers", 1)
-        self.n_layers = int(self.n_layers)  # a numpy integer would not export to JSON
+        object.__setattr__(self, "n_layers", int(self.n_layers))  # a numpy integer would not export to JSON
         if not isinstance(self.scaling_fn, str) or self.scaling_fn not in SCALING_FNS:
             raise ContractViolation(f"unknown scaling_fn {self.scaling_fn!r}")
-        if self.theta is None:
-            self.theta = np.zeros(PARAMS_PER_ROTATION_LAYER * self.n_layers)
-        else:
-            self.theta = np.asarray(self.theta, dtype=float)
-        if self.xi is None:
-            self.xi = np.ones(N_QUBITS * self.n_layers)
-        else:
-            self.xi = np.asarray(self.xi, dtype=float)
-        if self.theta.shape != (PARAMS_PER_ROTATION_LAYER * self.n_layers,):
-            raise ContractViolation(f"theta must have {PARAMS_PER_ROTATION_LAYER * self.n_layers} entries")
-        if self.xi.shape != (N_QUBITS * self.n_layers,):
-            raise ContractViolation(f"xi must have {N_QUBITS * self.n_layers} entries")
 
     @property
     def n_features(self) -> int:
         return N_QUBITS * self.n_layers
 
-    def scaled_angles(self, features: np.ndarray) -> np.ndarray:
-        """x = f(o * xi) for raw pre-features o of shape (..., 4L)."""
-        return SCALING_FNS[self.scaling_fn][0](features * self.xi)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_qubits": N_QUBITS,
-            "L": self.n_layers,
-            "scaling_fn": self.scaling_fn,
-            "theta": self.theta.tolist(),
-            "xi": self.xi.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VqcSpec":
-        n_layers, scaling_fn, theta, xi = json_fields(d, "L", "scaling_fn", "theta", "xi", what="circuit")
-        if d.get("n_qubits", N_QUBITS) != N_QUBITS:
-            raise ContractViolation("the critic core circuit is fixed at 4 qubits")
-        if not isinstance(n_layers, int) or isinstance(n_layers, bool):
-            raise ConfigError(f"circuit L must be an integer, got {n_layers!r}")
-        theta, xi = json_floats(theta, "circuit theta"), json_floats(xi, "circuit xi")
-        return cls(n_layers=n_layers, scaling_fn=scaling_fn, theta=theta, xi=xi)
+    @property
+    def n_theta(self) -> int:
+        return PARAMS_PER_ROTATION_LAYER * self.n_layers
 
 
 def _basis_signs() -> np.ndarray:
@@ -274,11 +238,10 @@ def _rotation_matrix(theta_layer: np.ndarray) -> np.ndarray:
     )
 
 
-def vqc_state(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+def vqc_state(spec: VqcSpec, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Output statevector for input angles x of shape (4L,) or (batch, 4L), which enter the circuit as they are.
 
-    ``theta`` defaults to ``spec.theta``.  It may be (12L,), shared across
-    the batch, or (batch, 12L), one vector per sample.  Layer l maps
+    ``theta`` is (12L,), shared across the batch, or (batch, 12L), one vector per sample.  Layer l maps
     state <- ((state @ H4) * phases(x_l)) @ (K(theta_l) . RING)^T.
     The CNOT ring comes before the rotations, so the rotations sit between
     a layer's entangler and the next layer's encoding; that order is what
@@ -287,8 +250,8 @@ def vqc_state(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> 
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != spec.n_features:
         raise ContractViolation(f"expected {spec.n_features} input angles for L={spec.n_layers}, got {x.shape[-1]}")
-    theta = spec.theta if theta is None else np.asarray(theta, dtype=float)
-    if theta.shape not in ((spec.theta.size,), x.shape[:-1] + (spec.theta.size,)):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape not in ((spec.n_theta,), x.shape[:-1] + (spec.n_theta,)):
         raise ContractViolation(f"theta of shape {theta.shape} does not fit angles of shape {x.shape}")
     state = None
     for layer in range(spec.n_layers):
@@ -303,7 +266,7 @@ def vqc_state(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> 
     return state
 
 
-def vqc_forward(spec: VqcSpec, x: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+def vqc_forward(spec: VqcSpec, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """<Z_q> outputs, each in [-1, 1], for input angles x; batched when ``x`` is 2-D."""
     return z_expectations(vqc_state(spec, x, theta))
 

@@ -23,7 +23,7 @@ from fanetq.experiments import (
 from fanetq.mappo import TrainerConfig, gae
 from fanetq.nets import DenseNet, GaussianPolicyHead
 from fanetq.qmetrics import entanglement_capability, expressibility, meyer_wallach_batch, sample_states
-from fanetq.qsim import SpsaState, VqcSpec, spsa_gradient, vqc_forward, vqc_state
+from fanetq.qsim import SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward, vqc_state
 
 from tests.oracles import grad_views, spsa_minimize
 from tests.test_nets import finite_difference_check
@@ -97,15 +97,11 @@ def test_criterion_4_statevector_vs_dense_oracle():
     worst = 0.0
     for case in range(100):
         n_layers = int(rng.integers(1, 4))
-        spec = VqcSpec(
-            n_layers=n_layers,
-            scaling_fn=str(rng.choice(["identity", "arctan"])),
-            theta=rng.uniform(-np.pi, np.pi, 12 * n_layers),
-            xi=rng.uniform(-2, 2, 4 * n_layers),
-        )
-        x = spec.scaled_angles(rng.uniform(-np.pi, np.pi, 4 * n_layers))
-        got = vqc_state(spec, x)
-        expected = dense_vqc_state(spec, x)
+        spec = VqcSpec(n_layers=n_layers, scaling_fn=str(rng.choice(["identity", "arctan"])))
+        theta, xi = rng.uniform(-np.pi, np.pi, 12 * n_layers), rng.uniform(-2, 2, 4 * n_layers)
+        x = SCALING_FNS[spec.scaling_fn][0](rng.uniform(-np.pi, np.pi, 4 * n_layers) * xi)
+        got = vqc_state(spec, x, theta)
+        expected = dense_vqc_state(spec, x, theta)
         worst = max(worst, float(np.abs(got - expected).max()))
     ok = worst < 1e-10
     report(4, "statevector vs dense oracle", ok, f"worst amplitude error {worst:.2e} over 100 cases")

@@ -13,6 +13,7 @@ from fanetq.critics import (
     CLASSICAL_SOLUTIONS,
     PAIRINGS,
     QUANTUM_SOLUTIONS,
+    CircuitCore,
     ClassicalCritic,
     QuantumCritic,
     SolutionId,
@@ -24,7 +25,7 @@ from fanetq.critics import (
 )
 from fanetq.errors import ConfigError, ContractViolation
 from fanetq.nets import DenseNet, GaussianPolicyHead
-from fanetq.qsim import SpsaState, VqcSpec, vqc_forward
+from fanetq.qsim import SCALING_FNS, SpsaState, VqcSpec, vqc_forward
 
 from tests.oracles import grad_views
 from tests.test_nets import finite_difference_check
@@ -63,7 +64,7 @@ class TestWeightBookkeeping:
         for name in QUANTUM_SOLUTIONS:
             critic = build_critic(name, scenario, OBS_DIMS[scenario], np.random.default_rng(0))
             assert critic.quantum_weights == 12 * int(name[4])
-            assert critic.spec.xi.size == 4 * int(name[4])
+            assert critic.core.xi.size == 4 * int(name[4])
 
     @pytest.mark.parametrize("scenario", ["4a1s", "5a2s"])
     def test_pairs_within_five_percent(self, scenario):
@@ -101,7 +102,7 @@ class TestWeightBookkeeping:
                     continue
                 live = sum(p.size for p in critic.params())
                 if critic.kind == "quantum":
-                    live += critic.spec.theta.size
+                    live += critic.core.theta.size
                 assert critic.total_weights == live
 
     def test_registry_completeness(self):
@@ -188,7 +189,7 @@ class TestQuantumCritic:
 
         draws = copy.deepcopy(critic.spsa.rng)
         ck, ak = critic.spsa.perturbation_size(), critic.spsa.step_size()
-        theta0 = critic.spec.theta.copy()
+        theta0 = critic.core.theta.copy()
         v, cache = critic.value_cached(O)
         critic.backward(cache, 2 * (v - targets) / 9, loss_fn, loss_fn(v))
 
@@ -197,11 +198,11 @@ class TestQuantumCritic:
         _, angles = cache[1]
 
         def loss_at(sign):
-            spec = VqcSpec(n_layers=1, theta=theta0 + sign * ck * delta_theta)
-            return loss_fn(critic.post.forward(vqc_forward(spec, angles + sign * ck * delta_x))[..., 0])
+            z = vqc_forward(VqcSpec(n_layers=1), angles + sign * ck * delta_x, theta0 + sign * ck * delta_theta)
+            return loss_fn(critic.post.forward(z)[..., 0])
 
         expected = theta0 - ak * (loss_at(+1.0) - loss_at(-1.0)) / (2.0 * ck * delta_theta)
-        assert np.array_equal(critic.spec.theta, expected)
+        assert np.array_equal(critic.core.theta, expected)
         assert critic.spsa.k == 1
 
     @pytest.mark.parametrize("batched", [True, False])
@@ -213,19 +214,19 @@ class TestQuantumCritic:
 
         rng = np.random.default_rng(9)
         critic = QuantumCritic.create(12, 2, scaling, rng)
-        critic.spec.xi = rng.uniform(0.5, 2.0, 8)
+        critic.core.xi[...] = rng.uniform(0.5, 2.0, 8)
         O = rng.standard_normal((5, 12) if batched else 12)
-        n_theta = critic.spec.theta.size
-        g = rng.standard_normal(n_theta + critic.spec.n_features)
+        n_theta = critic.core.theta.size
+        g = rng.standard_normal(n_theta + critic.core.spec.n_features)
         monkeypatch.setattr(critics_module, "spsa_gradient", lambda *args, **kwargs: (g.copy(), 0.0))
         v, cache = critic.value_cached(O)
         critic.backward(cache, np.zeros_like(v), lambda values: 0.0, 0.0)
         w = g[n_theta:] / (5 if batched else 1)
 
         def chained():
-            return float(np.sum(w * critic.spec.scaled_angles(critic.pre.forward(O))))
+            return float(np.sum(w * SCALING_FNS[scaling][0](critic.pre.forward(O) * critic.core.xi)))
 
-        params = critic.pre.params() + [critic.spec.xi]
+        params = critic.pre.params() + [critic.core.xi]
         finite_difference_check(chained, params, grad_views(critic)[: len(params)], rng)
 
     def test_spsa_moves_theta_downhill_on_average(self):
@@ -261,11 +262,71 @@ class TestQuantumCritic:
         assert np.allclose(critic.value(O), clone.value(O), atol=1e-12)
         assert clone.quantum_weights == 24
 
+    def test_two_critics_built_on_one_spec_share_no_weights(self):
+        # the spec is the architecture alone: a second critic on it gets its own theta and xi
+        rng = np.random.default_rng(12)
+        a = QuantumCritic.create(20, 1, "arctan", rng)
+        pre, post = (DenseNet.from_dict(block.to_dict()) for block in (a.pre, a.post))
+        b = QuantumCritic(pre, CircuitCore(a.core.spec, a.core.theta, a.core.xi), post, SpsaState.matched_to_lr(1e-2))
+        O, targets = rng.standard_normal((9, 20)), rng.standard_normal(9)
+        v_a = a.value(O)
+        assert np.array_equal(b.value(O), v_a)
+        b.core.flat[...] = rng.uniform(0.5, 2.0, 4)
+        assert not np.array_equal(b.value(O), v_a) and np.array_equal(a.value(O), v_a)
+
+        def loss_fn(values):
+            return float(np.mean((values - targets) ** 2))
+
+        v, cache = b.value_cached(O)
+        b.backward(cache, 2 * (v - targets) / 9, loss_fn, loss_fn(v))
+        assert not np.array_equal(b.core.theta, a.core.theta)
+        assert np.array_equal(a.value(O), v_a)
+
     def test_pre_block_feeds_four_features_per_layer(self):
         rng = np.random.default_rng(7)
         for L in (1, 2, 3):
             critic = QuantumCritic.create(10, L, "identity", rng)
             assert critic.pre.out_dim == 4 * L
+
+
+class TestCircuitCore:
+    def test_export_roundtrip(self):
+        rng = np.random.default_rng(8)
+        core = CircuitCore(VqcSpec(n_layers=3, scaling_fn="arctan"), rng.uniform(-1, 1, 36), rng.uniform(-1, 1, 12))
+        clone = CircuitCore.from_dict(json.loads(json.dumps(core.to_dict())))
+        assert clone.spec.n_layers == 3 and clone.spec.scaling_fn == "arctan"
+        feats = rng.uniform(-1, 1, 12)
+        (z, (_, x)), (z_clone, (_, x_clone)) = core.forward_cached(feats), clone.forward_cached(feats)
+        assert np.array_equal(x_clone, x)
+        assert np.array_equal(z_clone, z)
+
+    def test_a_numpy_integer_layer_count_exports_as_json(self):
+        spec = VqcSpec(n_layers=np.int64(2))
+        assert type(spec.n_layers) is int
+        core = CircuitCore(spec, np.zeros(24))
+        clone = CircuitCore.from_dict(json.loads(json.dumps(core.to_dict())))
+        assert clone.spec.n_layers == 2 and np.array_equal(clone.theta, core.theta) and np.array_equal(clone.xi, core.xi)
+
+    def test_export_names_four_qubits_and_rejects_any_other_count(self):
+        d = CircuitCore(VqcSpec(n_layers=1), np.zeros(12)).to_dict()
+        assert d["n_qubits"] == 4
+        with pytest.raises(ContractViolation, match="4 qubits"):
+            CircuitCore.from_dict({**d, "n_qubits": 5})
+        del d["n_qubits"]
+        assert CircuitCore.from_dict(d).spec.n_layers == 1  # a description without the count reads as 4 qubits
+
+    def test_weight_shapes_are_checked_and_xi_defaults_to_ones(self):
+        with pytest.raises(ContractViolation, match="^theta must have 12 entries"):
+            CircuitCore(VqcSpec(n_layers=1), np.zeros(13))
+        with pytest.raises(ContractViolation, match="^xi must have 8 entries"):
+            CircuitCore(VqcSpec(n_layers=2), np.zeros(24), np.ones(4))
+        assert np.array_equal(CircuitCore(VqcSpec(n_layers=2), np.zeros(24)).xi, np.ones(8))
+
+    def test_the_weights_are_copied_in(self):
+        theta, xi = np.zeros(12), np.ones(4)
+        core = CircuitCore(VqcSpec(n_layers=1), theta, xi)
+        theta[0], xi[0] = 1.0, 2.0
+        assert not core.theta.any() and np.array_equal(core.xi, np.ones(4))
 
 
 class TestCheckpointChecks:
@@ -414,7 +475,7 @@ class TestCheckpointChecks:
             ClassicalCritic(*(DenseNet.create(sizes, ["tanh"], rng) for sizes in ([16, 4], [4, 4], [4, 3])))
         with pytest.raises(ContractViolation, match="core maps 4 -> 4"):
             pre, post = DenseNet.create([16, 4], ["tanh"], rng), DenseNet.create([4, 2], ["identity"], rng)
-            QuantumCritic(pre, VqcSpec(1), post, SpsaState(a=0.1))
+            QuantumCritic(pre, CircuitCore(VqcSpec(1), np.zeros(12)), post, SpsaState(a=0.1))
 
     @pytest.mark.parametrize("solution", ["NN-4", "VQC-1A"])
     def test_committed_checkpoints_load(self, solution):

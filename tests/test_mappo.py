@@ -833,7 +833,7 @@ class TestUpdateMechanics:
     @staticmethod
     def optimizer_state(trainer):
         opts = [(opt.m.copy(), opt.v.copy(), opt.t) for opt in (trainer.actor_opt, trainer.critic_opt)]
-        return opts, trainer.critic.spsa.k, trainer.critic.spec.theta.copy()
+        return opts, trainer.critic.spsa.k, trainer.critic.core.theta.copy()
 
     def assert_optimizer_state(self, trainer, expected):
         (opts, k, theta), (want_opts, want_k, want_theta) = self.optimizer_state(trainer), expected
@@ -1083,7 +1083,7 @@ def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, bat
         adv_flat = np.repeat(adv, n)
         actor_snapshot = [p.copy() for p in actor.params()]
         critic_snapshot = [p.copy() for p in critic.params()]
-        theta_snapshot = critic.spec.theta.copy() if critic.kind == "quantum" else None
+        theta_snapshot = critic.core.theta.copy() if critic.kind == "quantum" else None
         stats = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         n_actor_mb = n_critic_mb = 0
         try:
@@ -1124,7 +1124,7 @@ def update_reference(actor, critic, actor_opt, critic_opt, shuffle_rng, cfg, bat
             for p, snap in zip(critic.params(), critic_snapshot):
                 p[...] = snap
             if theta_snapshot is not None:
-                critic.spec.theta = theta_snapshot
+                critic.core.theta = theta_snapshot
             stats.aborted = True
             return stats
     if n_actor_mb:
@@ -1177,7 +1177,7 @@ def test_update_equals_the_pre_change_reference(solution, steps, minibatch_size,
         oracle_params = oracle.actor.params() + oracle.critic.params()
         assert all(np.array_equal(p, q) for p, q in zip(params, oracle_params, strict=True))
         if trainer.critic.kind == "quantum":
-            assert np.array_equal(trainer.critic.spec.theta, oracle.critic.spec.theta)
+            assert np.array_equal(trainer.critic.core.theta, oracle.critic.core.theta)
             assert trainer.critic.spsa.k == oracle.critic.spsa.k
         for opt, ref in ((trainer.actor_opt, actor_opt), (trainer.critic_opt, critic_opt)):
             assert opt.t == ref.t

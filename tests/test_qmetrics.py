@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fanetq.critics import QuantumCritic
 from fanetq.errors import ContractViolation
 from fanetq.experiments import qmetrics_report
 from fanetq.qmetrics import (
@@ -323,11 +324,21 @@ class TestSamplerProperties:
         assert np.abs(norms - 1.0).max() < 1e-10
 
     def test_metrics_ignore_trained_weights(self):
-        # characterization depends on the architecture only
+        # characterization depends on the architecture only, not on a critic's trained theta and xi
         rng = np.random.default_rng(4)
-        a = VqcSpec(n_layers=1, scaling_fn="identity")
-        b = VqcSpec(n_layers=1, scaling_fn="identity", theta=rng.uniform(-2, 2, 12), xi=rng.uniform(0.5, 2, 4))
-        for sa, sb in zip(sample_states(a, 400, 5), sample_states(b, 400, 5)):
+        critic = QuantumCritic.create(12, 1, "identity", rng, lr=0.05)
+        O, targets = rng.standard_normal((16, 12)), rng.uniform(-1, 1, 16)
+
+        def loss_fn(values):
+            return float(np.mean((values - targets) ** 2))
+
+        for _ in range(3):
+            v, cache = critic.value_cached(O)
+            critic.backward(cache, 2 * (v - targets) / 16, loss_fn, loss_fn(v))
+            critic.flat -= 0.1 * critic.grad
+        assert critic.spsa.k == 3 and not np.array_equal(critic.core.xi, np.ones(4))
+        fresh = VqcSpec(n_layers=1, scaling_fn="identity")
+        for sa, sb in zip(sample_states(fresh, 400, 5), sample_states(critic.core.spec, 400, 5)):
             assert np.array_equal(sa, sb)
 
 
