@@ -10,10 +10,12 @@ import numpy as np
 
 from fanetq.critics import CircuitCore
 from fanetq.qsim import (
+    H_MATRIX,
     SCALING_FNS,
     SpsaState,
     VqcSpec,
-    apply_gate,
+    apply_1q,
+    apply_cnot,
     spsa_gradient,
     vqc_forward,
     zero_state,
@@ -21,8 +23,8 @@ from fanetq.qsim import (
 
 # Bell pair from two gates
 state = zero_state(2)
-state = apply_gate(state, "H", (0,))
-state = apply_gate(state, "CNOT", (0, 1))
+state = apply_1q(state, H_MATRIX, 0)
+state = apply_cnot(state, 0, 1)
 print("Bell state amplitudes:", np.round(state, 4))
 
 # layered circuit: 4L pre-features, scaled to input angles, in; four <Z> expectations out

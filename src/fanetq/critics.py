@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, config_errors, json_fields, json_floats, read_json
-from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, pack
+from .nets import CHECKPOINT_VERSION, DenseNet, check_checkpoint_version, check_unowned, pack
 from .qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, spsa_gradient, vqc_forward
 
 
@@ -101,6 +101,7 @@ class _Critic:
                 f"blocks do not chain: pre ends in {pre.out_dim}, core maps {core.in_dim} -> {core.out_dim}, "
                 f"post maps {post.in_dim} -> {post.out_dim} where it must end in 1"
             )
+        check_unowned(pre=pre, core=core, post=post)
         self.pre, self.core, self.post = pre, core, post
         self.flat, self.grad, parts = pack([pre.flat, core.flat, post.flat])
         for block, part in zip((pre, core, post), parts):

@@ -60,6 +60,13 @@ def pack(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[tupl
     return flat, grad, list(zip(views(flat, shapes), views(grad, shapes)))
 
 
+def check_unowned(**blocks) -> None:
+    """ContractViolation naming a block given twice or already owned (a bound block's ``flat`` views its owner's)."""
+    for k, (name, block) in enumerate(blocks.items()):
+        if block.flat.base is not None or any(block is other for other in list(blocks.values())[:k]):
+            raise ContractViolation(f"the {name} block is given twice or already has an owner")
+
+
 def _act(x: np.ndarray, kind: str) -> None:
     """Apply the activation, one of ACTIVATIONS, to ``x`` in place."""
     if kind == "tanh":
@@ -196,6 +203,7 @@ class GaussianPolicyHead:
     def __init__(self, mean_net: DenseNet, log_std: np.ndarray):
         if log_std.shape != (mean_net.out_dim,):
             raise ContractViolation("log_std must match the action dimension")
+        check_unowned(mean_net=mean_net)
         self.mean_net = mean_net
         self.flat, self.grad, (net_part, (self.log_std, self.log_std_grad)) = pack([mean_net.flat, log_std])
         mean_net.bind(*net_part)

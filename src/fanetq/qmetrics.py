@@ -138,8 +138,10 @@ def haar_bin_probabilities(n_bins: int, dim: int = 2**N_QUBITS) -> np.ndarray:
     """Haar fidelity mass per equal-width bin on [0, 1].
 
     Integrated analytically from the CDF 1 - (1 - F)^(dim - 1) of the density
-    (dim - 1)(1 - F)^(dim - 2).
+    (dim - 1)(1 - F)^(dim - 2), a distribution only for dim >= 2.
     """
+    if dim < 2:
+        raise ContractViolation(f"a Haar fidelity distribution needs states of width >= 2, got {dim}")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     tail = (1.0 - edges) ** (dim - 1)  # survival function, keeps precision near F=1
     return tail[:-1] - tail[1:]

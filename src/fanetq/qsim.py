@@ -4,7 +4,7 @@ The layered circuit is evaluated in closed form: per layer, one phase vector
 for the (diagonal) encoding and one 16x16 matrix for the ansatz, with a batch
 axis in front so a whole minibatch goes through at once.  ``VqcSpec`` is the
 architecture; ``vqc_state`` takes the input angles and weights theta.  The gate
-functions (``apply_gate`` and friends) build small circuits one gate at a time.
+kernels (``apply_1q`` and friends) build small circuits one gate at a time.
 Qubit 0 is the most significant bit of the amplitude index.
 """
 
@@ -16,11 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, TrainingError, check_int, is_finite_number
+from .errors import ContractViolation, TrainingError, check_int
 
-SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
+H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 def rx_matrix(lam: float) -> np.ndarray:
@@ -93,39 +91,6 @@ def apply_cphase(state: np.ndarray, lam: float, control: int, target: int) -> np
         return s
 
     return _on_qubits(state, (control, target), phase)
-
-
-# the target count of each named gate, and whether it takes an angle
-_GATE_SIGNATURES = {
-    "H": (1, False), "RX": (1, True), "RY": (1, True), "RZ": (1, True), "CNOT": (2, False), "CPHASE": (2, True)
-}
-
-
-def apply_gate(state: np.ndarray, gate: str, targets: tuple[int, ...], param: float | None = None) -> np.ndarray:
-    """Named-gate dispatcher for {H, RX, RY, RZ, CNOT, CPHASE}.
-
-    ContractViolation unless the gate is one of these, ``targets`` is a tuple or list of one qubit (two for CNOT
-    and CPHASE), and RX, RY, RZ and CPHASE get a finite real ``param``.
-    """
-    if not isinstance(gate, str) or gate.upper() not in _GATE_SIGNATURES:
-        raise ContractViolation(f"unknown gate {gate!r}")
-    gate = gate.upper()
-    n_targets, takes_param = _GATE_SIGNATURES[gate]
-    if not isinstance(targets, (tuple, list)) or len(targets) != n_targets:
-        raise ContractViolation(f"{gate} takes {n_targets} target qubit(s), got {targets!r}")
-    if takes_param and not is_finite_number(param):  # NaN and inf are no finite numbers either
-        raise ContractViolation(f"{gate} needs a finite real param, got {param!r}")
-    if gate == "H":
-        return apply_1q(state, H_MATRIX, targets[0])
-    if gate == "RX":
-        return apply_1q(state, rx_matrix(param), targets[0])
-    if gate == "RY":
-        return apply_1q(state, ry_matrix(param), targets[0])
-    if gate == "RZ":
-        return apply_1q(state, rz_matrix(param), targets[0])
-    if gate == "CNOT":
-        return apply_cnot(state, targets[0], targets[1])
-    return apply_cphase(state, param, targets[0], targets[1])
 
 
 # ---------------------------------------------------------------------------

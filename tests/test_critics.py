@@ -153,6 +153,13 @@ class TestClassicalCritic:
         O = rng.standard_normal((5, 20))
         assert np.array_equal(critic.value(O), clone.value(O))
 
+    def test_one_net_given_as_two_blocks_is_refused(self):
+        # as pre and core, both blocks would write one grad segment and nothing would read the first flat segment
+        rng = np.random.default_rng(13)
+        net, post = DenseNet.create([6, 6], ["tanh"], rng), DenseNet.create([6, 1], ["identity"], rng)
+        with pytest.raises(ContractViolation, match="^the core block is given twice or already has an owner$"):
+            ClassicalCritic(net, net, post)
+
 
 class TestQuantumCritic:
     def test_three_circuit_evaluations_per_estimate(self):
@@ -281,6 +288,15 @@ class TestQuantumCritic:
         b.backward(cache, 2 * (v - targets) / 9, loss_fn, loss_fn(v))
         assert not np.array_equal(b.core.theta, a.core.theta)
         assert np.array_equal(a.value(O), v_a)
+
+    def test_a_core_that_another_critic_holds_is_refused(self):
+        # binding it again would leave critic A reading the new critic's flat
+        rng = np.random.default_rng(14)
+        a = QuantumCritic.create(20, 1, "arctan", rng)
+        pre, post = (DenseNet.from_dict(block.to_dict()) for block in (a.pre, a.post))
+        with pytest.raises(ContractViolation, match="^the core block is given twice or already has an owner$"):
+            QuantumCritic(pre, a.core, post, SpsaState.matched_to_lr(1e-2))
+        assert a.core.xi.base is a.flat
 
     def test_pre_block_feeds_four_features_per_layer(self):
         rng = np.random.default_rng(7)

@@ -294,6 +294,12 @@ class TestDenseNetBackward:
 
 
 class TestGaussianHead:
+    def test_a_mean_net_that_another_head_holds_is_refused(self):
+        head = GaussianPolicyHead.create(4, 2, (8,), np.random.default_rng(16))
+        with pytest.raises(ContractViolation, match="^the mean_net block is given twice or already has an owner$"):
+            GaussianPolicyHead(head.mean_net, head.log_std.copy())
+        assert head.mean_net.flat.base is head.flat
+
     def test_sample_deterministic_in_zero_std_limit(self):
         rng = np.random.default_rng(6)
         head = GaussianPolicyHead.create(4, 2, (8,), rng)

@@ -289,6 +289,7 @@ class TestRefusedInput:
             (lambda: entanglement_capability([np.ones((2, 16)), np.ones((0, 16))]), "rows >= 1"),
             (lambda: entanglement_capability([np.ones((2, 16)), np.ones((2, 8))]), "of one width"),
             (lambda: entanglement_capability([np.ones(16)]), r"\(rows, width\) stacks"),
+            (lambda: expressibility([np.ones((10, 1), complex)] * 2), "^a Haar fidelity .* width >= 2, got 1$"),
         ],
         ids=[
             "ent-no-batches",
@@ -308,6 +309,7 @@ class TestRefusedInput:
             "ent-one-empty-batch",
             "ent-mixed-widths",
             "ent-1d-batch",
+            "expr-width-1",
         ],
     )
     def test_is_refused(self, call, message):
