@@ -35,10 +35,15 @@ class MetricEstimate:
     std: float
 
 
-def _parameter_draw(spec: VqcSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The spec's scaling of raw data draws (n, 4L), then ansatz angles (n, 12L), drawn in that order from ``rng``."""
-    feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n, spec.n_features))
-    return SCALING_FNS[spec.scaling_fn][0](feats), rng.uniform(THETA_LOW, THETA_HIGH, size=(n, spec.n_theta))
+def _parameter_draw(spec: VqcSpec, n: int, rng: np.random.Generator, batches: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Input angles (batches n, 4L) and ansatz angles (batches n, 12L) of ``batches`` batches of n samples.
+
+    One ``rng.random`` call draws each batch in turn, its raw data inputs and then its ansatz angles: the stream order
+    of two ``rng.uniform`` calls per batch, scaled as uniform scales, low + (high - low) * u.  The spec's scaling
+    function maps the data inputs to input angles."""
+    u, k = rng.random((batches, n * (spec.n_features + spec.n_theta))), n * spec.n_features
+    feats = DATA_ANGLE_LOW + (DATA_ANGLE_HIGH - DATA_ANGLE_LOW) * u[:, :k].reshape(-1, spec.n_features)
+    return SCALING_FNS[spec.scaling_fn][0](feats), THETA_LOW + (THETA_HIGH - THETA_LOW) * u[:, k:].reshape(-1, spec.n_theta)
 
 
 def circuit_state_sampler(spec: VqcSpec) -> Callable[[int, np.random.Generator], np.ndarray]:
@@ -64,15 +69,13 @@ def check_sampling(n_samples, seed) -> None:
 def sample_states(spec: VqcSpec, n_samples: int = 5000, seed: int = 0) -> list[np.ndarray]:
     """``N_BATCHES`` equal batches of output states drawn from one stream; both metrics score them.
 
-    Each batch draws as one ``circuit_state_sampler`` call would, in turn from
-    one generator; the draws are stacked and run as one circuit call, whose
-    rows the batches are.  ``n_samples`` and ``seed`` must pass check_sampling.
+    One ``_parameter_draw`` call draws every batch, each as one ``circuit_state_sampler`` call would, in turn from
+    one generator, and the draws run as one circuit call, whose rows the batches are.  ``n_samples`` and ``seed``
+    must pass check_sampling.
     """
     check_sampling(n_samples, seed)
-    rng = np.random.default_rng(seed)
-    draws = [_parameter_draw(spec, n_samples // N_BATCHES, rng) for _ in range(N_BATCHES)]
-    angles, thetas = (np.concatenate(parts) for parts in zip(*draws))
-    return np.split(vqc_state(spec, angles, thetas), N_BATCHES)
+    draw = _parameter_draw(spec, n_samples // N_BATCHES, np.random.default_rng(seed), N_BATCHES)
+    return np.split(vqc_state(spec, *draw), N_BATCHES)
 
 
 @cache
@@ -92,7 +95,8 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     Each qubit's purity is taken in closed form, Tr rho_k^2 = p0^2 + p1^2 + 2 |c|^2, with p0 and p1 the
     probabilities that qubit k reads 0 and 1 and c = sum psi_{..0..} conj(psi_{..1..}) over the amplitude pairs
     that differ in qubit k alone.  Products are real and every sum runs over a leading axis, which numpy adds one
-    whole slice at a time, so a row's value does not depend on the rows that share the call.
+    whole slice at a time, so a row's value does not depend on the rows that share the call.  Each of the four
+    per-pair terms is summed on its own, with the bits of one sum over them stacked.
     """
     states = np.asarray(states, dtype=complex)
     width = states.shape[1] if states.ndim == 2 else 0
@@ -102,9 +106,9 @@ def meyer_wallach_batch(states: np.ndarray) -> np.ndarray:
     pairs = _qubit_pairs(n)
     real, imag = (np.ascontiguousarray(part.T) for part in (states.real, states.imag))  # (2^n, batch)
     (re0, re1), (im0, im1) = np.take(real, pairs, axis=0), np.take(imag, pairs, axis=0)  # (2^(n-1), n, batch) each
-    # per pair: |psi_0|^2, |psi_1|^2, Re and Im of psi_0 conj(psi_1), stacked as (2^(n-1), 4, n, batch)
-    terms = np.stack((re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, im0 * re1 - re0 * im1), 1)
-    p0, p1, c_re, c_im = terms.sum(axis=0)
+    # per pair: |psi_0|^2, |psi_1|^2, Re and Im of psi_0 conj(psi_1), each summed over the pairs on its own
+    terms = (re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, im0 * re1 - re0 * im1)
+    p0, p1, c_re, c_im = (term.sum(axis=0) for term in terms)
     purities = p0 * p0 + p1 * p1 + 2.0 * (c_re * c_re + c_im * c_im)  # (n, batch)
     return 2.0 * (1.0 - purities.mean(axis=0))
 

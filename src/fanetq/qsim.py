@@ -188,15 +188,17 @@ def _rotation_matrix(theta_layer: np.ndarray) -> np.ndarray:
     """K(theta): the Kronecker product of the four per-qubit Euler rotations.
 
     Qubit q gets RZ(theta[3q+2]) RY(theta[3q+1]) RZ(theta[3q]).  ``theta_layer``
-    has shape (..., 12); returns (..., 16, 16).
+    has shape (..., 12); returns (..., 16, 16).  Each RZ angle takes one
+    exponential, its diagonal (exp(-ia/2), exp(ia/2)) formed from exp(ia/2)
+    and its conjugate, with the bits of two exponentials.
     """
     t = theta_layer.reshape(theta_layer.shape[:-1] + (N_QUBITS, 3))
-    first, middle, last = t[..., 0], t[..., 1], t[..., 2]
-    c, s = np.cos(middle / 2), np.sin(middle / 2)
+    c, s = np.cos(t[..., 1] / 2), np.sin(t[..., 1] / 2)
     ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    rz_first = np.exp(0.5j * np.stack([-first, first], axis=-1))
-    rz_last = np.exp(0.5j * np.stack([-last, last], axis=-1))
-    blocks = rz_last[..., :, None] * ry * rz_first[..., None, :]  # (..., 4, 2, 2)
+    e = np.exp(0.5j * t[..., ::2])  # exp(ia/2) of the first and last RZ angles a, (..., 4, 2)
+    rz = np.stack([e.conj(), e], axis=-1)  # conj(exp(ia/2)) is exp(-ia/2) bit for bit (libm's cos even, sin odd)
+    rz[..., 0].imag += 0.0  # but where sin gives 0: exp(-0.5j * 0) reads +0 there, conj -0, and -0 + 0 is +0
+    blocks = rz[..., 1, :, None] * ry * rz[..., 0, None, :]  # (..., 4, 2, 2)
     return _kron2(
         _kron2(blocks[..., 0, :, :], blocks[..., 1, :, :]),
         _kron2(blocks[..., 2, :, :], blocks[..., 3, :, :]),

@@ -16,7 +16,8 @@ from fanetq.env import ScenarioConfig, WorldState
 from fanetq.errors import ContractViolation
 from fanetq.experiments import CURVE_HEADER, RunRecord, csv_rows
 from fanetq.nets import GaussianPolicyHead, views
-from fanetq.qsim import N_QUBITS, SpsaState, spsa_gradient
+from fanetq.qmetrics import DATA_ANGLE_HIGH, DATA_ANGLE_LOW, N_BATCHES, THETA_HIGH, THETA_LOW, _qubit_pairs
+from fanetq.qsim import N_QUBITS, SCALING_FNS, SpsaState, VqcSpec, _kron2, spsa_gradient
 
 
 def spsa_minimize(
@@ -56,6 +57,45 @@ def meyer_wallach(state: np.ndarray) -> float:
                     rho[a, b] += state[ia] * np.conj(state[ib])
         purities.append(float(np.real(np.trace(rho @ rho))))
     return 2.0 * (1.0 - np.mean(purities))
+
+
+def meyer_wallach_stacked(states: np.ndarray) -> np.ndarray:
+    """The stacked form of ``fanetq.qmetrics.meyer_wallach_batch`` on a (batch, 2^n) stack: the four per-pair terms
+    |psi_0|^2, |psi_1|^2, Re and Im of psi_0 conj(psi_1) go into one (2^(n-1), 4, n, batch) array, summed over the
+    pairs in one call."""
+    states = np.asarray(states, dtype=complex)
+    pairs = _qubit_pairs(states.shape[1].bit_length() - 1)
+    real, imag = (np.ascontiguousarray(part.T) for part in (states.real, states.imag))
+    (re0, re1), (im0, im1) = np.take(real, pairs, axis=0), np.take(imag, pairs, axis=0)
+    terms = np.stack((re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, im0 * re1 - re0 * im1), 1)
+    p0, p1, c_re, c_im = terms.sum(axis=0)
+    purities = p0 * p0 + p1 * p1 + 2.0 * (c_re * c_re + c_im * c_im)
+    return 2.0 * (1.0 - purities.mean(axis=0))
+
+
+def parameter_draws_per_batch(spec: VqcSpec, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-batch form of ``fanetq.qmetrics.sample_states``'s draw from default_rng(seed): for each of N_BATCHES
+    batches, one rng.uniform call for the raw data inputs over [0, 2pi) and then one for the ansatz angles over
+    [0, pi); the scaled input angles and the ansatz angles are concatenated over the batches."""
+    rng, angles, thetas = np.random.default_rng(seed), [], []
+    for _ in range(N_BATCHES):
+        feats = rng.uniform(DATA_ANGLE_LOW, DATA_ANGLE_HIGH, size=(n_samples // N_BATCHES, spec.n_features))
+        angles.append(SCALING_FNS[spec.scaling_fn][0](feats))
+        thetas.append(rng.uniform(THETA_LOW, THETA_HIGH, size=(n_samples // N_BATCHES, spec.n_theta)))
+    return np.concatenate(angles), np.concatenate(thetas)
+
+
+def rotation_matrix_two_exponentials(theta_layer: np.ndarray) -> np.ndarray:
+    """The two-exponential form of ``fanetq.qsim._rotation_matrix``: each RZ angle a's diagonal is exp(0.5j * -a)
+    and exp(0.5j * a), two exponentials per angle.  ``theta_layer`` is (..., 12); returns (..., 16, 16)."""
+    t = theta_layer.reshape(theta_layer.shape[:-1] + (N_QUBITS, 3))
+    first, middle, last = t[..., 0], t[..., 1], t[..., 2]
+    c, s = np.cos(middle / 2), np.sin(middle / 2)
+    ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    rz_first = np.exp(0.5j * np.stack([-first, first], axis=-1))
+    rz_last = np.exp(0.5j * np.stack([-last, last], axis=-1))
+    blocks = rz_last[..., :, None] * ry * rz_first[..., None, :]
+    return _kron2(_kron2(blocks[..., 0, :, :], blocks[..., 1, :, :]), _kron2(blocks[..., 2, :, :], blocks[..., 3, :, :]))
 
 
 def haar_fidelity_pdf(fidelity: np.ndarray | float, dim: int = 2**N_QUBITS) -> np.ndarray | float:

@@ -10,7 +10,6 @@ import pytest
 
 from fanetq.critics import (
     ALL_SOLUTIONS,
-    CLASSICAL_SOLUTIONS,
     PAIRINGS,
     QUANTUM_SOLUTIONS,
     CircuitCore,

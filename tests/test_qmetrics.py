@@ -10,6 +10,7 @@ from fanetq.qmetrics import (
     DEFAULT_BINS,
     N_BATCHES,
     _kl_from_counts,
+    _parameter_draw,
     circuit_state_sampler,
     entanglement_capability,
     expressibility,
@@ -18,9 +19,15 @@ from fanetq.qmetrics import (
     meyer_wallach_batch,
     sample_states,
 )
-from fanetq.qsim import VqcSpec, apply_1q, ry_matrix, rz_matrix, zero_state
+from fanetq.qsim import VqcSpec, apply_1q, ry_matrix, rz_matrix, vqc_state, zero_state
 
-from tests.oracles import haar_fidelity_pdf, kl_from_counts, meyer_wallach
+from tests.oracles import (
+    haar_fidelity_pdf,
+    kl_from_counts,
+    meyer_wallach,
+    meyer_wallach_stacked,
+    parameter_draws_per_batch,
+)
 
 
 def per_row_fidelity_histogram(states, n_bins):
@@ -394,6 +401,37 @@ class TestOneEnsemble:
                 assert (row["ent_mean"], row["ent_std"]) == (round(ent, 6), round(ent_sd, 6))
                 assert (row["expr_mean"], row["expr_std"]) == (round(expr, 8), round(expr_sd, 8))
                 assert (row["n_samples"], row["seed"]) == (n_samples, seed)
+
+
+def words(a):
+    """The 64-bit words of a real or complex float array, so equality also tells +0 from -0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFormerForms:
+    """The one-call draw and the per-term Meyer-Wallach sums give their former forms' bits."""
+
+    @pytest.mark.parametrize("n_samples", [100, 500, 5000])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scaling_fn", ["identity", "arctan"])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_one_draw_per_ensemble_keeps_the_per_batch_draws(self, n_layers, scaling_fn, seed, n_samples):
+        spec = VqcSpec(n_layers=n_layers, scaling_fn=scaling_fn)
+        old = parameter_draws_per_batch(spec, n_samples, seed)
+        new = _parameter_draw(spec, n_samples // N_BATCHES, np.random.default_rng(seed), N_BATCHES)
+        assert [a.shape for a in new] == [(n_samples, spec.n_features), (n_samples, spec.n_theta)]
+        assert all(np.array_equal(words(a), words(b)) for a, b in zip(new, old))
+        assert np.array_equal(words(np.concatenate(sample_states(spec, n_samples, seed))), words(vqc_state(spec, *old)))
+
+    @pytest.mark.parametrize("rows", [1, 7, 333, 500])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 4, 5])
+    def test_meyer_wallach_keeps_the_stacked_terms_bits(self, n_qubits, rows):
+        states = random_states(np.random.default_rng(100 * n_qubits + rows), rows, 2**n_qubits)
+        assert np.array_equal(words(meyer_wallach_batch(states)), words(meyer_wallach_stacked(states)))
+
+    def test_meyer_wallach_keeps_the_stacked_terms_bits_on_sampled_states(self):
+        states = np.concatenate(sample_states(VqcSpec(n_layers=1, scaling_fn="arctan"), 500, 0))
+        assert np.array_equal(words(meyer_wallach_batch(states)), words(meyer_wallach_stacked(states)))
 
 
 REPORT_SEED0 = {  # n_samples -> (circuit_id, L, scaling_fn, ent_mean, ent_std, expr_mean, expr_std)

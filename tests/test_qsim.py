@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fanetq import qsim
 from fanetq.errors import ContractViolation, TrainingError
 from fanetq.qsim import (
     H_MATRIX,
@@ -33,7 +34,7 @@ from fanetq.qsim import (
     zero_state,
 )
 
-from tests.oracles import spsa_minimize
+from tests.oracles import rotation_matrix_two_exponentials, spsa_minimize
 
 # ---------------------------------------------------------------------------
 # dense-matrix oracle: build the full 2^n x 2^n unitary with kron products
@@ -401,6 +402,49 @@ class TestAnsatzLayer:
             got = ansatz_layer(zero_state(4), theta)
             expected = dense_ansatz_layer(theta) @ zero_state(4)
             assert np.abs(got - expected).max() < 1e-10
+
+
+# RZ angles where a one-exponential form could lose bits: signed and subnormal zeros, and angles past +-2 pi
+EDGE_ANGLES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -1.3, 2.5, 2 * np.pi, -2 * np.pi, 9.0, -40.0])
+
+
+def angle_draw(seed, shape, fill):
+    """Angles of ``shape``: uniform over [-9, 9) with four in ten replaced by EDGE_ANGLES ("mixed"), or all zero."""
+    if fill != "mixed":
+        return np.full(shape, {"zeros": 0.0, "negative-zeros": -0.0}[fill])
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-9.0, 9.0, shape)
+    edge = rng.random(shape) < 0.4
+    theta[edge] = rng.choice(EDGE_ANGLES, edge.sum())
+    return theta
+
+
+def words(a):
+    """The 64-bit words of a real or complex float array, so equality also tells +0 from -0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFormerForms:
+    """One exponential per RZ angle gives the two-exponential form's bits."""
+
+    @pytest.mark.parametrize("fill", ["mixed", "zeros", "negative-zeros"])
+    @pytest.mark.parametrize("rows", [None, 1, 59, 500])
+    def test_one_exponential_per_rz_angle_keeps_the_two_exponential_bits(self, rows, fill):
+        for seed in range(5):
+            theta = angle_draw(seed, (12,) if rows is None else (rows, 12), fill)
+            got, expected = qsim._rotation_matrix(theta), rotation_matrix_two_exponentials(theta)
+            assert got.shape == expected.shape and np.array_equal(words(got), words(expected))
+
+    @pytest.mark.parametrize("fill", ["mixed", "zeros"])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_circuit_states_keep_the_two_exponential_bits(self, monkeypatch, n_layers, per_sample, fill):
+        spec, rows = VqcSpec(n_layers=n_layers), 40
+        x = np.random.default_rng(n_layers).uniform(-np.pi, 2 * np.pi, (rows, spec.n_features))
+        theta = angle_draw(n_layers, (rows, spec.n_theta) if per_sample else (spec.n_theta,), fill)
+        got = vqc_state(spec, x, theta)
+        monkeypatch.setattr(qsim, "_rotation_matrix", rotation_matrix_two_exponentials)
+        assert np.array_equal(words(got), words(vqc_state(spec, x, theta)))
 
 
 class TestVqcForward:
